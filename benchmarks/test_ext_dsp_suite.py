@@ -25,8 +25,8 @@ from conftest import save_and_print
 
 def _run(grid):
     """The whole study is the registered ``dsp-4cluster`` scenario: its
-    cells run on the shared session grid (one wave, deduplicated and
-    cached) instead of a raw ``run_cell`` loop."""
+    cells run on the shared session grid (one stage plan, deduplicated
+    and stored) instead of a hand-written per-cell loop."""
     outcome = run_scenario("dsp-4cluster", grid=grid)
     rows = []
     ratios = []

@@ -12,7 +12,8 @@ Usage::
     python examples/bus_design_space.py [--jobs N]
 
 All cells run through one :class:`ExperimentGrid`, so the sweep can fan
-out over worker processes and never recomputes a shared cell.
+out over worker processes and never recomputes a shared schedule or
+simulation.
 """
 
 import argparse
@@ -86,8 +87,9 @@ def main():
     )
     stats = grid.stats
     print(
-        f"grid: {stats.requested} cells requested, {stats.computed} "
-        f"computed, {stats.memory_hits + stats.disk_hits} cached"
+        f"grid: {stats.requested} cells requested, "
+        f"{stats.plan.get('schedule_tasks', 0)} schedules and "
+        f"{stats.plan.get('simulate_tasks', 0)} simulations computed"
     )
 
 

@@ -20,17 +20,12 @@ The package implements the complete system the paper describes:
   motivating example, a random kernel generator,
 * :mod:`repro.analysis` — the closed-form cycle model and schedule
   metrics,
-* :mod:`repro.engine` — the staged cell pipeline
-  (:class:`~repro.engine.stages.CellRequest` /
-  :func:`~repro.engine.pipeline.execute_cell`) and the plan-based
-  execution layer that dedups and batches stage work across cells,
+* :mod:`repro.engine` — the analyze/schedule/simulate stages as pure
+  functions and the stage plan that dedups their work across cells
+  against a content-addressed stage store,
 * :mod:`repro.harness` — the Figure 5 / Figure 6 experiment sweeps and
-  the :class:`~repro.harness.grid.ExperimentGrid` cell engine.
-
-Note: the re-exported :func:`run_cell` is the historical single-cell
-shim, kept for backcompat only — new call sites should build a
-:class:`~repro.engine.stages.CellRequest` (or a
-:class:`~repro.harness.grid.CellSpec` run through the grid) instead.
+  the :class:`~repro.harness.grid.ExperimentGrid` cell engine (run
+  :class:`~repro.harness.grid.CellSpec` grids through it).
 
 Quickstart::
 
@@ -59,7 +54,6 @@ from .analysis import (
     make_scheduler,
     ncycle_compute,
     predict_cycles,
-    run_cell,
     schedule_metrics,
 )
 from .cme import AnalyticCME, EquationCME, SamplingCME, default_analyzer
@@ -155,7 +149,6 @@ __all__ = [
     "predict_cycles",
     "preset",
     "random_kernel",
-    "run_cell",
     "schedule_metrics",
     "simulate",
     "spec_suite",

@@ -1,6 +1,6 @@
 """Analysis layer: closed-form cost model, schedule metrics, comparisons."""
 
-from .compare import RunResult, make_scheduler, normalized_cycles, run_cell
+from .compare import RunResult, make_scheduler, normalized_cycles
 from .costmodel import (
     CyclePrediction,
     memory_access_latency,
@@ -18,7 +18,6 @@ __all__ = [
     "ncycle_compute",
     "normalized_cycles",
     "predict_cycles",
-    "run_cell",
     "schedule_metrics",
     "workload_balance",
 ]

@@ -1,62 +1,23 @@
 """Scheduler comparison helpers.
 
-Historically this module *was* the cell executor: ``run_cell`` did the
-schedule→simulate pipeline inline.  That monolith now lives in
-:mod:`repro.engine` as an explicit build → analyze → schedule → simulate
-→ measure pipeline; ``run_cell`` remains as a thin compatibility wrapper
-with the same signature and the same :class:`RunResult`, so external
-callers and old examples keep working.  New code should build a
-:class:`~repro.engine.CellRequest` (or better, submit
-:class:`~repro.harness.grid.CellSpec` grids) instead.
+Cells themselves execute through :class:`~repro.harness.grid.ExperimentGrid`
+(whose stages are the pure functions of :mod:`repro.engine.stages`);
+this module normalizes their results the way the paper's figures do
+and re-exports the names comparisons need.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..cme.locality import LocalityAnalyzer
-from ..engine.pipeline import execute_cell
-from ..engine.result import CELL_EXECUTIONS, ExecutionCounter, RunResult
-from ..engine.stages import CellRequest, make_scheduler
-from ..ir.builder import Kernel
-from ..machine.config import MachineConfig
+from ..engine.result import RunResult
+from ..engine.stages import make_scheduler
 
 __all__ = [
     "RunResult",
-    "run_cell",
     "make_scheduler",
     "normalized_cycles",
-    "ExecutionCounter",
-    "CELL_EXECUTIONS",
 ]
-
-
-def run_cell(
-    kernel: Kernel,
-    machine: MachineConfig,
-    scheduler: str,
-    threshold: float = 1.0,
-    locality: Optional[LocalityAnalyzer] = None,
-    n_iterations: Optional[int] = None,
-    n_times: Optional[int] = None,
-) -> RunResult:
-    """Schedule and simulate one experiment cell.
-
-    Compatibility wrapper over the :mod:`repro.engine` pipeline — one
-    call, one :class:`RunResult`, identical to the historical monolith.
-    """
-    outcome = execute_cell(
-        CellRequest(
-            kernel=kernel,
-            machine=machine,
-            scheduler=scheduler,
-            threshold=threshold,
-            locality=locality,
-            n_iterations=n_iterations,
-            n_times=n_times,
-        )
-    )
-    return outcome.result
 
 
 def normalized_cycles(

@@ -18,7 +18,7 @@ Every command prints its table/chart to stdout; the figure commands can
 additionally persist the raw records (``--csv`` / ``--out`` JSON).
 ``figure5``/``figure6`` (aliases ``fig5``/``fig6``) and ``run`` execute
 their cells through the experiment grid: ``--jobs N`` fans them out over
-N worker processes, repeated invocations reuse the on-disk cell cache
+N worker processes, repeated invocations reuse the stage products stored
 under ``--cache-dir`` (or ``$REPRO_GRID_CACHE``), and per-cell progress
 is reported on stderr (suppress with ``--no-progress``).  ``scenarios``
 lists the registry (``--json`` for the machine-readable listing the
@@ -41,7 +41,7 @@ import sys
 from typing import List, Optional
 
 from .cme import SAMPLED_ENGINES
-from .engine import CellPipeline, CellRequest, make_scheduler
+from .engine import make_scheduler
 from .harness.charts import render_figure
 from .harness.grid import CellSpec, ExperimentGrid, ProgressCallback
 from .harness.io import figure_to_csv, figure_to_json
@@ -84,6 +84,33 @@ def _add_cme_options(cmd: argparse.ArgumentParser) -> None:
         "--cme", choices=sorted(SAMPLED_ENGINES), default="incremental",
         help="sampled-CME engine (results are bit-identical; "
              "'sampling' is the from-scratch reference)",
+    )
+
+
+def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
+    """The experiment-grid flags every grid-running command shares."""
+    cmd.add_argument(
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="worker processes for the experiment grid (default: 1)",
+    )
+    cmd.add_argument(
+        "--no-cache", action="store_true",
+        help="keep the stage and warm-state stores in memory only "
+             "(ignore and write no disk layers)",
+    )
+    cmd.add_argument(
+        "--no-warm-store", action="store_true",
+        help="disable content-addressed warm-state reuse between "
+             "cells (results are bit-identical either way)",
+    )
+    cmd.add_argument(
+        "--cache-dir", metavar="DIR",
+        help="directory for the stores' disk layers "
+             "(default: $REPRO_GRID_CACHE)",
+    )
+    cmd.add_argument(
+        "--no-progress", action="store_true",
+        help="suppress per-cell progress reporting on stderr",
     )
 
 
@@ -132,40 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_cme_options(cmd)
         cmd.add_argument("--csv", help="write per-kernel records as CSV")
         cmd.add_argument("--out", help="write the figure as JSON")
-        cmd.add_argument(
-            "--jobs", type=_positive_int, default=1, metavar="N",
-            help="worker processes for the experiment grid (default: 1)",
-        )
-        cmd.add_argument(
-            "--no-cache", action="store_true",
-            help="recompute every cell (disable memory and disk caching; "
-                 "warm-state reuse keeps working in memory)",
-        )
-        cmd.add_argument(
-            "--no-warm-store", action="store_true",
-            help="disable content-addressed warm-state reuse between "
-                 "cells (results are bit-identical either way)",
-        )
-        cmd.add_argument(
-            "--no-stage-store", action="store_true",
-            help="disable the per-stage content-addressed result store "
-                 "(analyze/schedule/simulate dedup; results are "
-                 "bit-identical either way)",
-        )
-        cmd.add_argument(
-            "--no-plan", action="store_true",
-            help="execute cells one by one instead of through the "
-                 "up-front stage-task plan (the bit-identical reference "
-                 "path)",
-        )
-        cmd.add_argument(
-            "--cache-dir", metavar="DIR",
-            help="on-disk cell cache directory (default: $REPRO_GRID_CACHE)",
-        )
-        cmd.add_argument(
-            "--no-progress", action="store_true",
-            help="suppress per-cell progress reporting on stderr",
-        )
+        _add_grid_options(cmd)
         cmd.add_argument(
             "--steady", choices=STEADY_MODES, default="auto",
             help="steady-state detector selection (results are "
@@ -199,39 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute a registered scenario on the experiment grid"
     )
     run_cmd.add_argument("scenario", help="scenario name (see `scenarios`)")
-    run_cmd.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for the experiment grid (default: 1)",
-    )
-    run_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every cell (disable memory and disk caching; "
-             "warm-state reuse keeps working in memory)",
-    )
-    run_cmd.add_argument(
-        "--no-warm-store", action="store_true",
-        help="disable content-addressed warm-state reuse between cells "
-             "(results are bit-identical either way)",
-    )
-    run_cmd.add_argument(
-        "--no-stage-store", action="store_true",
-        help="disable the per-stage content-addressed result store "
-             "(analyze/schedule/simulate dedup; results are "
-             "bit-identical either way)",
-    )
-    run_cmd.add_argument(
-        "--no-plan", action="store_true",
-        help="execute cells one by one instead of through the up-front "
-             "stage-task plan (the bit-identical reference path)",
-    )
-    run_cmd.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="on-disk cell cache directory (default: $REPRO_GRID_CACHE)",
-    )
-    run_cmd.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress per-cell progress reporting on stderr",
-    )
+    _add_grid_options(run_cmd)
     run_cmd.add_argument(
         "--exact", action="store_true",
         help="disable the simulator's steady-state detection "
@@ -284,11 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every cell with steady-state detection disabled "
              "(results are bit-identical either way)",
     )
-    serve_cmd.add_argument(
-        "--no-plan", action="store_true",
-        help="execute every job's cells one by one instead of through "
-             "the up-front stage-task plan",
-    )
 
     submit_cmd = sub.add_parser(
         "submit",
@@ -332,35 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH",
         help="output path (default: <scenario>.<format>)",
     )
-    export_cmd.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for the experiment grid (default: 1)",
-    )
-    export_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every cell (disable memory and disk caching)",
-    )
-    export_cmd.add_argument(
-        "--no-warm-store", action="store_true",
-        help="disable content-addressed warm-state reuse between cells",
-    )
-    export_cmd.add_argument(
-        "--no-stage-store", action="store_true",
-        help="disable the per-stage content-addressed result store",
-    )
-    export_cmd.add_argument(
-        "--no-plan", action="store_true",
-        help="execute cells one by one instead of through the up-front "
-             "stage-task plan (the bit-identical reference path)",
-    )
-    export_cmd.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="on-disk cell cache directory (default: $REPRO_GRID_CACHE)",
-    )
-    export_cmd.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress per-cell progress reporting on stderr",
-    )
+    _add_grid_options(export_cmd)
     export_cmd.add_argument(
         "--steady", choices=STEADY_MODES,
         help="override the scenario's steady-state detector selection",
@@ -413,20 +342,15 @@ def _cmd_schedule(args: argparse.Namespace, run_simulation: bool) -> int:
     kernel = kernel_by_name(args.kernel)
     machine = preset(args.machine)
     locality = _build_locality(args)
-    outcome = None
+    grid = None
     if run_simulation:
-        # Full pipeline: build -> analyze -> schedule -> simulate -> measure,
-        # with per-stage wall-clock reported.
-        outcome = CellPipeline().run(
-            CellRequest(
-                kernel=kernel,
-                machine=machine,
-                scheduler=args.scheduler,
-                threshold=args.threshold,
-                locality=locality,
-            )
+        # One cell through the grid (stores in memory only), so the
+        # per-stage seconds below cover exactly this cell's work.
+        grid = ExperimentGrid(locality=locality, cache=False)
+        result = grid.run_one(
+            CellSpec.of(kernel, machine, args.scheduler, args.threshold)
         )
-        schedule = outcome.result.schedule
+        schedule = result.schedule
     else:
         engine = make_scheduler(args.scheduler, args.threshold, locality)
         schedule = engine.schedule(kernel, machine)
@@ -437,18 +361,19 @@ def _cmd_schedule(args: argparse.Namespace, run_simulation: bool) -> int:
         f"comms/iter={schedule.n_communications}  "
         f"prefetched={schedule.prefetched_loads() or '-'}"
     )
-    if outcome is not None:
-        result = outcome.result.simulation
+    if grid is not None:
+        simulation = result.simulation
         print(
-            f"cycles: total={result.total_cycles} "
-            f"(compute={result.compute_cycles}, stall={result.stall_cycles})"
+            f"cycles: total={simulation.total_cycles} "
+            f"(compute={simulation.compute_cycles}, "
+            f"stall={simulation.stall_cycles})"
         )
-        print(f"memory: {result.memory.as_dict()}")
+        print(f"memory: {simulation.memory.as_dict()}")
         stages = "  ".join(
-            f"{record.stage}={record.seconds * 1000:.1f}ms"
-            for record in outcome.report.records
+            f"{stage}={seconds * 1000:.1f}ms"
+            for stage, seconds in grid.stats.stage_seconds.items()
         )
-        print(f"pipeline: {stages}")
+        print(f"stages: {stages}")
     return 0
 
 
@@ -465,8 +390,8 @@ def _progress_printer(stream) -> "ProgressCallback":
 
 def _build_grid(args: argparse.Namespace, locality) -> ExperimentGrid:
     """The grid shared by the figure and scenario commands: one place
-    maps the common --jobs/--no-cache/--cache-dir/--no-progress (and,
-    where offered, --exact) flags onto the engine."""
+    maps the :func:`_add_grid_options` flags (and, where offered,
+    --exact) onto the engine."""
     return ExperimentGrid(
         locality=locality,
         n_jobs=args.jobs,
@@ -475,8 +400,6 @@ def _build_grid(args: argparse.Namespace, locality) -> ExperimentGrid:
         progress=None if args.no_progress else _progress_printer(sys.stderr),
         exact=getattr(args, "exact", False),
         warm=not args.no_warm_store,
-        stage_store=not args.no_stage_store,
-        plan=not getattr(args, "no_plan", False),
     )
 
 
@@ -539,16 +462,11 @@ def _grid_stats_line(grid: ExperimentGrid, stream) -> None:
             f"\nwarm state: {store.hits} hits, {store.misses} misses, "
             f"{store.stores} stored"
         )
-    stage = ""
-    if grid.stage_store is not None:
-        parts = []
-        for name, counts in grid.stage_store.telemetry().items():
-            probes = counts["hits"] + counts["misses"]
-            parts.append(f"{name} {counts['hits']}/{probes} reused")
-        stage = (
-            f"\nstage store: " + ", ".join(parts)
-            + f", {sum(c['stores'] for c in grid.stage_store.telemetry().values())} stored"
-        )
+    telemetry = grid.stage_store.telemetry()
+    stage = "\nstage store: " + ", ".join(
+        f"{name} {counts['hits']}/{counts['hits'] + counts['misses']} reused"
+        for name, counts in telemetry.items()
+    ) + f", {sum(c['stores'] for c in telemetry.values())} stored"
     plan = ""
     if stats.plan.get("runs"):
         p = stats.plan
@@ -562,8 +480,7 @@ def _grid_stats_line(grid: ExperimentGrid, stream) -> None:
             f"(max width {p.get('batch_width_max', 0)})"
         )
     print(
-        f"cells: {stats.requested} requested, {stats.computed} computed, "
-        f"{stats.memory_hits + stats.disk_hits} cached, "
+        f"cells: {stats.requested} requested, "
         f"{stats.deduplicated} deduplicated"
         + (f"\nstage seconds: {stages}" if stages else "")
         + warm
@@ -638,7 +555,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=make_backend(args.backend, args.backend_dir),
         n_jobs=args.jobs,
         exact=args.exact,
-        plan=not args.no_plan,
     )
     run_server(host=args.host, port=args.port, manager=manager)
     return 0

@@ -148,7 +148,7 @@ class IncrementalCME:
     def __getstate__(self):
         # Ship the content-addressed traces (expensive to rebuild, safe
         # to share) but not the probe memos: they grow with every
-        # reference set ever probed, and grid._compute re-pickles the
+        # reference set ever probed, and the grid re-pickles the
         # analyzer into every worker at each pool creation — workers
         # rebuild snapshots from the traces in microseconds.
         state = self.__dict__.copy()
@@ -165,14 +165,6 @@ class IncrementalCME:
         data["address_traces"] = len(self.traces)
         data["snapshots"] = len(self._snapshots)
         return data
-
-    def prime(self, loop: Loop) -> None:
-        """Pre-build the loop's address trace (cheap, idempotent).
-
-        The grid calls this before process fan-out so pickled analyzers
-        ship to every worker with warm traces.
-        """
-        self.traces.address_trace(loop, self.max_points)
 
     # ------------------------------------------------------------------
     # Estimation

@@ -1,28 +1,20 @@
-"""Layered cell-execution engine.
+"""Cell-execution engine: three pure stages and the plan that runs them.
 
-The experiment cell — schedule one kernel on one machine with one
-scheduler/threshold, simulate it, measure it — used to be a monolithic
-function; this package decomposes it into an explicit pipeline of five
-small stages with typed inputs/outputs and per-stage timing records.
-The grid, the sweeps, the scenario runner and the CLI all consume it.
+An experiment cell — schedule one kernel on one machine with one
+scheduler/threshold, then simulate the schedule — is three stages,
+each a pure function from inputs to product
+(:mod:`~repro.engine.stages`): :func:`analyze_loop`,
+:func:`schedule_kernel` and :func:`~repro.simulator.simulate`.
 
-:mod:`~repro.engine.plan` adds the plan-based execution layer on top:
-an :class:`ExecutionPlanner` that dedups a whole grid's stage work *up
-front* by the :class:`StageStore` key families and emits a
-:class:`StagePlan` of unique, content-keyed tasks (with same-kernel
-simulations co-batched through the vectorized engine) — the grid's
-default execution strategy since the per-cell pipeline discovers the
-same dedup only reactively, one cell at a time.
+:mod:`~repro.engine.plan` runs them for whole grids: an
+:class:`ExecutionPlanner` dedups every cell's stage work *up front* by
+the :class:`StageStore` key families and emits a :class:`StagePlan` of
+unique, content-keyed tasks plus one assembly node per cell.  The
+planner owns the store protocol; the grid
+(:class:`~repro.harness.grid.ExperimentGrid`) executes nothing but its
+plans.
 """
 
-from .pipeline import (
-    CellOutcome,
-    CellPipeline,
-    PipelineReport,
-    StageRecord,
-    default_stages,
-    execute_cell,
-)
 from .plan import (
     AssemblyNode,
     ExecutionPlanner,
@@ -30,7 +22,7 @@ from .plan import (
     SimulateBatch,
     StagePlan,
 )
-from .result import CELL_EXECUTIONS, ExecutionCounter, RunResult
+from .result import RunResult
 from .stagestore import (
     STAGE_STORE_STAGES,
     STAGE_STORE_VERSION,
@@ -38,43 +30,23 @@ from .stagestore import (
 )
 from .stages import (
     SCHEDULER_NAMES,
-    AnalyzeStage,
-    BuildStage,
-    CellContext,
-    CellRequest,
-    MeasureStage,
-    ScheduleStage,
-    SimulateStage,
-    Stage,
+    analyze_loop,
     make_scheduler,
+    schedule_kernel,
 )
 
 __all__ = [
-    "AnalyzeStage",
     "AssemblyNode",
-    "BuildStage",
-    "CELL_EXECUTIONS",
-    "CellContext",
-    "CellOutcome",
-    "CellPipeline",
-    "CellRequest",
-    "ExecutionCounter",
     "ExecutionPlanner",
-    "MeasureStage",
-    "PipelineReport",
     "PlanTask",
     "RunResult",
     "SCHEDULER_NAMES",
     "STAGE_STORE_STAGES",
     "STAGE_STORE_VERSION",
-    "ScheduleStage",
     "SimulateBatch",
-    "SimulateStage",
-    "Stage",
     "StagePlan",
-    "StageRecord",
     "StageStore",
-    "default_stages",
-    "execute_cell",
+    "analyze_loop",
     "make_scheduler",
+    "schedule_kernel",
 ]

@@ -1,11 +1,8 @@
-"""Plan-based execution: an explicit stage-task DAG over cell grids.
+"""Plan-based execution: the stage-task DAG every grid call runs.
 
-The :class:`~repro.engine.stagestore.StageStore` (PR 7) deduplicates
-stage products *reactively*: every cell still walks the full
-build→analyze→schedule→simulate pipeline and discovers hits one at a
-time.  This module inverts that shape.  :class:`ExecutionPlanner` takes
-a list of cell specs and emits a :class:`StagePlan` — a small DAG of
-content-keyed tasks deduplicated *up front* by the store's own key
+:class:`ExecutionPlanner` takes a list of cell specs and emits a
+:class:`StagePlan` — a small DAG of content-keyed tasks deduplicated
+*up front* by the :class:`~repro.engine.stagestore.StageStore` key
 families:
 
 * one **analyze** task per unique ``loop_fingerprint`` × analyzer
@@ -17,24 +14,23 @@ families:
 
 plus one :class:`AssemblyNode` per cell that relabels the shared
 products into that cell's :class:`~repro.engine.result.RunResult`.
+Keys already in the store are planned away; only misses become tasks.
 
-Unique simulate tasks targeting the same kernel and geometry are
-co-scheduled into :class:`SimulateBatch`\\ es, which
-:meth:`~repro.simulator.vectorized.VectorizedSimulator.run_batch`
-executes by stacking the members' per-entry numpy address tables into
-one wide batch — amortizing per-entry Python overhead across cells the
-way the vectorized engine amortizes it across accesses.
+The planner owns the whole store protocol — lookups at plan and
+assembly time, :meth:`ExecutionPlanner.record` for every executed
+product — while the task helpers (:func:`run_analyze_task`,
+:func:`run_schedule_task`, :func:`run_simulate_batch`) compute products
+with the pure stage functions of :mod:`repro.engine.stages`.  An
+``exact`` planner runs every simulation with the steady-state detectors
+off and keeps simulations out of the store (no reads, no writes).
 
-Tasks carry only JSON-serializable payloads (:meth:`PlanTask.to_dict`),
-so a plan's unique tasks are the natural work-queue unit for multi-host
-sharding: a remote worker needs nothing but the task payload and the
-shared kernel/analyzer registry to produce the store entry.
-
-Execution lives in :meth:`repro.harness.grid.ExperimentGrid._compute_plan`;
-the helpers here (:func:`run_analyze_task`, :func:`run_schedule_task`,
-:func:`run_simulate_batch`) replicate the corresponding pipeline stages
-(:mod:`repro.engine.stages`) exactly, so plan execution is bit-identical
-to the per-cell path it replaces.
+Unique simulate tasks of the same kernel and iteration geometry are
+grouped into :class:`SimulateBatch`\\ es, the process pool's unit of
+work; a batch's members run one after another.  Tasks carry only
+JSON-serializable payloads (:meth:`PlanTask.to_dict`), so a worker
+needs nothing but the payload and the shared kernel/analyzer registry
+to produce a product.  Execution lives in
+:meth:`repro.harness.grid.ExperimentGrid.run`.
 """
 
 from __future__ import annotations
@@ -47,12 +43,12 @@ from ..cme.trace import loop_fingerprint
 from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
 from ..scheduler.result import Schedule
-from ..simulator import SIM_ENGINES, WarmStateStore
+from ..simulator import WarmStateStore, make_simulator
 from ..simulator.stats import SimulationResult
 from ..simulator.vectorized import VectorizedSimulator
 from ..steady import resolve_steady_mode
 from .result import RunResult
-from .stages import make_scheduler
+from .stages import analyze_loop, schedule_kernel
 from .stagestore import StageStore
 
 __all__ = [
@@ -102,8 +98,8 @@ class AssemblyNode:
 
     ``schedule_owner``/``simulate_owner`` mark the first cell to claim
     each product key; duplicate cells adopt the product through a
-    counted store lookup at assembly time, mirroring the per-cell
-    path's hit accounting exactly.
+    counted store lookup at assembly time, so every cell probes each
+    store family exactly once.
     """
 
     spec: object  # CellSpec (duck-typed; harness owns the class)
@@ -129,10 +125,8 @@ class SimulateBatch:
     """Unique simulate tasks sharing a kernel and geometry.
 
     Members simulate different schedules of the same kernel under the
-    same engine and iteration overrides, so their per-entry address
-    tables have identical outer-point structure and can be stacked into
-    one wide vectorized batch (see
-    :meth:`~repro.simulator.vectorized.VectorizedSimulator.run_batch`).
+    same engine and iteration overrides; a batch is the process pool's
+    unit of work, and its members run one after another.
     """
 
     batch_id: str
@@ -200,14 +194,20 @@ class ExecutionPlanner:
     *materialized* schedules (``Schedule.fingerprint()``): :meth:`plan`
     dedups analyze and schedule work up front, and once every schedule
     exists — from store hits or executed tasks — :meth:`plan_simulate`
-    dedups and batches the simulate work.
+    dedups and batches the simulate work.  ``exact=True`` turns the
+    steady-state detectors off for every simulation and keeps the
+    simulate store out of the run.
     """
 
     def __init__(
-        self, locality: LocalityAnalyzer, store: StageStore
+        self,
+        locality: LocalityAnalyzer,
+        store: StageStore,
+        exact: bool = False,
     ) -> None:
         self.locality = locality
         self.store = store
+        self.exact = exact
         self.locality_fp = locality_fingerprint(locality)
 
     # -- pass 1: analyze + schedule ------------------------------------
@@ -222,8 +222,7 @@ class ExecutionPlanner:
         One counted store lookup happens per *unique* schedule key —
         hits are planned away as pre-materialized products, misses
         become tasks.  Duplicate cells incur their (counted) lookups at
-        assembly time instead, so the store telemetry matches the
-        per-cell path probe for probe.
+        assembly time instead.
         """
         plan = StagePlan(locality_fp=self.locality_fp)
         counters = plan.counters
@@ -232,7 +231,7 @@ class ExecutionPlanner:
 
         # Analyze: one task per unique loop × analyzer configuration.
         # Only analyzers with a content-addressed trace store carry a
-        # shareable analyze product (mirrors AnalyzeStage).
+        # shareable analyze product (see stages.analyze_loop).
         traces = getattr(self.locality, "traces", None)
         max_points = getattr(self.locality, "max_points", None)
         if traces is not None and max_points is not None:
@@ -313,22 +312,22 @@ class ExecutionPlanner:
         """Dedup and batch simulate work once every schedule exists.
 
         Keys come from the materialized schedules' fingerprints; one
-        counted lookup per unique key, misses become tasks.  Unique
-        tasks sharing ``(kernel_fp, sim, n_iterations, n_times)`` are
-        grouped into :class:`SimulateBatch`\\ es in first-seen order —
-        their per-entry address tables stack into one wide batch.
+        counted lookup per unique key (none for an exact planner),
+        misses become tasks.  Unique tasks sharing ``(kernel_fp, sim,
+        n_iterations, n_times)`` are grouped into
+        :class:`SimulateBatch`\\ es in first-seen order.
         """
         counters = plan.counters
         simulate_owner: Dict[str, None] = {}
-        task_by_key: Dict[str, PlanTask] = {}
         batch_by_group: Dict[tuple, SimulateBatch] = {}
         for node in plan.assembly:
             spec = node.spec
             schedule = plan.schedules[node.schedule_key]
+            steady = resolve_steady_mode(spec.steady, self.exact)
             key = StageStore.simulate_key(
                 schedule_fp=schedule.fingerprint(),
                 sim=spec.sim,
-                steady=resolve_steady_mode(spec.steady, False),
+                steady=steady,
                 n_iterations=spec.n_iterations,
                 n_times=spec.n_times,
             )
@@ -337,7 +336,7 @@ class ExecutionPlanner:
                 continue
             simulate_owner[key] = None
             node.simulate_owner = True
-            hit = self.store.lookup("simulate", key)
+            hit = None if self.exact else self.store.lookup("simulate", key)
             if hit is not None:
                 plan.simulations[key] = hit
                 continue
@@ -348,14 +347,13 @@ class ExecutionPlanner:
                 payload={
                     "schedule_key": node.schedule_key,
                     "sim": spec.sim,
-                    "steady": spec.steady,
+                    "steady": steady,
                     "n_iterations": spec.n_iterations,
                     "n_times": spec.n_times,
                 },
                 deps=list(node.deps),
             )
             plan.simulate_tasks.append(task)
-            task_by_key[key] = task
             node.deps = node.deps + [task.task_id]
             group = (
                 spec.kernel_fp, spec.sim, spec.n_iterations, spec.n_times
@@ -375,40 +373,43 @@ class ExecutionPlanner:
         counters["simulate_unique"] = len(simulate_owner)
         counters["simulate_tasks"] = len(plan.simulate_tasks)
         counters["batches"] = len(plan.batches)
-        counters["batched_tasks"] = sum(
-            batch.width for batch in plan.batches if batch.width > 1
-        )
         counters["batch_width_max"] = max(
             (batch.width for batch in plan.batches), default=0
         )
+
+    # -- execution results -------------------------------------------
+    def record(self, plan: StagePlan, task: PlanTask, product: object) -> None:
+        """Keep one executed schedule/simulate task's product: in the
+        plan for assembly, and in the store (an exact planner keeps its
+        simulations out of it)."""
+        products = (
+            plan.schedules if task.stage == "schedule" else plan.simulations
+        )
+        products[task.key] = product
+        if not (self.exact and task.stage == "simulate"):
+            self.store.store(task.stage, task.key, product)
 
     # -- assembly ------------------------------------------------------
     def assemble(self, node: AssemblyNode, plan: StagePlan) -> RunResult:
         """Relabel this cell's shared products into its ``RunResult``.
 
         Owners read the product straight from the plan; duplicate cells
-        do the counted store lookup the per-cell path would have done.
-        The simulation is always relabeled with the cell's own
-        kernel/machine/scheduler/threshold (a shared simulate product
-        may have been produced under a different label set).
+        do a counted store lookup (simulations of an exact plan come
+        from the plan).  The simulation is always relabeled with the
+        cell's own kernel/machine/scheduler/threshold (a shared simulate
+        product may have been produced under a different label set).
         """
         spec = node.spec
-        if node.schedule_owner:
-            schedule = plan.schedules[node.schedule_key]
-        else:
-            schedule = self.store.lookup("schedule", node.schedule_key)
-            if schedule is None:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"plan assembly missing schedule {node.schedule_key}"
-                )
-        if node.simulate_owner:
-            simulation = plan.simulations[node.simulate_key]
-        else:
-            simulation = self.store.lookup("simulate", node.simulate_key)
-            if simulation is None:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"plan assembly missing simulation {node.simulate_key}"
-                )
+        schedule = (
+            plan.schedules[node.schedule_key]
+            if node.schedule_owner
+            else self._adopt("schedule", node.schedule_key)
+        )
+        simulation = (
+            plan.simulations[node.simulate_key]
+            if node.simulate_owner or self.exact
+            else self._adopt("simulate", node.simulate_key)
+        )
         simulation = replace(
             simulation,
             kernel=spec.kernel,
@@ -425,6 +426,12 @@ class ExecutionPlanner:
             simulation=simulation,
         )
 
+    def _adopt(self, stage: str, key: str) -> object:
+        product = self.store.lookup(stage, key)
+        if product is None:  # pragma: no cover - defensive
+            raise RuntimeError(f"plan assembly missing {stage} product {key}")
+        return product
+
 
 # ----------------------------------------------------------------------
 # Task execution helpers
@@ -435,18 +442,14 @@ def run_analyze_task(
     locality: LocalityAnalyzer,
     store: StageStore,
 ) -> None:
-    """Produce one analyze product, mirroring ``AnalyzeStage`` exactly.
+    """Leave one analyze product in both the analyzer and the store.
 
-    The analyzer's trace store ends up holding the address trace either
-    way: walked locally (and published), adopted from the stage store,
-    or computed and stored.
+    The trace is published when the analyzer already walked it, adopted
+    from the store when some earlier run stored it, and computed and
+    stored otherwise.
     """
-    traces = getattr(locality, "traces", None)
-    max_points = getattr(locality, "max_points", None)
-    if traces is None or max_points is None:  # pragma: no cover
-        return
-    loop_fp = task.payload["loop_fp"]
-    local = traces.peek_address_trace(loop_fp, max_points)
+    traces = locality.traces
+    local = traces.peek_address_trace(task.payload["loop_fp"], locality.max_points)
     if local is not None:
         store.publish("analyze", task.key, local)
         return
@@ -454,9 +457,7 @@ def run_analyze_task(
     if hit is not None:
         traces.install_address_trace(hit)
         return
-    store.store(
-        "analyze", task.key, traces.address_trace(kernel.loop, max_points)
-    )
+    store.store("analyze", task.key, analyze_loop(kernel.loop, locality))
 
 
 def run_schedule_task(
@@ -465,13 +466,18 @@ def run_schedule_task(
     machine: MachineConfig,
     locality: LocalityAnalyzer,
 ) -> Schedule:
-    """Produce one schedule, mirroring ``ScheduleStage``'s cold path."""
-    engine = make_scheduler(
+    """Produce one schedule, fingerprinted before it is stored or
+    shipped so every copy (pickled to disk or back from a worker)
+    carries its simulate-key hash."""
+    schedule = schedule_kernel(
+        kernel,
+        machine,
         str(task.payload["scheduler"]),
         float(task.payload["threshold"]),  # type: ignore[arg-type]
         locality,
     )
-    return engine.schedule(kernel, machine)
+    schedule.fingerprint()
+    return schedule
 
 
 def run_simulate_batch(
@@ -479,27 +485,20 @@ def run_simulate_batch(
     schedules: Mapping[str, Schedule],
     warm_store: Optional[WarmStateStore] = None,
 ) -> List[SimulationResult]:
-    """Produce one batch's simulations, co-batched where possible.
+    """Produce one batch's simulations, member after member.
 
-    Builds each member's simulator exactly the way ``SimulateStage``
-    does (raw ``steady`` mode, ``exact=False`` — the plan path is gated
-    off under exact runs) and hands them to
-    :meth:`VectorizedSimulator.run_batch`, which stacks the vectorized
-    members' address tables and runs the rest solo.  Results align with
-    ``batch.tasks`` by index.
+    Each simulator is built right before it runs (and dropped after), so
+    a batch never holds more than one engine's tables.  Results align
+    with ``batch.tasks`` by index.
     """
-    sims = []
-    for task in batch.tasks:
-        payload = task.payload
-        schedule = schedules[payload["schedule_key"]]
-        sims.append(
-            SIM_ENGINES[str(payload["sim"])](
-                schedule,
-                n_iterations=payload["n_iterations"],
-                n_times=payload["n_times"],
-                exact=False,
-                steady=payload["steady"],
-                warm_store=warm_store,
-            )
+    return VectorizedSimulator.run_batch(
+        make_simulator(
+            schedules[task.payload["schedule_key"]],
+            n_iterations=task.payload["n_iterations"],
+            n_times=task.payload["n_times"],
+            steady=task.payload["steady"],
+            sim=task.payload["sim"],
+            warm_store=warm_store,
         )
-    return VectorizedSimulator.run_batch(sims)
+        for task in batch.tasks
+    )

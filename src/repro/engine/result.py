@@ -1,9 +1,9 @@
 """Cell result containers shared by every layer above the simulator.
 
 :class:`RunResult` is the unit of currency of the whole experiment
-stack: the pipeline produces it, the grid caches it, the sweeps
+stack: the stage plan assembles it, the grid returns it, the sweeps
 normalize it.  It lives in the engine package (rather than
-``repro.analysis``) so the pipeline does not depend on the analysis
+``repro.analysis``) so the engine does not depend on the analysis
 layer; :mod:`repro.analysis.compare` re-exports it for compatibility.
 """
 
@@ -15,28 +15,7 @@ from typing import Dict
 from ..scheduler.result import Schedule
 from ..simulator.stats import SimulationResult
 
-__all__ = ["RunResult", "ExecutionCounter", "CELL_EXECUTIONS"]
-
-
-class ExecutionCounter:
-    """Process-local count of cell-pipeline executions.
-
-    The sweep grid's cache tests assert that warm runs perform *zero*
-    schedule/simulate computations; this counter is what they observe.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def increment(self) -> None:
-        self.count += 1
-
-    def reset(self) -> None:
-        self.count = 0
-
-
-#: Incremented on every pipeline execution in this process.
-CELL_EXECUTIONS = ExecutionCounter()
+__all__ = ["RunResult"]
 
 
 @dataclass(frozen=True)

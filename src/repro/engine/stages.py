@@ -1,63 +1,44 @@
-"""The five stages of the cell pipeline.
+"""The three stages of one experiment cell, as pure functions.
 
-Each stage is a small object with one job, reading its typed inputs
-from — and writing its product back to — the :class:`CellContext` that
-flows through the pipeline:
+=========  ==================================  ======================
+stage      inputs                              product
+=========  ==================================  ======================
+analyze    loop, analyzer                      the loop's address trace
+schedule   kernel, machine, scheduler,         the modulo ``Schedule``
+           threshold, analyzer
+simulate   schedule, engine, steady mode,      the ``SimulationResult``
+           iteration overrides
+=========  ==================================  ======================
 
-=========  ==========================  ==========================
-stage      consumes                    produces
-=========  ==========================  ==========================
-build      request (kernel/machine)    resolved ``Kernel`` + machine
-analyze    request.locality            the locality analyzer
-schedule   kernel, machine, analyzer   the modulo ``Schedule``
-simulate   schedule, sim overrides     the ``SimulationResult``
-measure    everything above            the final ``RunResult``
-=========  ==========================  ==========================
-
-Every stage returns a statistics mapping; the pipeline wraps it with
-wall-clock timing into a :class:`~repro.engine.pipeline.StageRecord`, so
-any cell execution can report where its time went.
-
-The analyze/schedule/simulate stage semantics defined here are the
-contract for plan-based execution too: the task helpers in
-:mod:`repro.engine.plan` (``run_analyze_task``/``run_schedule_task``/
-``run_simulate_batch``) replicate each stage's store protocol and
-simulator construction exactly, which is what makes the planned path
-bit-identical to this per-cell reference.  Change a stage here and the
-corresponding helper must follow.
+Each function computes its product from its inputs and nothing else:
+no store lookups, no telemetry, no cell bookkeeping.  Deciding which
+products to compute, reusing stored ones and assembling cell results is
+the :class:`~repro.engine.plan.ExecutionPlanner`'s job, and the grid
+executes nothing but its plans.  The simulate stage is
+:func:`repro.simulator.simulate` (or
+:func:`~repro.simulator.make_simulator`, when the caller also wants the
+engine's telemetry).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Union
+from typing import Optional
 
-from ..cme.locality import LocalityAnalyzer, default_analyzer, locality_fingerprint
-from ..cme.trace import loop_fingerprint
+from ..cme.locality import LocalityAnalyzer, default_analyzer
+from ..cme.trace import AddressTrace
 from ..ir.builder import Kernel
+from ..ir.loop import Loop
 from ..machine.config import MachineConfig
 from ..scheduler.base import SchedulerConfig
 from ..scheduler.baseline import BaselineScheduler
 from ..scheduler.result import Schedule
 from ..scheduler.rmca import RMCAScheduler
-from ..simulator import DEFAULT_SIM_ENGINE, SIM_ENGINES, validate_sim_engine
-from ..simulator.stats import SimulationResult
-from ..steady import resolve_steady_mode
-from ..workloads.suite import kernel_by_name
-from .result import RunResult
-from .stagestore import StageStore, kernel_fingerprint, machine_key
 
 __all__ = [
     "SCHEDULER_NAMES",
-    "CellRequest",
-    "CellContext",
-    "Stage",
-    "BuildStage",
-    "AnalyzeStage",
-    "ScheduleStage",
-    "SimulateStage",
-    "MeasureStage",
+    "analyze_loop",
     "make_scheduler",
+    "schedule_kernel",
 ]
 
 SCHEDULER_NAMES = ("baseline", "rmca")
@@ -85,310 +66,29 @@ def make_scheduler(
     return BaselineScheduler(config=config, locality=analyzer)
 
 
-@dataclass
-class CellRequest:
-    """Everything needed to execute one experiment cell.
+def analyze_loop(
+    loop: Loop, locality: LocalityAnalyzer
+) -> Optional[AddressTrace]:
+    """The analyze product: the address trace every CME probe samples.
 
-    ``kernel`` may be a live :class:`Kernel` or a name, resolved against
-    ``kernels`` (an optional registry for non-suite kernels) and then the
-    SPECfp95 suite.  ``steady`` selects the simulator's steady-state
-    detectors (:data:`repro.steady.STEADY_MODES`; ``None`` means
-    ``auto``); ``exact=True`` forces them all off.  Results are
-    bit-identical across every selection.
+    ``None`` for analyzers without a content-addressed trace store —
+    they carry no shareable analyze product.
     """
-
-    kernel: Union[Kernel, str]
-    machine: MachineConfig
-    scheduler: str
-    threshold: float = 1.0
-    locality: Optional[LocalityAnalyzer] = None
-    n_iterations: Optional[int] = None
-    n_times: Optional[int] = None
-    exact: bool = False
-    steady: Optional[str] = None
-    #: Simulate engine (:data:`repro.simulator.SIM_ENGINES`; ``None``
-    #: means the vectorized default).  Results are bit-identical across
-    #: engines — the equivalence suite proves it.
-    sim: Optional[str] = None
-    #: Optional :class:`repro.simulator.WarmStateStore`: lets cells whose
-    #: schedules land byte-identical share the detector-confirmed
-    #: post-warm-up memory state instead of re-simulating it.  ``None``
-    #: (and ``exact=True``/``steady="off"``) runs every warm-up cold.
-    warm_store: Optional[object] = None
-    #: Optional :class:`repro.engine.stagestore.StageStore`: content-
-    #: addressed analyze/schedule/simulate results shared across cells,
-    #: runs and scenarios.  Each stage consults its store layer before
-    #: computing and publishes after; ``None`` computes everything.
-    #: Results are bit-identical either way — the keys cover everything
-    #: each stage reads.
-    stage_store: Optional[StageStore] = None
-    kernels: Mapping[str, Kernel] = field(default_factory=dict)
+    traces = getattr(locality, "traces", None)
+    max_points = getattr(locality, "max_points", None)
+    if traces is None or max_points is None:
+        return None
+    return traces.address_trace(loop, max_points)
 
 
-@dataclass
-class CellContext:
-    """Mutable state flowing through the pipeline stages."""
-
-    request: CellRequest
-    kernel: Optional[Kernel] = None
-    machine: Optional[MachineConfig] = None
-    locality: Optional[LocalityAnalyzer] = None
-    engine: Optional[object] = None
-    schedule: Optional[Schedule] = None
-    simulation: Optional[SimulationResult] = None
-    result: Optional[RunResult] = None
-
-
-class Stage:
-    """One pipeline step: ``run`` mutates the context, returns stats."""
-
-    name: str = "stage"
-
-    def run(self, ctx: CellContext) -> Dict[str, object]:
-        raise NotImplementedError
-
-
-class BuildStage(Stage):
-    """Resolve the kernel (object or registry/suite name) and machine."""
-
-    name = "build"
-
-    def run(self, ctx: CellContext) -> Dict[str, object]:
-        request = ctx.request
-        kernel = request.kernel
-        if isinstance(kernel, str):
-            registered = request.kernels.get(kernel)
-            kernel = registered if registered is not None else kernel_by_name(kernel)
-        ctx.kernel = kernel
-        ctx.machine = request.machine
-        stats = kernel.loop.stats()
-        return {
-            "kernel": kernel.name,
-            "machine": request.machine.name,
-            "operations": stats["operations"],
-            "memory_operations": stats["memory_operations"],
-            "niter": stats["niter"],
-            "ntimes": stats["ntimes"],
-        }
-
-
-class AnalyzeStage(Stage):
-    """Attach the locality analyzer every scheduling decision reads.
-
-    With a stage store, the analyzer's address trace for this kernel —
-    the analyze product everything downstream samples — is adopted from
-    the store when some earlier cell (any machine, scheduler, threshold,
-    run or scenario) already walked the iteration space, and published
-    into it otherwise.  Only analyzers with a content-addressed
-    :class:`~repro.cme.trace.TraceStore` participate; the others carry
-    no shareable analyze product.
-    """
-
-    name = "analyze"
-
-    def run(self, ctx: CellContext) -> Dict[str, object]:
-        request = ctx.request
-        locality = request.locality
-        ctx.locality = locality if locality is not None else default_analyzer()
-        stats: Dict[str, object] = {
-            "analyzer": locality_fingerprint(ctx.locality)
-        }
-        store = request.stage_store
-        traces = getattr(ctx.locality, "traces", None)
-        max_points = getattr(ctx.locality, "max_points", None)
-        if store is None or traces is None or max_points is None:
-            return stats
-        loop_fp = loop_fingerprint(ctx.kernel.loop)
-        key = StageStore.analyze_key(loop_fp, str(stats["analyzer"]))
-        local = traces.peek_address_trace(loop_fp, max_points)
-        if local is not None:
-            # The analyzer walked (or adopted) this trace already —
-            # make sure the store has it for other cells and processes.
-            store.publish("analyze", key, local)
-            stats["store_hit"] = False
-            return stats
-        hit = store.lookup("analyze", key)
-        if hit is not None:
-            traces.install_address_trace(hit)
-            stats["store_hit"] = True
-            return stats
-        store.store("analyze", key, traces.address_trace(ctx.kernel.loop, max_points))
-        stats["store_hit"] = False
-        return stats
-
-
-class ScheduleStage(Stage):
-    """Modulo-schedule the kernel with the requested scheduler.
-
-    When the locality analyzer exposes CME telemetry (the incremental
-    engine does), the stage records the probe/memo/replay activity the
-    scheduling run caused — ``cme_*`` deltas in the stage stats — so
-    benchmarks and CI can assert the batched path is actually exercised.
-    """
-
-    name = "schedule"
-
-    def run(self, ctx: CellContext) -> Dict[str, object]:
-        request = ctx.request
-        store = request.stage_store
-        store_key: Optional[str] = None
-        if store is not None:
-            store_key = StageStore.schedule_key(
-                kernel_name=ctx.kernel.name,
-                kernel_fp=kernel_fingerprint(ctx.kernel),
-                machine=machine_key(ctx.machine),
-                scheduler=request.scheduler,
-                threshold=request.threshold,
-                locality_fp=locality_fingerprint(ctx.locality),
-            )
-            hit = store.lookup("schedule", store_key)
-            if hit is not None:
-                # Scheduling is deterministic per key (the equivalence
-                # suite proves it), so the stored schedule IS this
-                # cell's schedule — labels included.
-                ctx.schedule = hit
-                return {
-                    "scheduler": request.scheduler,
-                    "threshold": request.threshold,
-                    "ii": hit.ii,
-                    "mii": hit.mii,
-                    "stage_count": hit.stage_count,
-                    "communications": hit.n_communications,
-                    "store_hit": True,
-                }
-        ctx.engine = make_scheduler(
-            request.scheduler, request.threshold, ctx.locality
-        )
-        telemetry = getattr(ctx.locality, "telemetry", None)
-        before = telemetry() if callable(telemetry) else None
-        ctx.schedule = ctx.engine.schedule(ctx.kernel, ctx.machine)
-        stats: Dict[str, object] = {
-            "scheduler": request.scheduler,
-            "threshold": request.threshold,
-            "ii": ctx.schedule.ii,
-            "mii": ctx.schedule.mii,
-            "stage_count": ctx.schedule.stage_count,
-            "communications": ctx.schedule.n_communications,
-        }
-        if before is not None:
-            after = telemetry()
-            for key, value in after.items():
-                stats[f"cme_{key}"] = value - before.get(key, 0)
-        if store is not None:
-            store.store("schedule", store_key, ctx.schedule)
-            stats["store_hit"] = False
-        return stats
-
-
-class SimulateStage(Stage):
-    """Execute the schedule on the distributed-memory timing model.
-
-    ``request.sim`` selects the engine (vectorized by default); the
-    stage records which engine actually ran plus its batching telemetry
-    as ``sim_*`` statistics, so benchmarks and CI can assert the
-    batched path is exercised (and spot scalar fallbacks).
-    """
-
-    name = "simulate"
-
-    def run(self, ctx: CellContext) -> Dict[str, object]:
-        request = ctx.request
-        sim = validate_sim_engine(
-            request.sim if request.sim is not None else DEFAULT_SIM_ENGINE
-        )
-        store = request.stage_store
-        store_key: Optional[str] = None
-        if store is not None and not request.exact:
-            # Keyed on the schedule *content* (scheduler name/threshold
-            # excluded — the warm-state key family): cells whose
-            # schedules land byte-identical share one simulation.
-            # ``exact=True`` means "actually simulate", so it bypasses
-            # the store the way it bypasses the steady-state detectors.
-            store_key = StageStore.simulate_key(
-                schedule_fp=ctx.schedule.fingerprint(),
-                sim=sim,
-                steady=resolve_steady_mode(request.steady, request.exact),
-                n_iterations=request.n_iterations,
-                n_times=request.n_times,
-            )
-            hit = store.lookup("simulate", store_key)
-            if hit is not None:
-                # The stored result came from some schedule with this
-                # content, possibly under a different scheduler name or
-                # threshold — the timing numbers are identical, the
-                # labels must be this cell's.
-                ctx.simulation = replace(
-                    hit,
-                    kernel=ctx.kernel.name,
-                    machine=ctx.machine.name,
-                    scheduler=request.scheduler,
-                    threshold=request.threshold,
-                )
-                return {
-                    "exact": request.exact,
-                    "steady_mode": resolve_steady_mode(
-                        request.steady, request.exact
-                    ),
-                    "entries": ctx.simulation.n_times,
-                    "sim_requested": sim,
-                    "store_hit": True,
-                }
-        simulator = SIM_ENGINES[sim](
-            ctx.schedule,
-            n_iterations=request.n_iterations,
-            n_times=request.n_times,
-            exact=request.exact,
-            steady=request.steady,
-            warm_store=request.warm_store,
-        )
-        ctx.simulation = simulator.run()
-        steady = simulator.steady_state
-        report = simulator.steady_report
-        stats: Dict[str, object] = {
-            "exact": request.exact,
-            "steady_mode": simulator.steady_mode,
-            "entries": ctx.simulation.n_times,
-            "entries_simulated": (
-                steady.simulated_entries if steady else ctx.simulation.n_times
-            ),
-            "entries_replayed": steady.replayed_entries if steady else 0,
-            "steady_state_period": steady.period if steady else None,
-            "iterations_replayed": report.iterations_replayed if report else 0,
-            "iteration_detections": len(report.iterations) if report else 0,
-            "iteration_period": report.iteration_period if report else None,
-            "sim_requested": sim,
-        }
-        vector_stats = getattr(simulator, "vector_stats", None)
-        if vector_stats is None:
-            stats["sim_engine"] = "scalar"
-        else:
-            for key, value in vector_stats.items():
-                stats[f"sim_{key}"] = value
-        for key, value in simulator.warm_stats.items():
-            stats[f"sim_warm_{key}"] = value
-        if store_key is not None:
-            store.store("simulate", store_key, ctx.simulation)
-            stats["store_hit"] = False
-        return stats
-
-
-class MeasureStage(Stage):
-    """Assemble the cell's :class:`RunResult`."""
-
-    name = "measure"
-
-    def run(self, ctx: CellContext) -> Dict[str, object]:
-        ctx.result = RunResult(
-            kernel=ctx.kernel.name,
-            machine=ctx.machine.name,
-            scheduler=ctx.request.scheduler,
-            threshold=ctx.request.threshold,
-            schedule=ctx.schedule,
-            simulation=ctx.simulation,
-        )
-        return {
-            "total_cycles": ctx.result.total_cycles,
-            "compute_cycles": ctx.result.compute_cycles,
-            "stall_cycles": ctx.result.stall_cycles,
-            "local_miss_ratio": ctx.simulation.memory.local_miss_ratio,
-        }
+def schedule_kernel(
+    kernel: Kernel,
+    machine: MachineConfig,
+    scheduler: str,
+    threshold: float,
+    locality: Optional[LocalityAnalyzer] = None,
+) -> Schedule:
+    """The schedule product: one modulo schedule of ``kernel``."""
+    return make_scheduler(scheduler, threshold, locality).schedule(
+        kernel, machine
+    )

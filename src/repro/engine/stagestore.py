@@ -1,7 +1,7 @@
 """Per-stage content-addressed result store.
 
-The experiment grid's cell cache dedups *whole cells* — but most of the
-work inside a cell is shared far more widely than the cell key admits:
+The work inside an experiment cell is shared far more widely than the
+cell itself:
 
 * the **analyze** product (a loop's CME address trace) depends only on
   the loop content and the analyzer configuration — every machine,
@@ -9,10 +9,10 @@ work inside a cell is shared far more widely than the cell key admits:
   same iteration space;
 * the **schedule** product depends on kernel × machine × scheduler ×
   threshold × analyzer, but *not* on the steady mode, simulate engine or
-  iteration overrides that the cell cache keys on — the four groups of
-  ``fig6-steady-ablation`` compute the same schedules four times;
-* the **simulate/measure** product depends only on the schedule
-  *content* (``Schedule.fingerprint()`` — scheduler name and threshold
+  iteration overrides — the four groups of ``fig6-steady-ablation``
+  compute the same schedules four times;
+* the **simulate** product depends only on the schedule *content*
+  (``Schedule.fingerprint()`` — scheduler name and threshold
   deliberately excluded, the same key family the warm-state store uses)
   × simulate engine × steady mode × iteration overrides — a fig6 column
   sweeps thresholds that frequently collapse to byte-identical
@@ -24,23 +24,16 @@ established :class:`~repro.cme.trace.TraceStore` /
 :class:`~repro.simulator.warmstate.WarmStateStore` shape: an in-memory
 map per stage, fronted by an optional disk layer under
 ``<cache_dir>/stages/`` where corrupt, truncated or foreign pickles are
-unlinked and treated as misses, never as errors.  The whole-cell cache
-stays the outermost layer — stage stores are only consulted for cells
-the grid actually executes.  For process fan-out the in-memory layers
-ship to the workers pre-primed (:func:`repro.harness.grid._init_worker`)
-and each worker's newly computed entries travel back with its results
-(:meth:`drain` / :meth:`merge`); values are content-addressed, so the
-merge is deterministic regardless of completion order.
-
-The same key families drive plan-based execution
-(:mod:`repro.engine.plan`): the planner consumes them *up front* —
-one task per unique analyze/schedule/simulate key across the whole
-grid — so hits are planned away before anything runs instead of being
-discovered cell by cell.
+unlinked and treated as misses, never as errors (and an unwritable disk
+layer only costs the write).  The
+:class:`~repro.engine.plan.ExecutionPlanner` is its only client: it
+consumes the key families *up front* — one task per unique
+analyze/schedule/simulate key across a whole grid call — so hits are
+planned away before anything runs, and it stores every executed task's
+product (pool workers only compute; the parent does all store I/O).
 
 This module is also the canonical home of the grid's content
-fingerprints (:func:`kernel_fingerprint`, :func:`machine_key`), which
-the stages need without importing the harness layer.
+fingerprints (:func:`kernel_fingerprint`, :func:`machine_key`).
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ import pickle
 import threading
 import uuid
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..cme.trace import AddressTrace
 from ..ir.builder import Kernel
@@ -85,7 +78,7 @@ _VALUE_TYPES = {
 
 
 # ----------------------------------------------------------------------
-# Content fingerprints (shared with the grid's cell cache)
+# Content fingerprints
 # ----------------------------------------------------------------------
 def kernel_fingerprint(kernel: Kernel) -> str:
     """Content hash of a kernel's loop structure and dependence graph.
@@ -94,14 +87,23 @@ def kernel_fingerprint(kernel: Kernel) -> str:
     dims, operations (name/class/operands/reference), the memory-reference
     table and the DDG edge multiset.  Two kernels with equal fingerprints
     produce identical cells on identical machines.
+
+    Computed once per kernel: the value is memoized on the dependence
+    graph, whose :meth:`~repro.ir.ddg.DependenceGraph.add_edge` drops it
+    together with the graph's edge caches.  Loops are de-facto
+    immutable, as for :func:`~repro.cme.trace.loop_fingerprint`.
     """
-    edges = sorted(
-        (e.src, e.dst, e.kind, e.distance) for e in kernel.ddg.edges()
-    )
+    ddg = kernel.ddg
+    cached = ddg.__dict__.get("_fingerprint")
+    if cached is not None and cached[0] is kernel.loop:
+        return cached[1]
+    edges = sorted((e.src, e.dst, e.kind, e.distance) for e in ddg.edges())
     digest = hashlib.sha256()
     digest.update(repr(kernel.loop).encode())
     digest.update(repr(edges).encode())
-    return digest.hexdigest()[:16]
+    fingerprint = digest.hexdigest()[:16]
+    ddg._fingerprint = (kernel.loop, fingerprint)
+    return fingerprint
 
 
 def machine_key(machine: MachineConfig) -> str:
@@ -119,8 +121,8 @@ class StageStore:
 
     One instance holds the three per-stage layers.  All keys are pure
     content addresses (fingerprints over what the stage *reads*), so a
-    store is safe to pickle into worker processes, share between grids
-    and scenarios, and persist across runs.
+    store is safe to share between grids and scenarios and to persist
+    across runs.
     """
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None):
@@ -128,38 +130,14 @@ class StageStore:
         self._memory: Dict[str, Dict[str, object]] = {
             stage: {} for stage in STAGE_STORE_STAGES
         }
-        #: Entries added locally since the last :meth:`drain` — what a
-        #: worker ships back to the parent with its results.
-        self._fresh: Dict[str, Dict[str, object]] = {
-            stage: {} for stage in STAGE_STORE_STAGES
-        }
         self._counters: Dict[str, Dict[str, int]] = {
             stage: {"hits": 0, "misses": 0, "stores": 0}
             for stage in STAGE_STORE_STAGES
         }
         # One store may serve several threads at once (the experiment
-        # service runs jobs off the event loop; the grid merges worker
-        # deltas while progress callbacks fire), so every mutation of
-        # the entry maps and counters happens under this lock.
-        self._lock = threading.RLock()
-
-    def __getstate__(self):
-        # A pickled copy (shipped to a worker) starts with clean local
-        # telemetry and nothing pending to drain: the worker's hits and
-        # fresh entries travel back per task and are added to the
-        # parent's own counters — shipping the parent's history would
-        # double-count it.
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks don't pickle; workers get their own
-        state["_fresh"] = {stage: {} for stage in STAGE_STORE_STAGES}
-        state["_counters"] = {
-            stage: {"hits": 0, "misses": 0, "stores": 0}
-            for stage in STAGE_STORE_STAGES
-        }
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        # service runs jobs off the event loop while clients read its
+        # telemetry), so every mutation of the entry maps and counters
+        # happens under this lock.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -186,9 +164,9 @@ class StageStore:
         """Address of one scheduling run's product.
 
         Deliberately *excludes* the steady mode, simulate engine and
-        iteration overrides the cell cache keys on: the schedule does
-        not depend on how it will be simulated, so cells differing only
-        in simulation strategy share one entry.
+        iteration overrides a cell spec carries: the schedule does not
+        depend on how it will be simulated, so cells differing only in
+        simulation strategy share one entry.
         """
         return "|".join(
             [
@@ -252,7 +230,6 @@ class StageStore:
         """Publish a freshly computed stage result."""
         with self._lock:
             self._memory[stage][key] = value
-            self._fresh[stage][key] = value
             self._counters[stage]["stores"] += 1
         self._disk_store(stage, key, value)
 
@@ -291,50 +268,6 @@ class StageStore:
                 }
                 for stage in STAGE_STORE_STAGES
             }
-
-    # ------------------------------------------------------------------
-    # Process fan-out
-    # ------------------------------------------------------------------
-    def drain(self) -> Dict[str, Dict[str, object]]:
-        """Ship-and-reset the local delta: fresh entries plus counters.
-
-        Called by pool workers after each cell; the returned mapping is
-        merged into the parent store with :meth:`merge`.
-        """
-        with self._lock:
-            delta = {
-                "entries": {
-                    stage: self._fresh[stage]
-                    for stage in STAGE_STORE_STAGES
-                },
-                "counters": {
-                    stage: self._counters[stage]
-                    for stage in STAGE_STORE_STAGES
-                },
-            }
-            self._fresh = {stage: {} for stage in STAGE_STORE_STAGES}
-            self._counters = {
-                stage: {"hits": 0, "misses": 0, "stores": 0}
-                for stage in STAGE_STORE_STAGES
-            }
-            return delta
-
-    def merge(self, delta: Dict[str, Dict[str, object]]) -> None:
-        """Fold one worker's :meth:`drain` into this store.
-
-        Values are content-addressed — two workers computing the same
-        key produce equal values — so first-wins insertion keeps the
-        merge deterministic regardless of completion order.
-        """
-        with self._lock:
-            for stage, entries in delta.get("entries", {}).items():
-                memory = self._memory[stage]
-                for key, value in entries.items():
-                    memory.setdefault(key, value)
-            for stage, counters in delta.get("counters", {}).items():
-                mine = self._counters[stage]
-                for name, value in counters.items():
-                    mine[name] += value
 
     # ------------------------------------------------------------------
     # Disk layer
@@ -381,9 +314,9 @@ class StageStore:
             "key": key,
             "value": value,
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             with tmp.open("wb") as handle:
                 pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
             tmp.replace(path)  # atomic on POSIX: readers never see partials
@@ -398,7 +331,6 @@ class StageStore:
         with self._lock:
             for stage in STAGE_STORE_STAGES:
                 self._memory[stage].clear()
-                self._fresh[stage].clear()
         self.clear_disk()
 
     def clear_disk(self) -> None:

@@ -680,23 +680,18 @@ def run_scenario(
     steady: Optional[str] = None,
     sim: Optional[str] = None,
     warm: bool = True,
-    stage_store: bool = True,
-    plan: bool = True,
 ) -> ScenarioOutcome:
     """Execute a scenario (by spec or registry name) on a grid.
 
     An explicit ``grid`` must run the analyzer configuration the
     scenario declares — silently computing different bars would poison
-    its cache — otherwise a grid is built from the scenario's
+    its stores — otherwise a grid is built from the scenario's
     :class:`LocalitySpec`.  ``steady`` overrides the scenario's
     scenario-wide detector selection (groups with their own explicit
     ``steady`` keep it — they exist precisely to pin a mode); ``sim``
     overrides the simulate-engine selection the same way.  ``warm``
-    and ``stage_store`` control content-addressed warm-state and
-    per-stage-result reuse on the grid this call builds (ignored for an
-    explicit ``grid``, which owns its stores); ``plan`` controls
-    whether that grid executes through the up-front stage-task plan
-    (results are bit-identical either way).
+    controls content-addressed warm-state reuse on the grid this call
+    builds (ignored for an explicit ``grid``, which owns its stores).
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -713,8 +708,6 @@ def run_scenario(
             progress=progress,
             exact=exact,
             warm=warm,
-            stage_store=stage_store,
-            plan=plan,
         )
     else:
         wanted = locality_fingerprint(scenario.locality.build())
@@ -824,7 +817,7 @@ def _steady_ablation_scenario() -> ScenarioSpec:
         description=(
             "Figure-6 cells (2-cluster, NMB=1, LMB=1, threshold 0.25) "
             "once per steady-state detector mode — identical bars, "
-            "different wall-clock; the cache key separates the modes"
+            "different wall-clock; the simulate key separates the modes"
         ),
         groups=tuple(
             GroupSpec(
@@ -843,7 +836,7 @@ def _bus_design_space_scenario() -> ScenarioSpec:
     """The seeded form of ``examples/bus_design_space.py``: both
     schedulers across the 4-cluster NMB x LMB bus grid on a trimmed
     kernel set — many cells sharing few kernels, so the execution
-    planner's cross-cell simulate batching has real work to do."""
+    planner's cross-cell dedup has real work to do."""
     return ScenarioSpec(
         name="bus-design-space-smoke",
         description=(

@@ -313,7 +313,7 @@ def figure5(
     Groups are named ``LRB=x,LMB=y baseline|rmca`` plus the leading
     ``unified`` group; each group holds one bar per threshold.  Pass a
     shared :class:`ExperimentGrid` (or ``n_jobs``/``progress`` to build
-    one) to parallelize and to reuse cached cells across figures.
+    one) to parallelize and to reuse stored products across figures.
     """
     if n_clusters not in _CLUSTER_PRESETS:
         raise ValueError(f"n_clusters must be one of {sorted(_CLUSTER_PRESETS)}")

@@ -63,6 +63,10 @@ class DependenceGraph:
         self._edge_cache: Optional[Tuple[DepEdge, ...]] = None
         self._in_cache: Optional[Dict[str, Tuple[DepEdge, ...]]] = None
         self._out_cache: Optional[Dict[str, Tuple[DepEdge, ...]]] = None
+        #: ``(loop, fingerprint)`` memo of
+        #: :func:`repro.engine.stagestore.kernel_fingerprint`, dropped by
+        #: add_edge like the caches above.
+        self._fingerprint: Optional[Tuple[Loop, str]] = None
         for op in loop.operations:
             self._graph.add_node(op.name, op=op)
         for edge in edges or []:
@@ -82,6 +86,7 @@ class DependenceGraph:
         self._edge_cache = None
         self._in_cache = None
         self._out_cache = None
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # Queries

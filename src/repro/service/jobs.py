@@ -2,21 +2,15 @@
 
 :class:`JobManager` is the service's heart and the whole point of
 ``repro serve``: **one warm process owns the experiment stack across
-jobs**.  Grids — one per locality-analyzer configuration, since a grid's
-cache keys embed the analyzer fingerprint — live for the manager's
-lifetime, so the trace store, the warm-state store and the per-stage
-result store accumulate across every job.  The second submission of a
-scenario (or the first submission of a neighbouring one) adopts
-analyze/schedule/simulate products instead of recomputing them the way a
-fresh CLI process would, and each job's telemetry reports exactly what
-the stores served it.
-
-The grids deliberately run ``cell_cache=False``: whole-cell memoization
-would answer a repeated job from the outermost cache without touching
-the pipeline, which is correct but tells the operator nothing.  With the
-cell layer off, every job's cells execute through the pipeline and the
-per-job ``store_hits`` / ``sim_warm_hits`` deltas show the reuse — the
-stage stores make the repeat nearly as cheap as the cell cache would.
+jobs**.  Grids — one per locality-analyzer configuration, since every
+stage-store key embeds the analyzer fingerprint — live for the
+manager's lifetime, so the trace store, the warm-state store and the
+per-stage result store accumulate across every job.  The second
+submission of a scenario (or the first submission of a neighbouring
+one) adopts analyze/schedule/simulate products instead of recomputing
+them the way a fresh CLI process would, and each job's telemetry
+(``store_hits`` / ``sim_warm_hits`` deltas) reports exactly what the
+stores served it.
 
 Execution model: jobs run on a **single worker thread**
 (``ThreadPoolExecutor(max_workers=1)``), submitted from the event loop
@@ -221,16 +215,14 @@ class JobManager:
         backend: Optional[ResultBackend] = None,
         n_jobs: int = 1,
         exact: bool = False,
-        plan: bool = True,
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.backend = backend if backend is not None else MemoryBackend()
         self.n_jobs = n_jobs
         self.exact = exact
-        self.plan = plan
         self.started = time.time()
-        # Grids keyed by locality fingerprint: a grid's caches embed the
-        # analyzer configuration, so scenarios declaring different
+        # Grids keyed by locality fingerprint: a grid's store keys embed
+        # the analyzer configuration, so scenarios declaring different
         # analyzers get different (equally persistent) grids.
         self._grids: Dict[str, ExperimentGrid] = {}
         self._jobs: Dict[str, Job] = {}
@@ -357,25 +349,15 @@ class JobManager:
                     cache=True,
                     cache_dir=self.cache_dir,
                     exact=self.exact,
-                    # The service's defining trade: no whole-cell
-                    # memoization, full trace/warm/stage reuse — see the
-                    # module docstring.
-                    cell_cache=False,
-                    plan=self.plan,
                 )
                 self._grids[fingerprint] = grid
             return grid
 
     @staticmethod
     def _store_snapshot(grid: ExperimentGrid) -> Dict[str, object]:
-        stages = (
-            grid.stage_store.telemetry()
-            if grid.stage_store is not None
-            else {}
-        )
         warm = grid.warm_store
         return {
-            "stages": stages,
+            "stages": grid.stage_store.telemetry(),
             "warm": {
                 "hits": warm.hits if warm else 0,
                 "misses": warm.misses if warm else 0,
@@ -502,11 +484,7 @@ class JobManager:
                     "deduplicated": grid.stats.deduplicated,
                     "stage_seconds": dict(grid.stats.stage_seconds),
                     "plan": dict(grid.stats.plan),
-                    "stages": (
-                        grid.stage_store.telemetry()
-                        if grid.stage_store is not None
-                        else {}
-                    ),
+                    "stages": grid.stage_store.telemetry(),
                     "warm": {
                         "hits": grid.warm_store.hits,
                         "misses": grid.warm_store.misses,

@@ -10,7 +10,13 @@ Two engines execute the same lockstep model:
   everywhere (``SIM_ENGINES``/``DEFAULT_SIM_ENGINE``).
 """
 
-from .executor import LockstepSimulator, ReadyWindow, SteadyState, simulate
+from .executor import (
+    LockstepSimulator,
+    ReadyWindow,
+    SteadyState,
+    make_simulator,
+    simulate,
+)
 from .stats import SimulationResult
 from .trace import Trace, TraceEvent, trace_schedule
 from .vectorized import VectorizedSimulator
@@ -29,6 +35,7 @@ __all__ = [
     "WARM_STATE_VERSION",
     "WarmRecord",
     "WarmStateStore",
+    "make_simulator",
     "simulate",
     "trace_schedule",
     "validate_sim_engine",

@@ -725,6 +725,32 @@ class LockstepSimulator:
         return offset
 
 
+def make_simulator(
+    schedule: Schedule,
+    n_iterations: Optional[int] = None,
+    n_times: Optional[int] = None,
+    exact: bool = False,
+    steady: Optional[str] = None,
+    sim: Optional[str] = None,
+    warm_store=None,
+) -> LockstepSimulator:
+    """The engine instance :func:`simulate` runs (same parameters), for
+    callers that also read its ``steady_report``/``warm_stats``/
+    ``vector_stats`` telemetry after ``run()``."""
+    from . import DEFAULT_SIM_ENGINE, SIM_ENGINES, validate_sim_engine
+
+    requested = DEFAULT_SIM_ENGINE if sim is None else sim
+    engine = SIM_ENGINES[validate_sim_engine(requested)]
+    return engine(
+        schedule,
+        n_iterations=n_iterations,
+        n_times=n_times,
+        exact=exact,
+        steady=steady,
+        warm_store=warm_store,
+    )
+
+
 def simulate(
     schedule: Schedule,
     n_iterations: Optional[int] = None,
@@ -741,15 +767,6 @@ def simulate(
     engines.  ``warm_store`` optionally shares post-warm-up memory
     state between content-equal runs (bit-identical either way).
     """
-    from . import DEFAULT_SIM_ENGINE, SIM_ENGINES, validate_sim_engine
-
-    requested = DEFAULT_SIM_ENGINE if sim is None else sim
-    engine = SIM_ENGINES[validate_sim_engine(requested)]
-    return engine(
-        schedule,
-        n_iterations=n_iterations,
-        n_times=n_times,
-        exact=exact,
-        steady=steady,
-        warm_store=warm_store,
+    return make_simulator(
+        schedule, n_iterations, n_times, exact, steady, sim, warm_store
     ).run()

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -110,67 +110,14 @@ class _ReadyView:
         return ctx.base + nominal + offset + sim._fu_latency[op_index]
 
 
-class _BatchAddressProvider:
-    """Shared address materialization for co-batched simulators.
-
-    Members simulate the same kernel under the same iteration geometry,
-    so they visit the same outer points; for each outer point the
-    provider computes every member's per-instance address list in one
-    wide ``base + stride * iteration`` numpy expression instead of one
-    per member.  The values are bit-identical to the per-member
-    computation in :meth:`VectorizedSimulator._run_once` — identical
-    int64 element-wise arithmetic, merely concatenated.
-    """
-
-    __slots__ = ("members", "_slots", "_cache")
-
-    def __init__(self, members: List["VectorizedSimulator"]):
-        self.members = members
-        self._slots = {id(member): i for i, member in enumerate(members)}
-        self._cache: Dict[tuple, list] = {}
-
-    def tables(self, member: "VectorizedSimulator", outer):
-        """``(mem_base, mem_stride, addresses)`` for one member/point."""
-        key = tuple(sorted(outer.items()))
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = self._materialize(outer)
-            self._cache[key] = entry
-        return entry[self._slots[id(member)]]
-
-    def _materialize(self, outer) -> list:
-        bases, strides, iters, tables = [], [], [], []
-        for member in self.members:
-            mem_base, mem_stride = member._entry_tables(outer)
-            tables.append((mem_base, mem_stride))
-            ops = member._vm_op_np
-            bases.append(np.asarray(mem_base, dtype=np.int64)[ops])
-            strides.append(np.asarray(mem_stride, dtype=np.int64)[ops])
-            iters.append(member._vm_iter_np)
-        flat = (
-            np.concatenate(bases)
-            + np.concatenate(strides) * np.concatenate(iters)
-        ).tolist()
-        entry, start = [], 0
-        for member, (mem_base, mem_stride) in zip(self.members, tables):
-            end = start + member._vm_n
-            entry.append((mem_base, mem_stride, flat[start:end]))
-            start = end
-        return entry
-
-
 class VectorizedSimulator(LockstepSimulator):
     """Array-at-a-time lockstep execution, bit-identical to the scalar
     reference (see module docstring for the how and the proof sketch)."""
 
-    #: Installed by :meth:`run_batch` while co-batched members run; the
-    #: provider supplies each entry's address tables from one stacked
-    #: computation shared across the batch.
-    _batch_addresses: Optional[_BatchAddressProvider] = None
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Engine telemetry, surfaced as ``sim_*`` stage statistics.
+        #: Engine telemetry of the last run (batching, hazard checks,
+        #: and whether the scalar fallback ran).
         self.vector_stats: Dict[str, object] = {
             "engine": "vectorized",
             "fallback": False,
@@ -271,20 +218,15 @@ class VectorizedSimulator(LockstepSimulator):
     def _run_once(self, outer, lrb, base, entry=0, detector=None):
         if not self._vector_ok:
             return super()._run_once(outer, lrb, base, entry, detector)
-        provider = self._batch_addresses
-        if provider is not None:
-            mem_base, mem_stride, addresses = provider.tables(self, outer)
-        else:
-            mem_base, mem_stride = self._entry_tables(outer)
-            bases = self._vm_mem_base
-            strides = self._vm_mem_stride
-            for op, value in enumerate(mem_base):
-                bases[op] = value
-                strides[op] = mem_stride[op]
-            addresses = (
-                bases[self._vm_op_np]
-                + strides[self._vm_op_np] * self._vm_iter_np
-            ).tolist()
+        mem_base, mem_stride = self._entry_tables(outer)
+        bases = self._vm_mem_base
+        strides = self._vm_mem_stride
+        for op, value in enumerate(mem_base):
+            bases[op] = value
+            strides[op] = mem_stride[op]
+        addresses = (
+            bases[self._vm_op_np] + strides[self._vm_op_np] * self._vm_iter_np
+        ).tolist()
         ctx = _EntryContext(base, addresses, self._vm_n)
 
         run = (
@@ -327,38 +269,14 @@ class VectorizedSimulator(LockstepSimulator):
 
     # ------------------------------------------------------------------
     @classmethod
-    def run_batch(cls, sims: List[LockstepSimulator]) -> list:
-        """Run several simulators, co-batching the vectorizable ones.
+    def run_batch(cls, sims: Iterable[LockstepSimulator]) -> list:
+        """Run simulators (either engine) one after another, in order.
 
-        Members that are vectorized instances with the no-stall proof
-        intact share one :class:`_BatchAddressProvider`, so each outer
-        point's address tables are materialized once for the whole
-        batch; the rest (scalar engines, fallback schedules) run solo.
-        Results are bit-identical to calling ``run()`` member by member
-        and align with ``sims`` by index.
+        ``sims`` may be a generator, so each simulator can be built just
+        before it runs and dropped right after.  Results align with
+        ``sims`` by index.
         """
-        results: list = [None] * len(sims)
-        batchable = [
-            i for i, sim in enumerate(sims)
-            if isinstance(sim, cls) and sim._vector_ok
-        ]
-        provider = (
-            _BatchAddressProvider([sims[i] for i in batchable])
-            if len(batchable) > 1
-            else None
-        )
-        try:
-            if provider is not None:
-                for i in batchable:
-                    sims[i]._batch_addresses = provider
-                    sims[i].vector_stats["co_batch_width"] = len(batchable)
-            for i, sim in enumerate(sims):
-                results[i] = sim.run()
-        finally:
-            if provider is not None:
-                for i in batchable:
-                    sims[i]._batch_addresses = None
-        return results
+        return [sim.run() for sim in sims]
 
     # ------------------------------------------------------------------
     def _walk_span(

@@ -30,7 +30,7 @@ unique (schedule, geometry, steady mode) pays for warm-up once:
   processes by :func:`repro.harness.grid._init_worker` so a sweep's
   fan-out starts warm.  Corrupt, truncated or version-mismatched disk
   entries are treated as misses (unlinked and recomputed), never as
-  errors.
+  errors, and an unwritable disk layer only costs the write.
 """
 
 from __future__ import annotations
@@ -174,9 +174,9 @@ class WarmStateStore:
         path = self._disk_path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             with tmp.open("wb") as handle:
                 pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
             tmp.replace(path)  # atomic on POSIX: readers never see partials

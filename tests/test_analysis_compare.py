@@ -2,14 +2,21 @@
 
 import pytest
 
-from repro.analysis.compare import (
-    make_scheduler,
-    normalized_cycles,
-    run_cell,
-)
+from repro.analysis.compare import make_scheduler, normalized_cycles
 from repro.cme import SamplingCME
+from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.machine import two_cluster, unified
 from repro.scheduler import BaselineScheduler, RMCAScheduler
+
+
+def run_cell(kernel, machine, scheduler, threshold, locality, **overrides):
+    """One cell through a fresh in-memory grid."""
+    grid = ExperimentGrid(
+        locality=locality, cache=False, kernels={kernel.name: kernel}
+    )
+    return grid.run_one(
+        CellSpec.of(kernel, machine, scheduler, threshold, **overrides)
+    )
 
 
 class TestMakeScheduler:
@@ -33,7 +40,7 @@ class TestMakeScheduler:
         assert engine.locality is not None
 
 
-class TestRunCell:
+class TestGridCell:
     def test_record_fields(self, saxpy, sampling_cme):
         result = run_cell(saxpy, unified(), "baseline", 1.0, sampling_cme)
         assert result.kernel == "saxpy"

@@ -120,8 +120,8 @@ class TestCommands:
         first = capsys.readouterr()
         assert "Figure 5" in first.out
         assert first.err == ""  # --no-progress silences stderr
-        assert list(tmp_path.glob("*/*.pkl"))  # disk cache populated
-        # A second invocation rides the disk cache and prints the same.
+        assert list(tmp_path.rglob("*.pkl"))  # disk stores populated
+        # A second invocation rides the disk stores and prints the same.
         assert main(argv) == 0
         assert capsys.readouterr().out == first.out
 

@@ -1,53 +1,47 @@
-"""Stage telemetry: the batched CME path is observably exercised.
+"""Schedule telemetry: the batched CME path is observably exercised.
 
 The CI ``cme-equivalence`` job runs this as its perf smoke — no timing
-assertions (CI machines vary), but hard assertions that the schedule
-stage actually went through the incremental engine's batched probes,
-which is what the recorded speedups rely on.
+assertions (CI machines vary), but hard assertions that scheduling
+actually went through the incremental engine's batched probes, which is
+what the recorded speedups rely on.
 """
 
-from repro.cme import IncrementalCME
-from repro.engine import CellPipeline, CellRequest
+from repro.cme import IncrementalCME, default_analyzer, locality_fingerprint
+from repro.engine import schedule_kernel
 from repro.machine.presets import two_cluster
+from repro.workloads import kernel_by_name
 
 
-def _outcome(locality=None):
-    return CellPipeline().run(
-        CellRequest(
-            kernel="tomcatv",
-            machine=two_cluster(),
-            scheduler="rmca",
-            threshold=0.25,
-            locality=locality,
-            n_iterations=8,
-            n_times=1,
-        )
+def _schedule_telemetry(analyzer):
+    """The analyzer's telemetry deltas over one tomcatv scheduling run."""
+    before = analyzer.telemetry()
+    schedule_kernel(
+        kernel_by_name("tomcatv"), two_cluster(), "rmca", 0.25, analyzer
     )
+    return {
+        key: value - before.get(key, 0)
+        for key, value in analyzer.telemetry().items()
+    }
 
 
-def test_schedule_stage_reports_batched_cme_telemetry():
+def test_schedule_reports_batched_cme_telemetry():
     analyzer = IncrementalCME(max_points=512)
-    record = _outcome(analyzer).report.stage("schedule")
-    stats = record.stats
+    stats = _schedule_telemetry(analyzer)
     # The batched cluster sweep fired, and it did real incremental work.
-    assert stats["cme_batched_calls"] > 0
-    assert stats["cme_probes"] > 0
-    assert stats["cme_extensions"] > 0
-    assert stats["cme_address_traces"] >= 1
-    assert record.seconds >= 0.0
-    # A second cell on the same analyzer is served from warm state:
+    assert stats["batched_calls"] > 0
+    assert stats["probes"] > 0
+    assert stats["extensions"] > 0
+    assert stats["address_traces"] >= 1
+    # A second run on the same analyzer is served from warm state:
     # no new traces, probes answered from the memo.
-    warm = _outcome(analyzer).report.stage("schedule").stats
-    assert warm["cme_address_traces"] == 0
-    assert warm["cme_memo_hits"] > 0
-    assert warm["cme_probes"] == 0
+    warm = _schedule_telemetry(analyzer)
+    assert warm["address_traces"] == 0
+    assert warm["memo_hits"] > 0
+    assert warm["probes"] == 0
 
 
 def test_default_analyzer_is_the_incremental_engine():
-    """A request without an explicit analyzer runs the incremental
-    engine (the analyze stage attaches the default)."""
-    outcome = _outcome(locality=None)
-    stats = outcome.report.stage("schedule").stats
-    assert stats["cme_batched_calls"] > 0
-    analyze = outcome.report.stage("analyze").stats
-    assert analyze["analyzer"].startswith("sampling:")
+    analyzer = default_analyzer()
+    assert isinstance(analyzer, IncrementalCME)
+    assert locality_fingerprint(analyzer).startswith("sampling:")
+    assert _schedule_telemetry(analyzer)["batched_calls"] > 0

@@ -1,210 +1,121 @@
-"""Tests for the composable cell pipeline (repro.engine)."""
+"""Tests for the cell-execution engine's pure stages (repro.engine)."""
 
 import pytest
 
-from repro.analysis.compare import run_cell
 from repro.engine import (
-    CELL_EXECUTIONS,
-    AnalyzeStage,
-    BuildStage,
-    CellPipeline,
-    CellRequest,
-    MeasureStage,
     RunResult,
-    ScheduleStage,
-    SimulateStage,
-    default_stages,
-    execute_cell,
+    analyze_loop,
     make_scheduler,
+    schedule_kernel,
 )
+from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.machine import four_cluster, two_cluster, unified
+from repro.simulator import make_simulator
 from repro.workloads import kernel_by_name
 
-STAGE_NAMES = ["build", "analyze", "schedule", "simulate", "measure"]
+from reference_cells import reference_cell
 
 
-class TestPipelineShape:
-    def test_default_stage_order(self):
-        assert [stage.name for stage in default_stages()] == STAGE_NAMES
+class TestStageFunctions:
+    def test_analyze_returns_the_analyzer_trace(self, saxpy):
+        grid = ExperimentGrid(cache=False)  # default analyzer: traced
+        trace = analyze_loop(saxpy.loop, grid.locality)
+        assert trace is not None
+        assert trace is analyze_loop(saxpy.loop, grid.locality)
 
-    def test_report_records_every_stage(self, saxpy, sampling_cme):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=saxpy,
-                machine=unified(),
-                scheduler="baseline",
-                locality=sampling_cme,
-            )
-        )
-        assert [r.stage for r in outcome.report.records] == STAGE_NAMES
-        assert all(r.seconds >= 0 for r in outcome.report.records)
-        assert outcome.report.total_seconds == pytest.approx(
-            sum(r.seconds for r in outcome.report.records)
-        )
+    def test_analyze_without_trace_store_has_no_product(
+        self, saxpy, analytic_cme
+    ):
+        assert analyze_loop(saxpy.loop, analytic_cme) is None
 
-    def test_stage_lookup(self, saxpy, sampling_cme):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=saxpy,
-                machine=two_cluster(),
-                scheduler="rmca",
-                threshold=0.25,
-                locality=sampling_cme,
-            )
-        )
-        schedule_record = outcome.report.stage("schedule")
-        assert schedule_record.stats["ii"] >= schedule_record.stats["mii"]
-        assert outcome.report.stage("build").stats["kernel"] == "saxpy"
-        with pytest.raises(KeyError, match="no stage 'paint'"):
-            outcome.report.stage("paint")
-
-    def test_missing_measure_stage_rejected(self, saxpy, sampling_cme):
-        pipeline = CellPipeline(
-            [BuildStage(), AnalyzeStage(), ScheduleStage(), SimulateStage()]
-        )
-        with pytest.raises(RuntimeError, match="without producing a result"):
-            pipeline.run(
-                CellRequest(
-                    kernel=saxpy,
-                    machine=unified(),
-                    scheduler="baseline",
-                    locality=sampling_cme,
-                )
-            )
-
-
-class TestPipelineSemantics:
-    def test_matches_run_cell_shim(self, stencil, sampling_cme):
-        """The shim and the pipeline are the same computation."""
-        via_pipeline = execute_cell(
-            CellRequest(
-                kernel=stencil,
-                machine=two_cluster(),
-                scheduler="rmca",
-                threshold=0.25,
-                locality=sampling_cme,
-            )
-        ).result
-        via_shim = run_cell(
+    def test_schedule_matches_the_scheduler(self, stencil, sampling_cme):
+        via_stage = schedule_kernel(
             stencil, two_cluster(), "rmca", 0.25, sampling_cme
         )
-        assert isinstance(via_shim, RunResult)
-        assert via_pipeline.canonical() == via_shim.canonical()
-
-    def test_kernel_resolved_by_suite_name(self, sampling_cme):
-        outcome = execute_cell(
-            CellRequest(
-                kernel="applu",
-                machine=unified(),
-                scheduler="baseline",
-                locality=sampling_cme,
-            )
+        direct = make_scheduler("rmca", 0.25, sampling_cme).schedule(
+            stencil, two_cluster()
         )
-        assert outcome.result.kernel == "applu"
+        assert via_stage.fingerprint() == direct.fingerprint()
+        assert via_stage.ii >= via_stage.mii
 
-    def test_kernel_resolved_from_registry(self, saxpy, sampling_cme):
-        outcome = execute_cell(
-            CellRequest(
-                kernel="saxpy",
-                machine=unified(),
-                scheduler="baseline",
-                locality=sampling_cme,
-                kernels={"saxpy": saxpy},
-            )
+    def test_schedule_defaults_the_analyzer(self, saxpy, sampling_cme):
+        assert (
+            schedule_kernel(saxpy, unified(), "baseline", 1.0).fingerprint()
+            == schedule_kernel(
+                saxpy, unified(), "baseline", 1.0, sampling_cme
+            ).fingerprint()
         )
-        assert outcome.result.kernel == "saxpy"
-
-    def test_unknown_kernel_name_rejected(self, sampling_cme):
-        with pytest.raises(KeyError, match="unknown kernel"):
-            execute_cell(
-                CellRequest(
-                    kernel="gcc",
-                    machine=unified(),
-                    scheduler="baseline",
-                    locality=sampling_cme,
-                )
-            )
 
     def test_unknown_scheduler_rejected(self, saxpy, sampling_cme):
         with pytest.raises(KeyError, match="unknown scheduler"):
-            execute_cell(
-                CellRequest(
-                    kernel=saxpy,
-                    machine=unified(),
-                    scheduler="greedy",
-                    locality=sampling_cme,
-                )
-            )
+            schedule_kernel(saxpy, unified(), "greedy", 1.0, sampling_cme)
 
-    def test_execution_counter_increments(self, saxpy, sampling_cme):
-        before = CELL_EXECUTIONS.count
-        execute_cell(
-            CellRequest(
-                kernel=saxpy,
-                machine=unified(),
-                scheduler="baseline",
-                locality=sampling_cme,
-            )
-        )
-        assert CELL_EXECUTIONS.count == before + 1
 
-    def test_default_analyzer_when_none_given(self, saxpy):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=saxpy, machine=unified(), scheduler="baseline"
-            )
+class TestGridCells:
+    def test_stage_seconds_cover_every_stage(self, saxpy):
+        grid = ExperimentGrid(cache=False, kernels={"saxpy": saxpy})
+        grid.run_one(CellSpec.of(saxpy, unified(), "baseline", 1.0))
+        assert set(grid.stats.stage_seconds) == {
+            "analyze", "schedule", "simulate"
+        }
+        assert all(s >= 0 for s in grid.stats.stage_seconds.values())
+
+    def test_grid_cell_matches_reference(self, stencil, sampling_cme):
+        grid = ExperimentGrid(locality=sampling_cme, cache=False)
+        grid.register([stencil])
+        result = grid.run_one(CellSpec.of(stencil, two_cluster(), "rmca", 0.25))
+        assert isinstance(result, RunResult)
+        assert result.canonical() == reference_cell(
+            stencil, two_cluster(), "rmca", 0.25, sampling_cme
+        ).canonical()
+
+    def test_kernel_resolved_by_suite_name(self, sampling_cme):
+        grid = ExperimentGrid(locality=sampling_cme, cache=False)
+        result = grid.run_one(CellSpec.of("applu", unified(), "baseline", 1.0))
+        assert result.kernel == "applu"
+
+    def test_unknown_kernel_name_rejected(self, saxpy, sampling_cme):
+        grid = ExperimentGrid(locality=sampling_cme, cache=False)
+        with pytest.raises(KeyError, match="cannot resolve kernel"):
+            grid.run_one(CellSpec.of(saxpy, unified(), "baseline", 1.0))
+
+    def test_iteration_overrides_flow_through(self, saxpy, sampling_cme):
+        grid = ExperimentGrid(
+            locality=sampling_cme, cache=False, kernels={"saxpy": saxpy}
         )
-        assert "sampling" in str(
-            outcome.report.stage("analyze").stats["analyzer"]
+        result = grid.run_one(
+            CellSpec.of(saxpy, unified(), "baseline", 1.0, n_iterations=8,
+                        n_times=2)
         )
+        assert result.simulation.n_iterations == 8
+        assert result.simulation.n_times == 2
 
 
 class TestExactFlag:
-    def test_exact_disables_memoization(self, sampling_cme):
-        kernel = kernel_by_name("tomcatv")
-        request = CellRequest(
-            kernel=kernel,
-            machine=four_cluster(),
-            scheduler="baseline",
-            locality=sampling_cme,
-            exact=True,
+    @pytest.fixture
+    def tomcatv_schedule(self, sampling_cme):
+        return schedule_kernel(
+            kernel_by_name("tomcatv"), four_cluster(), "baseline", 1.0,
+            sampling_cme,
         )
-        stats = execute_cell(request).report.stage("simulate").stats
-        assert stats["exact"] is True
-        assert stats["entries_replayed"] == 0
 
-    def test_memoized_reports_replay_and_matches_exact(self, sampling_cme):
-        kernel = kernel_by_name("tomcatv")
-        base = dict(
-            kernel=kernel,
-            machine=four_cluster(),
-            scheduler="baseline",
-            locality=sampling_cme,
-        )
-        memo = execute_cell(CellRequest(**base))
-        exact = execute_cell(CellRequest(**base, exact=True))
-        stats = memo.report.stage("simulate").stats
-        assert stats["entries_replayed"] > 0
-        assert stats["steady_state_period"] >= 1
+    def test_exact_disables_memoization(self, tomcatv_schedule):
+        simulator = make_simulator(tomcatv_schedule, exact=True)
+        simulator.run()
+        assert simulator.steady_mode == "off"
+        assert simulator.steady_state is None
+
+    def test_memoized_reports_replay_and_matches_exact(self, tomcatv_schedule):
+        simulator = make_simulator(tomcatv_schedule)
+        memo = simulator.run()
+        exact = make_simulator(tomcatv_schedule, exact=True).run()
+        steady = simulator.steady_state
+        assert steady.replayed_entries > 0
+        assert steady.period >= 1
         assert (
-            stats["entries_simulated"] + stats["entries_replayed"]
-            == stats["entries"]
+            steady.simulated_entries + steady.replayed_entries == memo.n_times
         )
-        assert memo.result.canonical() == exact.result.canonical()
-
-    def test_iteration_overrides_flow_through(self, saxpy, sampling_cme):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=saxpy,
-                machine=unified(),
-                scheduler="baseline",
-                locality=sampling_cme,
-                n_iterations=8,
-                n_times=2,
-            )
-        )
-        assert outcome.result.simulation.n_iterations == 8
-        assert outcome.result.simulation.n_times == 2
+        assert memo.as_dict() == exact.as_dict()
 
 
 class TestCompatibilityExports:
@@ -213,4 +124,3 @@ class TestCompatibilityExports:
 
         assert compare.RunResult is RunResult
         assert compare.make_scheduler is make_scheduler
-        assert compare.CELL_EXECUTIONS is CELL_EXECUTIONS

@@ -1,14 +1,13 @@
 """Plan-based grid execution: equivalence, dedup accounting, batching.
 
-The load-bearing contract of the execution plan (PR 10): running a grid
-through the :class:`~repro.engine.plan.ExecutionPlanner` stage-task DAG
-produces **byte-identical** results — and byte-identical stage-store
-telemetry — compared to the per-cell reference walk (``--no-plan``),
-for every registered grid scenario, across ``n_jobs`` ∈ {1, 2}, and for
-a golden figure panel.  On a cold run each unique
+The load-bearing contract of the execution plan: running a grid through
+the :class:`~repro.engine.plan.ExecutionPlanner` stage-task DAG produces
+**byte-identical** results compared to the store-less reference
+(``reference_cells``: the pure stages, one cell at a time), for every
+registered grid scenario and a golden figure panel, at ``n_jobs`` 1 and
+2 and with ``exact=True``.  On a cold run each unique
 analyze/schedule/simulate key executes exactly once (planned task count
-== unique store keys), and co-batched simulate is raw-state-equal to
-solo runs.
+== unique store keys).
 """
 
 import json
@@ -20,55 +19,61 @@ from repro.engine import ExecutionPlanner, StageStore
 from repro.engine.plan import run_schedule_task
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import CellSpec, ExperimentGrid, machine_from_key
-from repro.harness.scenarios import all_scenarios, run_scenario
+from repro.harness.scenarios import all_scenarios, get_scenario, run_scenario
 from repro.machine import four_cluster, two_cluster
 from repro.simulator import LockstepSimulator, VectorizedSimulator
 from repro.workloads import spec_suite
 
+from reference_cells import ReferenceGrid
+
 MAX_POINTS = 512
 
 GRID_SCENARIOS = [s.name for s in all_scenarios() if not s.is_figure]
+
+#: Grid settings every equivalence test runs the plan under.
+MODES = {
+    "serial": {},
+    "n_jobs=2": {"n_jobs": 2},
+    "exact": {"exact": True},
+}
 
 
 def _canonical(results):
     return [result.canonical() for result in results]
 
 
+def _reference(name):
+    scenario = get_scenario(name)
+    grid = ReferenceGrid(locality=scenario.locality.build(), cache=False)
+    return run_scenario(scenario, grid=grid)
+
+
 # ----------------------------------------------------------------------
-# Plan vs per-cell reference path
+# Plan vs store-less reference
 # ----------------------------------------------------------------------
 class TestPlanReferenceEquivalence:
+    @pytest.fixture(scope="class")
+    def references(self):
+        return {}
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("name", GRID_SCENARIOS)
-    def test_every_grid_scenario(self, name):
-        planned = run_scenario(name, cache=False)
-        reference = run_scenario(name, cache=False, plan=False)
-        assert _canonical(planned.results) == _canonical(reference.results)
-        # The plan path ran (and reported itself); the reference didn't.
+    def test_every_grid_scenario(self, name, mode, references):
+        if name not in references:
+            references[name] = _canonical(_reference(name).results)
+        planned = run_scenario(name, cache=False, **MODES[mode])
+        assert _canonical(planned.results) == references[name]
         assert planned.grid.stats.plan["runs"] == 1
         assert planned.grid.stats.plan["cells"] == len(planned.results)
-        assert reference.grid.stats.plan == {}
 
-    def test_store_telemetry_matches_reference_probe_for_probe(self):
-        """Owner cells probe at plan time, duplicates at assembly —
-        the net store telemetry equals the per-cell path's exactly."""
-        planned = run_scenario("fig6-smoke", cache=False)
-        reference = run_scenario("fig6-smoke", cache=False, plan=False)
-        assert (
-            planned.grid.stage_store.telemetry()
-            == reference.grid.stage_store.telemetry()
-        )
-
-    def test_parallel_plan_matches_serial_reference(self):
-        reference = run_scenario("streaming", cache=False, plan=False)
-        fanned = run_scenario("streaming", cache=False, n_jobs=2)
-        assert _canonical(fanned.results) == _canonical(reference.results)
-        assert fanned.grid.stats.plan["runs"] == 1
-
-    def test_golden_figure_panel(self):
-        planned = run_scenario("fig6-smoke", cache=False)
-        reference = run_scenario("fig6-smoke", cache=False, plan=False)
-        assert planned.figure.bars == reference.figure.bars
-        assert planned.figure.records == reference.figure.records
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_golden_figure_panel(self, mode, references):
+        if "fig6-smoke" not in references:
+            references["fig6-smoke"] = _reference("fig6-smoke").figure
+        reference = references["fig6-smoke"]
+        planned = run_scenario("fig6-smoke", cache=False, **MODES[mode])
+        assert planned.figure.bars == reference.bars
+        assert planned.figure.records == reference.records
 
 
 # ----------------------------------------------------------------------
@@ -124,12 +129,8 @@ class TestColdRunTaskAccounting:
 
     def test_warm_store_plans_zero_tasks(self, tmp_path):
         cold = run_scenario("streaming", cache_dir=tmp_path)
-        fresh_grid = ExperimentGrid(
-            locality=cold.scenario.locality.build(), cache=False
-        )
-        fresh_grid.stage_store = StageStore(cache_dir=tmp_path / "stages")
-        warm = run_scenario("streaming", grid=fresh_grid)
-        plan = fresh_grid.stats.plan
+        warm = run_scenario("streaming", cache_dir=tmp_path)
+        plan = warm.grid.stats.plan
         # Every unique key hits at plan time: nothing left to execute.
         assert plan["schedule_tasks"] == 0
         assert plan["simulate_tasks"] == 0
@@ -217,9 +218,9 @@ class TestPlannerUnit:
 
 
 # ----------------------------------------------------------------------
-# Co-batched simulate vs solo runs (raw-state equality)
+# VectorizedSimulator.run_batch: members in order, as if run solo
 # ----------------------------------------------------------------------
-class TestRunBatchEquivalence:
+class TestRunBatch:
     @pytest.fixture(scope="class")
     def schedules(self):
         analyzer = IncrementalCME(max_points=MAX_POINTS)
@@ -235,44 +236,18 @@ class TestRunBatchEquivalence:
             )
         ]
 
-    def test_batch_is_raw_state_equal_to_solo(self, schedules):
-        solo_sims = [VectorizedSimulator(s) for s in schedules]
-        solo = [sim.run() for sim in solo_sims]
-        batch_sims = [VectorizedSimulator(s) for s in schedules]
-        batched = VectorizedSimulator.run_batch(batch_sims)
-        for want_sim, got_sim, want, got in zip(
-            solo_sims, batch_sims, solo, batched
-        ):
-            assert got.as_dict() == want.as_dict()
-            assert got_sim.memory.counters() == want_sim.memory.counters()
-            assert (
-                got_sim.memory.state_signature(0)
-                == want_sim.memory.state_signature(0)
-            )
-            assert got_sim.steady_report == want_sim.steady_report
-            assert got_sim.vector_stats["co_batch_width"] == len(schedules)
-            # The provider is uninstalled after the batch completes.
-            assert got_sim._batch_addresses is None
-
-    def test_mixed_batch_keeps_input_order(self, schedules):
-        reference = [VectorizedSimulator(s).run() for s in schedules]
-        scalar_want = LockstepSimulator(schedules[1]).run()
-        sims = [
-            VectorizedSimulator(schedules[0]),
-            LockstepSimulator(schedules[1]),
-            VectorizedSimulator(schedules[2]),
+    def test_mixed_batch_equals_solo_runs_in_order(self, schedules):
+        want = [
+            VectorizedSimulator(schedules[0]).run(),
+            LockstepSimulator(schedules[1]).run(),
+            VectorizedSimulator(schedules[2]).run(),
         ]
-        results = VectorizedSimulator.run_batch(sims)
-        assert results[0].as_dict() == reference[0].as_dict()
-        assert results[1].as_dict() == scalar_want.as_dict()
-        assert results[2].as_dict() == reference[2].as_dict()
-        # Only the two vectorized members co-batched.
-        assert sims[0].vector_stats["co_batch_width"] == 2
-        assert sims[2].vector_stats["co_batch_width"] == 2
-
-    def test_single_member_batch_runs_solo(self, schedules):
-        want = VectorizedSimulator(schedules[0]).run()
-        sim = VectorizedSimulator(schedules[0])
-        (got,) = VectorizedSimulator.run_batch([sim])
-        assert got.as_dict() == want.as_dict()
-        assert "co_batch_width" not in sim.vector_stats
+        sims = (
+            engine(schedule)
+            for engine, schedule in zip(
+                (VectorizedSimulator, LockstepSimulator, VectorizedSimulator),
+                schedules,
+            )
+        )
+        got = VectorizedSimulator.run_batch(sims)
+        assert [r.as_dict() for r in got] == [r.as_dict() for r in want]

@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from repro.analysis.compare import CELL_EXECUTIONS
 from repro.cme import SamplingCME
 from repro.harness.grid import (
     CellSpec,
@@ -18,6 +17,8 @@ from repro.harness.grid import (
 from repro.harness.sweep import figure5
 from repro.machine import BusConfig, two_cluster, unified
 from repro.workloads import spec_suite
+
+from reference_cells import stage_work
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +90,6 @@ class TestCellSpec:
         assert spec.build_machine() == two_cluster()
         assert spec.machine_name == "2-cluster"
 
-    def test_cache_key_covers_locality(self, small_suite):
-        spec = CellSpec.of(small_suite[0], two_cluster(), "baseline", 1.0)
-        assert spec.cache_key("sampling:64") != spec.cache_key("sampling:128")
-
     def test_suite_kernel_by_name(self):
         by_name = CellSpec.of("applu", unified(), "baseline", 1.0)
         by_object = CellSpec.of(
@@ -101,17 +98,16 @@ class TestCellSpec:
         assert by_name == by_object
 
 
-class TestCaching:
+class TestStoreReuse:
     def test_warm_run_computes_nothing(self, small_suite):
         grid = ExperimentGrid(locality=_locality())
         specs = _specs(small_suite)
         cold = grid.run(specs)
         assert grid.stats.computed == len(specs)
-        CELL_EXECUTIONS.reset()
+        done = stage_work(grid)
+        assert done[0] > 0 and done[1] > 0
         warm = grid.run(specs)
-        assert CELL_EXECUTIONS.count == 0
-        assert grid.stats.computed == len(specs)  # unchanged
-        assert grid.stats.memory_hits == len(specs)
+        assert stage_work(grid) == done
         assert [r.canonical() for r in warm] == [
             r.canonical() for r in cold
         ]
@@ -124,16 +120,13 @@ class TestCaching:
         assert grid.stats.deduplicated == 2
         assert results[0] is results[1] is results[2]
 
-    def test_disk_cache_survives_new_engine(self, small_suite, tmp_path):
+    def test_disk_store_survives_new_engine(self, small_suite, tmp_path):
         specs = _specs(small_suite, thresholds=(1.0,))
         first = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
         cold = first.run(specs)
         second = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        CELL_EXECUTIONS.reset()
         warm = second.run(specs)
-        assert CELL_EXECUTIONS.count == 0
-        assert second.stats.computed == 0
-        assert second.stats.disk_hits == len(specs)
+        assert stage_work(second) == (0, 0, 0)
         assert [r.canonical() for r in warm] == [
             r.canonical() for r in cold
         ]
@@ -147,73 +140,59 @@ class TestCaching:
             locality=SamplingCME(max_points=128), cache_dir=tmp_path
         )
         other.run_one(spec)
-        assert other.stats.computed == 1
+        assert stage_work(other)[0] == 1  # rescheduled under the new analyzer
 
-    def test_no_cache_recomputes(self, small_suite):
-        grid = ExperimentGrid(locality=_locality(), cache=False)
+    def test_no_cache_keeps_stores_in_memory(self, small_suite, tmp_path):
         spec = CellSpec.of(small_suite[0], unified(), "baseline", 1.0)
+        grid = ExperimentGrid(
+            locality=_locality(), cache=False, cache_dir=tmp_path
+        )
         grid.run_one(spec)
-        grid.run_one(spec)
-        assert grid.stats.computed == 2
-        assert grid.stats.memory_hits == 0
+        assert not list(tmp_path.rglob("*.pkl"))
+        fresh = ExperimentGrid(
+            locality=_locality(), cache=False, cache_dir=tmp_path
+        )
+        fresh.run_one(spec)
+        assert stage_work(fresh)[:2] == (1, 1)
 
-    def test_corrupt_disk_entry_recomputed(self, small_suite, tmp_path):
-        spec = CellSpec.of(small_suite[0], unified(), "baseline", 1.0)
-        grid = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        grid.run_one(spec)
-        for path in tmp_path.glob("*/*.pkl"):
-            path.write_bytes(b"not a pickle")
-        fresh = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        result = fresh.run_one(spec)
-        assert fresh.stats.computed == 1
-        assert result.kernel == small_suite[0].name
-
-    def test_truncated_disk_entry_unlinked_and_recomputed(
-        self, small_suite, tmp_path
+    @pytest.mark.parametrize(
+        "rot", ["garbage", "truncated", "foreign"]
+    )
+    def test_rotten_disk_entries_recomputed_and_replaced(
+        self, small_suite, tmp_path, rot
     ):
-        """A half-written cache file is a miss: dropped, recomputed, and
-        the recomputed result takes its slot (served on the next run)."""
+        """Rotten store files are misses: dropped, recomputed, and the
+        recomputed products take their slots (served on the next run)."""
         spec = CellSpec.of(small_suite[0], unified(), "baseline", 1.0)
-        grid = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        expected = grid.run_one(spec)
-        paths = list(tmp_path.glob("*/*.pkl"))
+        expected = ExperimentGrid(
+            locality=_locality(), cache_dir=tmp_path
+        ).run_one(spec)
+        paths = list(tmp_path.rglob("*.pkl"))
         assert paths
         for path in paths:
-            path.write_bytes(path.read_bytes()[: max(1, path.stat().st_size // 2)])
+            path.write_bytes(
+                {
+                    "garbage": b"not a pickle",
+                    "truncated": path.read_bytes()[: path.stat().st_size // 2],
+                    "foreign": pickle.dumps({"not": "a product"}),
+                }[rot]
+            )
         fresh = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        result = fresh.run_one(spec)
-        assert fresh.stats.computed == 1
-        assert fresh.stats.disk_hits == 0
-        assert result.canonical() == expected.canonical()
-        # The rot was unlinked and replaced by the recomputed entry:
+        assert fresh.run_one(spec).canonical() == expected.canonical()
+        assert stage_work(fresh)[:2] == (1, 1)
         again = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        served = again.run_one(spec)
-        assert again.stats.disk_hits == 1
-        assert again.stats.computed == 0
-        assert served.canonical() == expected.canonical()
-
-    def test_foreign_disk_entry_treated_as_miss(
-        self, small_suite, tmp_path
-    ):
-        """A valid pickle of the wrong type must not be served."""
-        spec = CellSpec.of(small_suite[0], unified(), "baseline", 1.0)
-        grid = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        grid.run_one(spec)
-        for path in tmp_path.glob("*/*.pkl"):
-            path.write_bytes(pickle.dumps({"not": "a RunResult"}))
-        fresh = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
-        result = fresh.run_one(spec)
-        assert fresh.stats.computed == 1
-        assert result.kernel == small_suite[0].name
+        assert again.run_one(spec).canonical() == expected.canonical()
+        assert stage_work(again) == (0, 0, 0)
 
     def test_clear_cache(self, small_suite, tmp_path):
         spec = CellSpec.of(small_suite[0], unified(), "baseline", 1.0)
         grid = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)
         grid.run_one(spec)
+        assert list(tmp_path.rglob("*.pkl"))
         grid.clear_cache()
-        assert not list(tmp_path.glob("*/*.pkl"))
+        assert not list(tmp_path.rglob("*.pkl"))
         grid.run_one(spec)
-        assert grid.stats.computed == 2
+        assert stage_work(grid)[:2] == (2, 2)
 
 
 class TestKernelResolution:
@@ -268,13 +247,13 @@ class TestParallelEquivalence:
             clone = pickle.loads(pickle.dumps(result))
             assert clone.canonical() == result.canonical()
 
-    def test_parallel_warm_cache_identical_to_cold(self, small_suite):
+    def test_parallel_warm_store_identical_to_cold(self, small_suite):
         grid = ExperimentGrid(locality=_locality(), n_jobs=4)
         specs = _specs(small_suite)
         cold = grid.run(specs)
-        CELL_EXECUTIONS.reset()
+        done = stage_work(grid)
         warm = grid.run(specs)
-        assert CELL_EXECUTIONS.count == 0
+        assert stage_work(grid) == done
         assert [r.canonical() for r in warm] == [
             r.canonical() for r in cold
         ]
@@ -292,12 +271,10 @@ class TestParallelEquivalence:
         parallel = figure5(grid=parallel_grid, **kwargs)
         assert serial.bars == parallel.bars
         assert serial.records == parallel.records
-        # Warm repeat: zero cell computations, identical bars.
-        computed_before = parallel_grid.stats.computed
-        CELL_EXECUTIONS.reset()
+        # Warm repeat: zero stage computations, identical bars.
+        done = stage_work(parallel_grid)
         warm = figure5(grid=parallel_grid, **kwargs)
-        assert CELL_EXECUTIONS.count == 0
-        assert parallel_grid.stats.computed == computed_before
+        assert stage_work(parallel_grid) == done
         assert warm.bars == parallel.bars
 
 

@@ -127,16 +127,18 @@ class TestSharedGrid:
             n_clusters=2, latencies=(1,), thresholds=(1.0,),
             kernels=small_suite, grid=grid,
         )
-        after_fig5 = grid.stats.computed
+        scheduled = grid.stats.plan["schedule_tasks"]
+        reused = grid.stage_store.counts("schedule")["hits"]
         figure6(
             n_clusters=2, bus_counts=(1,), bus_latencies=(1,),
             thresholds=(1.0,), kernels=small_suite, grid=grid,
         )
-        # figure6 reuses figure5's Unified reference cells: it only adds
-        # its own unified group and the NMB=1,LMB=1 cells.
-        fig6_new = grid.stats.computed - after_fig5
+        # figure6 reuses figure5's Unified reference cells: it only
+        # schedules its own unified group and the NMB=1,LMB=1 cells.
+        fig6_new = grid.stats.plan["schedule_tasks"] - scheduled
         assert fig6_new == 3 * len(small_suite)
-        assert grid.stats.memory_hits >= len(small_suite)
+        reused = grid.stage_store.counts("schedule")["hits"] - reused
+        assert reused >= len(small_suite)
 
     def test_conflicting_locality_and_grid_rejected(self, small_suite):
         grid = ExperimentGrid(locality=SamplingCME(max_points=256))

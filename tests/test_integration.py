@@ -1,9 +1,7 @@
 """Cross-module integration tests: the paper's headline claims, end to end.
 
 Cells run through :class:`~repro.harness.grid.ExperimentGrid` /
-:class:`~repro.harness.grid.CellSpec` — the engine-pipeline entry the
-ROADMAP points new call sites at (the historical
-``analysis.compare.run_cell`` shim remains only for backcompat).
+:class:`~repro.harness.grid.CellSpec`, the one cell-execution entry.
 """
 
 import pytest
@@ -22,7 +20,7 @@ def locality():
 
 @pytest.fixture(scope="module")
 def grid(locality):
-    # In-memory cell cache only: cells shared between tests (the same
+    # In-memory stage store only: cells shared between tests (the same
     # kernel × machine × threshold shows up in several claims) compute
     # once for the module.
     return ExperimentGrid(locality=locality)

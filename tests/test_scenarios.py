@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.cme import SamplingCME
+from repro.engine import StageStore
 from repro.harness.grid import ExperimentGrid
 from repro.harness.scenarios import (
     ABLATION_KERNELS,
@@ -20,6 +21,8 @@ from repro.harness.scenarios import (
     scenario_listing,
     scenario_names,
 )
+
+from reference_cells import stage_work
 
 EXPECTED_BUILTINS = {
     "fig5-2cluster",
@@ -280,12 +283,17 @@ class TestSteadySelection:
         specs = scenario.expand()
         modes = sorted({spec.steady for spec in specs})
         assert modes == ["auto", "entry", "iteration", "off"]
-        # The cache key must separate the modes, or the ablation would
-        # serve one mode's timing run from another's cached cells.
+        # The simulate key must separate the modes, or the ablation
+        # would serve one mode's timing run from another's products.
         by_mode = {}
         for spec in specs:
             by_mode.setdefault(spec.steady, spec)
-        keys = {spec.cache_key("sampling:512") for spec in by_mode.values()}
+        keys = {
+            StageStore.simulate_key(
+                "fp", spec.sim, spec.steady, spec.n_iterations, spec.n_times
+            )
+            for spec in by_mode.values()
+        }
         assert len(keys) == len(by_mode)
 
     def test_unknown_steady_rejected(self):
@@ -333,9 +341,9 @@ class TestRunScenario:
         grid = ExperimentGrid(locality=SamplingCME(max_points=512))
         scenario = _tiny_scenario()
         run_scenario(scenario, grid=grid)
-        computed_before = grid.stats.computed
+        done = stage_work(grid)
         run_scenario(scenario, grid=grid)
-        assert grid.stats.computed == computed_before  # warm: zero compute
+        assert stage_work(grid) == done  # warm: zero stage work
 
     def test_conflicting_grid_analyzer_rejected(self):
         grid = ExperimentGrid(locality=SamplingCME(max_points=64))

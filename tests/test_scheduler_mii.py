@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.compare import run_cell
 from repro.cme import SamplingCME
 from repro.ir import LoopBuilder
 from repro.ir.ddg import DepEdge, build_ddg
 from repro.machine import BusConfig, four_cluster, two_cluster, unified
 from repro.scheduler.mii import compute_mii, edge_latency, rec_mii, res_mii
 from repro.workloads import kernel_by_name
+
+from reference_cells import reference_cell
 
 
 def _n_loads(n, with_recurrence=False, distance=1):
@@ -190,7 +191,7 @@ class TestCellInvariantProperties:
     @settings(max_examples=12, deadline=None)
     def test_ii_bounds_and_cycle_decomposition(self, cell):
         kernel_name, machine_name, scheduler, threshold = cell
-        result = run_cell(
+        result = reference_cell(
             kernel_by_name(kernel_name),
             _MACHINES[machine_name],
             scheduler,

@@ -155,10 +155,11 @@ class TestValidation:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.compare import run_cell
 from repro.cme import SamplingCME
 from repro.machine import four_cluster, unified
 from repro.workloads import kernel_by_name
+
+from reference_cells import reference_cell
 
 _PROPERTY_ANALYZER = SamplingCME(max_points=64)
 
@@ -187,7 +188,7 @@ class TestScheduleResourceProperties:
     def test_no_mrt_resource_conflicts(self, cell):
         kernel_name, machine_name, scheduler, threshold = cell
         machine = _MACHINES[machine_name]
-        result = run_cell(
+        result = reference_cell(
             kernel_by_name(kernel_name),
             machine,
             scheduler,

@@ -106,9 +106,7 @@ class TestEndToEnd:
         assert cells, "per-cell progress events must stream"
         assert [c["done"] for c in cells] == list(range(1, len(cells) + 1))
         assert cells[-1]["done"] == cells[-1]["total"]
-        assert {c["source"] for c in cells} <= {
-            "computed", "memory", "disk", "dedup"
-        }
+        assert {c["source"] for c in cells} <= {"computed", "dedup"}
 
     def test_result_bit_identical_to_in_process(self, smoke_run):
         remote = smoke_run["results"][0]["result"]
@@ -311,9 +309,7 @@ class TestConcurrency:
             spec.name: [r.canonical() for r in run_scenario(spec).results]
             for spec in (spec_a, spec_b)
         }
-        grid = ExperimentGrid(
-            locality=spec_a.locality.build(), cell_cache=False
-        )
+        grid = ExperimentGrid(locality=spec_a.locality.build())
         outcomes = {}
         errors = []
 

@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cme import IncrementalCME
-from repro.engine import CellRequest, execute_cell
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import CellSpec, machine_key
 from repro.harness.scenarios import all_scenarios
@@ -33,6 +32,7 @@ from repro.simulator import (
     SIM_ENGINES,
     LockstepSimulator,
     VectorizedSimulator,
+    make_simulator,
     simulate,
 )
 from repro.workloads import GeneratorConfig, random_kernel, spec_suite
@@ -312,35 +312,26 @@ class TestEngineSelection:
         assert SIM_ENGINES["vectorized"] is VectorizedSimulator
         assert SIM_ENGINES["scalar"] is LockstepSimulator
 
-    def test_simulate_stage_reports_engine_and_telemetry(self, analyzer):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=spec_suite()[0],
-                machine=two_cluster(),
-                scheduler="baseline",
-                locality=analyzer,
-            )
+    def test_default_engine_reports_its_telemetry(self, analyzer):
+        schedule = make_scheduler("baseline", 1.0, analyzer).schedule(
+            spec_suite()[0], two_cluster()
         )
-        stats = outcome.report.stage("simulate").stats
-        assert stats["sim_requested"] == "vectorized"
-        assert stats["sim_engine"] == "vectorized"
-        assert stats["sim_fallback"] is False
-        assert stats["sim_batches"] > 0
-        assert stats["sim_batched_accesses"] > 0
+        simulator = make_simulator(schedule)
+        simulator.run()
+        assert type(simulator) is VectorizedSimulator
+        stats = simulator.vector_stats
+        assert stats["engine"] == "vectorized"
+        assert stats["fallback"] is False
+        assert stats["batches"] > 0
+        assert stats["batched_accesses"] > 0
 
-    def test_simulate_stage_scalar_selection(self, analyzer):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=spec_suite()[0],
-                machine=two_cluster(),
-                scheduler="baseline",
-                locality=analyzer,
-                sim="scalar",
-            )
+    def test_scalar_selection(self, analyzer):
+        schedule = make_scheduler("baseline", 1.0, analyzer).schedule(
+            spec_suite()[0], two_cluster()
         )
-        stats = outcome.report.stage("simulate").stats
-        assert stats["sim_requested"] == "scalar"
-        assert stats["sim_engine"] == "scalar"
+        simulator = make_simulator(schedule, sim="scalar")
+        assert type(simulator) is LockstepSimulator
+        assert not hasattr(simulator, "vector_stats")
 
     def test_unknown_engine_rejected(self, analyzer):
         with pytest.raises(KeyError):
@@ -357,7 +348,7 @@ class TestEngineSelection:
         vectorized = CellSpec.of(kernel, machine, "rmca", 1.0)
         scalar = CellSpec.of(kernel, machine, "rmca", 1.0, sim="scalar")
         assert vectorized.sim == "vectorized"
-        assert vectorized.cache_key("x") != scalar.cache_key("x")
+        assert vectorized != scalar  # distinct cells: never deduplicated
         assert CellSpec.from_json(scalar.to_json()) == scalar
 
     def test_forced_fallback_stays_bit_identical(self, analyzer):

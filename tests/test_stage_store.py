@@ -1,14 +1,13 @@
 """Per-stage result-store equivalence and robustness.
 
 The load-bearing contract of the stage store: for every cell the
-repository can run, a pipeline execution that *adopts* stored
+repository can run, a grid run that *adopts* stored
 analyze/schedule/simulate products produces a **bit-identical**
-:class:`RunResult` compared to computing everything — per grid-scenario
-cell and for the golden figure panels, the same standard
-``tests/test_warm_state.py`` holds warm-state reuse to.  The disk layer
-is exercised for rot-robustness the same way the cell cache is:
+:class:`RunResult` compared to the store-less reference — per
+grid-scenario cell, the same standard ``tests/test_warm_state.py`` holds
+warm-state reuse to.  The disk layer is exercised for rot-robustness:
 corrupt, truncated, foreign and version-mismatched entries are misses,
-never errors.
+and an unwritable disk layer only costs the writes — never errors.
 """
 
 import pickle
@@ -17,14 +16,16 @@ import pytest
 
 from repro.cme import IncrementalCME
 from repro.cme.trace import AddressTrace, loop_fingerprint
-from repro.engine import CellRequest, StageStore, execute_cell
+from repro.engine import StageStore
 from repro.engine.stagestore import STAGE_STORE_VERSION
 from repro.engine.stages import make_scheduler
-from repro.harness.grid import ExperimentGrid
+from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.harness.scenarios import run_scenario
 from repro.machine import two_cluster
 from repro.workloads import spec_suite
 from test_simulator_vectorized import _grid_scenario_cells
+
+from reference_cells import reference_cell, stage_work
 
 MAX_POINTS = 512
 
@@ -153,66 +154,36 @@ class TestStageStoreUnit:
         assert store.publish("analyze", "k", trace) is False
         assert store.counts("analyze")["stores"] == 1
 
-    def test_pickled_copy_keeps_entries_resets_telemetry(self):
-        trace = _trace()
-        store = StageStore()
-        store.store("analyze", "k", trace)
-        store.lookup("analyze", "k")
-        copy = pickle.loads(pickle.dumps(store))
-        assert copy.counts("analyze") == {"hits": 0, "misses": 0, "stores": 0}
-        assert copy.drain()["entries"]["analyze"] == {}
-        # ... but the content itself ships:
-        assert copy.lookup("analyze", "k") is not None
-
-    def test_drain_and_merge(self):
-        trace = _trace()
-        worker = StageStore()
-        worker.store("analyze", "k", trace)
-        worker.lookup("analyze", "k")
-        worker.lookup("analyze", "missing")
-        delta = worker.drain()
-        assert set(delta["entries"]["analyze"]) == {"k"}
-        # drain resets the worker's local delta:
-        assert worker.drain()["entries"]["analyze"] == {}
-        assert worker.counts("analyze")["hits"] == 0
-        parent = StageStore()
-        parent.merge(delta)
-        assert parent.lookup("analyze", "k") is not None
-        assert parent.counts("analyze") == {
-            "hits": 2,  # 1 merged from the worker + the lookup above
-            "misses": 1,
-            "stores": 1,
-        }
+    def test_unwritable_disk_layer_only_costs_the_write(self, tmp_path):
+        blocker = tmp_path / "stages"
+        blocker.write_text("an ordinary file where the store's dir goes")
+        store = StageStore(cache_dir=blocker)
+        store.store("analyze", "k", _trace())
+        assert store.lookup("analyze", "k") is not None
+        assert StageStore(cache_dir=blocker).lookup("analyze", "k") is None
 
 
 class TestStageEquivalence:
     def test_every_grid_scenario_cell(self, analyzer):
-        """no-store == store pass == store-hit pass, for every registered
-        grid-scenario cell."""
+        """reference == first grid pass == store-hit pass, for every
+        registered grid-scenario cell."""
         checked = 0
-        store = StageStore()
+        grid = ExperimentGrid(locality=analyzer, cache=False)
         for (label, kernel, machine, scheduler, threshold, steady,
              n_iterations, n_times) in _grid_scenario_cells():
-            def request(stage_store):
-                return CellRequest(
-                    kernel=kernel,
-                    machine=machine,
-                    scheduler=scheduler,
-                    threshold=threshold,
-                    locality=analyzer,
-                    steady=steady,
-                    n_iterations=n_iterations,
-                    n_times=n_times,
-                    stage_store=stage_store,
-                )
-
-            cold = execute_cell(request(None)).result.canonical()
-            first = execute_cell(request(store))
-            second = execute_cell(request(store))
-            assert first.result.canonical() == cold, label
-            assert second.result.canonical() == cold, label
-            assert second.report.stage("schedule").stats["store_hit"], label
-            assert second.report.stage("simulate").stats["store_hit"], label
+            grid.register([kernel])
+            spec = CellSpec.of(
+                kernel, machine, scheduler, threshold, n_iterations,
+                n_times, steady=steady,
+            )
+            cold = reference_cell(
+                kernel, machine, scheduler, threshold, analyzer,
+                n_iterations, n_times, steady=steady,
+            ).canonical()
+            assert grid.run_one(spec).canonical() == cold, label
+            done = stage_work(grid)
+            assert grid.run_one(spec).canonical() == cold, label
+            assert stage_work(grid) == done, label
             checked += 1
         assert checked > 0
 
@@ -227,13 +198,6 @@ class TestStageEquivalence:
         )
         assert probes == telemetry["schedule"]["misses"]  # one per cell
 
-    def test_figure_panel_identical_with_store_off(self):
-        on = run_scenario("fig6-smoke", cache=False)
-        off = run_scenario("fig6-smoke", cache=False, stage_store=False)
-        assert off.grid.stage_store is None
-        assert on.figure.bars == off.figure.bars
-        assert on.figure.records == off.figure.records
-
     def test_cross_scenario_reuse(self):
         """A second scenario sharing kernels/machines with a cold
         ``fig6-smoke`` run starts from a mostly-hot store."""
@@ -246,46 +210,46 @@ class TestStageEquivalence:
         after = grid.stage_store.telemetry()
         assert after["schedule"]["hits"] > before["schedule"]["hits"]
         assert after["simulate"]["hits"] > before["simulate"]["hits"]
-        off = run_scenario(
-            "fig6-steady-ablation", cache=False, stage_store=False
-        )
-        assert _canonical(second.results) == _canonical(off.results)
+        alone = run_scenario("fig6-steady-ablation", cache=False)
+        assert _canonical(second.results) == _canonical(alone.results)
 
-    def test_parallel_fanout_merges_back_and_matches(self, tmp_path):
+    def test_parallel_products_recorded_by_parent(self, tmp_path):
         serial = run_scenario("streaming", cache=False)
         fanned = run_scenario(
             "streaming", cache=True, cache_dir=tmp_path, n_jobs=2
         )
         assert _canonical(fanned.results) == _canonical(serial.results)
-        # Worker products travelled back: the parent store can serve a
-        # follow-up serial run without recomputing a single schedule.
-        store = fanned.grid.stage_store
-        assert len(store) > 0
-        telemetry = store.telemetry()
+        # Workers only compute; the parent stored every product, so a
+        # follow-up run on the same grid recomputes nothing.
+        telemetry = fanned.grid.stage_store.telemetry()
         assert telemetry["schedule"]["stores"] == len(fanned.results)
-        rerun_grid = ExperimentGrid(
-            locality=fanned.scenario.locality.build(), cache=False
-        )
-        rerun_grid.stage_store = store
-        rerun = run_scenario("streaming", grid=rerun_grid)
-        after = store.telemetry()
-        assert after["schedule"]["hits"] >= len(rerun.results)
-        assert after["schedule"]["stores"] == telemetry["schedule"]["stores"]
+        done = stage_work(fanned.grid)
+        rerun = run_scenario("streaming", grid=fanned.grid)
+        assert stage_work(fanned.grid) == done
         assert _canonical(rerun.results) == _canonical(serial.results)
 
     def test_disk_layer_serves_fresh_store(self, tmp_path):
         cold = run_scenario("streaming", cache_dir=tmp_path)
         assert list((tmp_path / "stages").glob("*/*/*.pkl"))
-        fresh_grid = ExperimentGrid(
-            locality=cold.scenario.locality.build(), cache=False
-        )
-        fresh_grid.stage_store = StageStore(cache_dir=tmp_path / "stages")
-        warm = run_scenario("streaming", grid=fresh_grid)
-        telemetry = fresh_grid.stage_store.telemetry()
+        warm = run_scenario("streaming", cache_dir=tmp_path)
+        telemetry = warm.grid.stage_store.telemetry()
         assert telemetry["schedule"]["hits"] == len(warm.results)
-        assert telemetry["schedule"]["stores"] == 0
-        assert telemetry["simulate"]["stores"] == 0
+        assert stage_work(warm.grid) == (0, 0, 0)
         assert _canonical(warm.results) == _canonical(cold.results)
+
+    def test_warm_fig6_pass_returns_cold_figure(self, tmp_path):
+        """The stage store alone serves a warm Figure-6 regeneration."""
+        cold = run_scenario("fig6-2cluster", cache_dir=tmp_path)
+        warm = run_scenario("fig6-2cluster", cache_dir=tmp_path)
+        assert stage_work(warm.grid) == (0, 0, 0)
+        assert warm.figure.bars == cold.figure.bars
+        assert warm.figure.records == cold.figure.records
+
+    def test_unwritable_store_dir_still_completes(self, tmp_path):
+        (tmp_path / "stages").write_text("not a directory")
+        blocked = run_scenario("streaming", cache_dir=tmp_path)
+        plain = run_scenario("streaming", cache_dir=None)
+        assert _canonical(blocked.results) == _canonical(plain.results)
 
     def test_clear_cache_wipes_stages_and_rerun_matches(self, tmp_path):
         outcome = run_scenario("streaming", cache_dir=tmp_path)
@@ -335,25 +299,11 @@ class TestStageEquivalence:
                 continue
             found = True
             thr_a, thr_b = pairs[0]
-            store = StageStore()
-
-            def run_cell(threshold):
-                return execute_cell(
-                    CellRequest(
-                        kernel=kernel,
-                        machine=machine,
-                        scheduler="rmca",
-                        threshold=threshold,
-                        locality=analyzer,
-                        stage_store=store,
-                    )
-                )
-
-            run_cell(thr_a)
-            outcome = run_cell(thr_b)
-            stats = outcome.report.stage("simulate").stats
-            assert stats["store_hit"] is True
-            simulation = outcome.result.simulation
+            grid = ExperimentGrid(locality=analyzer, cache=False)
+            grid.run_one(CellSpec.of(kernel, machine, "rmca", thr_a))
+            result = grid.run_one(CellSpec.of(kernel, machine, "rmca", thr_b))
+            assert stage_work(grid)[1] == 1  # the second cell's was served
+            simulation = result.simulation
             assert simulation.threshold == thr_b
             assert simulation.scheduler == "rmca"
             assert simulation.kernel == kernel.name
@@ -361,60 +311,29 @@ class TestStageEquivalence:
         assert found, "no threshold pair with identical schedules found"
 
     def test_stage_telemetry_reported_per_stage(self, analyzer):
-        kernel = spec_suite(["applu"])[0]
-        store = StageStore()
-        request = CellRequest(
-            kernel=kernel,
-            machine=two_cluster(),
-            scheduler="rmca",
-            locality=analyzer,
-            stage_store=store,
-        )
-        first = execute_cell(request).report
-        assert first.stage("schedule").stats["store_hit"] is False
-        assert first.stage("simulate").stats["store_hit"] is False
-        second = execute_cell(request).report
-        assert second.stage("schedule").stats["store_hit"] is True
-        assert second.stage("simulate").stats["store_hit"] is True
+        grid = ExperimentGrid(locality=analyzer, cache=False)
+        spec = CellSpec.of("applu", two_cluster(), "rmca", 1.0)
+        grid.run_one(spec)
+        first = grid.stage_store.telemetry()
+        assert first["schedule"]["misses"] == first["simulate"]["misses"] == 1
+        assert first["schedule"]["hits"] == first["simulate"]["hits"] == 0
+        grid.run_one(spec)
+        second = grid.stage_store.telemetry()
+        assert second["schedule"]["hits"] == second["simulate"]["hits"] == 1
 
     def test_analyze_store_serves_fresh_analyzer(self, tmp_path):
         kernel = spec_suite(["applu"])[0]
-        store = StageStore(cache_dir=tmp_path)
-        execute_cell(
-            CellRequest(
-                kernel=kernel,
-                machine=two_cluster(),
-                scheduler="rmca",
-                locality=IncrementalCME(max_points=MAX_POINTS),
-                stage_store=store,
-            )
+        spec = CellSpec.of(kernel, two_cluster(), "rmca", 1.0)
+        first = ExperimentGrid(
+            locality=IncrementalCME(max_points=MAX_POINTS), cache_dir=tmp_path
         )
-        assert store.counts("analyze")["stores"] == 1
+        first.run_one(spec)
+        assert first.stage_store.counts("analyze")["stores"] == 1
         fresh_analyzer = IncrementalCME(max_points=MAX_POINTS)
-        fresh_store = StageStore(cache_dir=tmp_path)
-        outcome = execute_cell(
-            CellRequest(
-                kernel=kernel,
-                machine=two_cluster(),
-                scheduler="rmca",
-                locality=fresh_analyzer,
-                stage_store=fresh_store,
-            )
-        )
-        assert outcome.report.stage("analyze").stats["store_hit"] is True
+        fresh = ExperimentGrid(locality=fresh_analyzer, cache_dir=tmp_path)
+        fresh.run_one(spec)
+        assert fresh.stage_store.counts("analyze")["hits"] == 1
         assert fresh_analyzer.traces.peek_address_trace(
             loop_fingerprint(kernel.loop), MAX_POINTS
         ) is not None
         assert fresh_analyzer.traces.address_builds == 0
-
-    def test_cli_no_stage_store_flag(self):
-        from repro.cli import _build_grid, build_parser
-
-        on = build_parser().parse_args(["run", "streaming"])
-        off = build_parser().parse_args(
-            ["run", "streaming", "--no-stage-store"]
-        )
-        grid_on = _build_grid(on, IncrementalCME(max_points=8))
-        grid_off = _build_grid(off, IncrementalCME(max_points=8))
-        assert grid_on.stage_store is not None
-        assert grid_off.stage_store is None

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CellRequest, execute_cell
+from repro.engine import schedule_kernel
 from repro.ir import LoopBuilder
 from repro.machine import four_cluster, heterogeneous, two_cluster, unified
 from repro.scheduler import BaselineScheduler
-from repro.simulator import LockstepSimulator
+from repro.simulator import LockstepSimulator, make_simulator
 from repro.steady import STEADY_MODES, IterationSteadyDetector
 from repro.workloads import GeneratorConfig, kernel_by_name, random_kernel
 from repro.workloads.suite import streaming_long_suite
@@ -284,34 +284,27 @@ class TestProofObligations:
             assert sim.steady_mode == mode
 
 
-class TestPipelineTelemetry:
-    def test_simulate_stage_reports_iteration_replay(self, sampling_cme):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=kernel_by_name("applu"),
-                machine=four_cluster(),
-                scheduler="baseline",
-                locality=sampling_cme,
-                steady="iteration",
-            )
+class TestSimulatorTelemetry:
+    @pytest.fixture
+    def applu_schedule(self, sampling_cme):
+        return schedule_kernel(
+            kernel_by_name("applu"), four_cluster(), "baseline", 1.0,
+            sampling_cme,
         )
-        stats = outcome.report.stage("simulate").stats
-        assert stats["steady_mode"] == "iteration"
-        assert stats["iterations_replayed"] > 0
-        assert stats["iteration_detections"] >= 1
-        assert stats["iteration_period"] >= 1
 
-    def test_simulate_stage_off_mode(self, sampling_cme):
-        outcome = execute_cell(
-            CellRequest(
-                kernel=kernel_by_name("applu"),
-                machine=four_cluster(),
-                scheduler="baseline",
-                locality=sampling_cme,
-                exact=True,
-            )
-        )
-        stats = outcome.report.stage("simulate").stats
-        assert stats["steady_mode"] == "off"
-        assert stats["iterations_replayed"] == 0
-        assert stats["iteration_period"] is None
+    def test_iteration_mode_reports_replay(self, applu_schedule):
+        simulator = make_simulator(applu_schedule, steady="iteration")
+        simulator.run()
+        report = simulator.steady_report
+        assert simulator.steady_mode == "iteration"
+        assert report.iterations_replayed > 0
+        assert len(report.iterations) >= 1
+        assert report.iteration_period >= 1
+
+    def test_exact_is_off_mode(self, applu_schedule):
+        simulator = make_simulator(applu_schedule, exact=True)
+        simulator.run()
+        report = simulator.steady_report
+        assert simulator.steady_mode == "off"
+        assert report.iterations_replayed == 0
+        assert report.iteration_period is None

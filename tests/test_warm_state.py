@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cme import IncrementalCME
-from repro.engine import CellRequest, execute_cell
+from repro.engine import schedule_kernel
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import ExperimentGrid
 from repro.harness.scenarios import run_scenario
@@ -32,6 +32,7 @@ from repro.simulator import (
     VectorizedSimulator,
     WarmRecord,
     WarmStateStore,
+    make_simulator,
 )
 from repro.workloads import spec_suite
 from repro.workloads.suite import streaming_long_suite
@@ -318,21 +319,26 @@ class TestWarmGridEndToEnd:
         assert not list((tmp_path / "warm").glob("*/*.pkl"))
         assert not outcome.grid.warm_store._memory
 
-    def test_simulate_stage_reports_warm_telemetry(self, analyzer):
+    def test_simulator_reports_warm_telemetry(self, analyzer):
         store = WarmStateStore()
-        request = CellRequest(
-            kernel=streaming_long_suite()[0],
-            machine=two_cluster(),
-            scheduler="rmca",
-            locality=analyzer,
-            warm_store=store,
+        schedule = schedule_kernel(
+            streaming_long_suite()[0], two_cluster(), "rmca", 1.0, analyzer
         )
-        first = execute_cell(request).report.stage("simulate").stats
-        assert first["sim_warm_hits"] == 0
-        assert first["sim_warm_stores"] == 1
-        second = execute_cell(request).report.stage("simulate").stats
-        assert second["sim_warm_hits"] == 1
-        assert second["sim_warm_stores"] == 0
+        first = make_simulator(schedule, warm_store=store)
+        first.run()
+        assert first.warm_stats == {"hits": 0, "stores": 1}
+        second = make_simulator(schedule, warm_store=store)
+        second.run()
+        assert second.warm_stats == {"hits": 1, "stores": 0}
+
+    def test_unwritable_warm_dir_still_completes(self, tmp_path):
+        (tmp_path / "warm").write_text("not a directory")
+        blocked = run_scenario("streaming", cache_dir=tmp_path)
+        assert blocked.grid.warm_store.stores > 0
+        plain = run_scenario("streaming", cache_dir=None)
+        assert self._canonical(blocked.results) == self._canonical(
+            plain.results
+        )
 
     def test_cli_no_warm_store_flag(self):
         from repro.cli import _build_grid, build_parser

@@ -11,7 +11,7 @@ once used (or could regress to) truthiness tests.
 import pytest
 
 from repro.cli import build_parser
-from repro.engine import CellRequest, execute_cell
+from repro.engine import schedule_kernel
 from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.harness.scenarios import MachineSpec
 from repro.harness.sweep import unified_reference
@@ -29,41 +29,28 @@ def kernel():
 class TestThresholdZero:
     def test_threshold_zero_reaches_schedule(self, kernel):
         """threshold=0.0 must flow to the scheduler as 0.0, end to end."""
-        outcome = execute_cell(
-            CellRequest(
-                kernel=kernel,
-                machine=two_cluster(),
-                scheduler="rmca",
-                threshold=0.0,
-            )
-        )
-        assert outcome.result.threshold == 0.0
-        assert outcome.result.schedule.threshold == 0.0
-        assert outcome.report.stage("schedule").stats["threshold"] == 0.0
+        spec = CellSpec.of(kernel, two_cluster(), "rmca", 0.0)
+        assert spec.threshold == 0.0
+        result = ExperimentGrid(cache=False).run_one(spec)
+        assert result.threshold == 0.0
+        assert result.schedule.threshold == 0.0
+        assert result.simulation.threshold == 0.0
 
     def test_threshold_zero_distinct_cell(self, kernel):
         """A 0.0 cell is a different experiment from the 1.0 default."""
         zero = CellSpec.of(kernel, two_cluster(), "rmca", 0.0)
         one = CellSpec.of(kernel, two_cluster(), "rmca", 1.0)
         assert zero != one
-        assert zero.cache_key("x") != one.cache_key("x")
+        grid = ExperimentGrid(cache=False)
+        grid.run([zero, one])
+        assert grid.stats.plan["schedule_unique"] == 2
 
     def test_threshold_zero_changes_prefetching(self, kernel):
         """At threshold 0.0 every load with any estimated miss ratio is
         binding-prefetched; at 1.0 none are — if 0.0 were swallowed by a
         truthiness test, the two schedules would collapse."""
-        zero = execute_cell(
-            CellRequest(
-                kernel=kernel, machine=two_cluster(),
-                scheduler="rmca", threshold=0.0,
-            )
-        ).result.schedule
-        one = execute_cell(
-            CellRequest(
-                kernel=kernel, machine=two_cluster(),
-                scheduler="rmca", threshold=1.0,
-            )
-        ).result.schedule
+        zero = schedule_kernel(kernel, two_cluster(), "rmca", 0.0)
+        one = schedule_kernel(kernel, two_cluster(), "rmca", 1.0)
         assert len(zero.prefetched_loads()) > len(one.prefetched_loads())
 
 
