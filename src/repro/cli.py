@@ -23,8 +23,10 @@ under ``--cache-dir`` (or ``$REPRO_GRID_CACHE``), and per-cell progress
 is reported on stderr (suppress with ``--no-progress``).  ``scenarios``
 lists the registry (``--json`` for the machine-readable listing the
 service also serves); ``run <scenario>`` executes one entry end-to-end
-(``--exact`` disables the simulator's steady-state memoization, ``--spec``
-prints the JSON spec instead of running).
+(``--steady`` picks the steady-state detectors, ``--spec`` prints the
+JSON spec instead of running).  Locality analysis always runs the
+incremental sampled CME engine and simulation the vectorized engine;
+their reference implementations are test oracles, not options.
 
 The service trio: ``serve`` runs the long-lived experiment service (one
 warm process owning the grid and its stores across jobs), ``submit``
@@ -40,7 +42,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .cme import SAMPLED_ENGINES
+from .cme import IncrementalCME
 from .engine import make_scheduler
 from .harness.charts import render_figure
 from .harness.grid import CellSpec, ExperimentGrid, ProgressCallback
@@ -64,7 +66,6 @@ from .service import (
     make_backend,
     run_server,
 )
-from .simulator import DEFAULT_SIM_ENGINE, SIM_ENGINES
 from .steady import STEADY_MODES
 from .workloads import SPEC_KERNELS, kernel_by_name, suite_stats
 
@@ -79,12 +80,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_cme_options(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--max-points", type=int, default=512)
-    cmd.add_argument(
-        "--cme", choices=sorted(SAMPLED_ENGINES), default="incremental",
-        help="sampled-CME engine (results are bit-identical; "
-             "'sampling' is the from-scratch reference)",
-    )
+    cmd.add_argument("--max-points", type=_positive_int, default=512)
 
 
 def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
@@ -99,11 +95,6 @@ def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
              "(ignore and write no disk layers)",
     )
     cmd.add_argument(
-        "--no-warm-store", action="store_true",
-        help="disable content-addressed warm-state reuse between "
-             "cells (results are bit-identical either way)",
-    )
-    cmd.add_argument(
         "--cache-dir", metavar="DIR",
         help="directory for the stores' disk layers "
              "(default: $REPRO_GRID_CACHE)",
@@ -114,8 +105,8 @@ def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_locality(args: argparse.Namespace):
-    return SAMPLED_ENGINES[args.cme](args.max_points)
+def _build_locality(args: argparse.Namespace) -> IncrementalCME:
+    return IncrementalCME(max_points=args.max_points)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,11 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="steady-state detector selection (results are "
                  "bit-identical across modes; default: auto)",
         )
-        cmd.add_argument(
-            "--sim", choices=sorted(SIM_ENGINES), default=DEFAULT_SIM_ENGINE,
-            help="simulate engine (results are bit-identical; 'scalar' "
-                 "is the per-instance reference walk)",
-        )
         if name == "figure5":
             cmd.add_argument(
                 "--latencies", type=int, nargs="+", default=[1, 2, 4]
@@ -195,19 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("scenario", help="scenario name (see `scenarios`)")
     _add_grid_options(run_cmd)
     run_cmd.add_argument(
-        "--exact", action="store_true",
-        help="disable the simulator's steady-state detection "
-             "(results are bit-identical either way)",
-    )
-    run_cmd.add_argument(
         "--steady", choices=STEADY_MODES,
         help="override the scenario's steady-state detector selection "
              "(off/entry/iteration/auto; results are bit-identical)",
-    )
-    run_cmd.add_argument(
-        "--sim", choices=sorted(SIM_ENGINES),
-        help="override the scenario's simulate engine (results are "
-             "bit-identical; 'scalar' is the reference walk)",
     )
     run_cmd.add_argument(
         "--spec", action="store_true",
@@ -241,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend-dir", metavar="DIR",
         help="job-record directory (required with --backend disk)",
     )
-    serve_cmd.add_argument(
-        "--exact", action="store_true",
-        help="run every cell with steady-state detection disabled "
-             "(results are bit-identical either way)",
-    )
 
     submit_cmd = sub.add_parser(
         "submit",
@@ -261,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_cmd.add_argument(
         "--steady", choices=STEADY_MODES,
         help="override the scenario's steady-state detector selection",
-    )
-    submit_cmd.add_argument(
-        "--sim", choices=sorted(SIM_ENGINES),
-        help="override the scenario's simulate engine",
     )
     submit_cmd.add_argument(
         "--timeout", type=float, default=600.0, metavar="SECONDS",
@@ -293,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     export_cmd.add_argument(
         "--steady", choices=STEADY_MODES,
         help="override the scenario's steady-state detector selection",
-    )
-    export_cmd.add_argument(
-        "--sim", choices=sorted(SIM_ENGINES),
-        help="override the scenario's simulate engine",
     )
     return parser
 
@@ -390,16 +353,13 @@ def _progress_printer(stream) -> "ProgressCallback":
 
 def _build_grid(args: argparse.Namespace, locality) -> ExperimentGrid:
     """The grid shared by the figure and scenario commands: one place
-    maps the :func:`_add_grid_options` flags (and, where offered,
-    --exact) onto the engine."""
+    maps the :func:`_add_grid_options` flags onto the engine."""
     return ExperimentGrid(
         locality=locality,
         n_jobs=args.jobs,
         cache=not args.no_cache,
         cache_dir=args.cache_dir,
         progress=None if args.no_progress else _progress_printer(sys.stderr),
-        exact=getattr(args, "exact", False),
-        warm=not args.no_warm_store,
     )
 
 
@@ -430,7 +390,6 @@ def _cmd_figure(args: argparse.Namespace, which: str) -> int:
             kernels=kernels,
             grid=grid,
             steady=args.steady,
-            sim=args.sim,
         )
     else:
         figure = figure6(
@@ -441,7 +400,6 @@ def _cmd_figure(args: argparse.Namespace, which: str) -> int:
             kernels=kernels,
             grid=grid,
             steady=args.steady,
-            sim=args.sim,
         )
     if not args.no_progress:
         _grid_stats_line(grid, sys.stderr)
@@ -455,13 +413,11 @@ def _grid_stats_line(grid: ExperimentGrid, stream) -> None:
         f"{stage}={seconds:.2f}s"
         for stage, seconds in stats.stage_seconds.items()
     )
-    warm = ""
-    if grid.warm_store is not None:
-        store = grid.warm_store
-        warm = (
-            f"\nwarm state: {store.hits} hits, {store.misses} misses, "
-            f"{store.stores} stored"
-        )
+    store = grid.warm_store
+    warm = (
+        f"\nwarm state: {store.hits} hits, {store.misses} misses, "
+        f"{store.stores} stored"
+    )
     telemetry = grid.stage_store.telemetry()
     stage = "\nstage store: " + ", ".join(
         f"{name} {counts['hits']}/{counts['hits'] + counts['misses']} reused"
@@ -515,9 +471,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(scenario.to_json())
         return 0
     grid = _build_grid(args, scenario.locality.build())
-    outcome = run_scenario(
-        scenario, grid=grid, steady=args.steady, sim=args.sim
-    )
+    outcome = run_scenario(scenario, grid=grid, steady=args.steady)
     if not args.no_progress:
         _grid_stats_line(grid, sys.stderr)
     if outcome.figure is not None:
@@ -554,7 +508,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         backend=make_backend(args.backend, args.backend_dir),
         n_jobs=args.jobs,
-        exact=args.exact,
     )
     run_server(host=args.host, port=args.port, manager=manager)
     return 0
@@ -563,9 +516,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     client = ServiceClient(args.url, timeout=args.timeout)
     try:
-        job = client.submit(
-            scenario=args.scenario, steady=args.steady, sim=args.sim
-        )
+        job = client.submit(scenario=args.scenario, steady=args.steady)
         job_id = job["id"]
         print(f"job {job_id} submitted to {client.url}", file=sys.stderr)
         for event in client.events(job_id):
@@ -606,9 +557,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.scenario)
     grid = _build_grid(args, scenario.locality.build())
-    outcome = run_scenario(
-        scenario, grid=grid, steady=args.steady, sim=args.sim
-    )
+    outcome = run_scenario(scenario, grid=grid, steady=args.steady)
     if not args.no_progress:
         _grid_stats_line(grid, sys.stderr)
     out = args.out if args.out else f"{scenario.name}.{args.format}"

@@ -3,12 +3,7 @@
 from .analytic import AnalyticCME
 from .equations import EquationCME, MissBreakdown
 from .incremental import IncrementalCME
-from .locality import (
-    SAMPLED_ENGINES,
-    LocalityAnalyzer,
-    default_analyzer,
-    locality_fingerprint,
-)
+from .locality import LocalityAnalyzer, default_analyzer, locality_fingerprint
 from .reuse import (
     ReuseInfo,
     analyze_reuse,
@@ -28,7 +23,6 @@ __all__ = [
     "MissBreakdown",
     "MissEstimate",
     "ReuseInfo",
-    "SAMPLED_ENGINES",
     "SamplingCME",
     "TraceStore",
     "analyze_reuse",

@@ -25,24 +25,13 @@ from typing import Protocol, Sequence, runtime_checkable
 from ..ir.loop import Loop
 from ..ir.operations import Operation
 from ..machine.config import CacheConfig
-from .analytic import AnalyticCME
 from .incremental import IncrementalCME
-from .sampling import SamplingCME
 
 __all__ = [
     "LocalityAnalyzer",
-    "SAMPLED_ENGINES",
     "default_analyzer",
     "locality_fingerprint",
 ]
-
-#: The two implementations of the sampled estimator, by engine name —
-#: the single registry the CLI and the benchmarks select from.  Both are
-#: bit-identical and share the ``"sampling"`` fingerprint.
-SAMPLED_ENGINES = {
-    "incremental": lambda points: IncrementalCME(max_points=points),
-    "sampling": lambda points: SamplingCME(max_points=points),
-}
 
 
 @runtime_checkable

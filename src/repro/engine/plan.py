@@ -9,8 +9,8 @@ families:
   configuration,
 * one **schedule** task per kernel × machine × scheduler × threshold ×
   analyzer,
-* one **simulate** task per ``Schedule.fingerprint()`` × engine ×
-  steady mode × iteration overrides,
+* one **simulate** task per ``Schedule.fingerprint()`` × steady mode ×
+  iteration overrides,
 
 plus one :class:`AssemblyNode` per cell that relabels the shared
 products into that cell's :class:`~repro.engine.result.RunResult`.
@@ -20,9 +20,9 @@ The planner owns the whole store protocol — lookups at plan and
 assembly time, :meth:`ExecutionPlanner.record` for every executed
 product — while the task helpers (:func:`run_analyze_task`,
 :func:`run_schedule_task`, :func:`run_simulate_batch`) compute products
-with the pure stage functions of :mod:`repro.engine.stages`.  An
-``exact`` planner runs every simulation with the steady-state detectors
-off and keeps simulations out of the store (no reads, no writes).
+with the pure stage functions of :mod:`repro.engine.stages`.  Every
+simulation runs on :class:`~repro.simulator.VectorizedSimulator` under
+the steady mode its cell names.
 
 Unique simulate tasks of the same kernel and iteration geometry are
 grouped into :class:`SimulateBatch`\\ es, the process pool's unit of
@@ -43,9 +43,8 @@ from ..cme.trace import loop_fingerprint
 from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
 from ..scheduler.result import Schedule
-from ..simulator import WarmStateStore, make_simulator
+from ..simulator import VectorizedSimulator, WarmStateStore
 from ..simulator.stats import SimulationResult
-from ..simulator.vectorized import VectorizedSimulator
 from ..steady import resolve_steady_mode
 from .result import RunResult
 from .stages import analyze_loop, schedule_kernel
@@ -125,13 +124,12 @@ class SimulateBatch:
     """Unique simulate tasks sharing a kernel and geometry.
 
     Members simulate different schedules of the same kernel under the
-    same engine and iteration overrides; a batch is the process pool's
-    unit of work, and its members run one after another.
+    same iteration overrides; a batch is the process pool's unit of
+    work, and its members run one after another.
     """
 
     batch_id: str
     kernel_fp: str
-    sim: str
     n_iterations: Optional[int]
     n_times: Optional[int]
     tasks: List[PlanTask] = field(default_factory=list)
@@ -144,7 +142,6 @@ class SimulateBatch:
         return {
             "batch_id": self.batch_id,
             "kernel_fp": self.kernel_fp,
-            "sim": self.sim,
             "n_iterations": self.n_iterations,
             "n_times": self.n_times,
             "tasks": [task.to_dict() for task in self.tasks],
@@ -194,20 +191,12 @@ class ExecutionPlanner:
     *materialized* schedules (``Schedule.fingerprint()``): :meth:`plan`
     dedups analyze and schedule work up front, and once every schedule
     exists — from store hits or executed tasks — :meth:`plan_simulate`
-    dedups and batches the simulate work.  ``exact=True`` turns the
-    steady-state detectors off for every simulation and keeps the
-    simulate store out of the run.
+    dedups and batches the simulate work.
     """
 
-    def __init__(
-        self,
-        locality: LocalityAnalyzer,
-        store: StageStore,
-        exact: bool = False,
-    ) -> None:
+    def __init__(self, locality: LocalityAnalyzer, store: StageStore) -> None:
         self.locality = locality
         self.store = store
-        self.exact = exact
         self.locality_fp = locality_fingerprint(locality)
 
     # -- pass 1: analyze + schedule ------------------------------------
@@ -312,10 +301,9 @@ class ExecutionPlanner:
         """Dedup and batch simulate work once every schedule exists.
 
         Keys come from the materialized schedules' fingerprints; one
-        counted lookup per unique key (none for an exact planner),
-        misses become tasks.  Unique tasks sharing ``(kernel_fp, sim,
-        n_iterations, n_times)`` are grouped into
-        :class:`SimulateBatch`\\ es in first-seen order.
+        counted lookup per unique key, misses become tasks.  Unique
+        tasks sharing ``(kernel_fp, n_iterations, n_times)`` are grouped
+        into :class:`SimulateBatch`\\ es in first-seen order.
         """
         counters = plan.counters
         simulate_owner: Dict[str, None] = {}
@@ -323,10 +311,9 @@ class ExecutionPlanner:
         for node in plan.assembly:
             spec = node.spec
             schedule = plan.schedules[node.schedule_key]
-            steady = resolve_steady_mode(spec.steady, self.exact)
+            steady = resolve_steady_mode(spec.steady)
             key = StageStore.simulate_key(
                 schedule_fp=schedule.fingerprint(),
-                sim=spec.sim,
                 steady=steady,
                 n_iterations=spec.n_iterations,
                 n_times=spec.n_times,
@@ -336,7 +323,7 @@ class ExecutionPlanner:
                 continue
             simulate_owner[key] = None
             node.simulate_owner = True
-            hit = None if self.exact else self.store.lookup("simulate", key)
+            hit = self.store.lookup("simulate", key)
             if hit is not None:
                 plan.simulations[key] = hit
                 continue
@@ -346,7 +333,6 @@ class ExecutionPlanner:
                 key=key,
                 payload={
                     "schedule_key": node.schedule_key,
-                    "sim": spec.sim,
                     "steady": steady,
                     "n_iterations": spec.n_iterations,
                     "n_times": spec.n_times,
@@ -355,15 +341,12 @@ class ExecutionPlanner:
             )
             plan.simulate_tasks.append(task)
             node.deps = node.deps + [task.task_id]
-            group = (
-                spec.kernel_fp, spec.sim, spec.n_iterations, spec.n_times
-            )
+            group = (spec.kernel_fp, spec.n_iterations, spec.n_times)
             batch = batch_by_group.get(group)
             if batch is None:
                 batch = SimulateBatch(
                     batch_id=f"batch:{len(plan.batches)}",
                     kernel_fp=spec.kernel_fp,
-                    sim=spec.sim,
                     n_iterations=spec.n_iterations,
                     n_times=spec.n_times,
                 )
@@ -380,24 +363,22 @@ class ExecutionPlanner:
     # -- execution results -------------------------------------------
     def record(self, plan: StagePlan, task: PlanTask, product: object) -> None:
         """Keep one executed schedule/simulate task's product: in the
-        plan for assembly, and in the store (an exact planner keeps its
-        simulations out of it)."""
+        plan for assembly, and in the store."""
         products = (
             plan.schedules if task.stage == "schedule" else plan.simulations
         )
         products[task.key] = product
-        if not (self.exact and task.stage == "simulate"):
-            self.store.store(task.stage, task.key, product)
+        self.store.store(task.stage, task.key, product)
 
     # -- assembly ------------------------------------------------------
     def assemble(self, node: AssemblyNode, plan: StagePlan) -> RunResult:
         """Relabel this cell's shared products into its ``RunResult``.
 
         Owners read the product straight from the plan; duplicate cells
-        do a counted store lookup (simulations of an exact plan come
-        from the plan).  The simulation is always relabeled with the
-        cell's own kernel/machine/scheduler/threshold (a shared simulate
-        product may have been produced under a different label set).
+        do a counted store lookup.  The simulation is always relabeled
+        with the cell's own kernel/machine/scheduler/threshold (a shared
+        simulate product may have been produced under a different label
+        set).
         """
         spec = node.spec
         schedule = (
@@ -407,7 +388,7 @@ class ExecutionPlanner:
         )
         simulation = (
             plan.simulations[node.simulate_key]
-            if node.simulate_owner or self.exact
+            if node.simulate_owner
             else self._adopt("simulate", node.simulate_key)
         )
         simulation = replace(
@@ -483,7 +464,7 @@ def run_schedule_task(
 def run_simulate_batch(
     batch: SimulateBatch,
     schedules: Mapping[str, Schedule],
-    warm_store: Optional[WarmStateStore] = None,
+    warm_store: WarmStateStore,
 ) -> List[SimulationResult]:
     """Produce one batch's simulations, member after member.
 
@@ -492,12 +473,11 @@ def run_simulate_batch(
     with ``batch.tasks`` by index.
     """
     return VectorizedSimulator.run_batch(
-        make_simulator(
+        VectorizedSimulator(
             schedules[task.payload["schedule_key"]],
             n_iterations=task.payload["n_iterations"],
             n_times=task.payload["n_times"],
             steady=task.payload["steady"],
-            sim=task.payload["sim"],
             warm_store=warm_store,
         )
         for task in batch.tasks

@@ -6,7 +6,7 @@ stage      inputs                              product
 analyze    loop, analyzer                      the loop's address trace
 schedule   kernel, machine, scheduler,         the modulo ``Schedule``
            threshold, analyzer
-simulate   schedule, engine, steady mode,      the ``SimulationResult``
+simulate   schedule, steady mode,              the ``SimulationResult``
            iteration overrides
 =========  ==================================  ======================
 
@@ -15,9 +15,9 @@ no store lookups, no telemetry, no cell bookkeeping.  Deciding which
 products to compute, reusing stored ones and assembling cell results is
 the :class:`~repro.engine.plan.ExecutionPlanner`'s job, and the grid
 executes nothing but its plans.  The simulate stage is
-:func:`repro.simulator.simulate` (or
-:func:`~repro.simulator.make_simulator`, when the caller also wants the
-engine's telemetry).
+:func:`repro.simulator.simulate` (or a
+:class:`~repro.simulator.VectorizedSimulator` built directly, when the
+caller also wants the engine's telemetry).
 """
 
 from __future__ import annotations

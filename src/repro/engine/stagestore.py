@@ -8,16 +8,15 @@ cell itself:
   scheduler, threshold and scenario probing the same kernel re-walks the
   same iteration space;
 * the **schedule** product depends on kernel × machine × scheduler ×
-  threshold × analyzer, but *not* on the steady mode, simulate engine or
-  iteration overrides — the four groups of ``fig6-steady-ablation``
-  compute the same schedules four times;
+  threshold × analyzer, but *not* on the steady mode or iteration
+  overrides — the four groups of ``fig6-steady-ablation`` compute the
+  same schedules four times;
 * the **simulate** product depends only on the schedule *content*
   (``Schedule.fingerprint()`` — scheduler name and threshold
   deliberately excluded, the same key family the warm-state store uses)
-  × simulate engine × steady mode × iteration overrides — a fig6 column
-  sweeps thresholds that frequently collapse to byte-identical
-  schedules, and every duplicate re-simulates a result some other cell
-  already measured.
+  × steady mode × iteration overrides — a fig6 column sweeps thresholds
+  that frequently collapse to byte-identical schedules, and every
+  duplicate re-simulates a result some other cell already measured.
 
 :class:`StageStore` content-addresses all three products, following the
 established :class:`~repro.cme.trace.TraceStore` /
@@ -63,7 +62,7 @@ __all__ = [
 
 #: Bump when a key schema or value layout changes: older disk entries
 #: are then treated as misses and rewritten.
-STAGE_STORE_VERSION = 1
+STAGE_STORE_VERSION = 2
 
 #: The stages with a content-addressed result store, in pipeline order.
 STAGE_STORE_STAGES = ("analyze", "schedule", "simulate")
@@ -163,10 +162,10 @@ class StageStore:
     ) -> str:
         """Address of one scheduling run's product.
 
-        Deliberately *excludes* the steady mode, simulate engine and
-        iteration overrides a cell spec carries: the schedule does not
-        depend on how it will be simulated, so cells differing only in
-        simulation strategy share one entry.
+        Deliberately *excludes* the steady mode and iteration overrides
+        a cell spec carries: the schedule does not depend on how it will
+        be simulated, so cells differing only in simulation strategy
+        share one entry.
         """
         return "|".join(
             [
@@ -184,7 +183,6 @@ class StageStore:
     @staticmethod
     def simulate_key(
         schedule_fp: str,
-        sim: str,
         steady: str,
         n_iterations: Optional[int],
         n_times: Optional[int],
@@ -201,7 +199,6 @@ class StageStore:
                 f"s{STAGE_STORE_VERSION}",
                 "simulate",
                 schedule_fp,
-                sim,
                 steady,
                 repr(n_iterations),
                 repr(n_times),

@@ -18,8 +18,11 @@ that observation into infrastructure:
   ``n_jobs``), and every cell's result is assembled from the shared
   products, **in submission order** regardless of completion order.
 
-The store outlives the call — in memory always, on disk under
-``cache_dir/stages`` when ``cache_dir`` is set or ``REPRO_GRID_CACHE``
+Every simulation runs on :class:`~repro.simulator.VectorizedSimulator`
+under the steady mode its cell names, with the grid's
+:class:`~repro.simulator.WarmStateStore` attached.  The stores outlive
+the call — in memory always, on disk under ``cache_dir/stages`` (and
+``cache_dir/warm``) when ``cache_dir`` is set or ``REPRO_GRID_CACHE``
 is exported — so two sweeps sharing cells (``figure5`` and ``figure6``
 both normalize against the Unified reference) never recompute them.
 Entries are invalidated implicitly: the store keys cover the kernel
@@ -67,7 +70,7 @@ from ..engine.stagestore import StageStore, kernel_fingerprint, machine_key
 from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
 from ..scheduler.result import Schedule
-from ..simulator import DEFAULT_SIM_ENGINE, WarmStateStore, validate_sim_engine
+from ..simulator import WarmStateStore
 from ..steady import validate_steady_mode
 from ..workloads.suite import SPEC_KERNELS, kernel_by_name
 
@@ -125,13 +128,9 @@ class CellSpec:
     #: comparisons — e.g. the fig6-steady-ablation scenario — never
     #: serve one mode's timing run from another mode's product).
     steady: str = "auto"
-    #: Simulate engine (results are bit-identical across engines; keyed
-    #: for the same reason as ``steady``).
-    sim: str = DEFAULT_SIM_ENGINE
 
     def __post_init__(self) -> None:
         validate_steady_mode(self.steady)
-        validate_sim_engine(self.sim)
 
     @classmethod
     def of(
@@ -143,7 +142,6 @@ class CellSpec:
         n_iterations: Optional[int] = None,
         n_times: Optional[int] = None,
         steady: str = "auto",
-        sim: str = DEFAULT_SIM_ENGINE,
     ) -> "CellSpec":
         if isinstance(kernel, str):
             kernel = kernel_by_name(kernel)
@@ -156,7 +154,6 @@ class CellSpec:
             n_iterations=n_iterations,
             n_times=n_times,
             steady=steady,
-            sim=sim,
         )
 
     @property
@@ -177,7 +174,6 @@ class CellSpec:
                 "n_iterations": self.n_iterations,
                 "n_times": self.n_times,
                 "steady": self.steady,
-                "sim": self.sim,
             },
             sort_keys=True,
         )
@@ -196,7 +192,6 @@ class CellSpec:
             n_iterations=data["n_iterations"],
             n_times=data["n_times"],
             steady=data.get("steady", "auto"),
-            sim=data.get("sim", DEFAULT_SIM_ENGINE),
         )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -258,7 +253,7 @@ _WORKER_WARM: Optional[WarmStateStore] = None
 
 
 def _init_worker(
-    locality: LocalityAnalyzer, warm_store: Optional[WarmStateStore] = None
+    locality: LocalityAnalyzer, warm_store: WarmStateStore
 ) -> None:
     global _WORKER_LOCALITY, _WORKER_WARM
     _WORKER_LOCALITY = locality
@@ -312,19 +307,12 @@ class ExperimentGrid:
     progress:
         ``callback(done, total, spec, source)`` invoked once per
         requested cell with ``source`` in ``{"computed", "dedup"}``.
-    exact:
-        ``True`` simulates every cell with the steady-state detectors
-        off and keeps simulations out of the stage store (no reads, no
-        writes).  Results are bit-identical either way; the flag exists
-        for benchmarking and paranoia runs.
-    warm:
-        ``True`` (default) shares detector-confirmed post-warm-up memory
-        state between cells whose schedules land byte-identical (a
-        :class:`~repro.simulator.WarmStateStore` keyed by
-        ``Schedule.fingerprint()`` × geometry × steady mode).  ``False``
-        disables warm-state reuse entirely.  Results are bit-identical
-        either way: adoption re-proves replay soundness against the
-        consuming run's own address tables.
+
+    ``warm_store`` shares detector-confirmed post-warm-up memory state
+    between simulations whose schedules land byte-identical (keyed by
+    ``Schedule.fingerprint()`` × geometry × steady mode).  Adoption
+    re-proves replay soundness against the consuming run's own address
+    tables, so a hit and a miss give bit-identical results.
     """
 
     def __init__(
@@ -335,8 +323,6 @@ class ExperimentGrid:
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         kernels: Optional[Mapping[str, Kernel]] = None,
         progress: Optional[ProgressCallback] = None,
-        exact: bool = False,
-        warm: bool = True,
     ):
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
@@ -344,7 +330,6 @@ class ExperimentGrid:
             locality if locality is not None else default_analyzer()
         )
         self.n_jobs = n_jobs
-        self.exact = exact
         if cache_dir is None:
             env_dir = os.environ.get(CACHE_ENV_VAR)
             cache_dir = pathlib.Path(env_dir) if env_dir else None
@@ -357,10 +342,8 @@ class ExperimentGrid:
         self._lock = threading.RLock()
         self._kernels: Dict[str, Kernel] = dict(kernels or {})
         disk = self.cache_dir if cache else None
-        self.warm_store: Optional[WarmStateStore] = (
-            WarmStateStore(cache_dir=disk / "warm" if disk else None)
-            if warm
-            else None
+        self.warm_store = WarmStateStore(
+            cache_dir=disk / "warm" if disk else None
         )
         self.stage_store = StageStore(
             cache_dir=disk / "stages" if disk else None
@@ -398,9 +381,8 @@ class ExperimentGrid:
     def clear_cache(self) -> None:
         """Drop every stored product: the stage and warm-state stores,
         memory and disk layers alike."""
-        if self.warm_store is not None:
-            self.warm_store.clear_memory()
-            self.warm_store.clear_disk()
+        self.warm_store.clear_memory()
+        self.warm_store.clear_disk()
         self.stage_store.clear()
 
     # ------------------------------------------------------------------
@@ -454,7 +436,7 @@ class ExperimentGrid:
         counters do not depend on completion order.
         """
         kernels = {spec.kernel: self._resolve_kernel(spec) for spec in specs}
-        planner = ExecutionPlanner(self.locality, self.stage_store, self.exact)
+        planner = ExecutionPlanner(self.locality, self.stage_store)
         plan = planner.plan(specs, kernels)
         pool: Optional[ProcessPoolExecutor] = None
 

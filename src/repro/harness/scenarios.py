@@ -39,7 +39,6 @@ from ..engine.stages import SCHEDULER_NAMES
 from ..ir.builder import Kernel
 from ..machine.config import BusConfig, MachineConfig
 from ..machine.presets import ALL_PRESETS, preset
-from ..simulator import DEFAULT_SIM_ENGINE, validate_sim_engine
 from ..steady import STEADY_MODES, validate_steady_mode
 from ..workloads.dsp import DSP_KERNELS, dsp_suite
 from ..workloads.suite import (
@@ -161,6 +160,14 @@ def _typed_list(
     return list(value)
 
 
+def _check_count(value: Optional[int], key: str, context: str) -> None:
+    """Reject a count below 1 (``None`` means "use the default")."""
+    if value is not None and value < 1:
+        raise ValueError(
+            f"key {key!r} in {context} must be >= 1, got {value}"
+        )
+
+
 def _bus_from_json(data, key: str = "bus", context: str = "machine spec"):
     if data is None:
         return None
@@ -258,6 +265,7 @@ class LocalitySpec:
                 f"unknown locality kind {self.kind!r}; "
                 f"choose from {sorted(self._BUILDERS)}"
             )
+        _check_count(self.max_points, "max_points", "locality spec")
 
     def build(self) -> LocalityAnalyzer:
         return self._BUILDERS[self.kind](self.max_points)
@@ -359,15 +367,14 @@ class ScenarioSpec:
     #: Scenario-wide steady-state detector selection; groups may
     #: override it per bar (see :class:`GroupSpec`).
     steady: str = "auto"
-    #: Simulate-engine selection (results are bit-identical across
-    #: engines; see :data:`repro.simulator.SIM_ENGINES`).
-    sim: str = DEFAULT_SIM_ENGINE
     figure: Optional[str] = None
     figure_args: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         validate_steady_mode(self.steady)
-        validate_sim_engine(self.sim)
+        context = f"scenario spec {self.name!r}"
+        for key in ("n_iterations", "n_times"):
+            _check_count(getattr(self, key), key, context)
         if self.suite not in _SUITES:
             raise KeyError(
                 f"unknown suite {self.suite!r}; choose from {sorted(_SUITES)}"
@@ -427,7 +434,6 @@ class ScenarioSpec:
                 steady=(
                     group.steady if group.steady is not None else self.steady
                 ),
-                sim=self.sim,
             )
             for group in self.groups
             for threshold in self.thresholds
@@ -457,7 +463,6 @@ class ScenarioSpec:
             "n_iterations": self.n_iterations,
             "n_times": self.n_times,
             "steady": self.steady,
-            "sim": self.sim,
             "figure": self.figure,
             "figure_args": {key: value for key, value in self.figure_args},
         }
@@ -474,7 +479,6 @@ class ScenarioSpec:
             "n_iterations",
             "n_times",
             "steady",
-            "sim",
             "figure",
             "figure_args",
         }
@@ -541,10 +545,6 @@ class ScenarioSpec:
             n_times=_typed(data, "n_times", int, "an integer", context),
             steady=_typed(
                 data, "steady", str, "a steady mode", context, default="auto"
-            ),
-            sim=_typed(
-                data, "sim", str, "a simulate engine", context,
-                default=DEFAULT_SIM_ENGINE,
             ),
             figure=_typed(data, "figure", str, "a figure name", context),
             figure_args=tuple(
@@ -676,10 +676,7 @@ def run_scenario(
     cache: bool = True,
     cache_dir=None,
     progress: Optional[ProgressCallback] = None,
-    exact: bool = False,
     steady: Optional[str] = None,
-    sim: Optional[str] = None,
-    warm: bool = True,
 ) -> ScenarioOutcome:
     """Execute a scenario (by spec or registry name) on a grid.
 
@@ -688,17 +685,12 @@ def run_scenario(
     its stores — otherwise a grid is built from the scenario's
     :class:`LocalitySpec`.  ``steady`` overrides the scenario's
     scenario-wide detector selection (groups with their own explicit
-    ``steady`` keep it — they exist precisely to pin a mode); ``sim``
-    overrides the simulate-engine selection the same way.  ``warm``
-    controls content-addressed warm-state reuse on the grid this call
-    builds (ignored for an explicit ``grid``, which owns its stores).
+    ``steady`` keep it — they exist precisely to pin a mode).
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     if steady is not None:
         scenario = replace(scenario, steady=validate_steady_mode(steady))
-    if sim is not None:
-        scenario = replace(scenario, sim=validate_sim_engine(sim))
     if grid is None:
         grid = ExperimentGrid(
             locality=scenario.locality.build(),
@@ -706,8 +698,6 @@ def run_scenario(
             cache=cache,
             cache_dir=cache_dir,
             progress=progress,
-            exact=exact,
-            warm=warm,
         )
     else:
         wanted = locality_fingerprint(scenario.locality.build())
@@ -723,9 +713,7 @@ def run_scenario(
         kwargs = {key: value for key, value in scenario.figure_args}
         if scenario.kernels is not None:
             kwargs["kernels"] = scenario.build_kernels()
-        figure = figure_fn(
-            grid=grid, steady=scenario.steady, sim=scenario.sim, **kwargs
-        )
+        figure = figure_fn(grid=grid, steady=scenario.steady, **kwargs)
         return ScenarioOutcome(scenario=scenario, grid=grid, figure=figure)
     kernels = scenario.build_kernels()
     grid.register(kernels)

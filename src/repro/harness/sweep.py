@@ -33,7 +33,6 @@ from ..cme.locality import LocalityAnalyzer
 from ..ir.builder import Kernel
 from ..machine.config import BusConfig, MachineConfig
 from ..machine.presets import four_cluster, two_cluster, unified
-from ..simulator import DEFAULT_SIM_ENGINE
 from ..workloads.suite import spec_suite
 from .grid import (
     CellSpec,
@@ -181,7 +180,6 @@ def unified_reference(
     memory_bus: Optional[BusConfig] = None,
     grid: Optional[ExperimentGrid] = None,
     steady: str = "auto",
-    sim: str = DEFAULT_SIM_ENGINE,
 ) -> Dict[str, int]:
     """Per-kernel total cycles on Unified at threshold 1.00.
 
@@ -196,7 +194,7 @@ def unified_reference(
         memory_bus=_REFERENCE_BUS if memory_bus is None else memory_bus
     )
     specs = [
-        CellSpec.of(kernel, machine, "baseline", 1.0, steady=steady, sim=sim)
+        CellSpec.of(kernel, machine, "baseline", 1.0, steady=steady)
         for kernel in kernels
     ]
     results = grid.run(specs)
@@ -216,13 +214,12 @@ def suite_bar(
     reference: Dict[str, int],
     grid: Optional[ExperimentGrid] = None,
     steady: str = "auto",
-    sim: str = DEFAULT_SIM_ENGINE,
 ) -> Tuple[Bar, List[Dict[str, object]]]:
     """Run one bar's cells (through the grid) and average them."""
     grid = _resolve_grid(locality, grid)
     grid.register(kernels)
     specs = [
-        CellSpec.of(kernel, machine, scheduler, threshold, steady=steady, sim=sim)
+        CellSpec.of(kernel, machine, scheduler, threshold, steady=steady)
         for kernel in kernels
     ]
     results = grid.run(specs)
@@ -239,7 +236,6 @@ def _assemble_figure(
     groups: Sequence[Tuple[str, MachineConfig, str]],
     grid: ExperimentGrid,
     steady: str = "auto",
-    sim: str = DEFAULT_SIM_ENGINE,
 ) -> FigureData:
     """Enumerate every cell of a figure, run them in one grid wave.
 
@@ -251,9 +247,7 @@ def _assemble_figure(
     grid.register(kernels)
     reference_machine = unified(memory_bus=_REFERENCE_BUS)
     specs: List[CellSpec] = [
-        CellSpec.of(
-            kernel, reference_machine, "baseline", 1.0, steady=steady, sim=sim
-        )
+        CellSpec.of(kernel, reference_machine, "baseline", 1.0, steady=steady)
         for kernel in kernels
     ]
     bar_plan: List[Tuple[str, str, float, int]] = []
@@ -263,9 +257,7 @@ def _assemble_figure(
     ) -> None:
         bar_plan.append((group, scheduler, threshold, len(specs)))
         specs.extend(
-            CellSpec.of(
-                kernel, machine, scheduler, threshold, steady=steady, sim=sim
-            )
+            CellSpec.of(kernel, machine, scheduler, threshold, steady=steady)
             for kernel in kernels
         )
 
@@ -306,7 +298,6 @@ def figure5(
     n_jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
     steady: str = "auto",
-    sim: str = DEFAULT_SIM_ENGINE,
 ) -> FigureData:
     """Figure 5: unbounded buses, LRB × LMB latency sweep.
 
@@ -339,7 +330,6 @@ def figure5(
         groups=groups,
         grid=grid,
         steady=steady,
-        sim=sim,
     )
 
 
@@ -354,7 +344,6 @@ def figure6(
     n_jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
     steady: str = "auto",
-    sim: str = DEFAULT_SIM_ENGINE,
 ) -> FigureData:
     """Figure 6: realistic buses — 2 register buses @ 1 cycle, NMB × LMB.
 
@@ -387,5 +376,4 @@ def figure6(
         groups=groups,
         grid=grid,
         steady=steady,
-        sim=sim,
     )

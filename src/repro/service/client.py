@@ -88,7 +88,6 @@ class ServiceClient:
         scenario: Optional[str] = None,
         spec: Optional[Dict[str, object]] = None,
         steady: Optional[str] = None,
-        sim: Optional[str] = None,
     ) -> Dict[str, object]:
         """Submit one job; returns the job summary (with its ``id``)."""
         payload: Dict[str, object] = {}
@@ -98,8 +97,6 @@ class ServiceClient:
             payload["spec"] = spec
         if steady is not None:
             payload["steady"] = steady
-        if sim is not None:
-            payload["sim"] = sim
         return self._post_json("/jobs", payload)
 
     def jobs(self) -> List[Dict[str, object]]:

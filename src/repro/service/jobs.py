@@ -47,7 +47,6 @@ from ..harness.scenarios import (
     run_scenario,
     scenario_names,
 )
-from ..simulator import validate_sim_engine
 from ..steady import validate_steady_mode
 from .backend import MemoryBackend, ResultBackend
 from .export import outcome_records
@@ -202,8 +201,14 @@ def _result_payload(outcome: ScenarioOutcome) -> Dict[str, object]:
     }
 
 
+def _warm_counts(grid: ExperimentGrid) -> Dict[str, int]:
+    """The grid's warm-state store counters."""
+    store = grid.warm_store
+    return {"hits": store.hits, "misses": store.misses, "stores": store.stores}
+
+
 #: The keys ``POST /jobs`` accepts.
-_SUBMIT_KEYS = frozenset({"scenario", "spec", "steady", "sim"})
+_SUBMIT_KEYS = frozenset({"scenario", "spec", "steady"})
 
 
 class JobManager:
@@ -214,12 +219,10 @@ class JobManager:
         cache_dir: Optional[os.PathLike] = None,
         backend: Optional[ResultBackend] = None,
         n_jobs: int = 1,
-        exact: bool = False,
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.backend = backend if backend is not None else MemoryBackend()
         self.n_jobs = n_jobs
-        self.exact = exact
         self.started = time.time()
         # Grids keyed by locality fingerprint: a grid's store keys embed
         # the analyzer configuration, so scenarios declaring different
@@ -276,23 +279,18 @@ class JobManager:
         else:
             spec = ScenarioSpec.from_dict(inline)
         overrides: Dict[str, object] = {}
-        for key, validate in (
-            ("steady", validate_steady_mode),
-            ("sim", validate_sim_engine),
-        ):
-            value = payload.get(key)
-            if value is None:
-                continue
-            if not isinstance(value, str):
+        steady = payload.get("steady")
+        if steady is not None:
+            if not isinstance(steady, str):
                 raise ValueError(
-                    f"key {key!r} in job submission must be a string, "
-                    f"got {type(value).__name__}"
+                    f"key 'steady' in job submission must be a string, "
+                    f"got {type(steady).__name__}"
                 )
             try:
-                overrides[key] = validate(value)
-            except (KeyError, ValueError) as exc:
+                overrides["steady"] = validate_steady_mode(steady)
+            except KeyError as exc:
                 raise ValueError(
-                    f"key {key!r} in job submission: {exc}"
+                    f"key 'steady' in job submission: {exc}"
                 ) from None
         return spec, overrides
 
@@ -313,8 +311,11 @@ class JobManager:
                 spec=spec,
                 overrides=overrides,
             )
-            self._jobs[job.id] = job
+        # Register only a job whose record was saved: a failed save
+        # must not leave a queued job that never runs.
         self.backend.save(job.record())
+        with self._lock:
+            self._jobs[job.id] = job
         self._executor.submit(self._run, job)
         return job
 
@@ -348,21 +349,15 @@ class JobManager:
                     n_jobs=self.n_jobs,
                     cache=True,
                     cache_dir=self.cache_dir,
-                    exact=self.exact,
                 )
                 self._grids[fingerprint] = grid
             return grid
 
     @staticmethod
     def _store_snapshot(grid: ExperimentGrid) -> Dict[str, object]:
-        warm = grid.warm_store
         return {
             "stages": grid.stage_store.telemetry(),
-            "warm": {
-                "hits": warm.hits if warm else 0,
-                "misses": warm.misses if warm else 0,
-                "stores": warm.stores if warm else 0,
-            },
+            "warm": _warm_counts(grid),
             "grid": {
                 "requested": grid.stats.requested,
                 "computed": grid.stats.computed,
@@ -441,7 +436,6 @@ class JobManager:
                     job.spec,
                     grid=grid,
                     steady=job.overrides.get("steady"),
-                    sim=job.overrides.get("sim"),
                 )
             finally:
                 grid.progress = None
@@ -485,13 +479,7 @@ class JobManager:
                     "stage_seconds": dict(grid.stats.stage_seconds),
                     "plan": dict(grid.stats.plan),
                     "stages": grid.stage_store.telemetry(),
-                    "warm": {
-                        "hits": grid.warm_store.hits,
-                        "misses": grid.warm_store.misses,
-                        "stores": grid.warm_store.stores,
-                    }
-                    if grid.warm_store is not None
-                    else {},
+                    "warm": _warm_counts(grid),
                 }
                 for fingerprint, grid in grids.items()
             },

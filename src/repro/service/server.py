@@ -15,7 +15,7 @@ Endpoints::
     GET  /scenarios            the scenario registry (shared serializer)
     GET  /stats                service-wide job/grid/store telemetry
     POST /jobs                 submit {"scenario": name | "spec": {...},
-                               "steady": ..., "sim": ...}
+                               "steady": ...}
     GET  /jobs                 every job, in submission order
     GET  /jobs/<id>            one job's summary
     GET  /jobs/<id>/result     the result payload (409 until terminal)

@@ -1,32 +1,24 @@
 """Lockstep multiVLIWprocessor execution simulator.
 
-Two engines execute the same lockstep model:
+Every run executes on :class:`VectorizedSimulator`, the array-at-a-time
+engine: batched memory accesses, hazard-check replay, non-memory
+instances never visited.  :func:`simulate` is its one-shot helper.
 
-* :class:`LockstepSimulator` — the scalar reference: one interpreted
-  loop body per operation instance;
-* :class:`VectorizedSimulator` — the array-at-a-time engine (PR 5):
-  batched memory accesses, hazard-check replay, non-memory instances
-  never visited.  Bit-identical to the reference and the default
-  everywhere (``SIM_ENGINES``/``DEFAULT_SIM_ENGINE``).
+:class:`LockstepSimulator`, the scalar walk with one interpreted loop
+body per operation instance, is the engine's base class, its fallback
+for statically unsafe schedules and the test oracle it is proven
+bit-identical to (``tests/test_simulator_vectorized.py``).
 """
 
-from .executor import (
-    LockstepSimulator,
-    ReadyWindow,
-    SteadyState,
-    make_simulator,
-    simulate,
-)
+from .executor import LockstepSimulator, ReadyWindow, SteadyState
 from .stats import SimulationResult
 from .trace import Trace, TraceEvent, trace_schedule
-from .vectorized import VectorizedSimulator
+from .vectorized import VectorizedSimulator, simulate
 from .warmstate import WARM_STATE_VERSION, WarmRecord, WarmStateStore
 
 __all__ = [
-    "DEFAULT_SIM_ENGINE",
     "LockstepSimulator",
     "ReadyWindow",
-    "SIM_ENGINES",
     "SimulationResult",
     "SteadyState",
     "Trace",
@@ -35,27 +27,6 @@ __all__ = [
     "WARM_STATE_VERSION",
     "WarmRecord",
     "WarmStateStore",
-    "make_simulator",
     "simulate",
     "trace_schedule",
-    "validate_sim_engine",
 ]
-
-#: Simulate-engine registry: every entry is proven bit-identical to the
-#: scalar reference by tests/test_simulator_vectorized.py.
-SIM_ENGINES = {
-    "scalar": LockstepSimulator,
-    "vectorized": VectorizedSimulator,
-}
-
-DEFAULT_SIM_ENGINE = "vectorized"
-
-
-def validate_sim_engine(sim: str) -> str:
-    """Return ``sim`` or raise on an unknown engine selection."""
-    if sim not in SIM_ENGINES:
-        raise KeyError(
-            f"unknown simulate engine {sim!r}; "
-            f"choose from {sorted(SIM_ENGINES)}"
-        )
-    return sim

@@ -32,8 +32,15 @@ detection logic itself lives there:
   ``NTIMES=1`` streaming kernels the entry memoizer cannot.
 
 ``steady`` selects the detectors (``off``/``entry``/``iteration``/
-``auto``); ``exact=True`` forces ``off``.  Results are guaranteed — and
-tested — to be bit-identical across every mode.
+``auto``).  Results are guaranteed — and tested — to be bit-identical
+across every mode.
+
+:class:`LockstepSimulator` is the scalar reference walk: one interpreted
+loop body per operation instance.  Runs use the
+:class:`~repro.simulator.vectorized.VectorizedSimulator` subclass (and
+its :func:`~repro.simulator.vectorized.simulate` one-shot helper); the
+scalar class stays as its fallback for statically unsafe schedules and
+as the oracle the equivalence suites hold it to.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from ..steady import (
 )
 from .stats import SimulationResult
 
-__all__ = ["LockstepSimulator", "ReadyWindow", "SteadyState", "simulate"]
+__all__ = ["LockstepSimulator", "ReadyWindow", "SteadyState"]
 
 
 @dataclass(frozen=True)
@@ -133,17 +140,12 @@ class LockstepSimulator:
     n_times:
         Override NTIMES (defaults to the loop's outer trip-count product).
         Cache state persists across executions, as on real hardware.
-    exact:
-        ``True`` forces every entry to be simulated instance by instance,
-        disabling steady-state detection entirely (same as
-        ``steady="off"``).  Results are bit-identical either way; the
-        flag exists as an escape hatch and for the equivalence tests
-        that prove it.
     steady:
         Detector selection, one of
         :data:`~repro.steady.STEADY_MODES`.  ``auto`` (the default)
         memoizes entries for multi-entry loops and runs the
-        iteration-level detector for single-entry streaming loops.
+        iteration-level detector for single-entry streaming loops;
+        ``off`` simulates every entry instance by instance.
     """
 
     def __init__(
@@ -151,7 +153,6 @@ class LockstepSimulator:
         schedule: Schedule,
         n_iterations: Optional[int] = None,
         n_times: Optional[int] = None,
-        exact: bool = False,
         steady: Optional[str] = None,
         warm_store=None,
     ):
@@ -164,11 +165,10 @@ class LockstepSimulator:
         self.n_times = _validate_count(
             "n_times", n_times, self.loop.n_times
         )
-        self.exact = exact
-        self.steady_mode = resolve_steady_mode(steady, exact)
+        self.steady_mode = resolve_steady_mode(steady)
         #: Optional :class:`~repro.simulator.warmstate.WarmStateStore`.
         #: Consulted/fed by :meth:`run`; ignored when the resolved
-        #: steady mode is ``off`` (exact runs never reuse state).
+        #: steady mode is ``off`` (such runs never reuse state).
         self.warm_store = warm_store
         #: Warm-state telemetry of the last :meth:`run` (both engines).
         self.warm_stats = {"hits": 0, "stores": 0}
@@ -724,49 +724,3 @@ class LockstepSimulator:
                 values[slot] = issue + fu_latency[op_index]
         return offset
 
-
-def make_simulator(
-    schedule: Schedule,
-    n_iterations: Optional[int] = None,
-    n_times: Optional[int] = None,
-    exact: bool = False,
-    steady: Optional[str] = None,
-    sim: Optional[str] = None,
-    warm_store=None,
-) -> LockstepSimulator:
-    """The engine instance :func:`simulate` runs (same parameters), for
-    callers that also read its ``steady_report``/``warm_stats``/
-    ``vector_stats`` telemetry after ``run()``."""
-    from . import DEFAULT_SIM_ENGINE, SIM_ENGINES, validate_sim_engine
-
-    requested = DEFAULT_SIM_ENGINE if sim is None else sim
-    engine = SIM_ENGINES[validate_sim_engine(requested)]
-    return engine(
-        schedule,
-        n_iterations=n_iterations,
-        n_times=n_times,
-        exact=exact,
-        steady=steady,
-        warm_store=warm_store,
-    )
-
-
-def simulate(
-    schedule: Schedule,
-    n_iterations: Optional[int] = None,
-    n_times: Optional[int] = None,
-    exact: bool = False,
-    steady: Optional[str] = None,
-    sim: Optional[str] = None,
-    warm_store=None,
-) -> SimulationResult:
-    """Convenience one-shot simulation.
-
-    ``sim`` selects the engine (:data:`repro.simulator.SIM_ENGINES`;
-    default: the vectorized engine).  Results are bit-identical across
-    engines.  ``warm_store`` optionally shares post-warm-up memory
-    state between content-equal runs (bit-identical either way).
-    """
-    return make_simulator(
-        schedule, n_iterations, n_times, exact, steady, sim, warm_store
-    ).run()

@@ -88,10 +88,10 @@ class _TracingSimulator(LockstepSimulator):
     """
 
     def __init__(self, schedule: Schedule, n_iterations=None, n_times=None):
-        # exact=True: a trace wants one event per instance, so every
+        # steady="off": a trace wants one event per instance, so every
         # entry must actually execute — no steady-state replay.
         super().__init__(
-            schedule, n_iterations=n_iterations, n_times=n_times, exact=True
+            schedule, n_iterations=n_iterations, n_times=n_times, steady="off"
         )
         self.trace = Trace(schedule=schedule)
         self._entry_index = 0
@@ -99,7 +99,7 @@ class _TracingSimulator(LockstepSimulator):
     def _run_once(  # noqa: D102 - see class doc
         self, outer, lrb, base, entry=0, detector=None
     ):
-        # exact=True in __init__ guarantees detector is None here: a
+        # steady="off" in __init__ guarantees detector is None here: a
         # trace records every instance, never a steady-state replay.
         assert detector is None
         loop = self.loop

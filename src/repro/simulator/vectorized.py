@@ -46,9 +46,11 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from ..scheduler.result import Schedule
 from .executor import LockstepSimulator
+from .stats import SimulationResult
 
-__all__ = ["VectorizedSimulator"]
+__all__ = ["VectorizedSimulator", "simulate"]
 
 #: Slack for memory results nobody consumes: never a hazard.
 _NO_HAZARD = 1 << 60
@@ -396,3 +398,22 @@ class VectorizedSimulator(LockstepSimulator):
                 ctx.cp_off.append(offset)
         ctx.frontier = end_pos
         return offset
+
+
+def simulate(
+    schedule: Schedule,
+    n_iterations: Optional[int] = None,
+    n_times: Optional[int] = None,
+    steady: Optional[str] = None,
+    warm_store=None,
+) -> SimulationResult:
+    """Convenience one-shot simulation on :class:`VectorizedSimulator`.
+
+    Construct the class directly to read its ``steady_report``,
+    ``warm_stats`` or ``vector_stats`` telemetry after ``run()``.
+    ``warm_store`` optionally shares post-warm-up memory state between
+    content-equal runs (bit-identical either way).
+    """
+    return VectorizedSimulator(
+        schedule, n_iterations, n_times, steady, warm_store
+    ).run()

@@ -13,10 +13,13 @@ unique (schedule, geometry, steady mode) pays for warm-up once:
 * the **key** is ``Schedule.fingerprint()`` (kernel + machine + II +
   placements + communications; scheduler name and threshold are
   excluded so equal schedules share) crossed with the steady mode and
-  the ``n_iterations``/``n_times`` overrides.  The simulate engine is
-  *not* part of the key: the scalar and vectorized engines are proven
-  bit-identical by ``tests/test_simulator_vectorized.py``, so warm
-  state recorded by either serves both.
+  the ``n_iterations``/``n_times`` overrides — the same address as the
+  stage store's simulate key, which an experiment grid consults first,
+  so inside a grid the warm store only hits after a stage-store disk
+  entry was lost.  The key names no engine: the scalar reference and
+  the vectorized engine are proven bit-identical by
+  ``tests/test_simulator_vectorized.py``, so warm state recorded by
+  either serves both.
 * the **record** holds a deep :meth:`DistributedMemorySystem.snapshot`
   of the memory state at the detector's confirmation boundary plus the
   detector evidence (per-entry counter-delta records, or the

@@ -59,15 +59,11 @@ def validate_steady_mode(mode: str) -> str:
     return mode
 
 
-def resolve_steady_mode(mode: Optional[str], exact: bool = False) -> str:
-    """Resolve the effective mode from the (mode, exact-flag) pair.
+def resolve_steady_mode(mode: Optional[str]) -> str:
+    """Resolve the effective mode: ``None`` defaults to ``auto``.
 
-    ``exact=True`` always wins — it is the historical escape hatch and
-    must keep meaning "simulate every instance".  ``None`` defaults to
-    ``auto``; results are bit-identical across all modes either way.
+    Results are bit-identical across all modes either way.
     """
-    if exact:
-        return "off"
     return validate_steady_mode(mode if mode is not None else "auto")
 
 

@@ -29,9 +29,7 @@ def reference_cell(
     locality: Optional[LocalityAnalyzer] = None,
     n_iterations: Optional[int] = None,
     n_times: Optional[int] = None,
-    exact: bool = False,
     steady: Optional[str] = None,
-    sim: Optional[str] = None,
 ) -> RunResult:
     """Schedule and simulate one cell from scratch."""
     if locality is None:
@@ -43,9 +41,7 @@ def reference_cell(
         scheduler=scheduler,
         threshold=threshold,
         schedule=schedule,
-        simulation=simulate(
-            schedule, n_iterations, n_times, exact=exact, steady=steady, sim=sim
-        ),
+        simulation=simulate(schedule, n_iterations, n_times, steady=steady),
     )
 
 
@@ -53,7 +49,6 @@ def reference_run(
     specs: Sequence[CellSpec],
     locality: Optional[LocalityAnalyzer] = None,
     kernels: Optional[Mapping[str, Kernel]] = None,
-    exact: bool = False,
 ) -> list:
     """:func:`reference_cell` for every spec, in order (suite kernels
     resolve by name; others come from ``kernels``)."""
@@ -67,9 +62,7 @@ def reference_run(
             locality,
             spec.n_iterations,
             spec.n_times,
-            exact=exact,
             steady=spec.steady,
-            sim=spec.sim,
         )
         for spec in specs
     ]
@@ -80,7 +73,7 @@ class ReferenceGrid(ExperimentGrid):
     figure sweeps and scenarios through the store-less reference."""
 
     def run(self, specs):
-        return reference_run(specs, self.locality, self._kernels, self.exact)
+        return reference_run(specs, self.locality, self._kernels)
 
 
 def stage_work(grid):

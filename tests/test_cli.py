@@ -140,9 +140,36 @@ class TestCommands:
         ) == 0
         assert "Figure 6" in capsys.readouterr().out
 
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig5", "--jobs", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig5", "--jobs", "0"],
+            ["simulate", "applu", "--max-points", "0"],
+            ["fig5", "--max-points", "-3"],
+            ["fig6", "--max-points", "0"],
+        ],
+    )
+    def test_counts_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig6", "--sim", "scalar"],
+            ["fig5", "--cme", "sampling"],
+            ["run", "streaming", "--exact"],
+            ["run", "streaming", "--no-warm-store"],
+            ["serve", "--exact"],
+        ],
+    )
+    def test_engine_switches_do_not_exist(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServiceCommands:

@@ -10,7 +10,7 @@ from repro.engine import (
 )
 from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.machine import four_cluster, two_cluster, unified
-from repro.simulator import make_simulator
+from repro.simulator import VectorizedSimulator
 from repro.workloads import kernel_by_name
 
 from reference_cells import reference_cell
@@ -91,7 +91,7 @@ class TestGridCells:
         assert result.simulation.n_times == 2
 
 
-class TestExactFlag:
+class TestSteadyOffMode:
     @pytest.fixture
     def tomcatv_schedule(self, sampling_cme):
         return schedule_kernel(
@@ -99,16 +99,16 @@ class TestExactFlag:
             sampling_cme,
         )
 
-    def test_exact_disables_memoization(self, tomcatv_schedule):
-        simulator = make_simulator(tomcatv_schedule, exact=True)
+    def test_off_mode_disables_memoization(self, tomcatv_schedule):
+        simulator = VectorizedSimulator(tomcatv_schedule, steady="off")
         simulator.run()
         assert simulator.steady_mode == "off"
         assert simulator.steady_state is None
 
     def test_memoized_reports_replay_and_matches_exact(self, tomcatv_schedule):
-        simulator = make_simulator(tomcatv_schedule)
+        simulator = VectorizedSimulator(tomcatv_schedule)
         memo = simulator.run()
-        exact = make_simulator(tomcatv_schedule, exact=True).run()
+        exact = VectorizedSimulator(tomcatv_schedule, steady="off").run()
         steady = simulator.steady_state
         assert steady.replayed_entries > 0
         assert steady.period >= 1

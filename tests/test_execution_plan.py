@@ -5,9 +5,9 @@ the :class:`~repro.engine.plan.ExecutionPlanner` stage-task DAG produces
 **byte-identical** results compared to the store-less reference
 (``reference_cells``: the pure stages, one cell at a time), for every
 registered grid scenario and a golden figure panel, at ``n_jobs`` 1 and
-2 and with ``exact=True``.  On a cold run each unique
-analyze/schedule/simulate key executes exactly once (planned task count
-== unique store keys).
+2 and with the steady-state detectors forced off.  On a cold run each
+unique analyze/schedule/simulate key executes exactly once (planned task
+count == unique store keys).
 """
 
 import json
@@ -34,7 +34,7 @@ GRID_SCENARIOS = [s.name for s in all_scenarios() if not s.is_figure]
 MODES = {
     "serial": {},
     "n_jobs=2": {"n_jobs": 2},
-    "exact": {"exact": True},
+    "steady=off": {"steady": "off"},
 }
 
 

@@ -131,9 +131,12 @@ class TestFromDictValidation:
             with pytest.raises(ValueError, match="must be a JSON object"):
                 cls.from_dict(["not", "an", "object"])
 
-    def test_unknown_scenario_key_named(self):
-        with pytest.raises(ValueError, match="'schedulers'"):
-            ScenarioSpec.from_dict(self._data(schedulers=["rmca"]))
+    @pytest.mark.parametrize(
+        "key, value", [("schedulers", ["rmca"]), ("sim", "scalar")]
+    )
+    def test_unknown_scenario_key_named(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            ScenarioSpec.from_dict(self._data(**{key: value}))
 
     def test_unknown_machine_key_named(self):
         with pytest.raises(ValueError, match="'presett'.*machine spec"):
@@ -159,11 +162,22 @@ class TestFromDictValidation:
         with pytest.raises(ValueError, match="missing required key 'machine'"):
             GroupSpec.from_dict({"label": "g", "scheduler": "rmca"})
 
-    def test_wrong_typed_field_names_key(self):
-        with pytest.raises(ValueError, match="'n_iterations'.*integer"):
-            ScenarioSpec.from_dict(self._data(n_iterations="many"))
-        with pytest.raises(ValueError, match="'suite'"):
-            ScenarioSpec.from_dict(self._data(suite=7))
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"n_iterations": "many"}, "'n_iterations'.*integer"),
+            ({"suite": 7}, "'suite'"),
+            ({"n_iterations": 0}, "'n_iterations'.*>= 1"),
+            ({"n_times": -2}, "'n_times'.*>= 1"),
+            (
+                {"locality": {"kind": "sampling", "max_points": -3}},
+                "'max_points'.*>= 1",
+            ),
+        ],
+    )
+    def test_bad_field_names_key(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ScenarioSpec.from_dict(self._data(**overrides))
 
     def test_bool_is_not_an_integer(self):
         # bool passes isinstance(int) — the validator must still reject
@@ -290,7 +304,7 @@ class TestSteadySelection:
             by_mode.setdefault(spec.steady, spec)
         keys = {
             StageStore.simulate_key(
-                "fp", spec.sim, spec.steady, spec.n_iterations, spec.n_times
+                "fp", spec.steady, spec.n_iterations, spec.n_times
             )
             for spec in by_mode.values()
         }

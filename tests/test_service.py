@@ -1,11 +1,10 @@
 """End-to-end and unit tests for the experiment service (repro.service).
 
-The expensive part — three ``fig6-smoke`` submissions against one live
+The expensive part — two ``fig6-smoke`` submissions against one live
 server plus the in-process reference run — happens once in a
-module-scoped fixture; the tests then assert the ISSUE's acceptance
-criteria against it: results bit-identical to ``run_scenario``, the
-second identical job answered from the persistent stage stores, and an
-engine-override job answered from the engine-agnostic warm-state store.
+module-scoped fixture; the tests then assert the service's contract
+against it: results bit-identical to ``run_scenario``, and the second
+identical job answered from the persistent stage stores.
 """
 
 import json
@@ -66,7 +65,7 @@ def service():
 
 @pytest.fixture(scope="module")
 def smoke_run(service):
-    """The acceptance flow: three fig6-smoke jobs against one server."""
+    """The acceptance flow: two fig6-smoke jobs against one server."""
     _srv, client = service
     local = run_scenario("fig6-smoke")
 
@@ -77,14 +76,11 @@ def smoke_run(service):
     job2 = client.submit(scenario="fig6-smoke")
     result2 = client.wait(job2["id"])
 
-    job3 = client.submit(scenario="fig6-smoke", sim="scalar")
-    result3 = client.wait(job3["id"])
-
     return {
         "local": local,
-        "jobs": (job1, job2, job3),
+        "jobs": (job1, job2),
         "events1": events1,
-        "results": (result1, result2, result3),
+        "results": (result1, result2),
     }
 
 
@@ -117,10 +113,8 @@ class TestEndToEnd:
         assert remote["figure"] == local_payload
 
     def test_jobs_report_identical_results(self, smoke_run):
-        result1, result2, result3 = smoke_run["results"]
+        result1, result2 = smoke_run["results"]
         assert result1["result"] == result2["result"]
-        # The scalar engine is bit-identical to the vectorized default.
-        assert result1["result"] == result3["result"]
 
     def test_second_job_served_by_stage_stores(self, smoke_run):
         telemetry = smoke_run["results"][1]["telemetry"]
@@ -129,14 +123,6 @@ class TestEndToEnd:
         assert telemetry["stages"]["simulate"]["hits"] > 0
         assert telemetry["stages"]["schedule"]["misses"] == 0
         assert telemetry["stages"]["simulate"]["misses"] == 0
-
-    def test_engine_override_served_by_warm_store(self, smoke_run):
-        # The warm-state key excludes the sim engine, the simulate-store
-        # key includes it: a scalar re-run re-simulates, but adopts the
-        # vectorized run's schedules and warm-up prefixes.
-        telemetry = smoke_run["results"][2]["telemetry"]
-        assert telemetry["stages"]["schedule"]["hits"] > 0
-        assert telemetry["sim_warm_hits"] > 0
 
     def test_event_cursor_resume_and_replay(self, service, smoke_run):
         _srv, client = service
@@ -173,7 +159,7 @@ class TestEndToEnd:
     def test_stats_shape(self, service, smoke_run):
         _srv, client = service
         stats = client.stats()
-        assert stats["jobs"]["done"] >= 3
+        assert stats["jobs"]["done"] >= 2
         assert stats["jobs"]["failed"] == 0
         assert stats["scenarios"] == len(scenario_listing())
         grid_stats = list(stats["grids"].values())
@@ -188,16 +174,17 @@ class TestValidationOverHttp:
             client.submit(scenario="fig7")
         assert info.value.status == 400
 
-    def test_unknown_submit_key_is_400_and_named(self, service):
+    @pytest.mark.parametrize("key, value", [("prio", 3), ("sim", "scalar")])
+    def test_unknown_submit_key_is_400_and_named(self, service, key, value):
         srv, _client = service
-        body = json.dumps({"scenario": "fig6-smoke", "prio": 3}).encode()
+        body = json.dumps({"scenario": "fig6-smoke", key: value}).encode()
         request = urllib.request.Request(
             srv.url + "/jobs", data=body, method="POST"
         )
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
-        assert "'prio'" in json.loads(info.value.read())["error"]
+        assert repr(key) in json.loads(info.value.read())["error"]
 
     def test_scenario_and_spec_together_is_400(self, service):
         _srv, client = service
@@ -205,18 +192,31 @@ class TestValidationOverHttp:
             client.submit(scenario="fig6-smoke", spec=_tiny_spec_dict())
         assert info.value.status == 400
 
-    def test_bad_inline_spec_is_400_and_named(self, service):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_iterations", "many"),
+            ("n_iterations", 0),
+            ("n_times", -2),
+            ("max_points", -3),
+            ("sim", "scalar"),
+        ],
+    )
+    def test_bad_inline_spec_is_400_and_named(self, service, key, value):
         _srv, client = service
         spec = _tiny_spec_dict()
-        spec["n_iterations"] = "many"
-        with pytest.raises(ServiceError, match="'n_iterations'") as info:
+        if key == "max_points":
+            spec["locality"] = {"kind": "sampling", key: value}
+        else:
+            spec[key] = value
+        with pytest.raises(ServiceError, match=repr(key)) as info:
             client.submit(spec=spec)
         assert info.value.status == 400
 
     def test_bad_override_is_400(self, service):
         _srv, client = service
-        with pytest.raises(ServiceError, match="'sim'") as info:
-            client.submit(scenario="fig6-smoke", sim="quantum")
+        with pytest.raises(ServiceError, match="'steady'") as info:
+            client.submit(scenario="fig6-smoke", steady="sometimes")
         assert info.value.status == 400
 
     def test_malformed_json_body_is_400(self, service):
@@ -391,6 +391,30 @@ class TestBackends:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("redis")
 
+    def test_failed_first_save_registers_no_job(self):
+        """A job whose record cannot be saved is not registered: no
+        ghost ``queued`` job, and the next submission still runs."""
+
+        class FailFirstSave(MemoryBackend):
+            failed = False
+
+            def save(self, record):
+                if not self.failed:
+                    self.failed = True
+                    raise OSError("disk full")
+                super().save(record)
+
+        manager = JobManager(backend=FailFirstSave())
+        spec = ScenarioSpec.from_dict(_tiny_spec_dict("ghost"))
+        with pytest.raises(OSError, match="disk full"):
+            manager.submit(spec)
+        assert manager.jobs() == []
+        assert manager.stats()["jobs"]["queued"] == 0
+        job = manager.submit(spec)
+        manager.shutdown(wait=True)
+        assert manager.jobs() == [job]
+        assert job.state == "done"
+
     def test_served_jobs_persist_through_disk_backend(self, tmp_path):
         manager = JobManager(backend=DiskBackend(tmp_path / "jobs"))
         with ServerThread(manager=manager) as srv:
@@ -410,12 +434,13 @@ class TestParsePayload:
         with pytest.raises(ValueError, match="JSON object"):
             manager.parse_payload(["fig6-smoke"])
 
-    def test_unknown_keys_named(self):
+    @pytest.mark.parametrize(
+        "key, value", [("priority", "high"), ("sim", "scalar")]
+    )
+    def test_unknown_keys_named(self, key, value):
         manager = JobManager()
-        with pytest.raises(ValueError, match="'priority'"):
-            manager.parse_payload(
-                {"scenario": "fig6-smoke", "priority": "high"}
-            )
+        with pytest.raises(ValueError, match=repr(key)):
+            manager.parse_payload({"scenario": "fig6-smoke", key: value})
 
     def test_exactly_one_of_scenario_or_spec(self):
         manager = JobManager()
@@ -432,16 +457,16 @@ class TestParsePayload:
             manager.parse_payload(
                 {"scenario": "fig6-smoke", "steady": "sometimes"}
             )
-        with pytest.raises(ValueError, match="'sim'"):
-            manager.parse_payload({"scenario": "fig6-smoke", "sim": 3})
+        with pytest.raises(ValueError, match="'steady'"):
+            manager.parse_payload({"scenario": "fig6-smoke", "steady": 3})
 
     def test_valid_payloads_resolve(self):
         manager = JobManager()
         spec, overrides = manager.parse_payload(
-            {"scenario": "fig6-smoke", "sim": "scalar"}
+            {"scenario": "fig6-smoke", "steady": "off"}
         )
         assert spec.name == "fig6-smoke"
-        assert overrides == {"sim": "scalar"}
+        assert overrides == {"steady": "off"}
         spec, overrides = manager.parse_payload({"spec": _tiny_spec_dict()})
         assert spec.kernels == ("tomcatv",)
         assert overrides == {}

@@ -3,7 +3,7 @@ behaviour, and the iteration-count validation contract.
 
 The load-bearing property is *bit-identity*: a memoized run must produce
 exactly the same :meth:`SimulationResult.as_dict` — cycles, stalls and
-every memory statistic — as ``exact=True`` full replay, for any kernel,
+every memory statistic — as ``steady="off"`` full replay, for any kernel,
 machine and ``n_times``.  Detection itself is best-effort (thrashing or
 irregular kernels simply never memoize), but equivalence is not.
 """
@@ -29,7 +29,7 @@ def _assert_equivalent(schedule, n_iterations=None, n_times=None):
     """Exact and memoized runs must agree bit for bit; returns the
     memoized simulator for steady-state introspection."""
     exact_sim = LockstepSimulator(
-        schedule, n_iterations=n_iterations, n_times=n_times, exact=True
+        schedule, n_iterations=n_iterations, n_times=n_times, steady="off"
     )
     exact = exact_sim.run()
     memo_sim = LockstepSimulator(

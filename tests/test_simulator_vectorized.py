@@ -23,18 +23,11 @@ from hypothesis import strategies as st
 
 from repro.cme import IncrementalCME
 from repro.engine.stages import make_scheduler
-from repro.harness.grid import CellSpec, machine_key
+from repro.harness.grid import machine_key
 from repro.harness.scenarios import all_scenarios
 from repro.machine import BusConfig, four_cluster, heterogeneous, two_cluster, unified
 from repro.memory.hierarchy import DistributedMemorySystem
-from repro.simulator import (
-    DEFAULT_SIM_ENGINE,
-    SIM_ENGINES,
-    LockstepSimulator,
-    VectorizedSimulator,
-    make_simulator,
-    simulate,
-)
+from repro.simulator import LockstepSimulator, VectorizedSimulator
 from repro.workloads import GeneratorConfig, random_kernel, spec_suite
 from repro.workloads.suite import streaming_long_suite
 
@@ -46,20 +39,18 @@ def analyzer():
     return IncrementalCME(max_points=MAX_POINTS)
 
 
-def _assert_engines_agree(schedule, steady=None, exact=False,
+def _assert_engines_agree(schedule, steady=None,
                           n_iterations=None, n_times=None, label=""):
     """Run both engines on one schedule and compare everything."""
     scalar = LockstepSimulator(
-        schedule, steady=steady, exact=exact,
-        n_iterations=n_iterations, n_times=n_times,
+        schedule, steady=steady, n_iterations=n_iterations, n_times=n_times,
     )
     vector = VectorizedSimulator(
-        schedule, steady=steady, exact=exact,
-        n_iterations=n_iterations, n_times=n_times,
+        schedule, steady=steady, n_iterations=n_iterations, n_times=n_times,
     )
     want = scalar.run()
     got = vector.run()
-    context = f"{label} {schedule.kernel.name} steady={steady} exact={exact}"
+    context = f"{label} {schedule.kernel.name} steady={steady}"
     assert got.as_dict() == want.as_dict(), context
     assert vector.memory.counters() == scalar.memory.counters(), context
     assert (
@@ -155,7 +146,7 @@ class TestScenarioCellEquivalence:
 
 
 class TestSteadyModeMatrix:
-    """Both detectors, all modes, and the exact escape hatch."""
+    """Both detectors and all modes."""
 
     @pytest.mark.parametrize("kernel_name", ["su2cor", "turb3d", "tomcatv", "mgrid"])
     @pytest.mark.parametrize("steady", ["off", "entry", "iteration", "auto"])
@@ -165,13 +156,6 @@ class TestSteadyModeMatrix:
             kernel, two_cluster()
         )
         _assert_engines_agree(schedule, steady=steady, label=steady)
-
-    def test_exact_flag(self, analyzer):
-        kernel = spec_suite()[0]
-        schedule = make_scheduler("baseline", 1.0, analyzer).schedule(
-            kernel, heterogeneous()
-        )
-        _assert_engines_agree(schedule, exact=True, label="exact")
 
     def test_iteration_overrides(self, analyzer):
         kernel = next(k for k in spec_suite() if k.name == "applu")
@@ -306,50 +290,18 @@ class TestAccessBatch:
         assert ready[0] is not None and ready[1] is None
 
 
-class TestEngineSelection:
-    def test_simulate_defaults_to_vectorized(self, analyzer):
-        assert DEFAULT_SIM_ENGINE == "vectorized"
-        assert SIM_ENGINES["vectorized"] is VectorizedSimulator
-        assert SIM_ENGINES["scalar"] is LockstepSimulator
-
+class TestEngineTelemetry:
     def test_default_engine_reports_its_telemetry(self, analyzer):
         schedule = make_scheduler("baseline", 1.0, analyzer).schedule(
             spec_suite()[0], two_cluster()
         )
-        simulator = make_simulator(schedule)
+        simulator = VectorizedSimulator(schedule)
         simulator.run()
-        assert type(simulator) is VectorizedSimulator
         stats = simulator.vector_stats
         assert stats["engine"] == "vectorized"
         assert stats["fallback"] is False
         assert stats["batches"] > 0
         assert stats["batched_accesses"] > 0
-
-    def test_scalar_selection(self, analyzer):
-        schedule = make_scheduler("baseline", 1.0, analyzer).schedule(
-            spec_suite()[0], two_cluster()
-        )
-        simulator = make_simulator(schedule, sim="scalar")
-        assert type(simulator) is LockstepSimulator
-        assert not hasattr(simulator, "vector_stats")
-
-    def test_unknown_engine_rejected(self, analyzer):
-        with pytest.raises(KeyError):
-            simulate(
-                make_scheduler("baseline", 1.0, analyzer).schedule(
-                    spec_suite()[0], unified()
-                ),
-                sim="warp-drive",
-            )
-
-    def test_cellspec_keys_engines_apart(self):
-        kernel = spec_suite()[0]
-        machine = two_cluster()
-        vectorized = CellSpec.of(kernel, machine, "rmca", 1.0)
-        scalar = CellSpec.of(kernel, machine, "rmca", 1.0, sim="scalar")
-        assert vectorized.sim == "vectorized"
-        assert vectorized != scalar  # distinct cells: never deduplicated
-        assert CellSpec.from_json(scalar.to_json()) == scalar
 
     def test_forced_fallback_stays_bit_identical(self, analyzer):
         """The scalar fallback path (statically unsafe schedules) runs

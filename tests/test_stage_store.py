@@ -68,19 +68,15 @@ class TestStageStoreUnit:
         )
 
     def test_simulate_key_composition(self):
-        base = StageStore.simulate_key("fp", "vectorized", "auto", None, None)
+        base = StageStore.simulate_key("fp", "auto", None, None)
         for other in (
-            StageStore.simulate_key("fp2", "vectorized", "auto", None, None),
-            StageStore.simulate_key("fp", "scalar", "auto", None, None),
-            StageStore.simulate_key("fp", "vectorized", "entry", None, None),
-            StageStore.simulate_key("fp", "vectorized", "auto", 8, None),
-            StageStore.simulate_key("fp", "vectorized", "auto", None, 3),
+            StageStore.simulate_key("fp2", "auto", None, None),
+            StageStore.simulate_key("fp", "entry", None, None),
+            StageStore.simulate_key("fp", "auto", 8, None),
+            StageStore.simulate_key("fp", "auto", None, 3),
         ):
             assert other != base
-        assert (
-            StageStore.simulate_key("fp", "vectorized", "auto", None, None)
-            == base
-        )
+        assert StageStore.simulate_key("fp", "auto", None, None) == base
 
     def test_disk_roundtrip(self, tmp_path):
         trace = _trace()
@@ -268,14 +264,6 @@ class TestStageEquivalence:
         )
         assert after["schedule"]["hits"] == before["schedule"]["hits"]
         assert _canonical(rerun.results) == _canonical(outcome.results)
-
-    def test_exact_bypasses_simulate_store_only(self, analyzer):
-        grid = ExperimentGrid(locality=analyzer, cache=False, exact=True)
-        run_scenario("streaming", grid=grid)
-        telemetry = grid.stage_store.telemetry()
-        simulate = telemetry["simulate"]
-        assert simulate["hits"] == simulate["misses"] == simulate["stores"] == 0
-        assert telemetry["schedule"]["stores"] > 0
 
     def test_simulate_hit_relabels_to_requesting_cell(self, analyzer):
         """A simulate result served across thresholds carries the

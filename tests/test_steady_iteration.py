@@ -5,11 +5,11 @@ translation that keeps multi-entry runs exact.
 Mirrors ``tests/test_simulator_steady_state.py`` one granularity down:
 the load-bearing property is that ``steady="iteration"`` (and ``auto``,
 which selects it for ``NTIMES=1`` loops) produces exactly the same
-:meth:`SimulationResult.as_dict` and memory counters as ``exact=True``,
-for every kernel, machine and iteration count.  Detection itself is
-best-effort — kernels whose memory state genuinely never settles within
-one entry simply run every iteration — but on the streaming kernels the
-ROADMAP names, detection must actually fire.
+:meth:`SimulationResult.as_dict` and memory counters as
+``steady="off"``, for every kernel, machine and iteration count.
+Detection itself is best-effort — kernels whose memory state genuinely
+never settles within one entry simply run every iteration — but on the
+streaming kernels the ROADMAP names, detection must actually fire.
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.engine import schedule_kernel
 from repro.ir import LoopBuilder
 from repro.machine import four_cluster, heterogeneous, two_cluster, unified
 from repro.scheduler import BaselineScheduler
-from repro.simulator import LockstepSimulator, make_simulator
+from repro.simulator import LockstepSimulator, VectorizedSimulator
 from repro.steady import STEADY_MODES, IterationSteadyDetector
 from repro.workloads import GeneratorConfig, kernel_by_name, random_kernel
 from repro.workloads.suite import streaming_long_suite
@@ -43,7 +43,7 @@ def _assert_equivalent(schedule, steady, n_iterations=None, n_times=None):
     """``steady`` mode and exact replay must agree bit for bit; returns
     the steady-mode simulator for telemetry introspection."""
     exact_sim = LockstepSimulator(
-        schedule, n_iterations=n_iterations, n_times=n_times, exact=True
+        schedule, n_iterations=n_iterations, n_times=n_times, steady="off"
     )
     exact = exact_sim.run()
     steady_sim = LockstepSimulator(
@@ -270,12 +270,6 @@ class TestProofObligations:
         with pytest.raises(KeyError, match="unknown steady mode"):
             LockstepSimulator(schedule, steady="sometimes")
 
-    def test_exact_flag_wins_over_mode(self):
-        kernel = kernel_by_name("applu")
-        schedule = _schedule(kernel, unified())
-        sim = LockstepSimulator(schedule, exact=True, steady="iteration")
-        assert sim.steady_mode == "off"
-
     def test_all_modes_resolve(self):
         kernel = kernel_by_name("su2cor")
         schedule = _schedule(kernel, unified())
@@ -293,7 +287,7 @@ class TestSimulatorTelemetry:
         )
 
     def test_iteration_mode_reports_replay(self, applu_schedule):
-        simulator = make_simulator(applu_schedule, steady="iteration")
+        simulator = VectorizedSimulator(applu_schedule, steady="iteration")
         simulator.run()
         report = simulator.steady_report
         assert simulator.steady_mode == "iteration"
@@ -301,8 +295,8 @@ class TestSimulatorTelemetry:
         assert len(report.iterations) >= 1
         assert report.iteration_period >= 1
 
-    def test_exact_is_off_mode(self, applu_schedule):
-        simulator = make_simulator(applu_schedule, exact=True)
+    def test_off_mode_reports_no_replay(self, applu_schedule):
+        simulator = VectorizedSimulator(applu_schedule, steady="off")
         simulator.run()
         report = simulator.steady_report
         assert simulator.steady_mode == "off"

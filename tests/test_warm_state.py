@@ -32,7 +32,6 @@ from repro.simulator import (
     VectorizedSimulator,
     WarmRecord,
     WarmStateStore,
-    make_simulator,
 )
 from repro.workloads import spec_suite
 from repro.workloads.suite import streaming_long_suite
@@ -248,14 +247,14 @@ class TestWarmEquivalence:
         _assert_same(cold, warm)
         assert fresh.hits == 1 and fresh.stores == 0
 
-    def test_steady_off_and_exact_bypass_store(self, analyzer):
+    def test_steady_off_bypasses_store(self, analyzer):
         kernel = spec_suite(["applu"])[0]
         schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
             kernel, two_cluster()
         )
         store = WarmStateStore()
         _run(schedule, store=store, steady="off")
-        _run(schedule, store=store, exact=True)
+        _run(schedule, LockstepSimulator, store=store, steady="off")
         assert store.hits == store.misses == store.stores == 0
 
     def test_unsound_record_falls_back_to_cold(self, analyzer):
@@ -297,12 +296,6 @@ class TestWarmGridEndToEnd:
         assert warm_grid.warm_store.stores == 0
         assert self._canonical(warm.results) == self._canonical(cold.results)
 
-    def test_scenario_warm_disabled_identical(self, tmp_path):
-        warm = run_scenario("streaming", cache=False)
-        off = run_scenario("streaming", cache=False, warm=False)
-        assert off.grid.warm_store is None
-        assert self._canonical(off.results) == self._canonical(warm.results)
-
     def test_parallel_fanout_identical(self, tmp_path):
         serial = run_scenario("streaming", cache=False)
         fanned = run_scenario(
@@ -324,10 +317,10 @@ class TestWarmGridEndToEnd:
         schedule = schedule_kernel(
             streaming_long_suite()[0], two_cluster(), "rmca", 1.0, analyzer
         )
-        first = make_simulator(schedule, warm_store=store)
+        first = VectorizedSimulator(schedule, warm_store=store)
         first.run()
         assert first.warm_stats == {"hits": 0, "stores": 1}
-        second = make_simulator(schedule, warm_store=store)
+        second = VectorizedSimulator(schedule, warm_store=store)
         second.run()
         assert second.warm_stats == {"hits": 1, "stores": 0}
 
@@ -339,23 +332,3 @@ class TestWarmGridEndToEnd:
         assert self._canonical(blocked.results) == self._canonical(
             plain.results
         )
-
-    def test_cli_no_warm_store_flag(self):
-        from repro.cli import _build_grid, build_parser
-
-        on = build_parser().parse_args(["run", "streaming"])
-        off = build_parser().parse_args(
-            ["run", "streaming", "--no-warm-store"]
-        )
-        grid_on = _build_grid(on, IncrementalCME(max_points=8))
-        grid_off = _build_grid(off, IncrementalCME(max_points=8))
-        assert grid_on.warm_store is not None
-        assert grid_off.warm_store is None
-
-    def test_exact_grid_never_touches_store(self, analyzer):
-        grid = ExperimentGrid(
-            locality=analyzer, cache=False, exact=True
-        )
-        run_scenario("streaming", grid=grid)
-        store = grid.warm_store
-        assert store.hits == store.misses == store.stores == 0

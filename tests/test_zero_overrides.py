@@ -1,7 +1,7 @@
 """Falsy-zero robustness: zero is a value, not an absence.
 
 The default-or-override plumbing (thresholds, bus overrides, job
-counts, iteration overrides, engine selections) must distinguish
+counts, iteration overrides) must distinguish
 ``None`` ("use the default") from legitimate falsy values — a
 ``threshold=0.0`` cell is the paper's most aggressive prefetch setting,
 not a request for the default.  These tests pin every boundary that
@@ -17,7 +17,7 @@ from repro.harness.scenarios import MachineSpec
 from repro.harness.sweep import unified_reference
 from repro.machine import BusConfig, two_cluster, unified
 from repro.machine.presets import preset
-from repro.simulator import DEFAULT_SIM_ENGINE, simulate
+from repro.simulator import simulate
 from repro.workloads import spec_suite
 
 
@@ -138,25 +138,3 @@ class TestIterationOverrideZero:
         result = simulate(schedule)
         assert result.n_times == kernel.loop.n_times
 
-
-class TestEngineSelectionNone:
-    def test_sim_none_means_default_engine(self, kernel):
-        from repro.engine.stages import make_scheduler
-
-        schedule = make_scheduler("baseline", 1.0, None).schedule(
-            kernel, unified()
-        )
-        assert (
-            simulate(schedule, sim=None).as_dict()
-            == simulate(schedule, sim=DEFAULT_SIM_ENGINE).as_dict()
-        )
-
-    def test_empty_string_engine_rejected(self, kernel):
-        """'' is not a selection; only None may mean 'default'."""
-        from repro.engine.stages import make_scheduler
-
-        schedule = make_scheduler("baseline", 1.0, None).schedule(
-            kernel, unified()
-        )
-        with pytest.raises(KeyError):
-            simulate(schedule, sim="")
