@@ -24,12 +24,14 @@ with the pure stage functions of :mod:`repro.engine.stages`.  Every
 simulation runs on :class:`~repro.simulator.VectorizedSimulator` under
 the steady mode its cell names.
 
-Unique simulate tasks of the same kernel and iteration geometry are
-grouped into :class:`SimulateBatch`\\ es, the process pool's unit of
-work; a batch's members run one after another.  Tasks carry only
-JSON-serializable payloads (:meth:`PlanTask.to_dict`), so a worker
-needs nothing but the payload and the shared kernel/analyzer registry
-to produce a product.  Execution lives in
+The process pool's work units are per kernel.  A schedule unit is one
+kernel's schedule tasks, run in plan order by one worker.  A simulate
+unit is a :class:`SimulateBatch`: the unique simulate tasks of one
+kernel and iteration geometry, run one after another and shipped with
+the schedules they read.  Tasks carry only JSON-serializable payloads
+(:meth:`PlanTask.to_dict`).  Each worker receives the analyzer and the
+plan's kernels once, the kernels as a name → kernel registry, so a
+schedule unit ships as nothing but its tasks.  Execution lives in
 :meth:`repro.harness.grid.ExperimentGrid.run`.
 """
 
@@ -124,8 +126,8 @@ class SimulateBatch:
     """Unique simulate tasks sharing a kernel and geometry.
 
     Members simulate different schedules of the same kernel under the
-    same iteration overrides; a batch is the process pool's unit of
-    work, and its members run one after another.
+    same iteration overrides; a batch is the process pool's simulate
+    unit, and its members run one after another.
     """
 
     batch_id: str

@@ -15,8 +15,9 @@ that observation into infrastructure:
   schedule and simulate work of every cell *up front* against the
   grid's :class:`~repro.engine.stagestore.StageStore`, only the unique
   misses run (in-process, or on a :class:`ProcessPoolExecutor` with
-  ``n_jobs``), and every cell's result is assembled from the shared
-  products, **in submission order** regardless of completion order.
+  ``n_jobs``, one schedule unit per kernel), and every cell's result is
+  assembled from the shared products, **in submission order**
+  regardless of completion order.
 
 Every simulation runs on :class:`~repro.simulator.VectorizedSimulator`
 under the steady mode its cell names, with the grid's
@@ -213,7 +214,7 @@ class GridStats:
     computed: int = 0
     deduplicated: int = 0
     #: Wall-clock seconds per stage, summed over executed tasks
-    #: (workers report their task timings back with each product).
+    #: (workers report each unit's timing back with its products).
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Planner counters accumulated over ``run`` calls: cells planned,
     #: unique/executed task counts per stage, batch shapes (see
@@ -241,23 +242,29 @@ class GridStats:
         self.plan = {}
 
 
-#: Per-worker analyzer and warm-state store installed by
-#: :func:`_init_worker`.  Shipping the analyzer once per worker (instead
-#: of once per task) lets its CME memo accumulate across the tasks that
-#: worker executes; the warm-state store arrives pre-primed, and its
+#: Per-worker state installed by :func:`_init_worker`, shipped once per
+#: worker instead of once per unit of work.  The analyzer's CME memo
+#: accumulates across the units that worker runs.  The plan's kernels
+#: arrive as a name → :class:`Kernel` registry: a schedule unit names
+#: its kernel, so the worker keeps one copy whose dependence-graph
+#: caches stay warm.  The warm-state store arrives pre-primed, and its
 #: disk layer (when enabled) lets workers share warm-ups discovered
 #: *during* the sweep.  Workers only compute: the parent records every
 #: product into the stage store.
 _WORKER_LOCALITY: Optional[LocalityAnalyzer] = None
+_WORKER_KERNELS: Dict[str, Kernel] = {}
 _WORKER_WARM: Optional[WarmStateStore] = None
 
 
 def _init_worker(
-    locality: LocalityAnalyzer, warm_store: WarmStateStore
+    locality: LocalityAnalyzer,
+    warm_store: WarmStateStore,
+    kernels: Dict[str, Kernel],
 ) -> None:
-    global _WORKER_LOCALITY, _WORKER_WARM
+    global _WORKER_LOCALITY, _WORKER_WARM, _WORKER_KERNELS
     _WORKER_LOCALITY = locality
     _WORKER_WARM = warm_store
+    _WORKER_KERNELS = kernels
 
 
 def _timed(fn: Callable, *args) -> Tuple[object, float]:
@@ -266,13 +273,26 @@ def _timed(fn: Callable, *args) -> Tuple[object, float]:
     return product, time.perf_counter() - start
 
 
-def _pooled_schedule(
-    task: PlanTask, kernel: Kernel, machine: MachineConfig
-) -> Tuple[object, float]:
-    """Pool entry point for one unique schedule task."""
+def _pooled_schedule_unit(
+    tasks: Sequence[PlanTask],
+) -> Tuple[List[Schedule], float]:
+    """Pool entry point for one kernel's schedule tasks, run in plan
+    order; the kernel comes from the worker's registry, each machine
+    from its key."""
     if _WORKER_LOCALITY is None:  # pragma: no cover - defensive
         raise RuntimeError("worker process missing its locality analyzer")
-    return _timed(run_schedule_task, task, kernel, machine, _WORKER_LOCALITY)
+    kernel = _WORKER_KERNELS[str(tasks[0].payload["kernel"])]
+    start = time.perf_counter()
+    schedules = [
+        run_schedule_task(
+            task,
+            kernel,
+            machine_from_key(str(task.payload["machine"])),
+            _WORKER_LOCALITY,
+        )
+        for task in tasks
+    ]
+    return schedules, time.perf_counter() - start
 
 
 def _pooled_simulate(
@@ -446,7 +466,7 @@ class ExperimentGrid:
                 pool = ProcessPoolExecutor(
                     max_workers=self.n_jobs,
                     initializer=_init_worker,
-                    initargs=(self.locality, self.warm_store),
+                    initargs=(self.locality, self.warm_store, kernels),
                 )
             futures = {
                 pool.submit(entry, *args): index
@@ -474,29 +494,44 @@ class ExperimentGrid:
                 )
                 self._tally("analyze", seconds)
 
-            calls = [
-                (
-                    task,
-                    kernels[str(task.payload["kernel"])],
-                    machine_from_key(str(task.payload["machine"])),
+            # Schedule wave: the pool gets one unit per kernel, so one
+            # worker runs all of a kernel's tasks against warm caches.
+            units = _kernel_units(plan.schedule_tasks)
+            if self.n_jobs > 1 and len(units) > 1:
+                done = fan_out(
+                    _pooled_schedule_unit, [(unit,) for unit in units]
                 )
-                for task in plan.schedule_tasks
-            ]
-            if self.n_jobs > 1 and len(calls) > 1:
-                done = fan_out(_pooled_schedule, calls)
+                per_unit = self._collect("schedule", done, len(units))
+                by_key = {
+                    task.key: schedule
+                    for unit, schedules in zip(units, per_unit)
+                    for task, schedule in zip(unit, schedules)
+                }
+                schedules = [by_key[task.key] for task in plan.schedule_tasks]
             else:
                 done = (
-                    (i, _timed(run_schedule_task, *call, self.locality))
-                    for i, call in enumerate(calls)
+                    (
+                        i,
+                        _timed(
+                            run_schedule_task,
+                            task,
+                            kernels[str(task.payload["kernel"])],
+                            machine_from_key(str(task.payload["machine"])),
+                            self.locality,
+                        ),
+                    )
+                    for i, task in enumerate(plan.schedule_tasks)
                 )
-            schedules = self._collect("schedule", done, len(calls))
+                schedules = self._collect(
+                    "schedule", done, len(plan.schedule_tasks)
+                )
             for task, schedule in zip(plan.schedule_tasks, schedules):
                 planner.record(plan, task, schedule)
 
             # Simulate wave: keys need the materialized schedules'
             # fingerprints, so this pass plans, dedups and batches now.
             planner.plan_simulate(plan)
-            if self.n_jobs > 1 and len(plan.simulate_tasks) > 1:
+            if self.n_jobs > 1 and len(plan.batches) > 1:
                 done = fan_out(
                     _pooled_simulate,
                     [
@@ -522,8 +557,10 @@ class ExperimentGrid:
                 for task, result in zip(batch.tasks, results):
                     planner.record(plan, task, result)
         finally:
+            # Every future has finished unless a unit failed; then the
+            # queued units are dropped instead of run for nothing.
             if pool is not None:
-                pool.shutdown()
+                pool.shutdown(cancel_futures=True)
 
         # Assembly: submission order, one result per spec.
         out: List[RunResult] = []
@@ -552,6 +589,15 @@ class ExperimentGrid:
     def _tally(self, stage: str, seconds: float) -> None:
         with self._lock:
             self.stats.add_stage_seconds({stage: seconds})
+
+
+def _kernel_units(tasks: Sequence[PlanTask]) -> List[List[PlanTask]]:
+    """Schedule tasks grouped by kernel in first-seen order, each group
+    in plan order — the pool's schedule units."""
+    units: Dict[str, List[PlanTask]] = {}
+    for task in tasks:
+        units.setdefault(str(task.payload["kernel"]), []).append(task)
+    return list(units.values())
 
 
 def _batch_schedules(

@@ -1,11 +1,17 @@
 """Tests for the parallel experiment-grid engine (harness.grid)."""
 
+import functools
 import json
+import os
 import pickle
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.cme import SamplingCME
+from repro.engine.plan import PlanTask
+import repro.harness.grid as grid_module
 from repro.harness.grid import (
     CellSpec,
     ExperimentGrid,
@@ -14,11 +20,13 @@ from repro.harness.grid import (
     machine_from_key,
     machine_key,
 )
+from repro.harness.scenarios import run_scenario
 from repro.harness.sweep import figure5
-from repro.machine import BusConfig, two_cluster, unified
+from repro.ir.builder import Kernel
+from repro.machine import BusConfig, MachineConfig, two_cluster, unified
 from repro.workloads import spec_suite
 
-from reference_cells import stage_work
+from reference_cells import reference_run, stage_work
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +284,128 @@ class TestParallelEquivalence:
         warm = figure5(grid=parallel_grid, **kwargs)
         assert stage_work(parallel_grid) == done
         assert warm.bars == parallel.bars
+
+
+class _UnitFailed(RuntimeError):
+    """The failure injected into one kernel's pool unit."""
+
+
+def _injected_schedule_task(
+    parent, marks, doomed, failure, pause, run, task, kernel, machine, locality
+):
+    """``run_schedule_task`` as a pool worker sees it under injection:
+    each call marks its kernel in ``marks``; ``doomed``'s calls
+    ``failure()`` and the others first sleep ``pause`` seconds.  The
+    parent process runs the real task."""
+    if os.getpid() != parent:
+        (marks / kernel.name).touch()
+        if kernel.name == doomed:
+            failure()
+        time.sleep(pause)
+    return run(task, kernel, machine, locality)
+
+
+def _raise_unit_failed():
+    raise _UnitFailed("injected")
+
+
+def _inject(monkeypatch, marks, doomed, failure, pause=0.0):
+    """Patch the task the pool workers (forked after this) run."""
+    monkeypatch.setattr(
+        grid_module,
+        "run_schedule_task",
+        functools.partial(
+            _injected_schedule_task,
+            os.getpid(),
+            marks,
+            doomed,
+            failure,
+            pause,
+            grid_module.run_schedule_task,
+        ),
+    )
+
+
+def _shipped(args):
+    """Submitted arguments and the items of the containers among them."""
+    for arg in args:
+        yield arg
+        if isinstance(arg, dict):
+            yield from arg.values()
+        elif isinstance(arg, (list, tuple)):
+            yield from arg
+
+
+class TestPoolWorkUnits:
+    def test_one_schedule_unit_per_kernel_ships_no_live_objects(
+        self, monkeypatch
+    ):
+        submitted = []
+
+        class RecordingPool(grid_module.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append((fn.__name__, args))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_scenario("fig6-smoke", cache=False, n_jobs=2)
+        serial = run_scenario("fig6-smoke", cache=False)
+        units = [args[0] for name, args in submitted if "schedule" in name]
+        suite = sorted(kernel.name for kernel in spec_suite())
+        assert len(suite) == len(units) == 8
+        assert sorted(unit[0].payload["kernel"] for unit in units) == suite
+        assert all(
+            isinstance(task, PlanTask)
+            and task.payload["kernel"] == unit[0].payload["kernel"]
+            for unit in units
+            for task in unit
+        )
+        assert sum(map(len, units)) == pooled.grid.stats.plan["schedule_tasks"]
+        live = [
+            item
+            for _name, args in submitted
+            for item in _shipped(args)
+            if isinstance(item, (Kernel, MachineConfig))
+        ]
+        assert live == []
+        assert pooled.figure.bars == serial.figure.bars
+        assert pooled.figure.records == serial.figure.records
+
+    def test_failing_unit_cancels_the_queued_units(
+        self, monkeypatch, tmp_path
+    ):
+        kernels = spec_suite()
+        specs = _specs(kernels, thresholds=(0.0,))
+        # The first unit fails at once; the others take a while, so the
+        # failure surfaces while most of them are still queued.
+        _inject(
+            monkeypatch, tmp_path, kernels[0].name, _raise_unit_failed, 0.1
+        )
+        grid = ExperimentGrid(locality=_locality(), n_jobs=2)
+        with pytest.raises(_UnitFailed):
+            grid.run(specs)
+        executed = {path.name for path in tmp_path.iterdir()}
+        assert kernels[0].name in executed
+        assert len(executed) < len(kernels)
+
+    def test_killed_worker_breaks_the_run_and_the_next_run_recovers(
+        self, monkeypatch, tmp_path, small_suite
+    ):
+        specs = _specs(small_suite)
+        _inject(
+            monkeypatch, tmp_path, small_suite[-1].name, lambda: os._exit(1)
+        )
+        grid = ExperimentGrid(locality=_locality(), n_jobs=2)
+        with pytest.raises(BrokenProcessPool):
+            grid.run(specs)
+        telemetry = grid.stage_store.telemetry()
+        assert telemetry["schedule"]["stores"] == 0
+        assert telemetry["simulate"]["stores"] == 0
+        monkeypatch.undo()
+        results = grid.run(specs)
+        assert [r.canonical() for r in results] == [
+            r.canonical() for r in reference_run(specs, _locality())
+        ]
 
 
 class TestProgress:
