@@ -10,16 +10,17 @@ each a pure function from inputs to product
 :class:`ExecutionPlanner` dedups every cell's stage work *up front* by
 the :class:`StageStore` key families and emits a :class:`StagePlan` of
 unique, content-keyed tasks plus one assembly node per cell.  The
-planner owns the store protocol; the grid
+planner owns the store protocol, and
+:func:`~repro.engine.plan.kernel_units` groups the schedule and simulate
+waves into per-kernel work units.  The grid
 (:class:`~repro.harness.grid.ExperimentGrid`) executes nothing but its
-plans.
+plans, running the same units in-process or on its process pool.
 """
 
 from .plan import (
     AssemblyNode,
     ExecutionPlanner,
     PlanTask,
-    SimulateBatch,
     StagePlan,
 )
 from .result import RunResult
@@ -43,7 +44,6 @@ __all__ = [
     "SCHEDULER_NAMES",
     "STAGE_STORE_STAGES",
     "STAGE_STORE_VERSION",
-    "SimulateBatch",
     "StagePlan",
     "StageStore",
     "analyze_loop",

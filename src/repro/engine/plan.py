@@ -1,7 +1,7 @@
-"""Plan-based execution: the stage-task DAG every grid call runs.
+"""Plan-based execution: the stage plan every grid call runs.
 
 :class:`ExecutionPlanner` takes a list of cell specs and emits a
-:class:`StagePlan` — a small DAG of content-keyed tasks deduplicated
+:class:`StagePlan` — the call's content-keyed stage tasks, deduplicated
 *up front* by the :class:`~repro.engine.stagestore.StageStore` key
 families:
 
@@ -24,15 +24,14 @@ with the pure stage functions of :mod:`repro.engine.stages`.  Every
 simulation runs on :class:`~repro.simulator.VectorizedSimulator` under
 the steady mode its cell names.
 
-The process pool's work units are per kernel.  A schedule unit is one
-kernel's schedule tasks, run in plan order by one worker.  A simulate
-unit is a :class:`SimulateBatch`: the unique simulate tasks of one
-kernel and iteration geometry, run one after another and shipped with
-the schedules they read.  Tasks carry only JSON-serializable payloads
-(:meth:`PlanTask.to_dict`).  Each worker receives the analyzer and the
-plan's kernels once, the kernels as a name → kernel registry, so a
-schedule unit ships as nothing but its tasks.  Execution lives in
-:meth:`repro.harness.grid.ExperimentGrid.run`.
+The schedule and simulate waves run in per-kernel work units:
+:func:`kernel_units` groups a wave's unique tasks by kernel, each group
+in plan order.  A schedule unit is one kernel's schedule tasks; a
+simulate unit is one kernel's simulate tasks, which
+:func:`run_simulate_batch` runs one after another.  Task payloads are
+JSON-serializable primitives that name their kernel.  Execution lives
+in :meth:`repro.harness.grid.ExperimentGrid.run`, which runs the same
+units in-process or on its process pool.
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ from .stagestore import StageStore
 __all__ = [
     "PlanTask",
     "AssemblyNode",
-    "SimulateBatch",
     "StagePlan",
     "ExecutionPlanner",
+    "kernel_units",
     "run_analyze_task",
     "run_schedule_task",
     "run_simulate_batch",
@@ -71,26 +70,14 @@ __all__ = [
 class PlanTask:
     """One unique unit of stage work, content-keyed by the store.
 
-    ``payload`` holds everything a worker needs beyond the shared
-    kernel/analyzer registry, as JSON-serializable primitives — a task
-    can be shipped to another process (or, eventually, another host)
-    as nothing but its :meth:`to_dict`.
+    ``payload`` holds everything a worker needs beyond the kernels and
+    analyzer it receives once, as JSON-serializable primitives; every
+    payload names its ``kernel``.
     """
 
-    task_id: str
     stage: str  # "analyze" | "schedule" | "simulate"
     key: str  # the StageStore key this task produces
     payload: Dict[str, object] = field(default_factory=dict)
-    deps: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "task_id": self.task_id,
-            "stage": self.stage,
-            "key": self.key,
-            "payload": dict(self.payload),
-            "deps": list(self.deps),
-        }
 
 
 @dataclass
@@ -108,51 +95,11 @@ class AssemblyNode:
     schedule_owner: bool
     simulate_key: Optional[str] = None
     simulate_owner: bool = False
-    deps: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "spec": self.spec.to_json(),
-            "schedule_key": self.schedule_key,
-            "schedule_owner": self.schedule_owner,
-            "simulate_key": self.simulate_key,
-            "simulate_owner": self.simulate_owner,
-            "deps": list(self.deps),
-        }
-
-
-@dataclass
-class SimulateBatch:
-    """Unique simulate tasks sharing a kernel and geometry.
-
-    Members simulate different schedules of the same kernel under the
-    same iteration overrides; a batch is the process pool's simulate
-    unit, and its members run one after another.
-    """
-
-    batch_id: str
-    kernel_fp: str
-    n_iterations: Optional[int]
-    n_times: Optional[int]
-    tasks: List[PlanTask] = field(default_factory=list)
-
-    @property
-    def width(self) -> int:
-        return len(self.tasks)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "batch_id": self.batch_id,
-            "kernel_fp": self.kernel_fp,
-            "n_iterations": self.n_iterations,
-            "n_times": self.n_times,
-            "tasks": [task.to_dict() for task in self.tasks],
-        }
 
 
 @dataclass
 class StagePlan:
-    """The full DAG for one grid call: unique tasks + per-cell sinks.
+    """One grid call's unique tasks plus its per-cell sinks.
 
     ``schedules``/``simulations`` accumulate the materialized products
     (store hits at plan time, then task results during execution);
@@ -164,23 +111,19 @@ class StagePlan:
     analyze_tasks: List[PlanTask] = field(default_factory=list)
     schedule_tasks: List[PlanTask] = field(default_factory=list)
     simulate_tasks: List[PlanTask] = field(default_factory=list)
-    batches: List[SimulateBatch] = field(default_factory=list)
     assembly: List[AssemblyNode] = field(default_factory=list)
     schedules: Dict[str, Schedule] = field(default_factory=dict)
     simulations: Dict[str, SimulationResult] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable plan description (tasks only, no products)."""
-        return {
-            "locality_fp": self.locality_fp,
-            "analyze_tasks": [t.to_dict() for t in self.analyze_tasks],
-            "schedule_tasks": [t.to_dict() for t in self.schedule_tasks],
-            "simulate_tasks": [t.to_dict() for t in self.simulate_tasks],
-            "batches": [b.to_dict() for b in self.batches],
-            "assembly": [a.to_dict() for a in self.assembly],
-            "counters": dict(self.counters),
-        }
+
+def kernel_units(tasks: Sequence[PlanTask]) -> List[List[PlanTask]]:
+    """``tasks`` grouped by kernel in first-seen order, each group in
+    plan order: the work units of the schedule and simulate waves."""
+    units: Dict[str, List[PlanTask]] = {}
+    for task in tasks:
+        units.setdefault(str(task.payload["kernel"]), []).append(task)
+    return list(units.values())
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +136,7 @@ class ExecutionPlanner:
     *materialized* schedules (``Schedule.fingerprint()``): :meth:`plan`
     dedups analyze and schedule work up front, and once every schedule
     exists — from store hits or executed tasks — :meth:`plan_simulate`
-    dedups and batches the simulate work.
+    dedups the simulate work.
     """
 
     def __init__(self, locality: LocalityAnalyzer, store: StageStore) -> None:
@@ -236,7 +179,6 @@ class ExecutionPlanner:
                 seen_analyze[key] = None
                 plan.analyze_tasks.append(
                     PlanTask(
-                        task_id=f"analyze:{len(plan.analyze_tasks)}",
                         stage="analyze",
                         key=key,
                         payload={
@@ -250,7 +192,6 @@ class ExecutionPlanner:
 
         # Schedule: one task per unique store key; first spec owns it.
         schedule_owner: Dict[str, None] = {}
-        schedule_task_by_key: Dict[str, str] = {}
         for spec in specs:
             key = StageStore.schedule_key(
                 kernel_name=spec.kernel,
@@ -267,49 +208,37 @@ class ExecutionPlanner:
                 if hit is not None:
                     plan.schedules[key] = hit
                 else:
-                    task = PlanTask(
-                        task_id=f"schedule:{len(plan.schedule_tasks)}",
-                        stage="schedule",
-                        key=key,
-                        payload={
-                            "kernel": spec.kernel,
-                            "kernel_fp": spec.kernel_fp,
-                            "machine": spec.machine,
-                            "scheduler": spec.scheduler,
-                            "threshold": spec.threshold,
-                            "locality_fp": self.locality_fp,
-                        },
+                    plan.schedule_tasks.append(
+                        PlanTask(
+                            stage="schedule",
+                            key=key,
+                            payload={
+                                "kernel": spec.kernel,
+                                "kernel_fp": spec.kernel_fp,
+                                "machine": spec.machine,
+                                "scheduler": spec.scheduler,
+                                "threshold": spec.threshold,
+                                "locality_fp": self.locality_fp,
+                            },
+                        )
                     )
-                    plan.schedule_tasks.append(task)
-                    schedule_task_by_key[key] = task.task_id
             plan.assembly.append(
-                AssemblyNode(
-                    spec=spec,
-                    schedule_key=key,
-                    schedule_owner=owner,
-                    deps=(
-                        [schedule_task_by_key[key]]
-                        if key in schedule_task_by_key
-                        else []
-                    ),
-                )
+                AssemblyNode(spec=spec, schedule_key=key, schedule_owner=owner)
             )
         counters["schedule_unique"] = len(schedule_owner)
         counters["schedule_tasks"] = len(plan.schedule_tasks)
         return plan
 
-    # -- pass 2: simulate + batching -----------------------------------
+    # -- pass 2: simulate ----------------------------------------------
     def plan_simulate(self, plan: StagePlan) -> None:
-        """Dedup and batch simulate work once every schedule exists.
+        """Dedup simulate work once every schedule exists.
 
         Keys come from the materialized schedules' fingerprints; one
-        counted lookup per unique key, misses become tasks.  Unique
-        tasks sharing ``(kernel_fp, n_iterations, n_times)`` are grouped
-        into :class:`SimulateBatch`\\ es in first-seen order.
+        counted lookup per unique key, misses become tasks.  The
+        ``batches`` counters describe the wave's :func:`kernel_units`.
         """
         counters = plan.counters
         simulate_owner: Dict[str, None] = {}
-        batch_by_group: Dict[tuple, SimulateBatch] = {}
         for node in plan.assembly:
             spec = node.spec
             schedule = plan.schedules[node.schedule_key]
@@ -329,38 +258,24 @@ class ExecutionPlanner:
             if hit is not None:
                 plan.simulations[key] = hit
                 continue
-            task = PlanTask(
-                task_id=f"simulate:{len(plan.simulate_tasks)}",
-                stage="simulate",
-                key=key,
-                payload={
-                    "schedule_key": node.schedule_key,
-                    "steady": steady,
-                    "n_iterations": spec.n_iterations,
-                    "n_times": spec.n_times,
-                },
-                deps=list(node.deps),
-            )
-            plan.simulate_tasks.append(task)
-            node.deps = node.deps + [task.task_id]
-            group = (spec.kernel_fp, spec.n_iterations, spec.n_times)
-            batch = batch_by_group.get(group)
-            if batch is None:
-                batch = SimulateBatch(
-                    batch_id=f"batch:{len(plan.batches)}",
-                    kernel_fp=spec.kernel_fp,
-                    n_iterations=spec.n_iterations,
-                    n_times=spec.n_times,
+            plan.simulate_tasks.append(
+                PlanTask(
+                    stage="simulate",
+                    key=key,
+                    payload={
+                        "kernel": spec.kernel,
+                        "schedule_key": node.schedule_key,
+                        "steady": steady,
+                        "n_iterations": spec.n_iterations,
+                        "n_times": spec.n_times,
+                    },
                 )
-                batch_by_group[group] = batch
-                plan.batches.append(batch)
-            batch.tasks.append(task)
+            )
+        units = kernel_units(plan.simulate_tasks)
         counters["simulate_unique"] = len(simulate_owner)
         counters["simulate_tasks"] = len(plan.simulate_tasks)
-        counters["batches"] = len(plan.batches)
-        counters["batch_width_max"] = max(
-            (batch.width for batch in plan.batches), default=0
-        )
+        counters["batches"] = len(units)
+        counters["batch_width_max"] = max(map(len, units), default=0)
 
     # -- execution results -------------------------------------------
     def record(self, plan: StagePlan, task: PlanTask, product: object) -> None:
@@ -464,23 +379,24 @@ def run_schedule_task(
 
 
 def run_simulate_batch(
-    batch: SimulateBatch,
-    schedules: Mapping[str, Schedule],
+    tasks: Sequence[PlanTask],
+    schedules: Sequence[Schedule],
     warm_store: WarmStateStore,
 ) -> List[SimulationResult]:
-    """Produce one batch's simulations, member after member.
+    """Produce the simulations of ``tasks``, member after member, each
+    from the schedule at its index in ``schedules``.
 
     Each simulator is built right before it runs (and dropped after), so
-    a batch never holds more than one engine's tables.  Results align
-    with ``batch.tasks`` by index.
+    a unit never holds more than one engine's tables.  Results align
+    with ``tasks`` by index.
     """
     return VectorizedSimulator.run_batch(
         VectorizedSimulator(
-            schedules[task.payload["schedule_key"]],
+            schedule,
             n_iterations=task.payload["n_iterations"],
             n_times=task.payload["n_times"],
             steady=task.payload["steady"],
             warm_store=warm_store,
         )
-        for task in batch.tasks
+        for task, schedule in zip(tasks, schedules)
     )

@@ -14,10 +14,12 @@ that observation into infrastructure:
   :class:`~repro.engine.plan.ExecutionPlanner` dedups the analyze,
   schedule and simulate work of every cell *up front* against the
   grid's :class:`~repro.engine.stagestore.StageStore`, only the unique
-  misses run (in-process, or on a :class:`ProcessPoolExecutor` with
-  ``n_jobs``, one schedule unit per kernel), and every cell's result is
-  assembled from the shared products, **in submission order**
-  regardless of completion order.
+  misses run, and every cell's result is assembled from the shared
+  products, **in submission order** regardless of completion order.
+  The schedule and simulate waves run in per-kernel work units
+  (:func:`~repro.engine.plan.kernel_units`); ``n_jobs`` decides only
+  whether a wave's units run in-process or on a
+  :class:`ProcessPoolExecutor`, never what a unit is.
 
 Every simulation runs on :class:`~repro.simulator.VectorizedSimulator`
 under the steady mode its cell names, with the grid's
@@ -43,10 +45,9 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -61,7 +62,7 @@ from ..cme.locality import (
 from ..engine.plan import (
     ExecutionPlanner,
     PlanTask,
-    SimulateBatch,
+    kernel_units,
     run_analyze_task,
     run_schedule_task,
     run_simulate_batch,
@@ -72,6 +73,7 @@ from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
 from ..scheduler.result import Schedule
 from ..simulator import WarmStateStore
+from ..simulator.stats import SimulationResult
 from ..steady import validate_steady_mode
 from ..workloads.suite import SPEC_KERNELS, kernel_by_name
 
@@ -234,37 +236,30 @@ class GridStats:
             else:
                 self.plan[key] = self.plan.get(key, 0) + value
 
-    def reset(self) -> None:
-        self.requested = 0
-        self.computed = 0
-        self.deduplicated = 0
-        self.stage_seconds = {}
-        self.plan = {}
+
+class _Context(NamedTuple):
+    """What every work unit runs against besides its own arguments.
+
+    In-process units get the grid's own analyzer, warm-state store and
+    name → :class:`Kernel` registry.  Each pool worker receives copies
+    once, at pool start (:func:`_init_worker`): its analyzer's CME memo
+    and its kernels' dependence-graph caches then stay warm across the
+    units it runs, and the pre-primed warm store's disk layer (when
+    enabled) shares warm-ups discovered *during* the sweep.  Units only
+    compute: the parent records every product into the stage store.
+    """
+
+    locality: LocalityAnalyzer
+    warm_store: WarmStateStore
+    kernels: Dict[str, Kernel]
 
 
-#: Per-worker state installed by :func:`_init_worker`, shipped once per
-#: worker instead of once per unit of work.  The analyzer's CME memo
-#: accumulates across the units that worker runs.  The plan's kernels
-#: arrive as a name → :class:`Kernel` registry: a schedule unit names
-#: its kernel, so the worker keeps one copy whose dependence-graph
-#: caches stay warm.  The warm-state store arrives pre-primed, and its
-#: disk layer (when enabled) lets workers share warm-ups discovered
-#: *during* the sweep.  Workers only compute: the parent records every
-#: product into the stage store.
-_WORKER_LOCALITY: Optional[LocalityAnalyzer] = None
-_WORKER_KERNELS: Dict[str, Kernel] = {}
-_WORKER_WARM: Optional[WarmStateStore] = None
+_WORKER_CONTEXT: Optional[_Context] = None
 
 
-def _init_worker(
-    locality: LocalityAnalyzer,
-    warm_store: WarmStateStore,
-    kernels: Dict[str, Kernel],
-) -> None:
-    global _WORKER_LOCALITY, _WORKER_WARM, _WORKER_KERNELS
-    _WORKER_LOCALITY = locality
-    _WORKER_WARM = warm_store
-    _WORKER_KERNELS = kernels
+def _init_worker(context: _Context) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
 
 
 def _timed(fn: Callable, *args) -> Tuple[object, float]:
@@ -273,33 +268,54 @@ def _timed(fn: Callable, *args) -> Tuple[object, float]:
     return product, time.perf_counter() - start
 
 
+def _schedule_unit(
+    context: _Context, tasks: Sequence[PlanTask]
+) -> Tuple[List[Schedule], float]:
+    """One kernel's schedule tasks in plan order, each machine rebuilt
+    from its key: ``(schedules, seconds)``."""
+    kernel = context.kernels[str(tasks[0].payload["kernel"])]
+    return _timed(
+        lambda: [
+            run_schedule_task(
+                task,
+                kernel,
+                machine_from_key(str(task.payload["machine"])),
+                context.locality,
+            )
+            for task in tasks
+        ]
+    )
+
+
+def _simulate_unit(
+    context: _Context,
+    tasks: Sequence[PlanTask],
+    schedules: Sequence[Schedule],
+) -> Tuple[List[SimulationResult], float]:
+    """One kernel's simulate tasks, each with the schedule it reads:
+    ``(simulations, seconds)``."""
+    return _timed(run_simulate_batch, tasks, schedules, context.warm_store)
+
+
 def _pooled_schedule_unit(
     tasks: Sequence[PlanTask],
 ) -> Tuple[List[Schedule], float]:
-    """Pool entry point for one kernel's schedule tasks, run in plan
-    order; the kernel comes from the worker's registry, each machine
-    from its key."""
-    if _WORKER_LOCALITY is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process missing its locality analyzer")
-    kernel = _WORKER_KERNELS[str(tasks[0].payload["kernel"])]
-    start = time.perf_counter()
-    schedules = [
-        run_schedule_task(
-            task,
-            kernel,
-            machine_from_key(str(task.payload["machine"])),
-            _WORKER_LOCALITY,
-        )
-        for task in tasks
-    ]
-    return schedules, time.perf_counter() - start
+    """Pool entry point: :func:`_schedule_unit` in the worker's context."""
+    return _schedule_unit(_WORKER_CONTEXT, tasks)
 
 
-def _pooled_simulate(
-    batch: SimulateBatch, schedules: Dict[str, Schedule]
-) -> Tuple[object, float]:
-    """Pool entry point for one simulate batch."""
-    return _timed(run_simulate_batch, batch, schedules, _WORKER_WARM)
+def _pooled_simulate_unit(
+    tasks: Sequence[PlanTask], schedules: Sequence[Schedule]
+) -> Tuple[List[SimulationResult], float]:
+    """Pool entry point: :func:`_simulate_unit` in the worker's context."""
+    return _simulate_unit(_WORKER_CONTEXT, tasks, schedules)
+
+
+#: Each wave's unit function and the pool entry point that runs it.
+_WAVES = {
+    "schedule": (_schedule_unit, _pooled_schedule_unit),
+    "simulate": (_simulate_unit, _pooled_simulate_unit),
+}
 
 
 class ExperimentGrid:
@@ -449,36 +465,43 @@ class ExperimentGrid:
         report: Callable[[CellSpec, str], None],
     ) -> List[RunResult]:
         """Plan ``specs``, run the plan's unique tasks and assemble one
-        result per spec, in order.
-
-        Workers only compute; the parent records every product into the
-        plan and the store, in plan order, so the store's contents and
-        counters do not depend on completion order.
-        """
+        result per spec, in order."""
         kernels = {spec.kernel: self._resolve_kernel(spec) for spec in specs}
+        context = _Context(self.locality, self.warm_store, kernels)
         planner = ExecutionPlanner(self.locality, self.stage_store)
         plan = planner.plan(specs, kernels)
         pool: Optional[ProcessPoolExecutor] = None
 
-        def fan_out(entry: Callable, calls: Sequence[tuple]) -> Iterator:
+        def run_wave(stage: str, units: Sequence[tuple]) -> None:
+            """Run one wave's units — in-process, or on the pool when
+            there are jobs and units to share — then record every
+            product, in unit order, so a failed wave stores nothing and
+            the store never depends on completion order."""
             nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.n_jobs,
-                    initializer=_init_worker,
-                    initargs=(self.locality, self.warm_store, kernels),
-                )
-            futures = {
-                pool.submit(entry, *args): index
-                for index, args in enumerate(calls)
-            }
-            not_done = set(futures)
-            while not_done:
-                finished, not_done = wait(
-                    not_done, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    yield futures[future], future.result()
+            unit_fn, entry = _WAVES[stage]
+            if self.n_jobs == 1 or len(units) < 2:
+                outputs = [unit_fn(context, *unit) for unit in units]
+            else:
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=self.n_jobs,
+                        initializer=_init_worker,
+                        initargs=(context,),
+                    )
+                futures = [pool.submit(entry, *unit) for unit in units]
+                pending = set(futures)
+                while pending:
+                    # Raise the first failure as soon as it lands.
+                    finished, pending = wait(
+                        pending, return_when=FIRST_COMPLETED
+                    )
+                    for future in finished:
+                        future.result()
+                outputs = [future.result() for future in futures]
+            for unit, (products, seconds) in zip(units, outputs):
+                self._tally(stage, seconds)
+                for task, product in zip(unit[0], products):
+                    planner.record(plan, task, product)
 
         try:
             # Analyze wave: cheap, shared, and the pickled-to-workers
@@ -493,69 +516,26 @@ class ExperimentGrid:
                     self.stage_store,
                 )
                 self._tally("analyze", seconds)
-
-            # Schedule wave: the pool gets one unit per kernel, so one
-            # worker runs all of a kernel's tasks against warm caches.
-            units = _kernel_units(plan.schedule_tasks)
-            if self.n_jobs > 1 and len(units) > 1:
-                done = fan_out(
-                    _pooled_schedule_unit, [(unit,) for unit in units]
-                )
-                per_unit = self._collect("schedule", done, len(units))
-                by_key = {
-                    task.key: schedule
-                    for unit, schedules in zip(units, per_unit)
-                    for task, schedule in zip(unit, schedules)
-                }
-                schedules = [by_key[task.key] for task in plan.schedule_tasks]
-            else:
-                done = (
-                    (
-                        i,
-                        _timed(
-                            run_schedule_task,
-                            task,
-                            kernels[str(task.payload["kernel"])],
-                            machine_from_key(str(task.payload["machine"])),
-                            self.locality,
-                        ),
-                    )
-                    for i, task in enumerate(plan.schedule_tasks)
-                )
-                schedules = self._collect(
-                    "schedule", done, len(plan.schedule_tasks)
-                )
-            for task, schedule in zip(plan.schedule_tasks, schedules):
-                planner.record(plan, task, schedule)
-
-            # Simulate wave: keys need the materialized schedules'
-            # fingerprints, so this pass plans, dedups and batches now.
+            run_wave(
+                "schedule",
+                [(tasks,) for tasks in kernel_units(plan.schedule_tasks)],
+            )
+            # Simulate keys need the materialized schedules'
+            # fingerprints, so this pass plans and dedups now.
             planner.plan_simulate(plan)
-            if self.n_jobs > 1 and len(plan.batches) > 1:
-                done = fan_out(
-                    _pooled_simulate,
-                    [
-                        (batch, _batch_schedules(batch, plan.schedules))
-                        for batch in plan.batches
-                    ],
-                )
-            else:
-                done = (
+            run_wave(
+                "simulate",
+                [
                     (
-                        i,
-                        _timed(
-                            run_simulate_batch,
-                            batch,
-                            plan.schedules,
-                            self.warm_store,
-                        ),
+                        tasks,
+                        [
+                            plan.schedules[str(task.payload["schedule_key"])]
+                            for task in tasks
+                        ],
                     )
-                    for i, batch in enumerate(plan.batches)
-                )
-            simulations = self._collect("simulate", done, len(plan.batches))
-            for batch, results in zip(plan.batches, simulations):
-                for task, result in zip(batch.tasks, results):
-                    planner.record(plan, task, result)
+                    for tasks in kernel_units(plan.simulate_tasks)
+                ],
+            )
         finally:
             # Every future has finished unless a unit failed; then the
             # queued units are dropped instead of run for nothing.
@@ -572,41 +552,6 @@ class ExperimentGrid:
             self.stats.add_plan_counters(plan.counters)
         return out
 
-    def _collect(
-        self,
-        stage: str,
-        done: Iterable[Tuple[int, Tuple[object, float]]],
-        n: int,
-    ) -> List[object]:
-        """Order ``(index, (product, seconds))`` pairs into a product
-        list, tallying the seconds under ``stage``."""
-        products: List[object] = [None] * n
-        for index, (product, seconds) in done:
-            products[index] = product
-            self._tally(stage, seconds)
-        return products
-
     def _tally(self, stage: str, seconds: float) -> None:
         with self._lock:
             self.stats.add_stage_seconds({stage: seconds})
-
-
-def _kernel_units(tasks: Sequence[PlanTask]) -> List[List[PlanTask]]:
-    """Schedule tasks grouped by kernel in first-seen order, each group
-    in plan order — the pool's schedule units."""
-    units: Dict[str, List[PlanTask]] = {}
-    for task in tasks:
-        units.setdefault(str(task.payload["kernel"]), []).append(task)
-    return list(units.values())
-
-
-def _batch_schedules(
-    batch: SimulateBatch, schedules: Mapping[str, Schedule]
-) -> Dict[str, Schedule]:
-    """The schedules one batch reads — all a worker needs shipped."""
-    return {
-        str(task.payload["schedule_key"]): schedules[
-            str(task.payload["schedule_key"])
-        ]
-        for task in batch.tasks
-    }

@@ -27,6 +27,7 @@ live in JSON files or CLI pipelines.
 
 from __future__ import annotations
 
+import inspect
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -71,6 +72,12 @@ _SUITES = {
 }
 
 _FIGURES = {"figure5": figure5, "figure6": figure6}
+
+#: Figure-generator arguments :func:`run_scenario` supplies itself, so a
+#: spec's ``figure_args`` may not.
+_RUNNER_FIGURE_ARGS = frozenset(
+    {"grid", "steady", "kernels", "locality", "n_jobs", "progress"}
+)
 
 
 def _bus_to_json(bus: Optional[Tuple[Optional[int], int]]):
@@ -397,6 +404,23 @@ class ScenarioSpec:
             raise KeyError(
                 f"scenario {self.name!r} selects unknown {self.suite} "
                 f"kernels {unknown}; known: {list(registry)}"
+            )
+        if self.kernels is not None and not self.kernels:
+            raise ValueError(
+                f"key 'kernels' in {context} selects no kernel; omit it "
+                f"to select the whole suite"
+            )
+        if self.figure is not None:
+            parameters = inspect.signature(_FIGURES[self.figure]).parameters
+            _reject_unknown_keys(
+                dict(self.figure_args),
+                frozenset(parameters) - _RUNNER_FIGURE_ARGS,
+                f"key 'figure_args' in {context} ({self.figure})",
+            )
+        elif self.figure_args:
+            raise ValueError(
+                f"key 'figure_args' in {context} needs a figure; grid "
+                f"scenarios take none"
             )
 
     # ------------------------------------------------------------------

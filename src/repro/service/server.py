@@ -207,6 +207,10 @@ class ExperimentServer:
             cursor = int(request.query_value("cursor", "0"))
         except ValueError:
             raise HttpError(400, "query parameter 'cursor' must be an integer")
+        if cursor < 0:
+            raise HttpError(
+                400, f"query parameter 'cursor' must be >= 0, got {cursor}"
+            )
         follow = request.query_value("follow", "1") not in ("0", "false")
         await start_ndjson_stream(writer)
         while True:

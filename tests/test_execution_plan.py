@@ -1,7 +1,7 @@
 """Plan-based grid execution: equivalence, dedup accounting, batching.
 
 The load-bearing contract of the execution plan: running a grid through
-the :class:`~repro.engine.plan.ExecutionPlanner` stage-task DAG produces
+the :class:`~repro.engine.plan.ExecutionPlanner` stage plan produces
 **byte-identical** results compared to the store-less reference
 (``reference_cells``: the pure stages, one cell at a time), for every
 registered grid scenario and a golden figure panel, at ``n_jobs`` 1 and
@@ -10,13 +10,11 @@ unique analyze/schedule/simulate key executes exactly once (planned task
 count == unique store keys).
 """
 
-import json
-
 import pytest
 
 from repro.cme import IncrementalCME, SamplingCME
 from repro.engine import ExecutionPlanner, StageStore
-from repro.engine.plan import run_schedule_task
+from repro.engine.plan import kernel_units, run_schedule_task
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import CellSpec, ExperimentGrid, machine_from_key
 from repro.harness.scenarios import all_scenarios, get_scenario, run_scenario
@@ -173,22 +171,9 @@ class TestPlannerUnit:
         first = self._build_plan(SamplingCME(max_points=MAX_POINTS))
         second = self._build_plan(SamplingCME(max_points=MAX_POINTS))
         for stage in ("analyze_tasks", "schedule_tasks", "simulate_tasks"):
-            assert [t.to_dict() for t in getattr(first, stage)] == [
-                t.to_dict() for t in getattr(second, stage)
-            ], stage
-        assert [b.to_dict() for b in first.batches] == [
-            b.to_dict() for b in second.batches
-        ]
-        assert [a.to_dict() for a in first.assembly] == [
-            a.to_dict() for a in second.assembly
-        ]
+            assert getattr(first, stage) == getattr(second, stage), stage
+        assert first.assembly == second.assembly
         assert first.counters == second.counters
-
-    def test_plan_to_dict_is_json_serializable(self):
-        plan = self._build_plan(SamplingCME(max_points=MAX_POINTS))
-        dumped = json.loads(json.dumps(plan.to_dict()))
-        assert dumped["counters"] == plan.counters
-        assert len(dumped["assembly"]) == plan.counters["cells"]
 
     def test_schedule_tasks_unique_and_owned(self):
         plan = self._build_plan(SamplingCME(max_points=MAX_POINTS))
@@ -202,19 +187,18 @@ class TestPlannerUnit:
             assert node.simulate_key is not None
 
     def test_batches_group_by_kernel_and_geometry(self):
+        # One simulate unit per kernel; every cell here shares one
+        # geometry, so the units are the old kernel × geometry batches.
         plan = self._build_plan(SamplingCME(max_points=MAX_POINTS))
-        seen_tasks = []
-        for batch in plan.batches:
-            for task in batch.tasks:
-                assert task.stage == "simulate"
-                seen_tasks.append(task.task_id)
-            assert batch.width >= 1
-        assert sorted(seen_tasks) == sorted(
-            t.task_id for t in plan.simulate_tasks
-        )
-        assert plan.counters["batch_width_max"] == max(
-            batch.width for batch in plan.batches
-        )
+        units = kernel_units(plan.simulate_tasks)
+        members = [task.key for unit in units for task in unit]
+        assert sorted(members) == sorted(t.key for t in plan.simulate_tasks)
+        assert len(members) == len(set(members))
+        for unit in units:
+            assert unit and {t.stage for t in unit} == {"simulate"}
+            assert len({t.payload["kernel"] for t in unit}) == 1
+        assert plan.counters["batches"] == len(units) == 2
+        assert plan.counters["batch_width_max"] == max(map(len, units))
 
 
 # ----------------------------------------------------------------------

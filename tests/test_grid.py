@@ -1,6 +1,7 @@
 """Tests for the parallel experiment-grid engine (harness.grid)."""
 
 import functools
+import itertools
 import json
 import os
 import pickle
@@ -370,6 +371,36 @@ class TestPoolWorkUnits:
         assert live == []
         assert pooled.figure.bars == serial.figure.bars
         assert pooled.figure.records == serial.figure.records
+
+    def test_serial_run_executes_the_pool_units(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool(grid_module.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if "schedule" in fn.__name__:
+                    submitted.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "ProcessPoolExecutor", RecordingPool)
+        run_scenario("fig6-smoke", cache=False, n_jobs=2)
+        calls = []
+        run = grid_module.run_schedule_task
+
+        def recording_task(task, kernel, machine, locality):
+            calls.append(task)
+            return run(task, kernel, machine, locality)
+
+        monkeypatch.setattr(grid_module, "run_schedule_task", recording_task)
+        run_scenario("fig6-smoke", cache=False)
+        kernels = [task.payload["kernel"] for task in calls]
+        runs = [kernel for kernel, _ in itertools.groupby(kernels)]
+        # One contiguous run per kernel, in first-seen order ...
+        assert runs == list(dict.fromkeys(kernels))
+        assert len(runs) == len(submitted) == 8
+        # ... and each run is the unit the pool was handed.
+        assert [task.key for task in calls] == [
+            task.key for unit in submitted for task in unit
+        ]
 
     def test_failing_unit_cancels_the_queued_units(
         self, monkeypatch, tmp_path

@@ -173,6 +173,27 @@ class TestFromDictValidation:
                 {"locality": {"kind": "sampling", "max_points": -3}},
                 "'max_points'.*>= 1",
             ),
+            ({"kernels": []}, "'kernels'"),
+            ({"figure_args": {"n_clusters": 2}}, "'figure_args'"),
+            (
+                {"groups": [], "figure": "figure6", "kernels": []},
+                "'kernels'",
+            ),
+            (
+                {"groups": [], "figure": "figure6",
+                 "figure_args": {"n_cluster": 2}},
+                "'n_cluster'.*'figure_args'",
+            ),
+            (
+                {"groups": [], "figure": "figure6",
+                 "figure_args": {"grid": None}},
+                "'grid'.*'figure_args'",
+            ),
+            (
+                {"groups": [], "figure": "figure5",
+                 "figure_args": {"kernels": ["applu"]}},
+                "'kernels'.*'figure_args'",
+            ),
         ],
     )
     def test_bad_field_names_key(self, overrides, match):

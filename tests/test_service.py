@@ -11,6 +11,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import dataclass
 
 import pytest
 
@@ -55,6 +56,13 @@ def _tiny_spec_dict(name="svc-tiny", kernels=("tomcatv",)):
         n_iterations=8,
         n_times=2,
     ).to_dict()
+
+
+@dataclass(frozen=True)
+class _FigureArg:
+    """A ``figure_args`` entry of a figure spec, as a test input."""
+
+    value: object
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +208,11 @@ class TestValidationOverHttp:
             ("n_times", -2),
             ("max_points", -3),
             ("sim", "scalar"),
+            ("kernels", []),
+            ("figure_args", {"n_clusters": 2}),
+            ("n_cluster", _FigureArg(2)),
+            ("grid", _FigureArg(None)),
+            ("kernels", _FigureArg(["applu"])),
         ],
     )
     def test_bad_inline_spec_is_400_and_named(self, service, key, value):
@@ -207,6 +220,10 @@ class TestValidationOverHttp:
         spec = _tiny_spec_dict()
         if key == "max_points":
             spec["locality"] = {"kind": "sampling", key: value}
+        elif isinstance(value, _FigureArg):
+            spec.update(
+                groups=[], figure="figure6", figure_args={key: value.value}
+            )
         else:
             spec[key] = value
         with pytest.raises(ServiceError, match=repr(key)) as info:
@@ -270,6 +287,13 @@ class TestValidationOverHttp:
         job_id = smoke_run["jobs"][0]["id"]
         with pytest.raises(ServiceError, match="cursor") as info:
             client._get_json(f"/jobs/{job_id}/events?cursor=later")
+        assert info.value.status == 400
+
+    def test_negative_event_cursor_is_400(self, service, smoke_run):
+        _srv, client = service
+        job_id = smoke_run["jobs"][0]["id"]
+        with pytest.raises(ServiceError, match="'cursor'.*>= 0") as info:
+            list(client.events(job_id, cursor=-2))
         assert info.value.status == 400
 
 
