@@ -94,36 +94,43 @@ class MSHR:
             self._release_times = [t + time_delta for t in self._release_times]
 
 
-def _set_fragment(
-    ways: List[CacheLine], index: int, n_sets: int, line_size: int
-) -> Optional[tuple]:
-    """Shift-invariant signature fragment of one cache set.
+#: Digest arithmetic.  A set whose anchor is line ``n`` (line address
+#: divided by the line size) contributes ``hash(rel) * _R**n`` modulo the
+#: Mersenne prime ``_P``, so translating every line by ``d`` multiplies
+#: the whole digest by ``_R**d``: a probe undoes an address shift with
+#: one modular power instead of re-reading any set.  ``hash`` of the
+#: state strings is salted per process, so digests compare only within
+#: one process, and only exact signatures ever decide a replay.
+_P = (1 << 61) - 1
+_R = 0x2E5BF271E2A5C4D
 
-    ``(anchor tag, relative ways, live anchor tag, relative live ways,
-    absolute invalid-line addresses)`` — everything
-    :meth:`ClusterCache.state_signature` needs to serve both the full
-    and the ``invalid_out`` probe shapes without walking the lines
-    again.  ``None`` stands for an empty set.
-    """
-    if not ways:
-        return None
-    anchor = ways[0].tag
-    rel = tuple((line.tag - anchor, line.state.value) for line in ways)
-    live_anchor = None
-    live_rel: Tuple[Tuple[int, str], ...] = ()
-    invalid_addrs = []
-    live = []
-    for line in ways:
-        if line.state is LineState.INVALID:
-            invalid_addrs.append((line.tag * n_sets + index) * line_size)
-        else:
-            live.append(line)
-    if live:
-        live_anchor = live[0].tag
-        live_rel = tuple(
-            (line.tag - live_anchor, line.state.value) for line in live
-        )
-    return (anchor, rel, live_anchor, live_rel, tuple(invalid_addrs))
+# Module-level aliases keep the enum descriptor lookups out of the
+# per-set refresh loop.
+_MODIFIED = LineState.MODIFIED
+_INVALID = LineState.INVALID
+
+
+def _digest_weights(n_sets: int) -> Tuple[Tuple[int, ...], int]:
+    """``(_R**index for every set index, _R**n_sets)``: line ``n`` of tag
+    ``t`` and set ``i`` weighs ``(_R**n_sets)**t * _R**i``."""
+    weights = []
+    weight = 1
+    for _ in range(n_sets):
+        weights.append(weight)
+        weight = weight * _R % _P
+    return tuple(weights), weight
+
+
+def _one_line(state: LineState) -> Tuple[tuple, int]:
+    """``(rel, hash(rel) mod _P)`` of a set holding one line in ``state``,
+    the shape direct-mapped caches mostly hold."""
+    rel = ((0, state.value),)
+    return rel, hash(rel) % _P
+
+
+_ONE_MODIFIED = _one_line(LineState.MODIFIED)
+_ONE_SHARED = _one_line(LineState.SHARED)
+_ONE_INVALID = _one_line(LineState.INVALID)
 
 
 class ClusterCache:
@@ -141,13 +148,19 @@ class ClusterCache:
         self.mshr = MSHR(config.mshr_entries)
         # line address -> fill completion time (for secondary-miss merging)
         self.in_flight: Dict[int, int] = {}
-        # Incremental-signature support: per-set fragments of the last
-        # signature in shift-invariant (anchor-relative) form, plus the
-        # set indices mutated since they were built.  A probe recomputes
-        # only the dirty fragments, so its cost is O(sets touched since
-        # the previous probe) instead of O(resident lines).
+        # Incremental-signature support: per-set fragments in
+        # shift-invariant (anchor-relative) form, the set indices mutated
+        # since they were built, and two digests of the fragments (whole
+        # sets and live lines only) patched as each fragment is rebuilt.
+        # A refresh costs O(sets touched since the previous one); a probe
+        # adds one modular power and a dict copy, and only a full
+        # signature assembles and sorts every resident set.
         self._set_frags: Dict[int, Optional[tuple]] = {}
         self._dirty_sets: set = set()
+        self._digest = 0
+        self._live_digest = 0
+        self._weights = _digest_weights(config.n_sets)
+        self._tag_weights: Dict[int, int] = {}  # tag -> (_R**n_sets)**tag
 
     # ------------------------------------------------------------------
     def _lookup(self, address: int) -> Optional[CacheLine]:
@@ -234,8 +247,6 @@ class ClusterCache:
         base: int,
         addr_shift: int = 0,
         invalid_out: Optional[List[int]] = None,
-        live_prune: Optional[object] = None,
-        live_out: Optional[List[Tuple[int, int, str]]] = None,
     ) -> Tuple[object, ...]:
         """Canonical description of everything that can affect a future
         access, normalized for time and address translation.
@@ -259,18 +270,6 @@ class ClusterCache:
         addresses to the list, leaving the proof obligation to the
         caller.
 
-        Live (M/S) lines carry more behaviour than invalid ones — they
-        can be hit, supply snoops, and participate in eviction choices
-        within their set — so they may only be stripped under a stronger
-        proof: ``live_prune(cluster_id, line_address)`` must return True
-        only when the future access stream provably (a) never touches
-        the line's address from *any* cluster and (b) never maps an
-        access from *this* cluster into the line's set (so the line can
-        never be hit, snooped, or weighed in an eviction).  Matching
-        lines are stripped from the signature and appended to
-        ``live_out`` as ``(cluster id, absolute line address, state)``;
-        the proof obligation is entirely the caller's.
-
         Each set contributes one ``(rotated index, shifted anchor
         address, relative ways)`` triple, where the anchor is the first
         emitted line and the other ways are recorded as whole-image tag
@@ -279,47 +278,210 @@ class ClusterCache:
         anchor pins the set's absolute position modulo the shift; the
         deltas pin everything else), but the relative part is
         shift-invariant — which is what lets fragments be cached across
-        probes with different ``addr_shift``.  The default path serves
-        probes from cached per-set fragments, recomputing only sets
-        mutated since the previous probe; ``live_prune`` callers take
-        the full reference walk (:meth:`_signature_walk`), since the
-        predicate's verdict can change between probes with no cache
-        mutation at all.
+        probes with different ``addr_shift``.  The signature is assembled
+        from the cached per-set fragments (:meth:`frag_sets`) after
+        rebuilding only the sets mutated since the previous refresh.
         """
-        if live_prune is not None:
-            return self._signature_walk(
-                base, addr_shift, invalid_out, live_prune, live_out
-            )
-        config = self.config
-        n_sets = config.n_sets
-        line_size = config.line_size
-        rotation = (addr_shift // line_size) % n_sets
+        self._refresh()
         frags = self._set_frags
-        dirty = self._dirty_sets
+        return (
+            self.frag_sets(
+                ((index, frags[index]) for index in self._sets),
+                addr_shift,
+                invalid_out is not None,
+                invalid_out,
+            ),
+            self._pending_fills(base, addr_shift),
+            self.mshr.pending_signature(base),
+        )
+
+    def state_probe(
+        self, base: int, addr_shift: int, live: bool
+    ) -> Tuple[int, tuple, Dict[int, Optional[tuple]]]:
+        """``(digest, exact part, fragments)`` of this cache's state.
+
+        The digest stands for the sorted set list of
+        :meth:`state_signature` (the live-lines form when ``live``),
+        normalized by ``addr_shift``: equal set lists give equal
+        digests, and unequal ones almost never do.  The exact part is
+        the signature's fills and MSHR components; the fragments are a
+        shallow copy of the immutable per-set fragments, from which
+        :meth:`frag_sets` rebuilds the set list exactly.
+        """
+        self._refresh()
+        digest = self._live_digest if live else self._digest
+        lines = addr_shift // self.config.line_size
+        if lines:
+            digest = digest * pow(_R, -lines, _P) % _P
+        return (
+            digest,
+            (
+                self._pending_fills(base, addr_shift),
+                self.mshr.pending_signature(base),
+            ),
+            dict(self._set_frags),
+        )
+
+    def frag_sets(
+        self,
+        frags,
+        addr_shift: int,
+        live: bool,
+        invalid_out: Optional[List[int]] = None,
+        live_prune: Optional[object] = None,
+        live_out: Optional[List[Tuple[int, int, str]]] = None,
+    ) -> Tuple[tuple, ...]:
+        """Sorted set list of a signature, read from ``(set index,
+        fragment)`` pairs: the whole sets, or their live lines only when
+        ``live``.  ``invalid_out`` collects every invalid line's absolute
+        address.
+
+        Live (M/S) lines carry more behaviour than invalid ones — they
+        can be hit, supply snoops, and participate in eviction choices
+        within their set — so they may only be stripped under a stronger
+        proof: ``live_prune(cluster_id, line_address)`` (live form only)
+        must return True only when the future access stream provably
+        (a) never touches the line's address from *any* cluster and (b)
+        never maps an access from *this* cluster into the line's set (so
+        the line can never be hit, snooped, or weighed in an eviction).
+        Matching lines are stripped from the set list and appended to
+        ``live_out`` as ``(cluster id, absolute line address, state)``;
+        the proof obligation is entirely the caller's.
+        """
+        n_sets = self.config.n_sets
+        line_size = self.config.line_size
+        image = n_sets * line_size
+        rotation = (addr_shift // line_size) % n_sets
+        cluster = self.cluster_id
         sets = []
-        for index, ways in self._sets.items():
-            if index in dirty or index not in frags:
-                frags[index] = _set_fragment(ways, index, n_sets, line_size)
-            frag = frags[index]
+        for index, frag in frags:
             if frag is None:
                 continue
-            anchor_tag, rel, live_anchor, live_rel, invalid_addrs = frag
-            if invalid_out is not None:
-                if invalid_addrs:
-                    invalid_out.extend(invalid_addrs)
-                if live_anchor is None:
-                    continue
-                anchor = (live_anchor * n_sets + index) * line_size
-                sets.append(
-                    ((index - rotation) % n_sets, anchor - addr_shift, live_rel)
-                )
+            if invalid_out is not None and frag[4]:
+                invalid_out.extend(frag[4])
+            if not live:
+                anchor, rel = frag[0], frag[1]
             else:
-                anchor = (anchor_tag * n_sets + index) * line_size
-                sets.append(
-                    ((index - rotation) % n_sets, anchor - addr_shift, rel)
-                )
-        dirty.clear()
+                anchor, rel = frag[2], frag[3]
+                if anchor is None:
+                    continue
+                if live_prune is not None:
+                    kept = []
+                    for delta, state in rel:
+                        address = anchor + delta * image
+                        if live_prune(cluster, address):
+                            if live_out is not None:
+                                live_out.append((cluster, address, state))
+                        else:
+                            kept.append((address, state))
+                    if not kept:
+                        continue
+                    anchor = kept[0][0]
+                    rel = tuple(
+                        ((address - anchor) // image, state)
+                        for address, state in kept
+                    )
+            sets.append(((index - rotation) % n_sets, anchor - addr_shift, rel))
         sets.sort()
+        return tuple(sets)
+
+    def _refresh(self) -> None:
+        """Rebuild the fragments of the sets mutated since the last
+        refresh and patch both digests by the difference.
+
+        A fragment is ``(anchor line address, relative ways, live anchor
+        line address or None, relative live ways, invalid line
+        addresses, digest term, live digest term)``; ``None`` stands for
+        an empty set.
+        """
+        dirty = self._dirty_sets
+        if not dirty:
+            return
+        frags = self._set_frags
+        sets = self._sets
+        n_sets = self.config.n_sets
+        line_size = self.config.line_size
+        index_weights, tag_base = self._weights
+        tag_weights = self._tag_weights
+        digest = self._digest
+        live_digest = self._live_digest
+        for index in dirty:
+            old = frags.get(index)
+            if old is not None:
+                digest -= old[5]
+                live_digest -= old[6]
+            ways = sets.get(index)
+            if not ways:
+                frags[index] = None
+                continue
+            tag = ways[0].tag
+            weight = tag_weights.get(tag)
+            if weight is None:
+                weight = tag_weights[tag] = pow(tag_base, tag, _P)
+            anchor = (tag * n_sets + index) * line_size
+            if len(ways) == 1:
+                state = ways[0].state
+                if state is _INVALID:
+                    rel, term = _ONE_INVALID
+                    term = term * weight * index_weights[index] % _P
+                    frag = (anchor, rel, None, (), (anchor,), term, 0)
+                else:
+                    rel, term = (
+                        _ONE_MODIFIED if state is _MODIFIED else _ONE_SHARED
+                    )
+                    term = term * weight * index_weights[index] % _P
+                    frag = (anchor, rel, anchor, rel, (), term, term)
+            else:
+                frag = self._fragment(index, ways, anchor, weight)
+            frags[index] = frag
+            digest += frag[5]
+            live_digest += frag[6]
+        dirty.clear()
+        self._digest = digest % _P
+        self._live_digest = live_digest % _P
+
+    def _fragment(
+        self, index: int, ways: List[CacheLine], anchor: int, weight: int
+    ) -> tuple:
+        """The :meth:`_refresh` fragment of a set holding several lines,
+        ``anchor`` being the first line's address and ``weight`` its
+        tag's digest weight."""
+        n_sets = self.config.n_sets
+        line_size = self.config.line_size
+        index_weight = self._weights[0][index]
+        anchor_tag = ways[0].tag
+        rel = tuple((line.tag - anchor_tag, line.state.value) for line in ways)
+        term = hash(rel) * weight * index_weight % _P
+        live = [line for line in ways if line.state is not _INVALID]
+        invalid = tuple(
+            (line.tag * n_sets + index) * line_size
+            for line in ways
+            if line.state is _INVALID
+        )
+        if not live:
+            return (anchor, rel, None, (), invalid, term, 0)
+        live_tag = live[0].tag
+        live_rel = tuple(
+            (line.tag - live_tag, line.state.value) for line in live
+        )
+        live_weight = self._tag_weights.get(live_tag)
+        if live_weight is None:
+            live_weight = self._tag_weights[live_tag] = pow(
+                self._weights[1], live_tag, _P
+            )
+        return (
+            anchor,
+            rel,
+            (live_tag * n_sets + index) * line_size,
+            live_rel,
+            invalid,
+            term,
+            hash(live_rel) * live_weight * index_weight % _P,
+        )
+
+    def _pending_fills(self, base: int, addr_shift: int) -> tuple:
+        """The signature's fills part: in-flight fills completing after
+        ``base``, shifted and made ``base``-relative."""
         in_flight = self.in_flight
         if in_flight:
             # Completions at or before ``base`` are behaviourally absent
@@ -330,13 +492,12 @@ class ClusterCache:
             expired = [a for a, t in in_flight.items() if t <= base]
             for address in expired:
                 del in_flight[address]
-        fills = tuple(
+        return tuple(
             sorted(
                 (address - addr_shift, t - base)
                 for address, t in in_flight.items()
             )
         )
-        return (tuple(sets), fills, self.mshr.pending_signature(base))
 
     def _signature_walk(
         self,
@@ -348,9 +509,9 @@ class ClusterCache:
     ) -> Tuple[object, ...]:
         """From-scratch reference walk behind :meth:`state_signature`.
 
-        Produces bit-identical output to the fragment-served fast path
-        (the incremental-signature property tests pin this), and
-        additionally supports ``live_prune``.
+        A test oracle: the incremental-signature property tests pin the
+        fragment-served signature to it, and the fragment walk's
+        ``live_prune`` form (:meth:`frag_sets`) to its own.
         """
         config = self.config
         n_sets = config.n_sets
@@ -395,14 +556,18 @@ class ClusterCache:
         return (tuple(sets), fills, self.mshr.pending_signature(base))
 
     def invalidate_fragments(self) -> None:
-        """Drop every cached signature fragment (full recompute next probe).
+        """Drop every cached signature fragment and both digests (full
+        recompute next probe).
 
         The one hook for wholesale-rebinding mutations (``translate``,
         ``clear``, warm-state restore) and for tests that poke ``_sets``
-        directly.
+        directly.  The dirty set is refilled in place, so access_batch's
+        table aliases stay valid.
         """
         self._set_frags.clear()
+        self._digest = self._live_digest = 0
         self._dirty_sets.clear()
+        self._dirty_sets.update(self._sets)
 
     def translate(self, time_delta: int, addr_shift: int) -> None:
         """Shift the whole cache state by ``addr_shift`` bytes and

@@ -588,8 +588,6 @@ class DistributedMemorySystem:
         base: int,
         addr_shift: int = 0,
         invalid_out: Optional[List[int]] = None,
-        live_prune: Optional[object] = None,
-        live_out: Optional[List[Tuple[int, int, str]]] = None,
     ) -> Tuple[object, ...]:
         """Hashable canonical form of all timing-relevant state.
 
@@ -610,54 +608,115 @@ class DistributedMemorySystem:
         holds only for streams that never touch those addresses (see
         :meth:`~repro.memory.cache.ClusterCache.state_signature`).
 
-        ``live_prune``/``live_out`` extend the same escape hatch to live
-        (M/S) lines under the stronger per-line proof documented on
-        :meth:`~repro.memory.cache.ClusterCache.state_signature`: the
+        The steady-state detectors compare states through the cheaper
+        :meth:`state_probe`, which stands for exactly this signature.
+        """
+        signatures = []
+        for index, cache in enumerate(self.caches):
+            collected: Optional[List[int]] = (
+                [] if invalid_out is not None else None
+            )
+            signatures.append(
+                cache.state_signature(base, addr_shift, collected)
+            )
+            if collected:
+                invalid_out.extend((index, address) for address in collected)
+        return (
+            tuple(signatures),
+            self.bus.state_signature(base),
+            self._main_fills(base, addr_shift),
+        )
+
+    def state_probe(
+        self, base: int, addr_shift: int = 0, live: bool = False
+    ) -> Tuple[tuple, tuple]:
+        """Two-level form of :meth:`state_signature`: ``(key, witness)``.
+
+        ``key`` is hashable and cheap: each cache's set-list digest,
+        normalized by ``addr_shift``, plus the signature's exact fills,
+        MSHR, bus and main-memory parts.  ``witness`` holds a shallow
+        copy of every cache's immutable per-set fragments, so
+        :meth:`probe_signature` can rebuild the signature exactly at any
+        later time.  ``live`` selects the ``invalid_out`` form (live
+        lines only).  Equal signatures always give equal keys; equal
+        keys give equal signatures unless two digests collide, which
+        :meth:`same_state` rules out.  Costs O(sets touched since the
+        previous probe) plus one dict copy per cache, where a signature
+        assembles and sorts every resident set.
+        """
+        digests, exact, frags = zip(
+            *(cache.state_probe(base, addr_shift, live) for cache in self.caches)
+        )
+        key = (
+            digests,
+            exact,
+            self.bus.state_signature(base),
+            self._main_fills(base, addr_shift),
+        )
+        return key, (addr_shift, live, frags)
+
+    def probe_signature(
+        self,
+        probe: Tuple[tuple, tuple],
+        invalid_out: Optional[List[Tuple[int, int]]] = None,
+        live_prune: Optional[object] = None,
+        live_out: Optional[List[Tuple[int, int, str]]] = None,
+    ) -> Tuple[object, ...]:
+        """The :meth:`state_signature` a :meth:`state_probe` stands for,
+        rebuilt from its witness (the ``invalid_out`` form for a live
+        probe).
+
+        ``invalid_out`` collects ``(cluster index, line address)`` for
+        every invalid line, as :meth:`state_signature` does (in fragment
+        order).  On a live probe, ``live_prune``/``live_out`` also strip
+        provably unreachable live lines under the per-line proof
+        documented on
+        :meth:`~repro.memory.cache.ClusterCache.frag_sets`: the
         predicate must certify the line's address is unreachable by any
         cluster *and* its set is unreachable by its own cluster for the
         whole remaining access stream.
         """
-        if invalid_out is None and live_prune is None:
-            cache_signatures = tuple(
-                cache.state_signature(base, addr_shift)
-                for cache in self.caches
+        (_digests, exact, bus, main), (addr_shift, live, frags) = probe
+        signatures = []
+        for index, cache in enumerate(self.caches):
+            collected: Optional[List[int]] = (
+                [] if invalid_out is not None else None
             )
-        else:
-            signatures = []
-            for index, cache in enumerate(self.caches):
-                collected: List[int] = []
-                signatures.append(
-                    cache.state_signature(
-                        base,
-                        addr_shift,
-                        collected if invalid_out is not None else None,
-                        live_prune,
-                        live_out,
-                    )
-                )
-                if invalid_out is not None:
-                    invalid_out.extend(
-                        (index, address) for address in collected
-                    )
-            cache_signatures = tuple(signatures)
+            sets = cache.frag_sets(
+                frags[index].items(), addr_shift, live, collected,
+                live_prune, live_out,
+            )
+            signatures.append((sets,) + exact[index])
+            if collected:
+                invalid_out.extend((index, address) for address in collected)
+        return (tuple(signatures), bus, main)
+
+    def same_state(
+        self, probe_a: Tuple[tuple, tuple], probe_b: Tuple[tuple, tuple]
+    ) -> bool:
+        """True exactly when two probes' signatures are equal: equal keys
+        first, then the set lists rebuilt from both witnesses."""
+        return probe_a[0] == probe_b[0] and (
+            self.probe_signature(probe_a) == self.probe_signature(probe_b)
+        )
+
+    def _main_fills(self, base: int, addr_shift: int) -> tuple:
+        """The signature's main-memory part: in-flight main-memory fills
+        completing after ``base``, shifted and made ``base``-relative."""
         main_in_flight = self._main_in_flight
         if main_in_flight:
-            # Same pruning as the per-cache fast path: completions at or
+            # Same pruning as the per-cache fills: completions at or
             # before ``base`` can never merge with a future miss, so the
             # probe drops them in place (preserving batch-table aliases)
             # instead of re-filtering an ever-growing dict every probe.
             expired = [a for a, t in main_in_flight.items() if t <= base]
             for address in expired:
                 del main_in_flight[address]
-        return (
-            cache_signatures,
-            self.bus.state_signature(base),
-            tuple(
-                sorted(
-                    (address - addr_shift, t - base)
-                    for address, t in main_in_flight.items()
-                )
-            ),
+        return tuple(
+            sorted(
+                (address - addr_shift, t - base)
+                for address, t in main_in_flight.items()
+            )
         )
 
     def counters(self) -> Dict[str, int]:

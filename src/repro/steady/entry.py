@@ -5,11 +5,14 @@ a warm-up transient the memory system settles into a per-entry pattern
 and re-walking all ``NITER × ops`` instances is redundant.  The detector
 exploits this without changing a single bit of the results:
 
-* before each entry it takes a *normalized signature* of the memory
-  system (:meth:`DistributedMemorySystem.state_signature`) — relative in
-  time to the entry's start and shifted in address space by the
-  cumulative per-entry address delta, so a stencil sweeping rows hashes
-  equal once its relative cache contents stop changing;
+* before each entry it takes a *normalized probe* of the memory system
+  (:meth:`DistributedMemorySystem.state_probe`) — relative in time to
+  the entry's start and shifted in address space by the cumulative
+  per-entry address delta, so a stencil sweeping rows hashes equal once
+  its relative cache contents stop changing.  The probe's key is a
+  digest, cheap to take at every entry; an entry whose key repeats is
+  compared exactly (:meth:`DistributedMemorySystem.same_state`) before
+  anything is replayed;
 * entry execution is a pure function of that signature plus the entry's
   address stream, so when a signature repeats (same outer-point phase,
   same normalized state) the detector proves the remaining entries
@@ -48,8 +51,12 @@ class EntrySteadyDetector(SteadyStateDetector):
         self.addresses = self._entry_base_addresses(outer_points)
         self.shift_table = self._entry_shift_table()
         self.shift_unit = simulator.memory.signature_shift_unit()
-        # keyed signature -> (entry index, cumulative shift at that entry)
-        self.history: Dict[Tuple[object, ...], Tuple[int, int]] = {}
+        # (sub-line remainder, probe key) -> [(entry index, cumulative
+        # shift at that entry, probe)], one slot per distinct state: a
+        # bucket holds more than one only when two digests collide.
+        self.history: Dict[
+            Tuple[object, ...], List[Tuple[int, int, tuple]]
+        ] = {}
         self.records: List[Tuple[int, Dict[str, int]]] = []
         self.cumulative_shift = 0
         self._counters_before: Optional[Dict[str, int]] = None
@@ -79,18 +86,22 @@ class EntrySteadyDetector(SteadyStateDetector):
         # (e.g. a 328-byte row stride on 32-byte lines matches every 4th
         # entry: 4*328 % 32 == 0).
         remainder = self.cumulative_shift % self.shift_unit
-        key = (
-            remainder,
-            memory.state_signature(time, self.cumulative_shift - remainder),
-        )
-        match = self.history.get(key)
-        if match is not None and self._replay_is_sound(
-            match, index, self.cumulative_shift - match[1]
-        ):
-            if self.warm_sink is not None:
-                self.warm_sink(match[0], index)
-            return self._replay(match[0], index)
-        self.history[key] = (index, self.cumulative_shift)
+        probe = memory.state_probe(time, self.cumulative_shift - remainder)
+        bucket = self.history.setdefault((remainder, probe[0]), [])
+        slot = (index, self.cumulative_shift, probe)
+        for position, (start, shift, earlier) in enumerate(bucket):
+            if not memory.same_state(earlier, probe):
+                continue
+            if self._replay_is_sound(
+                (start, shift), index, self.cumulative_shift - shift
+            ):
+                if self.warm_sink is not None:
+                    self.warm_sink(start, index)
+                return self._replay(start, index)
+            bucket[position] = slot  # the newest entry in this state
+            break
+        else:
+            bucket.append(slot)
         self._counters_before = memory.counters()
         return None
 
@@ -194,17 +205,15 @@ class EntrySteadyDetector(SteadyStateDetector):
 
         Affine references move by a constant per inner iteration, so the
         whole address stream of an entry is determined by these bases
-        plus the (outer-independent) inner strides."""
+        plus the (outer-independent) inner strides.  The bases come from
+        the simulator's own entry tables, the arithmetic its simulated
+        addresses use."""
         sim = self.sim
-        inner = sim.loop.inner
-        refs = [
-            sim._mem_ref[i] for i in range(sim._n_ops) if sim._is_memory[i]
-        ]
+        memory_ops = [i for i in range(sim._n_ops) if sim._is_memory[i]]
         result = []
         for outer in outer_points:
-            point = dict(outer)
-            point[inner.var] = inner.lower
-            result.append([ref.address(point) for ref in refs])
+            mem_base = sim._entry_tables(outer)[0]
+            result.append([mem_base[i] for i in memory_ops])
         return result
 
     def _replay_is_sound(

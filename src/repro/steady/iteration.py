@@ -42,19 +42,28 @@ memory system with
 any subsequent loop entry sees exactly the state full simulation would
 have produced.
 
-Signatures walk the whole cache state, so computing one per boundary
-would cost more than it saves.  Detection is therefore two-phase: a
-cheap per-group record — (stall delta, statistics deltas) — is kept for
-every group, candidate periods are spotted by pure tuple comparisons,
-and the full signature is only computed twice per candidate (capture
-and confirm).  Candidate periods are multiples of the smallest ``q``
-with ``q * stride`` a whole number of cache lines, so the signature
-shift always commutes with line/set mapping.
+Even a state probe costs more than a group, so probing at every
+boundary would cost more than it saves.  Detection is therefore
+two-phase: a cheap per-group record — (stall delta, statistics deltas)
+— is kept for every group, candidate periods are spotted by pure tuple
+comparisons, and the memory state is probed only twice per candidate
+(capture and confirm) with
+:meth:`~repro.memory.hierarchy.DistributedMemorySystem.state_probe`.
+A probe costs the sets touched since the previous one plus a dict copy
+per cache: its key is a shift-normalized digest of the per-set
+fragments plus the small exact parts, and the full signatures are
+rebuilt from the probes' witnesses only when the keys match.  The
+pruned second tier is lazier still: a capture keeps just its prune
+predicate, and both pruned signatures are rebuilt at confirm only when
+the whole comparison has failed.  Candidate periods are multiples of
+the smallest ``q`` with ``q * stride`` a whole number of cache lines, so
+the signature shift always commutes with line/set mapping.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from .base import IterationSteadyState, Replay, SteadyStateDetector
@@ -203,9 +212,9 @@ class _EntryRun(SteadyStateDetector):
         self.valid_from = detector.k0
         self.prev_offset = 0
         self.prev_values: Optional[Tuple[int, ...]] = None
-        # (k1, M, signature, ghosts, ready snapshot, offset, counters,
-        # pruned signature or None) of a cheaply-spotted candidate
-        # awaiting signature confirmation.
+        # (k1, M, state probe, ready snapshot, offset, counters, live
+        # prune predicate or None) of a cheaply-spotted candidate
+        # awaiting state confirmation.
         self.pending = None
         # Confirm-failure backoff: a signature mismatch under a periodic
         # record stream means the state is still developing (cache fill,
@@ -218,9 +227,11 @@ class _EntryRun(SteadyStateDetector):
         self.backoff = 2 * detector.q
         self.ff_time_delta = 0
         self.ff_addr_shift = 0
-        # The live-scar pruned comparison (second confirm tier) costs an
-        # extra state walk per candidate, so it is armed only once the
-        # whole-state comparison has failed — kernels whose states match
+        # The live-scar pruned comparison (second confirm tier) costs two
+        # fragment walks, so it is armed only once the whole-state
+        # comparison has failed, and even then a capture keeps only its
+        # prune predicate: the walks run at confirm, and only when the
+        # whole comparison fails again.  Kernels whose states match
         # outright never pay for it.
         self.try_pruned = False
 
@@ -235,36 +246,37 @@ class _EntryRun(SteadyStateDetector):
             # groups are partial from here on, nothing left to detect.
             self.active = False
             return None
-        values = det.sim.memory.counters_tuple()
+        memory = det.sim.memory
+        values = memory.counters_tuple()
         if self.prev_values is not None:
             self.records[k - 1] = (
                 offset - self.prev_offset,
-                tuple(a - b for a, b in zip(values, self.prev_values)),
+                tuple(map(sub, values, self.prev_values)),
             )
         self.prev_offset = offset
         self.prev_values = values
 
         if self.pending is not None:
-            (k1, period, sig1, ghosts1, snap1, offset1, counters1,
-             sig1_pruned) = self.pending
+            k1, period, probe1, snap1, offset1, counters1, prune1 = (
+                self.pending
+            )
             if self.records[k - 1] != self.records[k - 1 - period]:
                 self.pending = None  # cycle broke while waiting
             elif k == k1 + period:
                 self.pending = None
                 base_k = self.base + k * det.ii + offset
-                ghosts2: List[Tuple[int, int]] = []
-                sig2 = det.sim.memory.state_signature(
-                    base_k, period * det.stride, invalid_out=ghosts2
+                probe2 = memory.state_probe(
+                    base_k, period * det.stride, live=True
                 )
                 snap2 = self._ready_snapshot(k, base_k)
-                if snap2 == snap1 and sig2 == sig1:
+                if snap2 == snap1 and memory.same_state(probe1, probe2):
                     replay = self._confirm(
                         k1, period, offset1, counters1, k, offset,
-                        ghosts1, ghosts2,
+                        probe1, probe2,
                     )
                     if replay is not None:
                         return replay
-                elif snap2 == snap1 and sig1_pruned is None:
+                elif snap2 == snap1 and prune1 is None:
                     # Arm the pruned tier for the next candidate: this
                     # state may carry frozen live warm-up lines that can
                     # only ever match with the reachability proof.
@@ -279,17 +291,18 @@ class _EntryRun(SteadyStateDetector):
                     # per-side envelopes keep the kept/pruned frontier
                     # at the same shift-relative position in both
                     # states.
-                    ghosts2p: List[Tuple[int, int]] = []
                     live2: List[Tuple[int, int, str]] = []
-                    sig2_pruned = det.sim.memory.state_signature(
-                        base_k, period * det.stride, invalid_out=ghosts2p,
+                    pruned2 = memory.probe_signature(
+                        probe2,
                         live_prune=self._live_prune_predicate(k),
                         live_out=live2,
                     )
-                    if sig2_pruned == sig1_pruned:
+                    if pruned2 == memory.probe_signature(
+                        probe1, live_prune=prune1
+                    ):
                         replay = self._confirm(
                             k1, period, offset1, counters1, k, offset,
-                            ghosts1, ghosts2p, len(live2),
+                            probe1, probe2, len(live2),
                         )
                         if replay is not None:
                             return replay
@@ -308,40 +321,35 @@ class _EntryRun(SteadyStateDetector):
         """Cheap period search: spot a candidate from group records alone."""
         det = self.det
         records = self.records
+        newest = records[k - 1]
         for j in range(1, det.MAX_PERIODS + 1):
             period = j * det.q
             if k - 2 * period < self.valid_from:
                 break
-            if all(
-                records[g] == records[g - period] for g in range(k - period, k)
+            # The newest record decides most periods on its own; only a
+            # period it fits is compared whole.
+            if newest == records[k - 1 - period] and (
+                records[k - period:k] == records[k - 2 * period:k - period]
             ):
                 base_k = self.base + k * det.ii + offset
-                ghosts: List[Tuple[int, int]] = []
-                sig = det.sim.memory.state_signature(
-                    base_k, 0, invalid_out=ghosts
-                )
-                # Fallback signature with provably-unreachable live
+                memory = det.sim.memory
+                # Fallback comparison with provably-unreachable live
                 # lines stripped (set-band reachability): frozen live
                 # warm-up scars never translate with the sweep, so a
                 # state carrying one can only match under this pruned
                 # comparison.  Final entries only: translate() would
                 # misplace the stripped lines for a later entry's
-                # re-sweep.
-                sig_pruned = None
-                if self.try_pruned:
-                    sig_pruned = det.sim.memory.state_signature(
-                        base_k, 0, invalid_out=[],
-                        live_prune=self._live_prune_predicate(k),
-                    )
+                # re-sweep.  The capture keeps only the predicate; its
+                # pruned signature is rebuilt from the probe's witness
+                # if the confirm ever needs it.
                 self.pending = (
                     k,
                     period,
-                    sig,
-                    ghosts,
+                    memory.state_probe(base_k, 0, live=True),
                     self._ready_snapshot(k, base_k),
                     offset,
-                    det.sim.memory.counters(),
-                    sig_pruned,
+                    memory.counters(),
+                    self._live_prune_predicate(k) if self.try_pruned else None,
                 )
                 return
 
@@ -476,11 +484,11 @@ class _EntryRun(SteadyStateDetector):
         counters1: Dict[str, int],
         k2: int,
         offset2: int,
-        ghosts1: List[Tuple[int, int]],
-        ghosts2: List[Tuple[int, int]],
+        probe1: Tuple[tuple, tuple],
+        probe2: Tuple[tuple, tuple],
         pruned_live: int = 0,
     ) -> Optional[Replay]:
-        """Signature + window matched: fast-forward whole periods."""
+        """State + window matched: fast-forward whole periods."""
         det = self.det
         sim = det.sim
         shift_per_period = period * det.stride
@@ -488,9 +496,14 @@ class _EntryRun(SteadyStateDetector):
         # (groups 0..NITER-1 of the current frame); the tail — partial
         # period plus pipeline drain — is simulated for real.
         t = (self.niter - k2) // period
-        # Ghosts are (cluster, absolute line address) pairs: cache
-        # identity matters — a scar at the same address in another
-        # cluster's cache is different state and must not cancel.
+        # Ghosts — the invalid lines both live probes left out — are
+        # (cluster, absolute line address) pairs: cache identity
+        # matters — a scar at the same address in another cluster's
+        # cache is different state and must not cancel.
+        ghosts1: List[Tuple[int, int]] = []
+        ghosts2: List[Tuple[int, int]] = []
+        sim.memory.probe_signature(probe1, invalid_out=ghosts1)
+        sim.memory.probe_signature(probe2, invalid_out=ghosts2)
         divergent = {
             (cluster, g + shift_per_period) for cluster, g in ghosts1
         }.symmetric_difference(ghosts2)

@@ -12,7 +12,8 @@ figure moved.  This module makes the omission loud:
 
 * the *inventory* tests walk every ``__dict__`` and fail on any
   attribute that has not been explicitly classified into
-  ``signature`` / ``counters`` / ``config`` / ``excluded``;
+  ``signature`` / ``counters`` / ``config`` / ``derived`` /
+  ``excluded``;
 * the *sensitivity* tests mutate each classified piece of live state and
   assert the claimed channel actually reacts.
 
@@ -34,8 +35,10 @@ from repro.memory.membus import MemoryBusPool
 # The classification.  "signature": covered by state_signature (future
 # behaviour); "counters": covered by counters()/add_counters (additive
 # statistics); "config": immutable configuration; "recurse": a child
-# component with its own classification; "excluded": deliberately
-# outside both channels, with the justification in the comment.
+# component with its own classification; "derived": a view computed
+# from classified state, with no behavioural state of its own (the
+# comment says how it is kept in step); "excluded": deliberately outside
+# both channels, with the justification in the comment.
 # ----------------------------------------------------------------------
 COVERAGE = {
     DistributedMemorySystem: {
@@ -48,8 +51,7 @@ COVERAGE = {
         # Pure aliasing: lazily built reference tables for access_batch
         # (every entry points at a component classified above) that are
         # invalidated whenever translate()/reset() rebind a container.
-        # No behavioural state of its own.
-        "_batch_tables": "excluded",
+        "_batch_tables": "derived",
     },
     ClusterCache: {
         "config": "config",
@@ -59,12 +61,23 @@ COVERAGE = {
         "in_flight": "signature",
         # Derived views of _sets for incremental signatures: cached
         # per-set fragments plus the set indices mutated since they were
-        # built.  No behavioural state of their own — every mutator marks
-        # its set dirty, wholesale rebinds funnel through
-        # invalidate_fragments(), and the incremental-signature property
-        # tests pin fragment-served probes to the from-scratch walk.
-        "_set_frags": "excluded",
-        "_dirty_sets": "excluded",
+        # built.  Every mutator marks its set dirty, wholesale rebinds
+        # funnel through invalidate_fragments(), and the
+        # incremental-signature property tests pin fragment-served
+        # signatures to the from-scratch walk.
+        "_set_frags": "derived",
+        "_dirty_sets": "derived",
+        # The state_probe digests: sums of per-fragment terms, patched
+        # by the same refresh that rebuilds a dirty fragment and zeroed
+        # with the fragments by invalidate_fragments().  The property
+        # tests pin equal signatures to equal probe keys.
+        "_digest": "derived",
+        "_live_digest": "derived",
+        # Digest weights: a per-index table computed from config.n_sets
+        # and a per-tag memo of a pure function of the tag.  Neither
+        # depends on the cache's contents.
+        "_weights": "derived",
+        "_tag_weights": "derived",
     },
     MSHR: {
         "n_entries": "config",

@@ -17,6 +17,7 @@ place) must never change observable behaviour.
 """
 
 import random
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,17 @@ from hypothesis import strategies as st
 from repro.machine import four_cluster, heterogeneous, two_cluster
 from repro.memory.hierarchy import DistributedMemorySystem
 
-_MACHINES = [two_cluster, four_cluster, heterogeneous]
+
+def _two_way():
+    """The 2-cluster machine with 2-way caches: the presets are all
+    direct-mapped, so only this one puts several live lines in a set."""
+    machine = two_cluster()
+    cluster = machine.clusters[0]
+    two_way = replace(cluster, cache=replace(cluster.cache, associativity=2))
+    return replace(machine, name="2-cluster-2way", clusters=(two_way,) * 2)
+
+
+_MACHINES = [two_cluster, four_cluster, heterogeneous, _two_way]
 _INFINITE = 1 << 60
 
 
@@ -176,3 +187,117 @@ class TestIncrementalSignature:
             for index, collected in enumerate(walk_invalid)
             for address in collected
         ], seed
+
+
+class TestStateProbe:
+    """``state_probe`` stands for ``state_signature`` without assembling
+    it: the detectors compare probe keys at every boundary and rebuild
+    signatures from the witnesses only when keys match.  These tests pin
+    the proof obligations that makes sound, on the same mutation
+    streams: equal signatures give equal keys (both forms, under any
+    shift), ``same_state`` is exactly signature equality, the witness
+    keeps the probed state however the cache moves on, its ghost lines
+    are the ``invalid_out`` lines, and its pruned walk is the reference
+    walk's."""
+
+    @staticmethod
+    def _twin(memory, time, unit, rng):
+        """A copy of ``memory`` translated by a random (time, address)
+        step, with the probe arguments that see it as the same state."""
+        twin = DistributedMemorySystem(memory.machine)
+        twin.restore(memory.snapshot())
+        delta_t = rng.randrange(0, 100)
+        delta_a = rng.randrange(-3, 4) * unit
+        twin.translate(delta_t, delta_a)
+        return twin, delta_t, delta_a
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_keys_and_same_state_follow_signatures(self, seed):
+        rng = random.Random(seed)
+        memory = DistributedMemorySystem(rng.choice(_MACHINES)())
+        unit = memory.signature_shift_unit()
+        seen = []  # (live, signature, probe) of every probe so far
+
+        def probe(time):
+            base = time - rng.randrange(0, 8)
+            shift = rng.randrange(-2, 3) * unit
+            twin, delta_t, delta_a = self._twin(memory, time, unit, rng)
+            for live in (False, True):
+                form = [] if live else None
+                signature = memory.state_signature(base, shift, form)
+                mine = memory.state_probe(base, shift, live)
+                theirs = twin.state_probe(base + delta_t, shift + delta_a, live)
+                assert mine[0] == theirs[0], seed
+                assert memory.same_state(mine, theirs), seed
+                assert memory.probe_signature(mine) == signature, seed
+                for other_live, other_signature, other in seen[-6:]:
+                    if other_live == live:
+                        assert memory.same_state(mine, other) == (
+                            signature == other_signature
+                        ), seed
+                seen.append((live, signature, mine))
+
+        _drive(memory, rng, n_ops=60, probe=probe)
+        # The witnesses are snapshots: every earlier probe still rebuilds
+        # the signature taken when it was probed.
+        for _live, signature, earlier in seen:
+            assert memory.probe_signature(earlier) == signature, seed
+        # Equal signatures give equal keys across the whole stream too;
+        # distinct ones get distinct keys, bar a 2**-61 digest
+        # collision, so a digest that stopped discriminating states
+        # would fail here.
+        for live in (False, True):
+            keys = {}
+            for probe_live, signature, probed in seen:
+                if probe_live == live:
+                    keys.setdefault(signature, set()).add(probed[0])
+            assert all(len(found) == 1 for found in keys.values()), seed
+            assert len(set().union(*keys.values())) == len(keys), seed
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_witness_ghosts_and_pruned_walk(self, seed):
+        rng = random.Random(seed)
+        memory = DistributedMemorySystem(rng.choice(_MACHINES)())
+        unit = memory.signature_shift_unit()
+
+        def probe(time):
+            base = time - rng.randrange(0, 8)
+            shift = rng.randrange(-2, 3) * unit
+            live_probe = memory.state_probe(base, shift, live=True)
+            ghosts = []
+            memory.state_signature(base, shift, invalid_out=ghosts)
+            witness_ghosts = []
+            memory.probe_signature(live_probe, invalid_out=witness_ghosts)
+            assert sorted(witness_ghosts) == sorted(ghosts), seed
+            # A random prune predicate: any set of live lines.
+            pruned = {
+                (cache.cluster_id, cache._line_address(index, line.tag))
+                for cache in memory.caches
+                for index, ways in cache._sets.items()
+                for line in ways
+                if rng.random() < 0.4
+            }
+
+            def live_prune(cluster, address):
+                return (cluster, address) in pruned
+
+            walk_out, witness_out = [], []
+            walks = tuple(
+                cache._signature_walk(base, shift, [], live_prune, walk_out)
+                for cache in memory.caches
+            )
+            signature = memory.probe_signature(
+                live_probe, live_prune=live_prune, live_out=witness_out
+            )
+            assert signature[0] == walks, seed
+            assert sorted(witness_out) == sorted(walk_out), seed
+
+        _drive(memory, rng, n_ops=60, probe=probe)

@@ -21,6 +21,7 @@ from repro.machine import (
 )
 from repro.scheduler import BaselineScheduler, SchedulerConfig
 from repro.simulator import LockstepSimulator, SteadyState, simulate
+from repro.steady import EntrySteadyDetector
 from repro.workloads import kernel_by_name, random_kernel
 from repro.workloads.generator import GeneratorConfig
 
@@ -80,6 +81,28 @@ class TestSuiteKernelEquivalence:
             kernel = kernel_by_name(kernel_name)
             sim = _assert_equivalent(_schedule(kernel, two_cluster()))
             assert sim.steady_state is None
+
+
+class TestEntryBaseAddresses:
+    @pytest.mark.parametrize(
+        "kernel_name",
+        ["tomcatv", "swim", "hydro2d", "mgrid", "apsi", "su2cor"],
+    )
+    def test_bases_match_the_references(self, kernel_name):
+        """The detector takes its per-entry bases from the simulator's
+        affine entry tables; they must equal every reference's address
+        at the first inner iteration of every outer point."""
+        kernel = kernel_by_name(kernel_name)
+        sim = LockstepSimulator(_schedule(kernel, two_cluster()))
+        outer_points = list(sim._outer_points())
+        detector = EntrySteadyDetector(sim, outer_points)
+        inner = kernel.loop.inner
+        refs = [ref for ref in sim._mem_ref if ref is not None]
+        expected = [
+            [ref.address({**outer, inner.var: inner.lower}) for ref in refs]
+            for outer in outer_points
+        ]
+        assert detector.addresses == expected
 
 
 class TestNTimesSweep:
