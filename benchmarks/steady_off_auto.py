@@ -1,0 +1,181 @@
+"""Per-kernel simulate seconds under ``steady="off"`` and ``"auto"``:
+this checkout against a baseline source tree, in one process.
+
+The scenario runs once, cold, on this checkout to collect its simulate
+tasks (schedule, iteration count, entry count).  Each round then times
+every kernel's tasks under both modes with each tree's
+``VectorizedSimulator``, kernel by kernel, alternating which tree goes
+first, so drift in machine speed hits both trees alike.  Prints a
+markdown table of medians over the rounds; ``--json`` also writes every
+round's timings.
+
+usage (from the repository root)::
+
+    python benchmarks/steady_off_auto.py BASELINE_SRC \\
+        [--scenario fig6-2cluster] [--rounds 7] [--json OUT]
+
+``BASELINE_SRC`` is the ``src`` directory of another checkout, e.g. the
+parent commit unpacked with ``git archive``.  Both trees simulate the
+same schedule objects, built by this checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import pathlib
+import statistics
+import sys
+import time
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+MODES = ("off", "auto")
+
+
+def load(src: pathlib.Path):
+    """Import ``repro`` afresh from ``src``; returns the tree's
+    ``VectorizedSimulator`` (an earlier tree's modules stay alive
+    through the objects that reference them)."""
+    for name in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        from repro.simulator import VectorizedSimulator
+    finally:
+        sys.path.remove(str(src))
+    return VectorizedSimulator
+
+
+def collect_tasks(scenario: str) -> list:
+    """Run ``scenario`` cold on the loaded tree; returns its simulate
+    tasks as ``(kernel, schedule, n_iterations, n_times)``."""
+    from repro.harness import grid
+    from repro.harness.scenarios import run_scenario
+
+    tasks = []
+    run_batch = grid.run_simulate_batch
+
+    def recording(plan_tasks, schedules, warm_store):
+        for task, schedule in zip(plan_tasks, schedules):
+            payload = task.payload
+            tasks.append(
+                (
+                    str(payload["kernel"]),
+                    schedule,
+                    payload["n_iterations"],
+                    payload["n_times"],
+                )
+            )
+        return run_batch(plan_tasks, schedules, warm_store)
+
+    grid.run_simulate_batch = recording
+    try:
+        run_scenario(scenario, cache=False)
+    finally:
+        grid.run_simulate_batch = run_batch
+    return tasks
+
+
+def time_tasks(simulator, tasks: list, mode: str) -> float:
+    """Seconds ``simulator`` spends in ``run()`` over ``tasks``."""
+    total = 0.0
+    for _kernel, schedule, n_iterations, n_times in tasks:
+        sim = simulator(
+            schedule, n_iterations=n_iterations, n_times=n_times, steady=mode
+        )
+        start = time.perf_counter()
+        sim.run()
+        total += time.perf_counter() - start
+    return total
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("baseline_src", type=pathlib.Path)
+    parser.add_argument("--scenario", default="fig6-2cluster")
+    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--json", type=pathlib.Path)
+    args = parser.parse_args(argv)
+
+    trees = {"this": load(SRC)}
+    tasks = collect_tasks(args.scenario)
+    trees["baseline"] = load(args.baseline_src.resolve())
+    by_kernel = {}
+    for task in tasks:
+        by_kernel.setdefault(task[0], []).append(task)
+
+    # kernel -> mode -> tree -> [seconds per round]
+    times = {
+        kernel: {mode: {tree: [] for tree in trees} for mode in MODES}
+        for kernel in by_kernel
+    }
+    order = list(trees)
+    gc.disable()
+    try:
+        for _round in range(args.rounds):
+            for kernel, kernel_tasks in by_kernel.items():
+                for tree in order:
+                    for mode in MODES:
+                        times[kernel][mode][tree].append(
+                            time_tasks(trees[tree], kernel_tasks, mode)
+                        )
+                gc.collect()
+            order.reverse()
+    finally:
+        gc.enable()
+
+    def median(kernel, mode, tree):
+        return statistics.median(times[kernel][mode][tree])
+
+    print(
+        "| kernel | off, baseline | off | auto, baseline | auto "
+        "| auto / off | auto / baseline auto |"
+    )
+    print("| --- | --- | --- | --- | --- | --- | --- |")
+    totals = dict.fromkeys(
+        ((mode, tree) for mode in MODES for tree in ("baseline", "this")), 0.0
+    )
+    for kernel in by_kernel:
+        cells = {key: median(kernel, *key) for key in totals}
+        for key, value in cells.items():
+            totals[key] += value
+        _row(kernel, cells)
+    _row("total", totals)
+    if args.json is not None:
+        args.json.write_text(
+            json.dumps(
+                {
+                    "scenario": args.scenario,
+                    "rounds": args.rounds,
+                    "tasks": len(tasks),
+                    "first_tree_per_round": [
+                        "this" if r % 2 == 0 else "baseline"
+                        for r in range(args.rounds)
+                    ],
+                    "seconds": times,
+                },
+                indent=1,
+            )
+        )
+
+
+def _row(label: str, cells: dict) -> None:
+    off = cells[("off", "this")]
+    auto = cells[("auto", "this")]
+    print(
+        "| %s | %.3f s | %.3f s | %.3f s | %.3f s | %.2f | %.2f |"
+        % (
+            label,
+            cells[("off", "baseline")],
+            off,
+            cells[("auto", "baseline")],
+            auto,
+            auto / off,
+            auto / cells[("auto", "baseline")],
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -106,8 +106,18 @@ _R = 0x2E5BF271E2A5C4D
 
 # Module-level aliases keep the enum descriptor lookups out of the
 # per-set refresh loop.
-_MODIFIED = LineState.MODIFIED
 _INVALID = LineState.INVALID
+
+#: ``state -> (rel, hash(rel) mod _P)`` of a set holding one line.  On
+#: the direct-mapped presets nearly every set a refresh rebuilds holds
+#: one line (66,624 of the 66,945 over a cold ``fig6-2cluster`` pass).
+#: Reading this table instead of walking the ways cut perfbench's
+#: ``fig6-cold`` ``cold_s`` from 2.85 s to 2.44 s (medians of 10
+#: alternating pairs, 2-core x86-64, Python 3.11).
+_ONE_LINE = {
+    state: (((0, state.value),), hash(((0, state.value),)) % _P)
+    for state in LineState
+}
 
 
 def _digest_weights(n_sets: int) -> Tuple[Tuple[int, ...], int]:
@@ -119,18 +129,6 @@ def _digest_weights(n_sets: int) -> Tuple[Tuple[int, ...], int]:
         weights.append(weight)
         weight = weight * _R % _P
     return tuple(weights), weight
-
-
-def _one_line(state: LineState) -> Tuple[tuple, int]:
-    """``(rel, hash(rel) mod _P)`` of a set holding one line in ``state``,
-    the shape direct-mapped caches mostly hold."""
-    rel = ((0, state.value),)
-    return rel, hash(rel) % _P
-
-
-_ONE_MODIFIED = _one_line(LineState.MODIFIED)
-_ONE_SHARED = _one_line(LineState.SHARED)
-_ONE_INVALID = _one_line(LineState.INVALID)
 
 
 class ClusterCache:
@@ -242,71 +240,31 @@ class ClusterCache:
         ) * self.config.line_size
 
     # ------------------------------------------------------------------
-    def state_signature(
-        self,
-        base: int,
-        addr_shift: int = 0,
-        invalid_out: Optional[List[int]] = None,
-    ) -> Tuple[object, ...]:
-        """Canonical description of everything that can affect a future
-        access, normalized for time and address translation.
-
-        Times are made relative to ``base`` (completions at or before it
-        are dropped: the hierarchy ignores them).  Line addresses are
-        shifted down by ``addr_shift`` and set indices rotated by the
-        matching amount, so two states reached by executions whose whole
-        address stream differs by ``addr_shift`` compare equal.  The
-        caller must ensure ``addr_shift`` is a multiple of the line size
-        (otherwise the shift does not commute with line/set mapping).
-
-        INVALID lines are included by default: a matching tag in state I
-        is revived by :meth:`fill` without an eviction, so presence of
-        such lines is genuine state.  That is also their *only* effect —
-        lookups skip them, eviction only considers live lines, and their
-        list position is never read — so a caller that proves the future
-        access stream never touches an invalid line's address may compare
-        states without them: passing ``invalid_out`` strips invalid lines
-        from the signature and appends their *absolute* (unshifted) line
-        addresses to the list, leaving the proof obligation to the
-        caller.
-
-        Each set contributes one ``(rotated index, shifted anchor
-        address, relative ways)`` triple, where the anchor is the first
-        emitted line and the other ways are recorded as whole-image tag
-        deltas against it.  Two states compare equal under this encoding
-        exactly when they do under a per-line shifted-address walk (the
-        anchor pins the set's absolute position modulo the shift; the
-        deltas pin everything else), but the relative part is
-        shift-invariant — which is what lets fragments be cached across
-        probes with different ``addr_shift``.  The signature is assembled
-        from the cached per-set fragments (:meth:`frag_sets`) after
-        rebuilding only the sets mutated since the previous refresh.
-        """
-        self._refresh()
-        frags = self._set_frags
-        return (
-            self.frag_sets(
-                ((index, frags[index]) for index in self._sets),
-                addr_shift,
-                invalid_out is not None,
-                invalid_out,
-            ),
-            self._pending_fills(base, addr_shift),
-            self.mshr.pending_signature(base),
-        )
-
     def state_probe(
         self, base: int, addr_shift: int, live: bool
     ) -> Tuple[int, tuple, Dict[int, Optional[tuple]]]:
-        """``(digest, exact part, fragments)`` of this cache's state.
+        """``(digest, exact part, fragments)`` of this cache's state: its
+        share of
+        :meth:`~repro.memory.hierarchy.DistributedMemorySystem.state_probe`.
 
-        The digest stands for the sorted set list of
-        :meth:`state_signature` (the live-lines form when ``live``),
-        normalized by ``addr_shift``: equal set lists give equal
-        digests, and unequal ones almost never do.  The exact part is
-        the signature's fills and MSHR components; the fragments are a
-        shallow copy of the immutable per-set fragments, from which
-        :meth:`frag_sets` rebuilds the set list exactly.
+        The state probed is everything that can affect a future access,
+        normalized for time and address translation.  Times are made
+        relative to ``base`` (completions at or before it are dropped:
+        the hierarchy ignores them).  Line addresses are shifted down by
+        ``addr_shift`` and set indices rotated by the matching amount,
+        so two states reached by executions whose whole address stream
+        differs by ``addr_shift`` compare equal.  The caller must ensure
+        ``addr_shift`` is a multiple of the line size (otherwise the
+        shift does not commute with line/set mapping).
+
+        The digest stands for the sorted set list :meth:`frag_sets`
+        reads from the fragments (the live-lines form when ``live``):
+        equal set lists give equal digests, and unequal ones almost
+        never do.  The exact part is the fills and MSHR components; the
+        fragments are a shallow copy of the immutable per-set fragments,
+        from which :meth:`frag_sets` rebuilds the set list exactly.  A
+        probe costs the sets mutated since the previous refresh, one
+        modular power and one dict copy.
         """
         self._refresh()
         digest = self._live_digest if live else self._digest
@@ -333,8 +291,28 @@ class ClusterCache:
     ) -> Tuple[tuple, ...]:
         """Sorted set list of a signature, read from ``(set index,
         fragment)`` pairs: the whole sets, or their live lines only when
-        ``live``.  ``invalid_out`` collects every invalid line's absolute
-        address.
+        ``live``.
+
+        Each set contributes one ``(rotated index, shifted anchor
+        address, relative ways)`` triple, where the anchor is the first
+        emitted line and the other ways are recorded as whole-image tag
+        deltas against it.  Two states compare equal under this encoding
+        exactly when they do under a per-line shifted-address walk
+        (:meth:`_signature_walk`: the anchor pins the set's absolute
+        position modulo the shift; the deltas pin everything else), but
+        the relative part is shift-invariant — which is what lets
+        fragments be cached across probes with different
+        ``addr_shift``.
+
+        INVALID lines belong to the whole-set form: a matching tag in
+        state I is revived by :meth:`fill` without an eviction, so
+        presence of such lines is genuine state.  That is also their
+        *only* effect — lookups skip them, eviction only considers live
+        lines, and their list position is never read — so a caller that
+        proves the future access stream never touches an invalid line's
+        address may compare the live form instead.  ``invalid_out``
+        collects every invalid line's absolute (unshifted) address; the
+        proof obligation is the caller's.
 
         Live (M/S) lines carry more behaviour than invalid ones — they
         can be hit, supply snoops, and participate in eviction choices
@@ -392,7 +370,13 @@ class ClusterCache:
         A fragment is ``(anchor line address, relative ways, live anchor
         line address or None, relative live ways, invalid line
         addresses, digest term, live digest term)``; ``None`` stands for
-        an empty set.
+        an empty set.  The anchor is the set's first line and the
+        relative ways are ``(tag delta, state)`` pairs against it; the
+        live variants do the same over the M/S lines only.  A digest
+        term is ``hash(rel) * _R**n`` for anchor line ``n``, the weight
+        read from the per-index table times the per-tag memo.  One-line
+        sets read their ``rel`` and hash from :data:`_ONE_LINE`; the
+        others go through :meth:`_fragment`.
         """
         dirty = self._dirty_sets
         if not dirty:
@@ -421,15 +405,11 @@ class ClusterCache:
             anchor = (tag * n_sets + index) * line_size
             if len(ways) == 1:
                 state = ways[0].state
+                rel, term = _ONE_LINE[state]
+                term = term * weight * index_weights[index] % _P
                 if state is _INVALID:
-                    rel, term = _ONE_INVALID
-                    term = term * weight * index_weights[index] % _P
                     frag = (anchor, rel, None, (), (anchor,), term, 0)
                 else:
-                    rel, term = (
-                        _ONE_MODIFIED if state is _MODIFIED else _ONE_SHARED
-                    )
-                    term = term * weight * index_weights[index] % _P
                     frag = (anchor, rel, anchor, rel, (), term, term)
             else:
                 frag = self._fragment(index, ways, anchor, weight)
@@ -507,7 +487,10 @@ class ClusterCache:
         live_prune: Optional[object] = None,
         live_out: Optional[List[Tuple[int, int, str]]] = None,
     ) -> Tuple[object, ...]:
-        """From-scratch reference walk behind :meth:`state_signature`.
+        """From-scratch signature walk: the set list, fills and MSHR
+        parts over the live cache state, with ``invalid_out`` selecting
+        the live form as in
+        :meth:`~repro.memory.hierarchy.DistributedMemorySystem.state_signature`.
 
         A test oracle: the incremental-signature property tests pin the
         fragment-served signature to it, and the fragment walk's
@@ -573,7 +556,7 @@ class ClusterCache:
         """Shift the whole cache state by ``addr_shift`` bytes and
         ``time_delta`` cycles.
 
-        The inverse-direction companion of :meth:`state_signature`'s
+        The inverse-direction companion of :meth:`state_probe`'s
         normalization: after translation the cache behaves, for accesses
         issued ``time_delta`` later at addresses ``addr_shift`` higher,
         exactly as it would have before for the unshifted stream.

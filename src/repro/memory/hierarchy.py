@@ -587,7 +587,7 @@ class DistributedMemorySystem:
         self,
         base: int,
         addr_shift: int = 0,
-        invalid_out: Optional[List[int]] = None,
+        invalid_out: Optional[List[Tuple[int, int]]] = None,
     ) -> Tuple[object, ...]:
         """Hashable canonical form of all timing-relevant state.
 
@@ -606,25 +606,14 @@ class DistributedMemorySystem:
         same-address scars in different caches never collapse or cancel
         in a caller's set arithmetic; the behavioural guarantee then
         holds only for streams that never touch those addresses (see
-        :meth:`~repro.memory.cache.ClusterCache.state_signature`).
+        :meth:`~repro.memory.cache.ClusterCache.frag_sets`).
 
-        The steady-state detectors compare states through the cheaper
-        :meth:`state_probe`, which stands for exactly this signature.
+        This is the signature a :meth:`state_probe` stands for, rebuilt
+        at once; the steady-state detectors compare the cheaper probes.
         """
-        signatures = []
-        for index, cache in enumerate(self.caches):
-            collected: Optional[List[int]] = (
-                [] if invalid_out is not None else None
-            )
-            signatures.append(
-                cache.state_signature(base, addr_shift, collected)
-            )
-            if collected:
-                invalid_out.extend((index, address) for address in collected)
-        return (
-            tuple(signatures),
-            self.bus.state_signature(base),
-            self._main_fills(base, addr_shift),
+        return self.probe_signature(
+            self.state_probe(base, addr_shift, invalid_out is not None),
+            invalid_out,
         )
 
     def state_probe(
@@ -667,8 +656,8 @@ class DistributedMemorySystem:
         probe).
 
         ``invalid_out`` collects ``(cluster index, line address)`` for
-        every invalid line, as :meth:`state_signature` does (in fragment
-        order).  On a live probe, ``live_prune``/``live_out`` also strip
+        every invalid line, in fragment order (callers use it as a set).
+        On a live probe, ``live_prune``/``live_out`` also strip
         provably unreachable live lines under the per-line proof
         documented on
         :meth:`~repro.memory.cache.ClusterCache.frag_sets`: the
