@@ -62,7 +62,7 @@ __all__ = [
 
 #: Bump when a key schema or value layout changes: older disk entries
 #: are then treated as misses and rewritten.
-STAGE_STORE_VERSION = 2
+STAGE_STORE_VERSION = 3
 
 #: The stages with a content-addressed result store, in pipeline order.
 STAGE_STORE_STAGES = ("analyze", "schedule", "simulate")

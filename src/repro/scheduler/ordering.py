@@ -22,9 +22,7 @@ The algorithm:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, List, Set, Tuple
 
 from ..ir.ddg import DependenceGraph
 from ..machine.config import MachineConfig
@@ -102,31 +100,27 @@ def compute_times(
 def _scc_rec_mii(
     ddg: DependenceGraph, component: Set[str], machine: MachineConfig
 ) -> float:
-    """RecMII restricted to one strongly connected component."""
+    """RecMII restricted to one strongly connected component.
+
+    Between two nodes a cycle takes the edge with the largest latency,
+    then the smallest distance; zero-distance cycles are skipped.
+    """
+    heaviest: Dict[Tuple[str, str], Tuple[int, int]] = {}
+    for src in component:
+        for e in ddg.out_edges(src):
+            if e.dst in component:
+                weight = (edge_latency(ddg.op(src), e.kind, machine), -e.distance)
+                pair = (src, e.dst)
+                heaviest[pair] = max(heaviest.get(pair, weight), weight)
     best = 0.0
-    sub = nx.MultiDiGraph(
-        (u, v, d)
-        for u, v, d in ddg.nx.edges(data=True)
-        if u in component and v in component
-    )
-    sub.add_nodes_from(component)
-    for cycle in nx.simple_cycles(sub):
+    for cycle in ddg.simple_cycles(component):
         lat = 0
         dist = 0
-        ring = list(cycle) + [cycle[0]]
-        for u, v in zip(ring, ring[1:]):
-            datas = sub.get_edge_data(u, v)
-            if not datas:
-                continue
-            choice = max(
-                datas.values(),
-                key=lambda d: (
-                    edge_latency(ddg.op(u), d["kind"], machine),
-                    -d["distance"],
-                ),
-            )
-            lat += edge_latency(ddg.op(u), choice["kind"], machine)
-            dist += choice["distance"]
+        ring = cycle + [cycle[0]]
+        for pair in zip(ring, ring[1:]):
+            edge_lat, neg_dist = heaviest[pair]
+            lat += edge_lat
+            dist -= neg_dist
         if dist > 0:
             best = max(best, lat / dist)
     return best
@@ -135,25 +129,26 @@ def _scc_rec_mii(
 def _priority_sets(
     ddg: DependenceGraph, machine: MachineConfig
 ) -> List[Set[str]]:
-    """Recurrence components (hardest first) padded with path nodes."""
-    comps: List[Tuple[float, Set[str]]] = []
-    for component in nx.strongly_connected_components(ddg.nx):
-        is_cycle = len(component) > 1 or any(
-            ddg.nx.has_edge(n, n) for n in component
-        )
-        if is_cycle:
-            comps.append((_scc_rec_mii(ddg, component, machine), set(component)))
+    """Recurrence components (hardest first) padded with path nodes.
+
+    Components with equal RecMII keep their discovery order (a stable
+    sort).  A component is padded with every node on a directed path
+    between it and the nodes already covered, in either direction.
+    """
+    comps = [(_scc_rec_mii(ddg, c, machine), c) for c in ddg.recurrences()]
     comps.sort(key=lambda item: -item[0])
-    plain = nx.DiGraph(ddg.nx)
+    down: Dict[str, Set[str]] = {}
+    up: Dict[str, Set[str]] = {}
     sets: List[Set[str]] = []
     covered: Set[str] = set()
     for _, component in comps:
         members = set(component)
-        if covered:
-            for prior in covered:
-                for node in component:
-                    for path_set in _nodes_on_paths(plain, prior, node):
-                        members |= path_set
+        for prior in covered:
+            for node in component:
+                for src, dst in ((prior, node), (node, prior)):
+                    reach = _closure(down, src, ddg.successors)
+                    if dst in reach:
+                        members |= reach & _closure(up, dst, ddg.predecessors)
         members -= covered
         if members:
             sets.append(members)
@@ -164,17 +159,21 @@ def _priority_sets(
     return sets
 
 
-def _nodes_on_paths(
-    graph: nx.DiGraph, a: str, b: str
-) -> List[Set[str]]:
-    """Nodes on directed paths a->b or b->a (both orientations checked)."""
-    result: List[Set[str]] = []
-    for src, dst in ((a, b), (b, a)):
-        if nx.has_path(graph, src, dst):
-            desc = nx.descendants(graph, src) | {src}
-            anc = nx.ancestors(graph, dst) | {dst}
-            result.append(desc & anc)
-    return result
+def _closure(
+    memo: Dict[str, Set[str]], node: str, step: Callable[[str], Set[str]]
+) -> Set[str]:
+    """``node`` and every node ``step`` reaches from it, memoized."""
+    found = memo.get(node)
+    if found is None:
+        found = {node}
+        frontier = [node]
+        while frontier:
+            for nxt in step(frontier.pop()):
+                if nxt not in found:
+                    found.add(nxt)
+                    frontier.append(nxt)
+        memo[node] = found
+    return found
 
 
 def sms_order(

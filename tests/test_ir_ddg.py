@@ -6,6 +6,8 @@ from repro.ir.ddg import DepEdge, DependenceGraph, build_ddg
 from repro.ir.loop import Loop, LoopDim
 from repro.ir.operations import OpClass, Operation
 from repro.ir.references import AffineExpr, Array, ArrayReference
+from repro.machine import two_cluster
+from repro.scheduler.ordering import _scc_rec_mii
 
 
 def _chain_loop():
@@ -89,8 +91,84 @@ class TestDependenceGraph:
         assert graph.nodes_on_recurrences() == {"mul", "add"}
 
     def test_self_loop_recurrence(self):
-        graph = build_ddg(_chain_loop(), [DepEdge("add", "add", "flow", 1)])
+        loop_edge = DepEdge("add", "add", "flow", 2)
+        graph = build_ddg(_chain_loop(), [loop_edge])
         assert "add" in graph.nodes_on_recurrences()
+        assert graph.recurrences() == [{"add"}]
+        assert list(graph.simple_cycles({"add"})) == [["add"]]
+        assert graph.in_edges("add")[-1] is loop_edge
+        assert graph.out_edges("add")[-1] is loop_edge
+        machine = two_cluster()
+        assert _scc_rec_mii(graph, {"add"}, machine) == (
+            machine.latency(OpClass.FADD) / 2
+        )
+
+    def test_parallel_edges_trade_latency_against_distance(self):
+        # Between two nodes a cycle takes the edge with the largest
+        # latency, then the smallest distance.  With only the distance-3
+        # flow edge and the anti edge, the flow edge wins although the
+        # zero-latency anti edge would give the larger ratio.
+        far = DepEdge("add", "mul", "flow", 3)
+        free = DepEdge("add", "mul", "anti", 1)
+        near = DepEdge("add", "mul", "flow", 1)
+        machine = two_cluster()
+        fmul = machine.latency(OpClass.FMUL)
+        loop_latency = fmul + machine.latency(OpClass.FADD)
+        graph = build_ddg(_chain_loop(), [far, free])
+        assert fmul / 1 > loop_latency / 3
+        assert _scc_rec_mii(graph, {"mul", "add"}, machine) == loop_latency / 3
+        graph.add_edge(near)
+        assert graph.out_edges("add")[1:] == (far, free, near)
+        assert graph.in_edges("mul")[-3:] == (far, free, near)
+        assert _scc_rec_mii(graph, {"mul", "add"}, machine) == loop_latency / 1
+
+    def test_zero_latency_anti_cycle(self):
+        # Anti edges cost no latency: the cycle is a recurrence with a
+        # RecMII of 0, and with zero total distance it is skipped.
+        a = Array("A", (8,))
+        ref = ArrayReference(a, (AffineExpr.of(0, i=1),))
+        ops = (
+            Operation("ld1", OpClass.LOAD, dest="u", ref_index=0),
+            Operation("ld2", OpClass.LOAD, dest="v", ref_index=0),
+        )
+        loop = Loop("anti", (LoopDim("i", 0, 4),), ops, (ref,))
+        for back in (1, 0):
+            graph = build_ddg(
+                loop,
+                [DepEdge("ld1", "ld2", "anti", 0),
+                 DepEdge("ld2", "ld1", "anti", back)],
+            )
+            assert graph.recurrences() == [{"ld1", "ld2"}]
+            assert list(graph.simple_cycles({"ld1", "ld2"})) == [["ld1", "ld2"]]
+            assert _scc_rec_mii(graph, {"ld1", "ld2"}, two_cluster()) == 0.0
+
+    def test_edges_grouped_by_source_in_first_edge_order(self):
+        graph = build_ddg(
+            _chain_loop(),
+            [DepEdge("ld", "st", "mem", 1), DepEdge("ld", "mul", "anti", 1)],
+        )
+        pairs = [(e.src, e.dst, e.kind) for e in graph.edges()]
+        assert pairs == [
+            ("ld", "mul", "flow"), ("ld", "mul", "flow"),
+            ("ld", "mul", "anti"), ("ld", "add", "flow"),
+            ("ld", "st", "mem"), ("mul", "add", "flow"),
+            ("add", "st", "flow"),
+        ]
+
+    def test_components_in_discovery_order(self):
+        graph = build_ddg(_chain_loop())
+        assert graph.strongly_connected_components() == [
+            {"st"}, {"add"}, {"mul"}, {"ld"},
+        ]
+        graph.add_edge(DepEdge("st", "mul", "mem", 1))
+        assert graph.strongly_connected_components() == [
+            {"mul", "add", "st"}, {"ld"},
+        ]
+
+    def test_simple_cycles_each_once(self):
+        graph = build_ddg(_chain_loop(), [DepEdge("st", "ld", "mem", 1)])
+        cycles = sorted(tuple(c) for c in graph.simple_cycles(set(graph.nodes())))
+        assert cycles == [("ld", "add", "st"), ("ld", "mul", "add", "st")]
 
 
 class TestBuildDdg:
