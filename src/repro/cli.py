@@ -215,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--backend-dir", metavar="DIR",
-        help="job-record directory (required with --backend disk)",
+        help="job-record directory (used, and required, with "
+             "--backend disk)",
     )
 
     submit_cmd = sub.add_parser(
@@ -501,8 +502,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.backend == "disk" and args.backend_dir is None:
-        print("--backend disk requires --backend-dir", file=sys.stderr)
+    if (args.backend == "disk") != (args.backend_dir is not None):
+        print("--backend disk and --backend-dir need each other",
+              file=sys.stderr)
         return 2
     manager = JobManager(
         cache_dir=args.cache_dir,

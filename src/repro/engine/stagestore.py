@@ -18,13 +18,9 @@ cell itself:
   that frequently collapse to byte-identical schedules, and every
   duplicate re-simulates a result some other cell already measured.
 
-:class:`StageStore` content-addresses all three products, following the
-established :class:`~repro.cme.trace.TraceStore` /
-:class:`~repro.simulator.warmstate.WarmStateStore` shape: an in-memory
-map per stage, fronted by an optional disk layer under
-``<cache_dir>/stages/`` where corrupt, truncated or foreign pickles are
-unlinked and treated as misses, never as errors (and an unwritable disk
-layer only costs the write).  The
+:class:`StageStore` content-addresses all three products, one
+:class:`~repro.store.ContentStore` per stage (memory, and disk under
+``<cache_dir>/stages/<stage>/``).  The
 :class:`~repro.engine.plan.ExecutionPlanner` is its only client: it
 consumes the key families *up front* — one task per unique
 analyze/schedule/simulate key across a whole grid call — so hits are
@@ -40,9 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
-import threading
-import uuid
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -51,6 +44,7 @@ from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
 from ..scheduler.result import Schedule
 from ..simulator.stats import SimulationResult
+from ..store import ContentStore
 
 __all__ = [
     "STAGE_STORE_VERSION",
@@ -60,15 +54,15 @@ __all__ = [
     "machine_key",
 ]
 
-#: Bump when a key schema or value layout changes: older disk entries
-#: are then treated as misses and rewritten.
+#: Bump when a key schema or value layout changes: the keys change, so
+#: older disk entries are never read again.
 STAGE_STORE_VERSION = 3
 
 #: The stages with a content-addressed result store, in pipeline order.
 STAGE_STORE_STAGES = ("analyze", "schedule", "simulate")
 
-#: What a healthy disk entry's value must be, per stage — anything else
-#: is a foreign object and treated as rot.
+#: What each stage's values must be; a disk entry holding anything else
+#: is rot.
 _VALUE_TYPES = {
     "analyze": AddressTrace,
     "schedule": Schedule,
@@ -116,28 +110,23 @@ def machine_key(machine: MachineConfig) -> str:
 # The store
 # ----------------------------------------------------------------------
 class StageStore:
-    """In-memory + on-disk content-addressed maps of stage results.
+    """Content-addressed stage products: one
+    :class:`~repro.store.ContentStore` per stage, each on disk under
+    ``<cache_dir>/<stage>/`` when a directory is given.
 
-    One instance holds the three per-stage layers.  All keys are pure
-    content addresses (fingerprints over what the stage *reads*), so a
-    store is safe to share between grids and scenarios and to persist
-    across runs.
+    All keys are pure content addresses (fingerprints over what the
+    stage *reads*), so a store is safe to share between grids and
+    scenarios and to persist across runs.
     """
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._memory: Dict[str, Dict[str, object]] = {
-            stage: {} for stage in STAGE_STORE_STAGES
-        }
-        self._counters: Dict[str, Dict[str, int]] = {
-            stage: {"hits": 0, "misses": 0, "stores": 0}
+        self._stages: Dict[str, ContentStore] = {
+            stage: ContentStore(
+                _VALUE_TYPES[stage],
+                None if cache_dir is None else Path(cache_dir) / stage,
+            )
             for stage in STAGE_STORE_STAGES
         }
-        # One store may serve several threads at once (the experiment
-        # service runs jobs off the event loop while clients read its
-        # telemetry), so every mutation of the entry maps and counters
-        # happens under this lock.
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Keys
@@ -210,25 +199,11 @@ class StageStore:
     # ------------------------------------------------------------------
     def lookup(self, stage: str, key: str) -> Optional[object]:
         """Return the stored value for ``key`` or ``None`` (a miss)."""
-        with self._lock:
-            value = self._memory[stage].get(key)
-            if value is not None:
-                self._counters[stage]["hits"] += 1
-                return value
-            value = self._disk_load(stage, key)
-            if value is not None:
-                self._memory[stage][key] = value
-                self._counters[stage]["hits"] += 1
-                return value
-            self._counters[stage]["misses"] += 1
-            return None
+        return self._stages[stage].lookup(key)
 
     def store(self, stage: str, key: str, value: object) -> None:
         """Publish a freshly computed stage result."""
-        with self._lock:
-            self._memory[stage][key] = value
-            self._counters[stage]["stores"] += 1
-        self._disk_store(stage, key, value)
+        self._stages[stage].store(key, value)
 
     def publish(self, stage: str, key: str, value: object) -> bool:
         """Store ``value`` only if the key is absent (idempotent put).
@@ -237,105 +212,26 @@ class StageStore:
         (e.g. traces primed directly on the analyzer) — counted as a
         store the first time, a no-op afterwards.
         """
-        with self._lock:
-            if key in self._memory[stage]:
-                return False
-            self.store(stage, key, value)
-            return True
+        return self._stages[stage].publish(key, value)
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(len(entries) for entries in self._memory.values())
+        return sum(len(entries) for entries in self._stages.values())
+
+    def clear(self) -> None:
+        """Drop every entry of every stage, in memory and on disk."""
+        for entries in self._stages.values():
+            entries.clear()
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
     def counts(self, stage: str) -> Dict[str, int]:
         """Hit/miss/store counters of one stage (a copy)."""
-        with self._lock:
-            return dict(self._counters[stage])
+        return self._stages[stage].counts()
 
     def telemetry(self) -> Dict[str, Dict[str, int]]:
         """Per-stage counters plus entry counts, for reports/benchmarks."""
-        with self._lock:
-            return {
-                stage: {
-                    **self._counters[stage],
-                    "entries": len(self._memory[stage]),
-                }
-                for stage in STAGE_STORE_STAGES
-            }
-
-    # ------------------------------------------------------------------
-    # Disk layer
-    # ------------------------------------------------------------------
-    def _disk_path(self, stage: str, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-        return self.cache_dir / stage / digest[:2] / f"{digest}.pkl"
-
-    def _disk_load(self, stage: str, key: str) -> Optional[object]:
-        path = self._disk_path(stage, key)
-        if path is None or not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                record = pickle.load(handle)
-            if (
-                not isinstance(record, dict)
-                or record.get("version") != STAGE_STORE_VERSION
-                or record.get("stage") != stage
-                or record.get("key") != key
-                or not isinstance(record.get("value"), _VALUE_TYPES[stage])
-            ):
-                raise ValueError("stale or foreign stage-store entry")
-            return record["value"]
-        except Exception:
-            # Corrupt / truncated / foreign / colliding entry: a cache
-            # must never turn disk rot into a failed sweep.  Drop the
-            # file and recompute.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(self, stage: str, key: str, value: object) -> None:
-        path = self._disk_path(stage, key)
-        if path is None:
-            return
-        record = {
-            "version": STAGE_STORE_VERSION,
-            "stage": stage,
-            "key": key,
-            "value": value,
+        return {
+            stage: {**entries.counts(), "entries": len(entries)}
+            for stage, entries in self._stages.items()
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("wb") as handle:
-                pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)  # atomic on POSIX: readers never see partials
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-
-    def clear(self) -> None:
-        """Drop every entry: all in-memory layers and the disk layer."""
-        with self._lock:
-            for stage in STAGE_STORE_STAGES:
-                self._memory[stage].clear()
-        self.clear_disk()
-
-    def clear_disk(self) -> None:
-        """Remove every on-disk entry (the in-memory maps are untouched)."""
-        if self.cache_dir is None or not self.cache_dir.exists():
-            return
-        for path in self.cache_dir.glob("*/*/*.pkl"):
-            try:
-                path.unlink()
-            except OSError:
-                pass

@@ -417,8 +417,7 @@ class ExperimentGrid:
     def clear_cache(self) -> None:
         """Drop every stored product: the stage and warm-state stores,
         memory and disk layers alike."""
-        self.warm_store.clear_memory()
-        self.warm_store.clear_disk()
+        self.warm_store.clear()
         self.stage_store.clear()
 
     # ------------------------------------------------------------------

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from ..store import atomic_write
 
 __all__ = [
     "BACKEND_KINDS",
@@ -78,9 +79,10 @@ class MemoryBackend(ResultBackend):
 class DiskBackend(ResultBackend):
     """JSON-file-per-job persistence under one directory.
 
-    Writes are atomic (unique temp name + rename, the repo-wide cache
-    convention) and corrupt or foreign files are skipped as missing,
-    never raised — disk rot must not take the service down.
+    Writes go through :func:`~repro.store.atomic_write`, and a failed
+    write raises.  Corrupt or foreign files read as missing but are
+    never unlinked: job records are results, not a cache, and disk rot
+    must not take the service down.
     """
 
     def __init__(self, directory: os.PathLike):
@@ -91,10 +93,10 @@ class DiskBackend(ResultBackend):
         return self.directory / f"{job_id}.json"
 
     def save(self, record: Dict[str, object]) -> None:
-        path = self._path(str(record["id"]))
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}")
-        tmp.write_text(json.dumps(record, sort_keys=True))
-        tmp.replace(path)
+        atomic_write(
+            self._path(str(record["id"])),
+            json.dumps(record, sort_keys=True).encode(),
+        )
 
     def load(self, job_id: str) -> Optional[Dict[str, object]]:
         path = self._path(job_id)

@@ -201,12 +201,6 @@ def _result_payload(outcome: ScenarioOutcome) -> Dict[str, object]:
     }
 
 
-def _warm_counts(grid: ExperimentGrid) -> Dict[str, int]:
-    """The grid's warm-state store counters."""
-    store = grid.warm_store
-    return {"hits": store.hits, "misses": store.misses, "stores": store.stores}
-
-
 #: The keys ``POST /jobs`` accepts.
 _SUBMIT_KEYS = frozenset({"scenario", "spec", "steady"})
 
@@ -357,7 +351,7 @@ class JobManager:
     def _store_snapshot(grid: ExperimentGrid) -> Dict[str, object]:
         return {
             "stages": grid.stage_store.telemetry(),
-            "warm": _warm_counts(grid),
+            "warm": grid.warm_store.counts(),
             "grid": {
                 "requested": grid.stats.requested,
                 "computed": grid.stats.computed,
@@ -447,13 +441,25 @@ class JobManager:
                 job.export_records = outcome_records(outcome)
                 job.telemetry = telemetry
                 job.finished = time.time()
-            job._transition("done", telemetry=telemetry)
+            state, extra = "done", {"telemetry": telemetry}
         except Exception as exc:
             with job.condition:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.finished = time.time()
-            job._transition("failed", error=job.error)
-        self.backend.save(job.record())
+            state, extra = "failed", {"error": job.error}
+        # Announce the terminal state only once its record is saved, so
+        # a client never sees an outcome the backend does not hold.
+        try:
+            self.backend.save({**job.record(), "state": state})
+        except Exception as exc:
+            with job.condition:
+                job.result = job.export_records = None
+                job.error = (
+                    f"saving the job record failed: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+            state, extra = "failed", {"error": job.error}
+        job._transition(state, **extra)
 
     # ------------------------------------------------------------------
     # Service-wide stats
@@ -479,7 +485,7 @@ class JobManager:
                     "stage_seconds": dict(grid.stats.stage_seconds),
                     "plan": dict(grid.stats.plan),
                     "stages": grid.stage_store.telemetry(),
-                    "warm": _warm_counts(grid),
+                    "warm": grid.warm_store.counts(),
                 }
                 for fingerprint, grid in grids.items()
             },

@@ -480,12 +480,6 @@ class LockstepSimulator:
         tables, and a record that fails any check leaves the system
         reset for an ordinary cold run.
         """
-        from .warmstate import WARM_STATE_VERSION, WarmRecord
-
-        if not isinstance(record, WarmRecord):
-            return None
-        if record.version != WARM_STATE_VERSION:
-            return None
         if record.match_start is None:
             # Iteration shape: the snapshot is the *final* state of a
             # single-entry run whose iteration detector fired.
@@ -523,14 +517,13 @@ class LockstepSimulator:
         (their state would be an arbitrary mid-run snapshot with no
         evidence attached).
         """
-        from .warmstate import WARM_STATE_VERSION, WarmRecord
+        from .warmstate import WarmRecord
 
         if captured:
             at_entry = captured["entry"]
             warm.store(
                 warm_key,
                 WarmRecord(
-                    version=WARM_STATE_VERSION,
                     entries_simulated=at_entry,
                     records=tuple(entry_detector.records[:at_entry]),
                     match_start=captured["match_start"],
@@ -546,7 +539,6 @@ class LockstepSimulator:
             warm.store(
                 warm_key,
                 WarmRecord(
-                    version=WARM_STATE_VERSION,
                     entries_simulated=1,
                     records=(),
                     match_start=None,

@@ -207,9 +207,18 @@ class TestServiceCommands:
         with pytest.raises(KeyError, match="unknown scenario"):
             main(["export", "fig7", "--no-progress"])
 
-    def test_serve_disk_backend_needs_directory(self, capsys):
+    def test_serve_disk_backend_needs_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        served = []
+        monkeypatch.setattr(
+            "repro.cli.run_server", lambda **kwargs: served.append(kwargs)
+        )
         assert main(["serve", "--backend", "disk"]) == 2
         assert "--backend-dir" in capsys.readouterr().err
+        assert main(["serve", "--backend-dir", str(tmp_path)]) == 2
+        assert "--backend disk" in capsys.readouterr().err
+        assert served == []
 
     def test_submit_streams_and_prints_result(self, capsys):
         from repro.service import ServerThread

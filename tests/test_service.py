@@ -439,6 +439,29 @@ class TestBackends:
         assert manager.jobs() == [job]
         assert job.state == "done"
 
+    def test_failed_final_save_fails_the_job(self):
+        """The terminal state is announced only once its record is
+        saved; a failed save ends the job ``failed``, naming the write."""
+
+        class FailSecondSave(MemoryBackend):
+            saves = 0
+
+            def save(self, record):
+                self.saves += 1
+                if self.saves == 2:
+                    raise OSError("disk full")
+                super().save(record)
+
+        backend = FailSecondSave()
+        manager = JobManager(backend=backend)
+        job = manager.submit(ScenarioSpec.from_dict(_tiny_spec_dict("lost")))
+        manager.shutdown(wait=True)
+        assert job.state == "failed" and job.finished is not None
+        assert "saving the job record failed: OSError: disk full" in job.error
+        assert job.events[-1]["error"] == job.error
+        assert job.result is None
+        assert backend.load(job.id)["state"] == "queued"
+
     def test_served_jobs_persist_through_disk_backend(self, tmp_path):
         manager = JobManager(backend=DiskBackend(tmp_path / "jobs"))
         with ServerThread(manager=manager) as srv:

@@ -5,19 +5,15 @@ repository can run, a grid run that *adopts* stored
 analyze/schedule/simulate products produces a **bit-identical**
 :class:`RunResult` compared to the store-less reference — per
 grid-scenario cell, the same standard ``tests/test_warm_state.py`` holds
-warm-state reuse to.  The disk layer is exercised for rot-robustness:
-corrupt, truncated, foreign and version-mismatched entries are misses,
-and an unwritable disk layer only costs the writes — never errors.
+warm-state reuse to.  The disk layer's rot and write failures are
+``tests/test_store.py``'s.
 """
-
-import pickle
 
 import pytest
 
 from repro.cme import IncrementalCME
 from repro.cme.trace import AddressTrace, loop_fingerprint
 from repro.engine import StageStore
-from repro.engine.stagestore import STAGE_STORE_VERSION
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.harness.scenarios import run_scenario
@@ -78,85 +74,12 @@ class TestStageStoreUnit:
             assert other != base
         assert StageStore.simulate_key("fp", "auto", None, None) == base
 
-    def test_disk_roundtrip(self, tmp_path):
-        trace = _trace()
-        key = StageStore.analyze_key(trace.loop_fp, "sampling:16")
-        store = StageStore(cache_dir=tmp_path)
-        store.store("analyze", key, trace)
-        fresh = StageStore(cache_dir=tmp_path)
-        hit = fresh.lookup("analyze", key)
-        assert hit is not None and hit.addresses == trace.addresses
-        assert fresh.counts("analyze")["hits"] == 1
-        assert fresh.lookup("analyze", "other") is None
-        assert fresh.counts("analyze")["misses"] == 1
-
-    @pytest.mark.parametrize(
-        "rot",
-        [
-            b"not a pickle",
-            None,  # truncation marker, handled below
-            pickle.dumps({"foreign": "object"}),
-        ],
-        ids=["garbage", "truncated", "foreign"],
-    )
-    def test_disk_rot_is_a_miss_and_unlinked(self, tmp_path, rot):
-        trace = _trace()
-        key = StageStore.analyze_key(trace.loop_fp, "sampling:16")
-        store = StageStore(cache_dir=tmp_path)
-        store.store("analyze", key, trace)
-        paths = list(tmp_path.glob("*/*/*.pkl"))
-        assert len(paths) == 1
-        if rot is None:
-            rot = paths[0].read_bytes()[: paths[0].stat().st_size // 2]
-        paths[0].write_bytes(rot)
-        fresh = StageStore(cache_dir=tmp_path)
-        assert fresh.lookup("analyze", key) is None
-        assert not paths[0].exists()  # rot dropped, slot reusable
-
-    def test_version_and_value_type_mismatch_are_misses(self, tmp_path):
-        trace = _trace()
-        key = StageStore.analyze_key(trace.loop_fp, "sampling:16")
-        store = StageStore(cache_dir=tmp_path)
-        store.store("analyze", key, trace)
-        path = next(tmp_path.glob("*/*/*.pkl"))
-        for bad in (
-            {"version": -1, "stage": "analyze", "key": key, "value": trace},
-            # A foreign value type under a valid envelope is still rot:
-            {
-                "version": STAGE_STORE_VERSION,
-                "stage": "analyze",
-                "key": key,
-                "value": "not a trace",
-            },
-        ):
-            path.write_bytes(pickle.dumps(bad))
-            fresh = StageStore(cache_dir=tmp_path)
-            assert fresh.lookup("analyze", key) is None
-            store._disk_store("analyze", key, trace)  # restore for 2nd case
-
-    def test_clear_wipes_memory_and_disk(self, tmp_path):
-        trace = _trace()
-        store = StageStore(cache_dir=tmp_path)
-        store.store("analyze", "k", trace)
-        store.clear()
-        assert len(store) == 0
-        assert not list(tmp_path.glob("*/*/*.pkl"))
-        assert store.lookup("analyze", "k") is None
-
     def test_publish_is_idempotent(self):
         trace = _trace()
         store = StageStore()
         assert store.publish("analyze", "k", trace) is True
         assert store.publish("analyze", "k", trace) is False
         assert store.counts("analyze")["stores"] == 1
-
-    def test_unwritable_disk_layer_only_costs_the_write(self, tmp_path):
-        blocker = tmp_path / "stages"
-        blocker.write_text("an ordinary file where the store's dir goes")
-        store = StageStore(cache_dir=blocker)
-        store.store("analyze", "k", _trace())
-        assert store.lookup("analyze", "k") is not None
-        assert StageStore(cache_dir=blocker).lookup("analyze", "k") is None
 
 
 class TestStageEquivalence:

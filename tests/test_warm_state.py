@@ -8,9 +8,8 @@ including memory statistics, steady-state reports and the final memory
 mirrors ``tests/test_simulator_vectorized.py``: every registered
 grid-scenario cell, the golden figure panels' reduced grids, and
 cross-engine sharing (warm state recorded by either engine serves
-both).  The disk layer is exercised for rot-robustness the same way the
-cell cache is: corrupt, truncated and version-mismatched entries are
-misses, never errors.
+both).  The disk layer's rot and write failures are
+``tests/test_store.py``'s.
 """
 
 import pickle
@@ -27,7 +26,6 @@ from repro.harness.scenarios import run_scenario
 from repro.machine import two_cluster, unified
 from repro.memory.hierarchy import DistributedMemorySystem
 from repro.simulator import (
-    WARM_STATE_VERSION,
     LockstepSimulator,
     VectorizedSimulator,
     WarmRecord,
@@ -84,57 +82,6 @@ class TestWarmStoreUnit:
             schedule, scheduler_name="other", threshold=0.125
         )
         assert relabeled.fingerprint() == schedule.fingerprint()
-
-    def _record(self):
-        return WarmRecord(
-            version=WARM_STATE_VERSION,
-            entries_simulated=2,
-            records=((3, {"local_hits": 1}),) * 2,
-            match_start=0,
-            snapshot={"caches": []},
-        )
-
-    def test_disk_roundtrip(self, tmp_path):
-        store = WarmStateStore(cache_dir=tmp_path)
-        store.store("k", self._record())
-        fresh = WarmStateStore(cache_dir=tmp_path)
-        assert fresh.lookup("k") == self._record()
-        assert fresh.hits == 1
-        assert fresh.lookup("other") is None
-        assert fresh.misses == 1
-
-    @pytest.mark.parametrize(
-        "rot",
-        [
-            b"not a pickle",
-            None,  # truncation marker, handled below
-            pickle.dumps({"foreign": "object"}),
-        ],
-        ids=["garbage", "truncated", "foreign"],
-    )
-    def test_disk_rot_is_a_miss_and_unlinked(self, tmp_path, rot):
-        store = WarmStateStore(cache_dir=tmp_path)
-        store.store("k", self._record())
-        paths = list(tmp_path.glob("*/*.pkl"))
-        assert len(paths) == 1
-        if rot is None:
-            rot = paths[0].read_bytes()[: paths[0].stat().st_size // 2]
-        paths[0].write_bytes(rot)
-        fresh = WarmStateStore(cache_dir=tmp_path)
-        assert fresh.lookup("k") is None
-        assert not paths[0].exists()  # rot dropped, slot reusable
-
-    def test_version_mismatch_is_a_miss(self, tmp_path):
-        store = WarmStateStore(cache_dir=tmp_path)
-        store.store("k", replace(self._record(), version=-1))
-        fresh = WarmStateStore(cache_dir=tmp_path)
-        assert fresh.lookup("k") is None
-
-    def test_clear_disk(self, tmp_path):
-        store = WarmStateStore(cache_dir=tmp_path)
-        store.store("k", self._record())
-        store.clear_disk()
-        assert not list(tmp_path.glob("*/*.pkl"))
 
 
 class TestSnapshotRestore:
