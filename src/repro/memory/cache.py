@@ -9,6 +9,7 @@ MSI protocol implemented by :mod:`repro.memory.coherence`.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -39,6 +40,11 @@ class MSHR:
     Each outstanding miss holds one entry from allocation until the fill
     completes.  When all entries are busy a new miss must wait — the
     NC_WaitingEntry term of the paper's latency formula.
+
+    ``_release_times`` is kept sorted and is changed in place, so
+    :meth:`~repro.memory.hierarchy.DistributedMemorySystem.access_batch`
+    can alias it: only :meth:`translate` and a warm-state restore touch
+    it wholesale.
     """
 
     def __init__(self, n_entries: int):
@@ -51,30 +57,37 @@ class MSHR:
 
     def occupancy(self, time: int) -> int:
         """Entries still held at ``time``."""
-        self._release_times = [t for t in self._release_times if t > time]
-        return len(self._release_times)
+        release = self._release_times
+        del release[: bisect_right(release, time)]
+        return len(release)
 
     def allocate(self, time: int) -> int:
         """Allocate an entry; returns the time the allocation succeeds."""
-        in_use = sorted(t for t in self._release_times if t > time)
+        release = self._release_times
         # Entries released at or before ``time`` can never constrain this
         # or any later allocation (issue times are non-decreasing), so
         # drop them — the list stays at MSHR size instead of growing with
         # every miss of the run.
-        self._release_times = in_use
-        if len(in_use) < self.n_entries:
+        del release[: bisect_right(release, time)]
+        held = len(release)
+        if held < self.n_entries:
             grant = time
         else:
             # Wait for the earliest entry to free up (repeatedly, in case
             # several waiters pile up — conservatively take the k-th).
-            grant = in_use[len(in_use) - self.n_entries]
+            grant = release[held - self.n_entries]
         self.total_wait_cycles += grant - time
         return grant
 
     def hold(self, until: int) -> None:
         """Record that the just-allocated entry is held until ``until``."""
-        self._release_times.append(until)
-        self.peak_occupancy = max(self.peak_occupancy, len(self._release_times))
+        release = self._release_times
+        if release and until < release[-1]:
+            insort(release, until)
+        else:
+            release.append(until)
+        if len(release) > self.peak_occupancy:
+            self.peak_occupancy = len(release)
 
     def reset_stats(self) -> None:
         self.total_wait_cycles = 0
@@ -86,7 +99,10 @@ class MSHR:
         Releases at or before ``base`` can never delay an allocation
         issued at ``base`` or later, so they are behaviourally absent.
         """
-        return tuple(sorted(t - base for t in self._release_times if t > base))
+        release = self._release_times
+        return tuple(
+            t - base for t in release[bisect_right(release, base):]
+        )
 
     def translate(self, time_delta: int) -> None:
         """Shift every pending release by ``time_delta`` cycles."""
@@ -604,6 +620,9 @@ class ClusterCache:
         )
 
     def clear(self) -> None:
+        """Empty the cache: no lines, no fills in flight, every MSHR
+        entry free (a cold start; statistics are the caller's)."""
         self._sets.clear()
         self.in_flight.clear()
+        self.mshr._release_times.clear()
         self.invalidate_fragments()

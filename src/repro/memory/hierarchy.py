@@ -16,6 +16,7 @@ earlier miss already started loading the same line (in-flight merging).
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from math import gcd as _gcd
 from typing import Dict, List, Optional, Tuple
@@ -246,6 +247,13 @@ class DistributedMemorySystem:
         locally and flushed once.  Semantics are line-for-line those of
         :meth:`access` — the scalar method stays the reference, and the
         equivalence suite proves bit-identical results *and* state.
+        Two shortcuts keep a miss free of sorts and allocations without
+        changing any state the scalar walk would reach: the MSHR's
+        release list is sorted (the :class:`~repro.memory.cache.MSHR`
+        invariant), so a grant is a prefix drop and an index; and a
+        direct-mapped set holding one line is refilled by rewriting
+        that line's tag and state in place, which leaves the set equal
+        to the scalar fill's evict-and-append.
 
         Access ``i`` issues at ``time_base + nominals[i]``; issue times
         must be non-decreasing across the batch (the caller's stall
@@ -258,192 +266,145 @@ class DistributedMemorySystem:
         downstream consumer, which changes later issue times, so the
         caller must re-anchor before continuing.
         """
-        stats = self.stats
-        bus = self.bus
-        msi = self.msi
-        main_in_flight = self._main_in_flight
-
         tables = self._batch_tables
         if tables is None:
-            caches = self.caches
-            tables = self._batch_tables = (
-                [cache._sets for cache in caches],
-                [cache.in_flight for cache in caches],
-                [cache.mshr for cache in caches],
-                [cache.config.line_size for cache in caches],
-                [cache.config.n_sets for cache in caches],
-                [cache.config.hit_latency for cache in caches],
-                [cache.config.associativity for cache in caches],
-                bus._busy_until,  # None when unbounded
-                bus.config.latency,
-                self.machine.main_memory_latency,
-                len(caches),
-                [cache._dirty_sets for cache in caches],
-            )
-        (
-            sets_by, inflight_by, mshr_by, ls_by, nsets_by, hl_by,
-            assoc_by, bus_busy, bus_latency, main_latency, n_caches,
-            dirty_by,
-        ) = tables
+            tables = self._batch_tables = self._build_batch_tables()
+        rows, bus_busy, bus_latency, main_latency = tables
+        main_in_flight = self._main_in_flight
         modified = _MODIFIED
         shared = _SHARED
         invalid = _INVALID
 
-        # Locally accumulated statistics, flushed before every return.
-        d_accesses = d_local = d_remote = d_main = d_merged = 0
-        d_mshr_wait = d_bus_wait = d_upgrades = d_writebacks = 0
-        d_bus_txn = d_bus_busy = d_bus_pool_wait = 0
-        d_inval = d_interv = d_msi_wb = 0
+        # Locally accumulated statistics, flushed before the return.
+        d_local = d_merged = d_remote = d_main = 0
+        d_mshr_wait = d_bus_wait = d_wb_wait = d_upgrades = d_writebacks = 0
+        d_bus_txn = d_inval = d_interv = d_msi_wb = 0
 
         index = start
-        consumed = 0
         while index < end:
-            cluster = clusters[index]
-            address = addresses[index]
-            is_store = stores[index]
+            (
+                sets, in_flight, mshr, release, n_entries, line_size,
+                n_sets, hit_latency, assoc, dirty, others,
+            ) = rows[clusters[index]]
             time = time_base + nominals[index]
-            line_size = ls_by[cluster]
-            n_sets = nsets_by[cluster]
-            hit_latency = hl_by[cluster]
-            line_index = address // line_size
+            line_index = addresses[index] // line_size
             set_index = line_index % n_sets
             tag = line_index // n_sets
-            line_addr = address - address % line_size
-            in_flight = inflight_by[cluster]
-            d_accesses += 1
+            line_addr = line_index * line_size
 
             pending = in_flight.get(line_addr)
             if pending is not None and pending <= time:
                 pending = None
 
-            ways = sets_by[cluster].get(set_index)
+            ways = sets.get(set_index)
             found = None
-            if ways is not None:
+            if ways:
                 for line in ways:
                     if line.tag == tag and line.state is not invalid:
                         found = line
                         break
+            is_store = stores[index]
 
-            state = found.state if found is not None else invalid
-            if (found is not None) and (
-                state is modified or (not is_store and state is shared)
-            ):
-                # Local hit (same condition as ClusterCache.is_hit).
-                if ways[-1] is not found:
-                    ways.append(ways.pop(ways.index(found)))  # LRU touch
-                    dirty_by[cluster].add(set_index)
-                d_local += 1
-                ready = time + hit_latency
-                if pending is not None:
-                    d_merged += 1
-                    if pending > ready:
-                        ready = pending
-                ready_out[index] = ready
-                index += 1
-                consumed += 1
-                if ready > time + slacks[index - 1]:
-                    break
-                continue
+            if found is not None:
+                if found.state is modified or not is_store:
+                    # Local hit (same condition as ClusterCache.is_hit).
+                    if ways[-1] is not found:
+                        ways.append(ways.pop(ways.index(found)))  # LRU
+                        dirty.add(set_index)
+                    d_local += 1
+                    ready = time + hit_latency
+                    if pending is not None:
+                        d_merged += 1
+                        if pending > ready:
+                            ready = pending
+                    ready_out[index] = ready
+                    index += 1
+                    if ready > time + slacks[index - 1]:
+                        break
+                    continue
 
-            if is_store and state is shared:
                 # Write hit on a Shared line: upgrade, no data transfer.
                 request = time + hit_latency
                 if pending is not None and pending > request:
                     request = pending
                 d_bus_txn += 1
-                d_bus_busy += bus_latency
                 if bus_busy is None:
                     grant = request
                 else:
-                    best = 0
-                    best_time = bus_busy[0]
-                    for b in range(1, len(bus_busy)):
-                        if bus_busy[b] < best_time:
-                            best = b
-                            best_time = bus_busy[b]
+                    best_time = min(bus_busy)
                     grant = request if request > best_time else best_time
-                    bus_busy[best] = grant + bus_latency
-                    d_bus_pool_wait += grant - request
-                bus_wait = grant - request
+                    bus_busy[bus_busy.index(best_time)] = grant + bus_latency
+                    d_bus_wait += grant - request
                 # Snoop BusUpgr: invalidate every remote copy.
-                supplier = None
-                for other in range(n_caches):
-                    if other == cluster:
-                        continue
-                    o_ls = ls_by[other]
-                    o_line_index = line_addr // o_ls
-                    o_set = o_line_index % nsets_by[other]
-                    o_tag = o_line_index // nsets_by[other]
-                    o_ways = sets_by[other].get(o_set)
+                supplied = False
+                for o_sets, o_dirty, same, o_ls, o_n_sets, _, _ in others:
+                    if same:
+                        o_set = set_index
+                        o_tag = tag
+                    else:
+                        o_line_index = line_addr // o_ls
+                        o_set = o_line_index % o_n_sets
+                        o_tag = o_line_index // o_n_sets
+                    o_ways = o_sets.get(o_set)
                     if not o_ways:
                         continue
                     for o_line in o_ways:
                         if o_line.tag == o_tag and o_line.state is not invalid:
                             if o_line.state is modified:
                                 d_msi_wb += 1
-                                if supplier is None:
-                                    supplier = other
+                                supplied = True
                             o_line.state = invalid
                             d_inval += 1
-                            dirty_by[other].add(o_set)
+                            o_dirty.add(o_set)
                             break
-                if supplier is not None:
+                if supplied:
                     d_interv += 1
                 found.state = modified
-                dirty_by[cluster].add(set_index)
+                dirty.add(set_index)
                 d_local += 1  # data was local; only permission moved
                 d_upgrades += 1
-                d_bus_wait += bus_wait
                 ready = grant + bus_latency
                 ready_out[index] = ready
                 index += 1
-                consumed += 1
                 if ready > time + slacks[index - 1]:
                     break
                 continue
 
             # Miss: MSHR allocation, bus, snoop, fill — the full path.
             detect = time + hit_latency
-            mshr = mshr_by[cluster]
-            in_use = sorted(
-                t for t in mshr._release_times if t > detect
-            )
-            mshr._release_times = in_use
-            if len(in_use) < mshr.n_entries:
+            if release and release[0] <= detect:
+                del release[: bisect_right(release, detect)]
+            held = len(release)
+            if held < n_entries:
                 mshr_grant = detect
             else:
-                mshr_grant = in_use[len(in_use) - mshr.n_entries]
-            mshr_wait = mshr_grant - detect
-            mshr.total_wait_cycles += mshr_wait
+                mshr_grant = release[held - n_entries]
+                mshr.total_wait_cycles += mshr_grant - detect
+                d_mshr_wait += mshr_grant - detect
 
             d_bus_txn += 1
-            d_bus_busy += bus_latency
             if bus_busy is None:
                 bus_grant = mshr_grant
             else:
-                best = 0
-                best_time = bus_busy[0]
-                for b in range(1, len(bus_busy)):
-                    if bus_busy[b] < best_time:
-                        best = b
-                        best_time = bus_busy[b]
+                best_time = min(bus_busy)
                 bus_grant = mshr_grant if mshr_grant > best_time else best_time
-                bus_busy[best] = bus_grant + bus_latency
-                d_bus_pool_wait += bus_grant - mshr_grant
-            bus_wait = bus_grant - mshr_grant
+                bus_busy[bus_busy.index(best_time)] = bus_grant + bus_latency
+                d_bus_wait += bus_grant - mshr_grant
             transfer_done = bus_grant + bus_latency
 
             # Snoop BusRd / BusRdX across the other caches.
             supplier = None
             snoop_writeback = False
-            for other in range(n_caches):
-                if other == cluster:
-                    continue
-                o_ls = ls_by[other]
-                o_line_index = line_addr // o_ls
-                o_set = o_line_index % nsets_by[other]
-                o_tag = o_line_index // nsets_by[other]
-                o_ways = sets_by[other].get(o_set)
+            for other in others:
+                o_sets, o_dirty, same, o_ls, o_n_sets, _, _ = other
+                if same:
+                    o_set = set_index
+                    o_tag = tag
+                else:
+                    o_line_index = line_addr // o_ls
+                    o_set = o_line_index % o_n_sets
+                    o_tag = o_line_index // o_n_sets
+                o_ways = o_sets.get(o_set)
                 if not o_ways:
                     continue
                 for o_line in o_ways:
@@ -459,17 +420,16 @@ class DistributedMemorySystem:
                             if o_line.state is modified:
                                 snoop_writeback = True
                                 d_msi_wb += 1
-                                if supplier is None:
-                                    supplier = other
-                            elif supplier is None:
+                            if supplier is None:
                                 supplier = other
                             o_line.state = invalid
                             d_inval += 1
-                        dirty_by[other].add(o_set)
+                        o_dirty.add(o_set)
                         break
             if supplier is not None:
                 d_interv += 1
-                supplier_pending = inflight_by[supplier].get(line_addr)
+                # supplier[5] is its in-flight fills, [6] its hit latency.
+                supplier_pending = supplier[5].get(line_addr)
                 if (
                     supplier_pending is not None
                     and supplier_pending > bus_grant
@@ -477,7 +437,7 @@ class DistributedMemorySystem:
                     supplier = None
 
             if supplier is not None:
-                complete = transfer_done + hl_by[supplier]
+                complete = transfer_done + supplier[6]
                 d_remote += 1
             else:
                 pending_main = main_in_flight.get(line_addr)
@@ -493,78 +453,136 @@ class DistributedMemorySystem:
                 main_in_flight[line_addr] = complete
                 d_main += 1
 
-            # Fill (inline ClusterCache.fill + the dirty-victim bus slot).
+            # Fill (inline ClusterCache.fill).
             new_state = modified if is_store else shared
-            dirty_by[cluster].add(set_index)
-            cache_sets = sets_by[cluster]
-            ways = cache_sets.get(set_index)
+            dirty.add(set_index)
+            evicted = None
             if ways is None:
-                ways = cache_sets.setdefault(set_index, [])
-            revived = None
-            for line in ways:
-                if line.tag == tag:
-                    revived = line
-                    break
-            if revived is not None:
-                revived.state = new_state
-                ways.append(ways.pop(ways.index(revived)))  # touch
+                sets[set_index] = [CacheLine(tag, new_state)]
+            elif assoc == 1 and len(ways) == 1 and (
+                ways[0].tag == tag or ways[0].state is not invalid
+            ):
+                # One line in a direct-mapped set: revive it, or evict it
+                # by rewriting it as the new line.
+                line = ways[0]
+                if line.tag != tag:
+                    evicted = line.state
+                    line.tag = tag
+                line.state = new_state
             else:
-                live = [l for l in ways if l.state is not invalid]
-                if len(live) >= assoc_by[cluster]:
-                    evicted = live[0]
-                    ways.remove(evicted)
-                    if evicted.state is modified:
-                        # Dirty eviction: writeback occupies a bus slot
-                        # later but does not delay the requester.
-                        d_bus_txn += 1
-                        d_bus_busy += bus_latency
-                        if bus_busy is not None:
-                            best = 0
-                            best_time = bus_busy[0]
-                            for b in range(1, len(bus_busy)):
-                                if bus_busy[b] < best_time:
-                                    best = b
-                                    best_time = bus_busy[b]
-                            grant = (
-                                complete
-                                if complete > best_time
-                                else best_time
-                            )
-                            bus_busy[best] = grant + bus_latency
-                            d_bus_pool_wait += grant - complete
-                        d_writebacks += 1
-                ways.append(CacheLine(tag=tag, state=new_state))
+                revived = None
+                for line in ways:
+                    if line.tag == tag:
+                        revived = line
+                        break
+                if revived is not None:
+                    revived.state = new_state
+                    ways.append(ways.pop(ways.index(revived)))  # touch
+                else:
+                    live = [l for l in ways if l.state is not invalid]
+                    if len(live) >= assoc:
+                        ways.remove(live[0])
+                        evicted = live[0].state
+                    ways.append(CacheLine(tag, new_state))
+            if evicted is modified:
+                # Dirty eviction: the writeback occupies a bus slot later
+                # but does not delay the requester.
+                d_bus_txn += 1
+                if bus_busy is not None:
+                    best_time = min(bus_busy)
+                    grant = complete if complete > best_time else best_time
+                    bus_busy[bus_busy.index(best_time)] = grant + bus_latency
+                    d_wb_wait += grant - complete
+                d_writebacks += 1
             if snoop_writeback:
                 d_writebacks += 1
 
-            mshr._release_times.append(complete)
-            if len(mshr._release_times) > mshr.peak_occupancy:
-                mshr.peak_occupancy = len(mshr._release_times)
+            # MSHR hold: keep the release list sorted.
+            if release and complete < release[-1]:
+                insort(release, complete)
+            else:
+                release.append(complete)
+            if len(release) > mshr.peak_occupancy:
+                mshr.peak_occupancy = len(release)
             in_flight[line_addr] = complete
-            d_mshr_wait += mshr_wait
-            d_bus_wait += bus_wait
             ready_out[index] = complete
             index += 1
-            consumed += 1
             if complete > time + slacks[index - 1]:
                 break
 
-        stats.accesses += d_accesses
+        stats = self.stats
+        stats.accesses += index - start
         stats.local_hits += d_local
-        stats.remote_hits += d_remote
-        stats.main_memory += d_main
         stats.merged += d_merged
-        stats.mshr_wait_cycles += d_mshr_wait
-        stats.bus_wait_cycles += d_bus_wait
-        stats.coherence_upgrades += d_upgrades
-        stats.writebacks += d_writebacks
-        bus.total_transactions += d_bus_txn
-        bus.total_busy_cycles += d_bus_busy
-        bus.total_wait_cycles += d_bus_pool_wait
-        msi.n_invalidations += d_inval
-        msi.n_interventions += d_interv
-        msi.n_writebacks += d_msi_wb
-        return consumed
+        if d_bus_txn:
+            stats.remote_hits += d_remote
+            stats.main_memory += d_main
+            stats.mshr_wait_cycles += d_mshr_wait
+            stats.bus_wait_cycles += d_bus_wait
+            stats.coherence_upgrades += d_upgrades
+            stats.writebacks += d_writebacks
+            bus = self.bus
+            bus.total_transactions += d_bus_txn
+            bus.total_busy_cycles += d_bus_txn * bus_latency
+            bus.total_wait_cycles += d_bus_wait + d_wb_wait
+            msi = self.msi
+            msi.n_invalidations += d_inval
+            msi.n_interventions += d_interv
+            msi.n_writebacks += d_msi_wb
+        return index - start
+
+    def _build_batch_tables(self) -> tuple:
+        """access_batch's reference tables: one row per cluster, then
+        the bus horizons (``None`` when unbounded), bus latency and
+        main-memory latency.
+
+        A row is the cache's sets, in-flight fills, MSHR, sorted release
+        list, MSHR size, line size, set count, hit latency,
+        associativity, dirty sets and the other caches in cluster
+        order.  Each other cache is its sets, dirty sets, whether its
+        geometry matches the row's (then a snoop reuses the requester's
+        set index and tag), line size, set count, in-flight fills and
+        hit latency.  Every container is an alias, so nothing here is
+        state of its own.
+        """
+        rows = []
+        for cache in self.caches:
+            config = cache.config
+            others = tuple(
+                (
+                    other._sets,
+                    other._dirty_sets,
+                    other.config.line_size == config.line_size
+                    and other.config.n_sets == config.n_sets,
+                    other.config.line_size,
+                    other.config.n_sets,
+                    other.in_flight,
+                    other.config.hit_latency,
+                )
+                for other in self.caches
+                if other is not cache
+            )
+            rows.append(
+                (
+                    cache._sets,
+                    cache.in_flight,
+                    cache.mshr,
+                    cache.mshr._release_times,
+                    cache.mshr.n_entries,
+                    config.line_size,
+                    config.n_sets,
+                    config.hit_latency,
+                    config.associativity,
+                    cache._dirty_sets,
+                    others,
+                )
+            )
+        return (
+            rows,
+            self.bus._busy_until,
+            self.bus.config.latency,
+            self.machine.main_memory_latency,
+        )
 
     # ------------------------------------------------------------------
     # Steady-state support: translation-normalized signatures + counters
@@ -843,10 +861,14 @@ class DistributedMemorySystem:
             self.msi.check_invariants(address)
 
     def reset(self) -> None:
-        """Clear all cache state and statistics (fresh run)."""
+        """Clear all cache state and statistics: a cold start, equal to
+        a freshly built system."""
         for cache in self.caches:
             cache.clear()
             cache.mshr.reset_stats()
+        busy = self.bus._busy_until
+        if busy is not None:
+            busy[:] = [0] * len(busy)
         self.bus.reset_stats()
         self.msi.reset_stats()
         self.stats = MemoryStats()
@@ -928,7 +950,9 @@ class DistributedMemorySystem:
             }
             cache.in_flight = dict(data["in_flight"])
             release_times, wait_cycles, peak = data["mshr"]
-            cache.mshr._release_times = list(release_times)
+            # Sorted: snapshots taken before the MSHR kept its release
+            # list sorted hold it in arrival order.
+            cache.mshr._release_times = sorted(release_times)
             cache.mshr.total_wait_cycles = wait_cycles
             cache.mshr.peak_occupancy = peak
         busy, bus_wait, bus_txn, bus_busy = snap["bus"]

@@ -93,9 +93,9 @@ class DiskBackend(ResultBackend):
         return self.directory / f"{job_id}.json"
 
     def save(self, record: Dict[str, object]) -> None:
+        # Key order is kept: an export's columns follow its records'.
         atomic_write(
-            self._path(str(record["id"])),
-            json.dumps(record, sort_keys=True).encode(),
+            self._path(str(record["id"])), json.dumps(record).encode()
         )
 
     def load(self, job_id: str) -> Optional[Dict[str, object]]:

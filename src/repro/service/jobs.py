@@ -91,6 +91,44 @@ class Job:
         self.events: List[Dict[str, object]] = []
         self._emit({"type": "state", "state": "queued"})
 
+    @classmethod
+    def from_record(cls, record: Dict[str, object]) -> "Job":
+        """The job a saved :meth:`record` describes, after a restart.
+
+        A terminal record comes back as it was saved, with one terminal
+        state event, so an event stream ends at once.  A record still
+        ``queued`` or ``running`` was left by a process that died before
+        the job finished: it comes back ``failed``, naming the restart.
+        """
+        job = cls(
+            str(record["id"]),
+            int(record["sequence"]),
+            ScenarioSpec.from_dict(record["spec"]),
+            dict(record["overrides"]),
+        )
+        job.created = record["created"]
+        job.started = record["started"]
+        job.finished = record["finished"]
+        job.error = record["error"]
+        job.result = record["result"]
+        job.export_records = record["export_records"]
+        job.telemetry = record["telemetry"]
+        job.state = record["state"]
+        if not job.is_terminal:
+            job.state = "failed"
+            job.error = (
+                f"the service restarted while the job was {record['state']}"
+            )
+            job.finished = time.time()
+        extra = (
+            {"telemetry": job.telemetry}
+            if job.state == "done"
+            else {"error": job.error}
+        )
+        job.events = []
+        job._emit({"type": "state", "state": job.state, **extra})
+        return job
+
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
@@ -228,6 +266,18 @@ class JobManager:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-job"
         )
+        # Serve the jobs an earlier process saved.  A record that no
+        # longer parses is skipped (job records are never unlinked).
+        for job_id in self.backend.job_ids():
+            record = self.backend.load(job_id)
+            try:
+                job = Job.from_record(record)
+            except (KeyError, TypeError, ValueError):
+                continue
+            if job.state != record["state"]:
+                self.backend.save(job.record())
+            self._jobs[job.id] = job
+            self._sequence = max(self._sequence, job.sequence)
 
     # ------------------------------------------------------------------
     # Submission

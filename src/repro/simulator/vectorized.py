@@ -308,8 +308,9 @@ class VectorizedSimulator(LockstepSimulator):
         ii = self.schedule.ii
         n_ops = self._n_ops
         access_batch = self.memory.access_batch
-        stats = self.vector_stats
         filtered = n_iterations < self.n_iterations
+        # Telemetry counts, added to vector_stats once per call.
+        n_batches = n_batched = n_checks = 0
 
         mem_index = mem_start
         # Skip leading instances a steady-state fast-forward replayed.
@@ -348,8 +349,8 @@ class VectorizedSimulator(LockstepSimulator):
                             vm_nominal, base + offset, vm_slack,
                             ready, mem_index, limit,
                         )
-                        stats["batches"] += 1
-                        stats["batched_accesses"] += consumed
+                        n_batches += 1
+                        n_batched += consumed
                         last = mem_index + consumed - 1
                         mem_index += consumed
                         result = ready[last]
@@ -388,7 +389,7 @@ class VectorizedSimulator(LockstepSimulator):
                 break
             # Replay the earliest pending consumer check in exact order.
             position, cons_nominal, cons_iter, needed = heappop(hazards)
-            stats["hazard_checks"] += 1
+            n_checks += 1
             if cons_iter >= n_iterations:
                 continue  # its iteration was replayed by a fast-forward
             lack = needed - (base + cons_nominal + offset)
@@ -397,6 +398,10 @@ class VectorizedSimulator(LockstepSimulator):
                 ctx.cp_pos.append(position)
                 ctx.cp_off.append(offset)
         ctx.frontier = end_pos
+        stats = self.vector_stats
+        stats["batches"] += n_batches
+        stats["batched_accesses"] += n_batched
+        stats["hazard_checks"] += n_checks
         return offset
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the cluster cache and MSHR."""
 
+import random
+
 import pytest
 
 from repro.machine.config import CacheConfig
@@ -58,6 +60,47 @@ class TestMSHR:
         mshr.reset_stats()
         assert mshr.total_wait_cycles == 0
         assert mshr.peak_occupancy == 0
+
+    def test_sorted_list_matches_the_filter_and_append_semantics(self):
+        """The in-place sorted release list grants, waits and peaks
+        exactly like the original filter-sort-append MSHR, kept here as
+        the reference."""
+        rng = random.Random(17)
+        for _trial in range(200):
+            n_entries = rng.randrange(1, 5)
+            mshr = MSHR(n_entries)
+            release, wait, peak = [], 0, 0
+            time = 0
+            for _ in range(rng.randrange(1, 80)):
+                time += rng.randrange(0, 4)
+                if rng.random() < 0.1:
+                    release = [t for t in release if t > time]
+                    assert mshr.occupancy(time) == len(release)
+                    continue
+                release = sorted(t for t in release if t > time)
+                grant = (
+                    time if len(release) < n_entries
+                    else release[len(release) - n_entries]
+                )
+                wait += grant - time
+                assert mshr.allocate(time) == grant
+                until = grant + rng.randrange(1, 30)
+                release.append(until)
+                peak = max(peak, len(release))
+                mshr.hold(until)
+                assert mshr._release_times == sorted(release)
+            assert mshr.total_wait_cycles == wait
+            assert mshr.peak_occupancy == peak
+
+    def test_release_list_changes_in_place(self):
+        mshr = MSHR(2)
+        release = mshr._release_times
+        for time in range(0, 40, 3):
+            mshr.allocate(time)
+            mshr.hold(time + 9 - time % 4)  # out of order now and then
+            mshr.occupancy(time + 1)
+        assert mshr._release_times is release
+        assert release == sorted(release)
 
 
 class TestClusterCacheStates:

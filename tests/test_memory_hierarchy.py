@@ -1,5 +1,7 @@
 """Integration tests for the distributed memory system timing model."""
 
+import random
+
 import pytest
 
 from repro.machine import BusConfig, four_cluster, two_cluster
@@ -232,6 +234,29 @@ class TestCoherenceIntegration:
         assert system.caches[0].resident_lines() == 0
         result = system.access(0, 0, is_store=False, time=0)
         assert result.level == AccessLevel.MAIN
+
+    def test_reset_is_a_cold_start(self):
+        """Driven, reset and driven again, a system behaves access for
+        access like a fresh one: reset also frees every MSHR entry and
+        idles the buses."""
+        rng = random.Random(5)
+        machine = two_cluster(memory_bus=BusConfig(count=1, latency=4))
+        stream = []
+        time = 0
+        for _ in range(300):
+            time += rng.randrange(0, 3)
+            stream.append(
+                (rng.randrange(2), rng.randrange(0, 512) * 32,
+                 rng.random() < 0.3, time)
+            )
+        used = DistributedMemorySystem(machine)
+        for request in stream:
+            used.access(*request)
+        used.reset()
+        fresh = DistributedMemorySystem(machine)
+        for request in stream:
+            assert used.access(*request) == fresh.access(*request)
+        assert used.snapshot() == fresh.snapshot()
 
 
 class TestStatsAccounting:

@@ -474,6 +474,63 @@ class TestBackends:
         assert record["telemetry"]["grid"]["computed"] == 1
         assert record["export_records"]
 
+    @staticmethod
+    def _served(client, job_id, tmp_path):
+        npz = tmp_path / f"{job_id}.npz"
+        npz.write_bytes(client.export(job_id, "npz"))
+        return (
+            client.job(job_id),
+            client.result(job_id),
+            client.export(job_id, "csv"),
+            load_npz(npz),
+            list(client.events(job_id)),
+        )
+
+    def test_restarted_manager_serves_saved_jobs(self, tmp_path):
+        """A manager over a disk backend serves the jobs an earlier
+        manager saved there, unchanged, and numbers new jobs after
+        them."""
+        directory = tmp_path / "jobs"
+        first = JobManager(backend=DiskBackend(directory))
+        with ServerThread(manager=first) as srv:
+            client = ServiceClient(srv.url)
+            job_id = client.submit(spec=_tiny_spec_dict("restart"))["id"]
+            client.wait(job_id)
+            before = self._served(client, job_id, tmp_path)
+        restarted = JobManager(backend=DiskBackend(directory))
+        with ServerThread(manager=restarted) as srv:
+            client = ServiceClient(srv.url)
+            assert [job["id"] for job in client.jobs()] == [job_id]
+            after = self._served(client, job_id, tmp_path)
+            fresh = client.submit(spec=_tiny_spec_dict("after-restart"))
+            client.wait(fresh["id"])
+        described, result, csv, npz, events = after
+        # The restarted job streams only its terminal event.
+        assert {**described, "n_events": None} == {
+            **before[0], "n_events": None
+        }
+        assert described["n_events"] == 1
+        assert (result, csv, npz) == before[1:4]
+        assert events == [{**before[4][-1], "seq": 0}]
+        assert fresh["sequence"] == described["sequence"] + 1
+
+    def test_unfinished_record_fails_on_restart(self, tmp_path):
+        """A record a dead process left ``queued`` or ``running`` comes
+        back ``failed``, naming the restart, and is saved that way."""
+        backend = DiskBackend(tmp_path / "jobs")
+        spec = ScenarioSpec.from_dict(_tiny_spec_dict("orphan"))
+        for sequence, state in enumerate(("queued", "running"), 1):
+            job = Job(f"orphan{sequence}", sequence, spec, {})
+            backend.save({**job.record(), "state": state})
+        manager = JobManager(backend=backend)
+        for job in manager.jobs():
+            assert job.state == "failed" and job.finished is not None
+            assert "restarted" in job.error
+            events, _cursor, finished = job.events_since(0)
+            assert finished and events[-1]["error"] == job.error
+            assert backend.load(job.id)["state"] == "failed"
+        assert [job.id for job in manager.jobs()] == ["orphan1", "orphan2"]
+
 
 class TestParsePayload:
     def test_non_object_rejected(self):

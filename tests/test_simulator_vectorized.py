@@ -16,6 +16,7 @@ call, down to raw container state, on randomized access streams.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,7 @@ from repro.engine.stages import make_scheduler
 from repro.harness.grid import machine_key
 from repro.harness.scenarios import all_scenarios
 from repro.machine import BusConfig, four_cluster, heterogeneous, two_cluster, unified
+from repro.memory.cache import LineState
 from repro.memory.hierarchy import DistributedMemorySystem
 from repro.simulator import LockstepSimulator, VectorizedSimulator
 from repro.workloads import GeneratorConfig, random_kernel, spec_suite
@@ -234,48 +236,109 @@ class TestAccessBatch:
             memory.stats.as_dict(),
         )
 
+    def _replay(self, rng, machine, n, max_step, address):
+        """One random stream through :meth:`access` and, in random
+        chunks with random slacks, through :meth:`access_batch`: every
+        ready time and the raw state must agree.  Returns the batched
+        system."""
+        infinite = 1 << 60
+        scalar = DistributedMemorySystem(machine)
+        batched = DistributedMemorySystem(machine)
+        n_clusters = len(machine.clusters)
+        time = 0
+        clusters, addresses, stores, nominals = [], [], [], []
+        for _ in range(n):
+            time += rng.randrange(0, max_step)
+            clusters.append(rng.randrange(n_clusters))
+            addresses.append(address())
+            stores.append(rng.random() < 0.35)
+            nominals.append(time)
+        want = [
+            scalar.access(
+                clusters[i], addresses[i], stores[i], nominals[i]
+            ).ready_time
+            for i in range(n)
+        ]
+        got = [None] * n
+        slacks = [rng.choice([0, 2, 5, infinite]) for _ in range(n)]
+        index = 0
+        while index < n:
+            end = min(n, index + rng.randrange(1, n + 1))
+            consumed = batched.access_batch(
+                clusters, addresses, stores, nominals, 0, slacks,
+                got, index, end,
+            )
+            assert consumed >= 1
+            # Hazard-stop contract: every consumed access except
+            # possibly the last stayed within its slack.
+            for j in range(index, index + consumed - 1):
+                assert got[j] <= nominals[j] + slacks[j]
+            index += consumed
+        assert want == got
+        assert self._state_dump(scalar) == self._state_dump(batched)
+        return batched
+
     def test_randomized_streams_bit_identical(self):
         rng = random.Random(1234)
-        infinite = 1 << 60
         for trial in range(150):
             machine = rng.choice([two_cluster, four_cluster, heterogeneous])()
-            scalar = DistributedMemorySystem(machine)
-            batched = DistributedMemorySystem(machine)
-            n = rng.randrange(1, 60)
-            n_clusters = len(machine.clusters)
-            time = 0
-            clusters, addresses, stores, nominals = [], [], [], []
-            for _ in range(n):
-                time += rng.randrange(0, 6)
-                clusters.append(rng.randrange(n_clusters))
-                addresses.append(
-                    rng.randrange(0, 4096) * rng.choice([1, 4, 8])
+            self._replay(
+                rng, machine, rng.randrange(1, 60), 6,
+                lambda: rng.randrange(0, 4096) * rng.choice([1, 4, 8]),
+            )
+
+    def test_randomized_odd_machines_bit_identical(self):
+        """The set shapes and queues the presets never reach: 2- and
+        4-way sets (mixed across clusters, so snoops cross geometries),
+        1-3 MSHR entries, one, two or unbounded memory buses, and long
+        streams over a footprint several times the cache, half of them
+        on a small shared region, so invalid lines sit beside live ones,
+        dirty victims are written back and the MSHR grants late."""
+        rng = random.Random(4321)
+        seen = dict.fromkeys(
+            ("writebacks", "mshr_wait_cycles", "msi_invalidations",
+             "invalid_beside_live"), 0
+        )
+        for _trial in range(60):
+            preset = rng.choice([two_cluster, four_cluster, heterogeneous])
+            base = preset(
+                memory_bus=BusConfig(
+                    count=rng.choice([1, 2, None]),
+                    latency=rng.choice([1, 2]),
                 )
-                stores.append(rng.random() < 0.35)
-                nominals.append(time)
-            want = [
-                scalar.access(
-                    clusters[i], addresses[i], stores[i], nominals[i]
-                ).ready_time
-                for i in range(n)
-            ]
-            got = [None] * n
-            slacks = [rng.choice([0, 2, 5, infinite]) for _ in range(n)]
-            index = 0
-            while index < n:
-                end = min(n, index + rng.randrange(1, n + 1))
-                consumed = batched.access_batch(
-                    clusters, addresses, stores, nominals, 0, slacks,
-                    got, index, end,
-                )
-                assert consumed >= 1
-                # Hazard-stop contract: every consumed access except
-                # possibly the last stayed within its slack.
-                for j in range(index, index + consumed - 1):
-                    assert got[j] <= nominals[j] + slacks[j]
-                index += consumed
-            assert want == got, trial
-            assert self._state_dump(scalar) == self._state_dump(batched), trial
+            )
+            machine = replace(
+                base,
+                clusters=tuple(
+                    replace(
+                        cluster,
+                        cache=replace(
+                            cluster.cache,
+                            associativity=rng.choice([2, 4]),
+                            mshr_entries=rng.randrange(1, 4),
+                        ),
+                    )
+                    for cluster in base.clusters
+                ),
+            )
+            batched = self._replay(
+                rng, machine, rng.randrange(200, 601), 4,
+                lambda: (
+                    rng.randrange(0, 2048)
+                    if rng.random() < 0.5
+                    else rng.randrange(0, 32768)
+                ),
+            )
+            counters = batched.counters()
+            for key in ("writebacks", "mshr_wait_cycles", "msi_invalidations"):
+                seen[key] += counters[key]
+            seen["invalid_beside_live"] += sum(
+                1
+                for cache in batched.caches
+                for ways in cache._sets.values()
+                if len({line.state is LineState.INVALID for line in ways}) == 2
+            )
+        assert all(seen.values()), seen
 
     def test_hazard_stop_returns_early(self):
         system = DistributedMemorySystem(

@@ -115,6 +115,29 @@ class TestSnapshotRestore:
         assert target.counters() == source.counters()
         assert target.state_signature(0) == source.state_signature(0)
 
+    def test_unsorted_release_list_restores_sorted(self):
+        """Snapshots taken before the MSHR kept its release list sorted
+        hold it in arrival order; a restore must grant exactly as the
+        source system does."""
+        machine = two_cluster()
+        source = DistributedMemorySystem(machine)
+        time = self._exercise(source)
+        snap = source.snapshot()
+        for cache in snap["caches"]:
+            cache["mshr"][0].reverse()
+        assert any(len(cache["mshr"][0]) > 1 for cache in snap["caches"])
+        target = DistributedMemorySystem(machine)
+        target.restore(snap)
+        for cache in target.caches:
+            release = cache.mshr._release_times
+            assert release == sorted(release)
+        rng = random.Random(3)
+        for _ in range(100):
+            time += rng.randrange(0, 2)
+            request = (rng.randrange(2), rng.randrange(0, 8192), False, time)
+            assert target.access(*request) == source.access(*request)
+        assert target.snapshot() == source.snapshot()
+
     def test_snapshot_is_a_deep_copy(self):
         memory = DistributedMemorySystem(two_cluster())
         self._exercise(memory)
@@ -223,6 +246,29 @@ class TestWarmEquivalence:
         _assert_same(cold, survived)
         assert survived[0].warm_stats["hits"] == 0
         _assert_same(cold, seeded)
+
+    def test_restored_then_refused_record_runs_cold(self, analyzer):
+        """The entry-shape fallback restores a snapshot before the
+        replay proof refuses it; the reset that follows must be a true
+        cold start (no MSHR entries or bus horizons left from the
+        snapshot), and the record the fallback stores again must equal
+        the original."""
+        kernel = spec_suite(["tomcatv"])[0]
+        schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
+            kernel, two_cluster()
+        )
+        cold = _run(schedule)
+        store = WarmStateStore()
+        _run(schedule, store=store)
+        key, record = next(iter(store._memory.items()))
+        assert record.match_start is not None  # the entry shape
+        store._memory[key] = replace(
+            record, match_start=record.entries_simulated + 5
+        )
+        survived = _run(schedule, store=store)
+        _assert_same(cold, survived)
+        assert survived[0].warm_stats == {"hits": 0, "stores": 1}
+        assert store._memory[key] == record
 
 
 class TestWarmGridEndToEnd:
