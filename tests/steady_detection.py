@@ -1,19 +1,29 @@
-"""Where the steady-state detectors fire on every ``fig6-smoke`` cell.
+"""Where the steady-state detectors fire on every cell of a few scenarios.
 
 Results are bit-identical whether or not a detector fires, so a probe
 bug that stops detection changes no figure and shows only as lost
-speed.  ``tests/data/steady_fig6_smoke.txt`` records, per cell, the
-entry detector's ``detected_at``, ``period`` and ``replayed_entries``
-and each iteration record's ``entry``, ``detected_at``, ``period``,
+speed.  For each scenario in :data:`SCENARIOS`,
+``tests/data/steady_<scenario>.txt`` records, per cell, the entry
+detector's ``detected_at``, ``period`` and ``replayed_entries`` and each
+iteration record's ``entry``, ``detected_at``, ``period``,
 ``replayed_iterations`` and ``pruned_live_lines``;
 ``tests/test_steady_detection_table.py`` holds a run to it.
 
-Like the golden figures, the table changes only on purpose: when a
-change is meant to move detection, regenerate it with ::
+The scenarios cover every way a detector runs:
+
+* ``fig6-smoke`` — the 2-cluster and unified machines under ``auto``;
+* ``fig6-steady-ablation`` — every detector mode forced, the only cells
+  where the iteration detector runs on multi-entry loops (every entry
+  but the last with ``final_entry=False``);
+* ``streaming`` — the iteration detector on the 4-cluster and
+  heterogeneous machines.
+
+Like the golden figures, the tables change only on purpose: when a
+change is meant to move detection, regenerate them with ::
 
     PYTHONPATH=src python tests/steady_detection.py
 
-and commit the new table with the change that moved it.
+and commit the new tables with the change that moved them.
 """
 
 from __future__ import annotations
@@ -23,11 +33,11 @@ from typing import List
 
 from repro.engine import RunResult, schedule_kernel
 from repro.harness.grid import ExperimentGrid
-from repro.harness.scenarios import run_scenario
+from repro.harness.scenarios import get_scenario, run_scenario
 from repro.simulator import VectorizedSimulator
 from repro.workloads import kernel_by_name
 
-TABLE = pathlib.Path(__file__).parent / "data" / "steady_fig6_smoke.txt"
+SCENARIOS = ("fig6-smoke", "fig6-steady-ablation", "streaming")
 
 HEADER = (
     "# kernel machine scheduler threshold steady"
@@ -35,6 +45,12 @@ HEADER = (
     " | iterations entry:detected_at:period:replayed_iterations"
     ":pruned_live_lines ..."
 )
+
+
+def table_path(scenario: str) -> pathlib.Path:
+    """The committed table of one scenario."""
+    name = scenario.replace("-", "_")
+    return pathlib.Path(__file__).parent / "data" / f"steady_{name}.txt"
 
 
 class _ReportGrid(ExperimentGrid):
@@ -94,26 +110,26 @@ def _row(spec, machine: str, report) -> str:
     )
 
 
-def collect() -> List[str]:
-    """One row per distinct ``fig6-smoke`` cell, in submission order."""
-    from repro.harness.scenarios import get_scenario
-
-    grid = _ReportGrid(get_scenario("fig6-smoke").locality.build())
-    run_scenario("fig6-smoke", grid=grid)
+def collect(scenario: str) -> List[str]:
+    """One row per distinct cell of ``scenario``, in submission order."""
+    grid = _ReportGrid(get_scenario(scenario).locality.build())
+    run_scenario(scenario, grid=grid)
     return grid.rows
 
 
-def recorded() -> List[str]:
-    """The committed table's rows."""
+def recorded(scenario: str) -> List[str]:
+    """The committed table's rows for ``scenario``."""
     return [
         line
-        for line in TABLE.read_text().splitlines()
+        for line in table_path(scenario).read_text().splitlines()
         if line and not line.startswith("#")
     ]
 
 
 if __name__ == "__main__":
-    rows = collect()
-    TABLE.parent.mkdir(exist_ok=True)
-    TABLE.write_text("\n".join([HEADER, *rows]) + "\n")
-    print(f"wrote {len(rows)} rows to {TABLE}")
+    for scenario in SCENARIOS:
+        rows = collect(scenario)
+        path = table_path(scenario)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("\n".join([HEADER, *rows]) + "\n")
+        print(f"wrote {len(rows)} rows to {path}")

@@ -1,5 +1,5 @@
-"""Detection regression: every ``fig6-smoke`` cell detects where the
-recorded table says (see ``tests/steady_detection.py``).
+"""Detection regression: every cell of each recorded scenario detects
+where its table says (see ``tests/steady_detection.py``).
 
 The equivalence suites prove that detection never changes a result;
 this test proves that detection still *happens*, at the same boundary
@@ -8,12 +8,15 @@ change that silently stops (or moves) detection fails here instead of
 showing up only as a slower benchmark.
 """
 
-from steady_detection import collect, recorded
+import pytest
+
+from steady_detection import SCENARIOS, collect, recorded
 
 
-def test_fig6_smoke_detection_matches_table():
-    rows = collect()
-    table = recorded()
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_detection_matches_table(scenario):
+    rows = collect(scenario)
+    table = recorded(scenario)
     assert len(rows) == len(table)
     for row, expected in zip(rows, table):
         assert row == expected
