@@ -5,9 +5,11 @@ The scenario runs once, cold, on this checkout to collect its simulate
 tasks (schedule, iteration count, entry count).  Each round then times
 every kernel's tasks under both modes with each tree's
 ``VectorizedSimulator``, kernel by kernel, alternating which tree goes
-first, so drift in machine speed hits both trees alike.  Prints a
-markdown table of medians over the rounds; ``--json`` also writes every
-round's timings.
+first, so drift in machine speed hits both trees alike.  Every run's
+``SimulationResult`` must be the same in both trees and both modes: the
+script exits non-zero naming the first kernel whose results differ.
+Prints a markdown table of medians over the rounds; ``--json`` also
+writes every round's timings.
 
 usage (from the repository root)::
 
@@ -77,17 +79,20 @@ def collect_tasks(scenario: str) -> list:
     return tasks
 
 
-def time_tasks(simulator, tasks: list, mode: str) -> float:
-    """Seconds ``simulator`` spends in ``run()`` over ``tasks``."""
+def time_tasks(simulator, tasks: list, mode: str) -> tuple:
+    """Seconds ``simulator`` spends in ``run()`` over ``tasks``, and
+    each task's result as a dict."""
     total = 0.0
+    results = []
     for _kernel, schedule, n_iterations, n_times in tasks:
         sim = simulator(
             schedule, n_iterations=n_iterations, n_times=n_times, steady=mode
         )
         start = time.perf_counter()
-        sim.run()
+        result = sim.run()
         total += time.perf_counter() - start
-    return total
+        results.append(result.as_dict())
+    return total, results
 
 
 def main(argv=None) -> None:
@@ -115,11 +120,20 @@ def main(argv=None) -> None:
     try:
         for _round in range(args.rounds):
             for kernel, kernel_tasks in by_kernel.items():
+                expected = None
                 for tree in order:
                     for mode in MODES:
-                        times[kernel][mode][tree].append(
-                            time_tasks(trees[tree], kernel_tasks, mode)
+                        seconds, results = time_tasks(
+                            trees[tree], kernel_tasks, mode
                         )
+                        times[kernel][mode][tree].append(seconds)
+                        if expected is None:
+                            expected = results
+                        elif results != expected:
+                            raise SystemExit(
+                                f"{kernel}: results differ ({tree} tree, "
+                                f"steady={mode})"
+                            )
                 gc.collect()
             order.reverse()
     finally:

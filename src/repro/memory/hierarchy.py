@@ -17,7 +17,7 @@ earlier miss already started loading the same line (in-flight merging).
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import gcd as _gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +26,13 @@ from .cache import CacheLine, ClusterCache, LineState
 from .coherence import BusOp, MSIController
 from .membus import MemoryBusPool
 
-__all__ = ["AccessLevel", "AccessResult", "MemoryStats", "DistributedMemorySystem"]
+__all__ = [
+    "COUNTERS",
+    "AccessLevel",
+    "AccessResult",
+    "MemoryStats",
+    "DistributedMemorySystem",
+]
 
 # Module-level aliases keep the enum descriptor lookups out of
 # access_batch's per-access loop.
@@ -88,6 +94,25 @@ class MemoryStats:
             "writebacks": self.writebacks,
             "local_miss_ratio": self.local_miss_ratio,
         }
+
+
+#: Every additive statistic, in counter-vector order, as ``(component,
+#: attribute)`` with ``component`` an attribute of
+#: :class:`DistributedMemorySystem`: the :class:`MemoryStats` fields,
+#: then the memory buses' and the coherence controller's totals.  Each
+#: cluster's MSHR wait total follows them
+#: (:meth:`DistributedMemorySystem.counter_fields`).  Replay, snapshots
+#: and the coverage test all read this one table.
+COUNTERS: Tuple[Tuple[str, str], ...] = tuple(
+    ("stats", stat.name) for stat in fields(MemoryStats)
+) + (
+    ("bus", "total_wait_cycles"),
+    ("bus", "total_transactions"),
+    ("bus", "total_busy_cycles"),
+    ("msi", "n_invalidations"),
+    ("msi", "n_interventions"),
+    ("msi", "n_writebacks"),
+)
 
 
 class DistributedMemorySystem:
@@ -588,7 +613,7 @@ class DistributedMemorySystem:
     # Steady-state support: translation-normalized signatures + counters
     # ------------------------------------------------------------------
     def signature_shift_unit(self) -> int:
-        """Address-shift granularity under which signatures are exact.
+        """Address-shift unit under which signatures are exact.
 
         A uniform shift of the whole address stream commutes with line
         and set mapping only when it is a multiple of every cache's line
@@ -726,28 +751,43 @@ class DistributedMemorySystem:
             )
         )
 
-    def counters(self) -> Dict[str, int]:
-        """Snapshot of every additive statistic (for delta replay)."""
-        values = {
-            "accesses": self.stats.accesses,
-            "local_hits": self.stats.local_hits,
-            "remote_hits": self.stats.remote_hits,
-            "main_memory": self.stats.main_memory,
-            "merged": self.stats.merged,
-            "mshr_wait_cycles": self.stats.mshr_wait_cycles,
-            "bus_wait_cycles": self.stats.bus_wait_cycles,
-            "coherence_upgrades": self.stats.coherence_upgrades,
-            "writebacks": self.stats.writebacks,
-            "bus_total_wait_cycles": self.bus.total_wait_cycles,
-            "bus_total_transactions": self.bus.total_transactions,
-            "bus_total_busy_cycles": self.bus.total_busy_cycles,
-            "msi_invalidations": self.msi.n_invalidations,
-            "msi_interventions": self.msi.n_interventions,
-            "msi_writebacks": self.msi.n_writebacks,
-        }
-        for index, cache in enumerate(self.caches):
-            values[f"mshr{index}_wait_cycles"] = cache.mshr.total_wait_cycles
-        return values
+    def counters(self) -> Tuple[int, ...]:
+        """The counter vector: every additive statistic, in
+        :meth:`counter_fields` order (for delta replay).
+
+        The detectors read one at every boundary they observe, so the
+        fields are read by hand here rather than through the table;
+        ``tests/test_memory_signature_coverage.py`` binds each position
+        to its :meth:`counter_fields` entry.
+        """
+        stats = self.stats
+        bus = self.bus
+        msi = self.msi
+        return (
+            stats.accesses,
+            stats.local_hits,
+            stats.remote_hits,
+            stats.main_memory,
+            stats.merged,
+            stats.mshr_wait_cycles,
+            stats.bus_wait_cycles,
+            stats.coherence_upgrades,
+            stats.writebacks,
+            bus.total_wait_cycles,
+            bus.total_transactions,
+            bus.total_busy_cycles,
+            msi.n_invalidations,
+            msi.n_interventions,
+            msi.n_writebacks,
+        ) + tuple(cache.mshr.total_wait_cycles for cache in self.caches)
+
+    def counter_fields(self) -> List[Tuple[object, str]]:
+        """``(owner, attribute)`` of each counter-vector position: the
+        :data:`COUNTERS` table, then each cluster's MSHR wait total."""
+        return [
+            (getattr(self, component), attribute)
+            for component, attribute in COUNTERS
+        ] + [(cache.mshr, "total_wait_cycles") for cache in self.caches]
 
     def translate(self, time_delta: int, addr_shift: int) -> None:
         """Physically shift all live state by ``(time_delta, addr_shift)``.
@@ -794,38 +834,8 @@ class DistributedMemorySystem:
         for cache in self.caches:
             cache.invalidate_fragments()
 
-    def counters_tuple(self) -> Tuple[int, ...]:
-        """Fixed-order tuple of the same statistics as :meth:`counters`.
-
-        The iteration-level steady-state detector snapshots counters at
-        every modulo-pipeline group boundary; building a keyed dict there
-        would dominate the cost it is trying to save.  The order matches
-        :meth:`counters` insertion order (asserted by the signature
-        coverage guardrail test).
-        """
-        stats = self.stats
-        bus = self.bus
-        msi = self.msi
-        return (
-            stats.accesses,
-            stats.local_hits,
-            stats.remote_hits,
-            stats.main_memory,
-            stats.merged,
-            stats.mshr_wait_cycles,
-            stats.bus_wait_cycles,
-            stats.coherence_upgrades,
-            stats.writebacks,
-            bus.total_wait_cycles,
-            bus.total_transactions,
-            bus.total_busy_cycles,
-            msi.n_invalidations,
-            msi.n_interventions,
-            msi.n_writebacks,
-        ) + tuple(cache.mshr.total_wait_cycles for cache in self.caches)
-
-    def add_counters(self, delta: Dict[str, int], times: int = 1) -> None:
-        """Apply ``times`` repetitions of a counter delta.
+    def add_counters(self, delta: Tuple[int, ...], times: int = 1) -> None:
+        """Apply ``times`` repetitions of a counter-vector delta.
 
         The inverse of two :meth:`counters` snapshots: replaying ``n``
         memoized steady-state entries adds ``n`` deltas so aggregate
@@ -833,26 +843,8 @@ class DistributedMemorySystem:
         is deliberately untouched — it is a maximum, and a replayed
         steady-state entry repeats behaviour already observed.
         """
-        stats = self.stats
-        stats.accesses += delta["accesses"] * times
-        stats.local_hits += delta["local_hits"] * times
-        stats.remote_hits += delta["remote_hits"] * times
-        stats.main_memory += delta["main_memory"] * times
-        stats.merged += delta["merged"] * times
-        stats.mshr_wait_cycles += delta["mshr_wait_cycles"] * times
-        stats.bus_wait_cycles += delta["bus_wait_cycles"] * times
-        stats.coherence_upgrades += delta["coherence_upgrades"] * times
-        stats.writebacks += delta["writebacks"] * times
-        self.bus.total_wait_cycles += delta["bus_total_wait_cycles"] * times
-        self.bus.total_transactions += delta["bus_total_transactions"] * times
-        self.bus.total_busy_cycles += delta["bus_total_busy_cycles"] * times
-        self.msi.n_invalidations += delta["msi_invalidations"] * times
-        self.msi.n_interventions += delta["msi_interventions"] * times
-        self.msi.n_writebacks += delta["msi_writebacks"] * times
-        for index, cache in enumerate(self.caches):
-            cache.mshr.total_wait_cycles += (
-                delta[f"mshr{index}_wait_cycles"] * times
-            )
+        for (owner, attribute), step in zip(self.counter_fields(), delta):
+            setattr(owner, attribute, getattr(owner, attribute) + step * times)
 
     # ------------------------------------------------------------------
     def check_coherence(self, addresses: List[int]) -> None:
@@ -889,7 +881,7 @@ class DistributedMemorySystem:
         strings, tuples, dicts and lists appear in the result, so it
         pickles compactly and loads without importing simulator state.
         """
-        bus = self.bus
+        busy = self.bus._busy_until
         return {
             "caches": [
                 {
@@ -900,34 +892,13 @@ class DistributedMemorySystem:
                     "in_flight": dict(cache.in_flight),
                     "mshr": (
                         list(cache.mshr._release_times),
-                        cache.mshr.total_wait_cycles,
                         cache.mshr.peak_occupancy,
                     ),
                 }
                 for cache in self.caches
             ],
-            "bus": (
-                None if bus._busy_until is None else list(bus._busy_until),
-                bus.total_wait_cycles,
-                bus.total_transactions,
-                bus.total_busy_cycles,
-            ),
-            "msi": (
-                self.msi.n_invalidations,
-                self.msi.n_interventions,
-                self.msi.n_writebacks,
-            ),
-            "stats": {
-                "accesses": self.stats.accesses,
-                "local_hits": self.stats.local_hits,
-                "remote_hits": self.stats.remote_hits,
-                "main_memory": self.stats.main_memory,
-                "merged": self.stats.merged,
-                "mshr_wait_cycles": self.stats.mshr_wait_cycles,
-                "bus_wait_cycles": self.stats.bus_wait_cycles,
-                "coherence_upgrades": self.stats.coherence_upgrades,
-                "writebacks": self.stats.writebacks,
-            },
+            "bus": None if busy is None else list(busy),
+            "counters": self.counters(),
             "main_in_flight": dict(self._main_in_flight),
         }
 
@@ -949,22 +920,17 @@ class DistributedMemorySystem:
                 for index, ways in data["sets"].items()
             }
             cache.in_flight = dict(data["in_flight"])
-            release_times, wait_cycles, peak = data["mshr"]
+            release_times, peak = data["mshr"]
             # Sorted: snapshots taken before the MSHR kept its release
             # list sorted hold it in arrival order.
             cache.mshr._release_times = sorted(release_times)
-            cache.mshr.total_wait_cycles = wait_cycles
             cache.mshr.peak_occupancy = peak
-        busy, bus_wait, bus_txn, bus_busy = snap["bus"]
+        busy = snap["bus"]
         self.bus._busy_until = None if busy is None else list(busy)
-        self.bus.total_wait_cycles = bus_wait
-        self.bus.total_transactions = bus_txn
-        self.bus.total_busy_cycles = bus_busy
-        (
-            self.msi.n_invalidations,
-            self.msi.n_interventions,
-            self.msi.n_writebacks,
-        ) = snap["msi"]
-        self.stats = MemoryStats(**snap["stats"])
+        self.stats = MemoryStats()
+        for (owner, attribute), value in zip(
+            self.counter_fields(), snap["counters"]
+        ):
+            setattr(owner, attribute, value)
         self._main_in_flight = dict(snap["main_in_flight"])
         self._invalidate_derived()

@@ -6,7 +6,7 @@ the seam that keeps laptop runs zero-dependency while allowing a real
 deployment to swap in a shared store: the in-proc :class:`MemoryBackend`
 is the default, :class:`DiskBackend` persists records as JSON files so
 jobs survive a restart, and an external store only has to implement the
-same four methods.
+same three methods.
 
 Records are plain dicts of JSON types — by construction (the
 :class:`~repro.service.jobs.JobManager` serializes results through
@@ -48,12 +48,8 @@ class ResultBackend:
         """The record for ``job_id``, or ``None``."""
         raise NotImplementedError
 
-    def job_ids(self) -> List[str]:
-        """Every known job id, in insertion (creation) order."""
-        raise NotImplementedError
-
-    def delete(self, job_id: str) -> bool:
-        """Remove one record; ``True`` if it existed."""
+    def records(self) -> List[Dict[str, object]]:
+        """Every readable record, in creation order."""
         raise NotImplementedError
 
 
@@ -69,11 +65,8 @@ class MemoryBackend(ResultBackend):
     def load(self, job_id: str) -> Optional[Dict[str, object]]:
         return self._records.get(job_id)
 
-    def job_ids(self) -> List[str]:
-        return list(self._records)
-
-    def delete(self, job_id: str) -> bool:
-        return self._records.pop(job_id, None) is not None
+    def records(self) -> List[Dict[str, object]]:
+        return list(self._records.values())
 
 
 class DiskBackend(ResultBackend):
@@ -110,22 +103,16 @@ class DiskBackend(ResultBackend):
         except Exception:
             return None
 
-    def job_ids(self) -> List[str]:
+    def records(self) -> List[Dict[str, object]]:
+        """Every readable record, each file parsed once, sorted by the
+        job's ``sequence`` (creation order)."""
         records = []
         for path in sorted(self.directory.glob("*.json")):
             record = self.load(path.stem)
             if record is not None:
                 records.append(record)
         records.sort(key=lambda record: record.get("sequence", 0))
-        return [str(record["id"]) for record in records]
-
-    def delete(self, job_id: str) -> bool:
-        path = self._path(job_id)
-        try:
-            path.unlink()
-            return True
-        except OSError:
-            return False
+        return records
 
 
 BACKEND_KINDS = ("memory", "disk")

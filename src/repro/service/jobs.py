@@ -268,8 +268,7 @@ class JobManager:
         )
         # Serve the jobs an earlier process saved.  A record that no
         # longer parses is skipped (job records are never unlinked).
-        for job_id in self.backend.job_ids():
-            record = self.backend.load(job_id)
+        for record in self.backend.records():
             try:
                 job = Job.from_record(record)
             except (KeyError, TypeError, ValueError):
@@ -430,13 +429,12 @@ class JobManager:
             name: after["grid"][name] - before["grid"][name]
             for name in after["grid"]
         }
+        # A ``_max`` key is the grid's lifetime high-water mark, which
+        # no difference recovers for one job; /stats reports it.
         plan = {
-            key: (
-                value  # high-water mark, not additive
-                if key.endswith("_max")
-                else value - before["plan"].get(key, 0)
-            )
+            key: value - before["plan"].get(key, 0)
             for key, value in after["plan"].items()
+            if not key.endswith("_max")
         }
         # Planned = unique tasks the planner identified up front;
         # executed = the subset that actually ran (store misses).

@@ -170,10 +170,6 @@ class LockstepSimulator:
         #: Consulted/fed by :meth:`run`; ignored when the resolved
         #: steady mode is ``off`` (such runs never reuse state).
         self.warm_store = warm_store
-        #: Warm-state telemetry of the last :meth:`run` (both engines).
-        self.warm_stats = {"hits": 0, "stores": 0}
-        #: Entry-level detection record (back-compat; also in the report).
-        self.steady_state: Optional[SteadyState] = None
         #: Combined steady-state telemetry, populated by :meth:`run`.
         self.steady_report: Optional[SteadyStateReport] = None
         self.memory = DistributedMemorySystem(self.machine)
@@ -229,6 +225,7 @@ class LockstepSimulator:
         self._inst_iter = iterations[order]
         self._inst_op = ops[order]
         self._instances_cache: Optional[List[Tuple[int, int, int]]] = None
+        self._group_bounds: Optional[Tuple[List[int], int]] = None
 
     @property
     def _instances(self) -> List[Tuple[int, int, int]]:
@@ -248,17 +245,19 @@ class LockstepSimulator:
 
     def instance_group_bounds(self) -> Tuple[List[int], int]:
         """Start index of each modulo-pipeline group in the sorted
-        instance list; ``bounds[k]..bounds[k+1]`` is group ``k`` (the
-        instances with nominal issue times in ``[k*II, (k+1)*II)``)."""
-        nominal = self._inst_nominal
-        ii = self.schedule.ii
-        if nominal.size == 0:
-            return [0], 0
-        n_groups = int(nominal[-1]) // ii + 1
-        bounds = np.searchsorted(
-            nominal, np.arange(n_groups + 1, dtype=np.int64) * ii, side="left"
-        )
-        return bounds.tolist(), n_groups
+        instance list, and the number of groups; ``bounds[k]..bounds[k+1]``
+        is group ``k`` (the instances with nominal issue times in
+        ``[k*II, (k+1)*II)``).  Computed once, on first use."""
+        if self._group_bounds is None:
+            nominal = self._inst_nominal
+            ii = self.schedule.ii
+            n_groups = int(nominal[-1]) // ii + 1 if nominal.size else 0
+            bounds = np.searchsorted(
+                nominal, np.arange(n_groups + 1, dtype=np.int64) * ii,
+                side="left",
+            )
+            self._group_bounds = (bounds.tolist(), n_groups)
+        return self._group_bounds
 
     def _build_fast_tables(self) -> None:
         """Index-based mirrors of the per-instance lookups.
@@ -309,8 +308,8 @@ class LockstepSimulator:
         # constant + sum(coef[var] * point[var]), extracted once from
         # the row-major linearization so _entry_tables evaluates a small
         # dot product per entry instead of re-walking the subscripts.
+        # The second entry is the per-iteration stride.
         inner = loop.inner
-        known_vars = {inner.var} | {dim.var for dim in loop.outer_dims}
         self._mem_affine: List[Optional[Tuple[int, int, Tuple[Tuple[str, int], ...]]]] = []
         for ref in self._mem_ref:
             if ref is None:
@@ -329,9 +328,6 @@ class LockstepSimulator:
                 constant += expr.constant * dim_weight
                 for var, coef in expr.coeffs:
                     coeffs[var] = coeffs.get(var, 0) + coef * dim_weight
-            if not set(coeffs) <= known_vars:
-                self._mem_affine.append(None)  # defensive: unknown var
-                continue
             inner_coef = coeffs.pop(inner.var, 0)
             self._mem_affine.append(
                 (
@@ -343,18 +339,28 @@ class LockstepSimulator:
         # Ready-ring span: the furthest any reader reaches back, in
         # iterations.  Flow operands reach ``consumer stage + distance``
         # behind the newest written iteration; the iteration detector's
-        # ready-window snapshot reaches ``window + max stage - 1`` (the
-        # window itself is the max flow ``distance + stage gap``).
+        # ready-window snapshot reaches ``window + max stage - 1``.  The
+        # window is the max flow ``distance + stage gap``, the number of
+        # groups back a consumer can read (negative only when every
+        # flow edge is dead).
         stage = self._op_stage
-        max_stage = max(stage, default=0)
+        self._max_stage = max(stage, default=0)
         flow_lookback = 0
-        window = 0
         for dst in range(self._n_ops):
-            for src, distance, _extra in self._flows[dst]:
+            for _src, distance, _extra in self._flows[dst]:
                 flow_lookback = max(flow_lookback, stage[dst] + distance)
-                window = max(window, distance + stage[dst] - stage[src])
-        self._ready_window = window
-        span = max(flow_lookback, window + max_stage) + 1
+        self._ready_window = max(
+            (
+                distance + stage[dst] - stage[src]
+                for dst in range(self._n_ops)
+                for src, distance, _extra in self._flows[dst]
+            ),
+            default=0,
+        )
+        span = (
+            max(flow_lookback, max(self._ready_window, 0) + self._max_stage)
+            + 1
+        )
         self._ready = ReadyWindow(self._n_ops, span)
 
     # ------------------------------------------------------------------
@@ -374,7 +380,6 @@ class LockstepSimulator:
     def run(self) -> SimulationResult:
         """Execute NTIMES entries of the loop and aggregate the cycles."""
         schedule = self.schedule
-        lrb = self.machine.register_bus.latency
         total_stall = 0
 
         outer_points = list(self._outer_points())
@@ -384,8 +389,8 @@ class LockstepSimulator:
 
         warm = self.warm_store if self.steady_mode != "off" else None
         warm_key = None
-        warm_iterations: Optional[tuple] = None
-        warm_done = False
+        # Set early when a warm record finishes the run arithmetically.
+        report: Optional[SteadyStateReport] = None
         captured: dict = {}
         if warm is not None:
             warm_key = warm.key(
@@ -400,10 +405,8 @@ class LockstepSimulator:
                     record, entry_detector, iteration_detector
                 )
                 if adopted is not None:
-                    total_stall, warm_iterations = adopted
-                    self.warm_stats["hits"] += 1
-                    warm_done = True
-            if not warm_done and entry_detector is not None:
+                    total_stall, report = adopted
+            if report is None and entry_detector is not None:
                 # Capture the boundary state the moment a detection
                 # confirms — before its replay deltas are applied.
                 def _capture(match_start: int, at_entry: int) -> None:
@@ -413,40 +416,38 @@ class LockstepSimulator:
 
                 entry_detector.warm_sink = _capture
 
-        clock = 0  # global time: memory-system state spans loop entries
-        entry = 0
-        while not warm_done and entry < self.n_times:
-            if entry_detector is not None:
-                replay = entry_detector.boundary(entry, clock)
-                if replay is not None:
-                    total_stall += replay.stall_cycles
-                    self.steady_state = replay.record
-                    break
-            outer = outer_points[entry % n_points]
-            stall = self._run_once(outer, lrb, clock, entry, iteration_detector)
-            total_stall += stall
-            clock += entry_compute + stall
-            if entry_detector is not None:
-                entry_detector.commit(entry, stall)
-            entry += 1
-
-        if warm is not None and not warm_done:
-            self._store_warm(
-                warm, warm_key, entry_detector, iteration_detector,
-                captured, total_stall,
+        if report is None:
+            entry_record: Optional[SteadyState] = None
+            clock = 0  # global time: memory-system state spans loop entries
+            for entry in range(self.n_times):
+                if entry_detector is not None:
+                    replay = entry_detector.boundary(entry, clock)
+                    if replay is not None:
+                        total_stall += replay.stall_cycles
+                        entry_record = replay.record
+                        break
+                outer = outer_points[entry % n_points]
+                stall = self._run_once(outer, clock, entry, iteration_detector)
+                total_stall += stall
+                clock += entry_compute + stall
+                if entry_detector is not None:
+                    entry_detector.commit(entry, stall)
+            if warm is not None:
+                self._store_warm(
+                    warm, warm_key, entry_detector, iteration_detector,
+                    captured, total_stall,
+                )
+            report = SteadyStateReport(
+                mode=self.steady_mode,
+                entry=entry_record,
+                iterations=(
+                    tuple(iteration_detector.detections)
+                    if iteration_detector is not None
+                    else ()
+                ),
             )
+        self.steady_report = report
 
-        self.steady_report = SteadyStateReport(
-            mode=self.steady_mode,
-            entry=self.steady_state,
-            iterations=(
-                warm_iterations
-                if warm_iterations is not None
-                else tuple(iteration_detector.detections)
-                if iteration_detector is not None
-                else ()
-            ),
-        )
         compute = schedule.compute_cycles(self.n_iterations, self.n_times)
         comms = schedule.n_communications * self.n_iterations * self.n_times
         return SimulationResult(
@@ -469,14 +470,13 @@ class LockstepSimulator:
     # ------------------------------------------------------------------
     def _adopt_warm(
         self, record, entry_detector, iteration_detector
-    ) -> Optional[Tuple[int, Optional[tuple]]]:
+    ) -> Optional[Tuple[int, SteadyStateReport]]:
         """Try to resume from a warm record; ``None`` falls back to cold.
 
-        Returns ``(total stall, iteration records or None)`` on success,
-        with the memory system holding the state full simulation would
-        have produced and ``self.steady_state`` populated for the entry
-        shape.  Adoption never assumes the record fits: the entry shape
-        re-proves replay soundness against this run's own address
+        Returns ``(total stall, steady-state report)`` on success, with
+        the memory system holding the state full simulation would have
+        produced.  Adoption never assumes the record fits: the entry
+        shape re-proves replay soundness against this run's own address
         tables, and a record that fails any check leaves the system
         reset for an ordinary cold run.
         """
@@ -488,7 +488,9 @@ class LockstepSimulator:
             if not record.iterations:
                 return None
             self.memory.restore(record.snapshot)
-            return record.entry_stall, tuple(record.iterations)
+            return record.entry_stall, SteadyStateReport(
+                mode=self.steady_mode, iterations=tuple(record.iterations)
+            )
         # Entry shape: restore the detection-boundary state, then let
         # the detector re-prove and replay exactly as on a cold hit.
         if entry_detector is None:
@@ -500,11 +502,12 @@ class LockstepSimulator:
         if replay is None:
             self.memory.reset()  # pristine cold-start state
             return None
-        self.steady_state = replay.record
         stall = sum(
             stall for stall, _ in record.records[: record.entries_simulated]
         )
-        return stall + replay.stall_cycles, None
+        return stall + replay.stall_cycles, SteadyStateReport(
+            mode=self.steady_mode, entry=replay.record
+        )
 
     def _store_warm(
         self, warm, warm_key, entry_detector, iteration_detector,
@@ -530,7 +533,6 @@ class LockstepSimulator:
                     snapshot=captured["snapshot"],
                 ),
             )
-            self.warm_stats["stores"] += 1
         elif (
             self.n_times == 1
             and iteration_detector is not None
@@ -547,7 +549,6 @@ class LockstepSimulator:
                     iterations=tuple(iteration_detector.detections),
                 ),
             )
-            self.warm_stats["stores"] += 1
 
     # ------------------------------------------------------------------
     def _outer_points(self) -> Iterator[Dict[str, int]]:
@@ -572,45 +573,39 @@ class LockstepSimulator:
         self, outer: Dict[str, int]
     ) -> Tuple[List[int], List[int]]:
         """Per-entry address bases: address(iteration) = base + stride*i."""
-        loop = self.loop
-        inner = loop.inner
         n_ops = self._n_ops
         mem_base: List[int] = [0] * n_ops
         mem_stride: List[int] = [0] * n_ops
-        for op_index in range(n_ops):
-            affine = self._mem_affine[op_index]
+        for op_index, affine in enumerate(self._mem_affine):
             if affine is not None:
                 constant, stride, coeffs = affine
                 for var, coef in coeffs:
                     constant += coef * outer[var]
                 mem_base[op_index] = constant
                 mem_stride[op_index] = stride
-                continue
-            ref = self._mem_ref[op_index]
-            if ref is None:
-                continue
-            point = dict(outer)
-            point[inner.var] = inner.lower
-            first = ref.address(point)
-            point[inner.var] = inner.lower + inner.step
-            mem_base[op_index] = first
-            mem_stride[op_index] = ref.address(point) - first
         return mem_base, mem_stride
 
     def _run_once(
         self,
         outer: Dict[str, int],
-        lrb: int,
         base: int,
         entry: int = 0,
         detector: Optional[IterationSteadyDetector] = None,
     ) -> int:
         """One entry of the innermost loop starting at global time ``base``;
-        returns its stall cycles."""
-        ready = self._ready
-        ready.reset()
-        mem_base, mem_stride = self._entry_tables(outer)
+        returns its stall cycles.
 
+        The engine supplies the walk (:meth:`_entry_walk`); this is the
+        group walk both engines share.  Without an iteration detector
+        the entry is walked as one span.  With one, the walk is split at
+        modulo-pipeline group boundaries so the detector can observe
+        them.  A fast-forward shrinks the remaining iteration count:
+        skipped iterations were proven to repeat the detected cycle, and
+        the tail simulates identically in the fast-forwarded frame (the
+        run's finish() re-anchors the memory state afterwards)."""
+        mem_base, mem_stride = self._entry_tables(outer)
+        ready, walk = self._entry_walk(base, mem_base, mem_stride)
+        n_groups = self.instance_group_bounds()[1]
         run = (
             detector.begin_entry(
                 entry, base, ready, mem_base, mem_stride,
@@ -620,36 +615,42 @@ class LockstepSimulator:
             else None
         )
         if run is None:
-            return self._walk_instances(
-                0, len(self._instances), base, 0,
-                ready, mem_base, mem_stride, self.n_iterations,
-            )
+            return walk(0, n_groups, 0, self.n_iterations)
 
-        # The same instance walk, partitioned at modulo-pipeline group
-        # boundaries so the iteration-level detector can observe them.
-        # A fast-forward shrinks the remaining iteration count: skipped
-        # iterations were proven to repeat the detected cycle, and the
-        # tail simulates identically in the fast-forwarded frame (the
-        # run's finish() re-anchors the memory state afterwards).
-        bounds = detector.group_bounds
-        max_stage = detector.max_stage
         effective_niter = self.n_iterations
         offset = 0
         extra_stall = 0
-        for k in range(detector.n_groups):
+        for k in range(n_groups):
             if run.active:
                 replay = run.boundary(k, offset)
                 if replay is not None:
                     effective_niter -= replay.skipped
                     extra_stall += replay.stall_cycles
-            offset = self._walk_instances(
-                bounds[k], bounds[k + 1], base, offset,
-                ready, mem_base, mem_stride, effective_niter,
-            )
-            if k + 1 >= effective_niter + max_stage:
+            offset = walk(k, k + 1, offset, effective_niter)
+            if k + 1 >= effective_niter + self._max_stage:
                 break  # every remaining instance is a skipped iteration's
         run.finish()
         return offset + extra_stall
+
+    def _entry_walk(
+        self, base: int, mem_base: List[int], mem_stride: List[int]
+    ):
+        """The engine's half of one entry: the ready view the iteration
+        detector reads (any object with ``get(iteration, op)``) and
+        ``walk(first, last, offset, n_iterations)``, which executes
+        modulo-pipeline groups ``first..last-1`` and returns the updated
+        stall offset."""
+        ready = self._ready
+        ready.reset()
+        bounds = self.instance_group_bounds()[0]
+
+        def walk(first: int, last: int, offset: int, n_iterations: int) -> int:
+            return self._walk_instances(
+                bounds[first], bounds[last], base, offset,
+                ready, mem_base, mem_stride, n_iterations,
+            )
+
+        return ready, walk
 
     def _walk_instances(
         self,

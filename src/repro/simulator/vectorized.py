@@ -30,19 +30,20 @@ state and statistics, same steady-state reports — proven by
 ``tests/test_simulator_vectorized.py`` across every scenario cell and
 both steady detectors.  Schedules that violate the static no-stall
 proof (none of the repository's schedulers produce them) fall back to
-the scalar walk for the whole cell, flagged in :attr:`vector_stats`.
+the scalar walk for the whole cell (``_vector_ok`` is false).
 
 Steady-state detectors plug in unchanged: the entry detector observes
 entry boundaries exactly as before, and the iteration detector drives
-the same group-partitioned walk — the engine hands it a reconstructing
-ready view instead of the scalar ring buffer.
+the group walk both engines share (:meth:`LockstepSimulator._run_once`)
+— this engine supplies a reconstructing ready view instead of the scalar
+ring buffer, and its own span walk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -118,15 +119,6 @@ class VectorizedSimulator(LockstepSimulator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Engine telemetry of the last run (batching, hazard checks,
-        #: and whether the scalar fallback ran).
-        self.vector_stats: Dict[str, object] = {
-            "engine": "vectorized",
-            "fallback": False,
-            "batches": 0,
-            "batched_accesses": 0,
-            "hazard_checks": 0,
-        }
         self._build_vector_tables()
 
     # ------------------------------------------------------------------
@@ -168,8 +160,6 @@ class VectorizedSimulator(LockstepSimulator):
                     self._vector_ok = False
         self._vm_consumers = consumers
         if not self._vector_ok:
-            self.vector_stats["engine"] = "scalar-fallback"
-            self.vector_stats["fallback"] = True
             return
 
         is_memory = np.fromiter(self._is_memory, dtype=bool, count=n_ops)
@@ -200,27 +190,18 @@ class VectorizedSimulator(LockstepSimulator):
             n_mem, dtype=np.int64
         )
         self._vm_index_of = index_of.tolist()
-        # Per-group bounds over the memory-instance list (lazy: only the
-        # iteration-detector path partitions the walk at groups).
-        self._vm_group_bounds: Optional[List[int]] = None
+        # Start of each modulo-pipeline group in the memory-instance list.
+        n_groups = self.instance_group_bounds()[1]
+        self._vm_group_bounds = np.searchsorted(
+            vm_nominal_np // ii, np.arange(n_groups + 1, dtype=np.int64)
+        ).tolist()
         self._vm_mem_base = np.zeros(n_ops, dtype=np.int64)
         self._vm_mem_stride = np.zeros(n_ops, dtype=np.int64)
 
-    def _vm_group_mem_bounds(self) -> List[int]:
-        if self._vm_group_bounds is None:
-            ii = self.schedule.ii
-            _bounds, n_groups = self.instance_group_bounds()
-            mem_group = np.asarray(self._vm_nominal, dtype=np.int64) // ii
-            self._vm_group_bounds = np.searchsorted(
-                mem_group, np.arange(n_groups + 1, dtype=np.int64)
-            ).tolist()
-        return self._vm_group_bounds
-
     # ------------------------------------------------------------------
-    def _run_once(self, outer, lrb, base, entry=0, detector=None):
+    def _entry_walk(self, base, mem_base, mem_stride):
         if not self._vector_ok:
-            return super()._run_once(outer, lrb, base, entry, detector)
-        mem_base, mem_stride = self._entry_tables(outer)
+            return super()._entry_walk(base, mem_base, mem_stride)
         bases = self._vm_mem_base
         strides = self._vm_mem_stride
         for op, value in enumerate(mem_base):
@@ -230,44 +211,17 @@ class VectorizedSimulator(LockstepSimulator):
             bases[self._vm_op_np] + strides[self._vm_op_np] * self._vm_iter_np
         ).tolist()
         ctx = _EntryContext(base, addresses, self._vm_n)
+        bounds = self.instance_group_bounds()[0]
+        mem_bounds = self._vm_group_bounds
 
-        run = (
-            detector.begin_entry(
-                entry, base, _ReadyView(self, ctx), mem_base, mem_stride,
-                final_entry=(entry == self.n_times - 1),
-            )
-            if detector is not None
-            else None
-        )
-        if run is None:
-            n_instances = int(self._inst_nominal.size)
+        def walk(first: int, last: int, offset: int, n_iterations: int) -> int:
             return self._walk_span(
-                ctx, 0, n_instances, 0, self._vm_n, 0, self.n_iterations
+                ctx, bounds[first], bounds[last],
+                mem_bounds[first], mem_bounds[last],
+                offset, n_iterations,
             )
 
-        # The same group-partitioned walk the scalar engine drives the
-        # iteration detector through (see executor._run_once).
-        bounds = detector.group_bounds
-        mem_bounds = self._vm_group_mem_bounds()
-        max_stage = detector.max_stage
-        effective_niter = self.n_iterations
-        offset = 0
-        extra_stall = 0
-        for k in range(detector.n_groups):
-            if run.active:
-                replay = run.boundary(k, offset)
-                if replay is not None:
-                    effective_niter -= replay.skipped
-                    extra_stall += replay.stall_cycles
-            offset = self._walk_span(
-                ctx, bounds[k], bounds[k + 1],
-                mem_bounds[k], mem_bounds[k + 1],
-                offset, effective_niter,
-            )
-            if k + 1 >= effective_niter + max_stage:
-                break
-        run.finish()
-        return offset + extra_stall
+        return _ReadyView(self, ctx), walk
 
     # ------------------------------------------------------------------
     @classmethod
@@ -309,8 +263,6 @@ class VectorizedSimulator(LockstepSimulator):
         n_ops = self._n_ops
         access_batch = self.memory.access_batch
         filtered = n_iterations < self.n_iterations
-        # Telemetry counts, added to vector_stats once per call.
-        n_batches = n_batched = n_checks = 0
 
         mem_index = mem_start
         # Skip leading instances a steady-state fast-forward replayed.
@@ -349,8 +301,6 @@ class VectorizedSimulator(LockstepSimulator):
                             vm_nominal, base + offset, vm_slack,
                             ready, mem_index, limit,
                         )
-                        n_batches += 1
-                        n_batched += consumed
                         last = mem_index + consumed - 1
                         mem_index += consumed
                         result = ready[last]
@@ -389,7 +339,6 @@ class VectorizedSimulator(LockstepSimulator):
                 break
             # Replay the earliest pending consumer check in exact order.
             position, cons_nominal, cons_iter, needed = heappop(hazards)
-            n_checks += 1
             if cons_iter >= n_iterations:
                 continue  # its iteration was replayed by a fast-forward
             lack = needed - (base + cons_nominal + offset)
@@ -398,10 +347,6 @@ class VectorizedSimulator(LockstepSimulator):
                 ctx.cp_pos.append(position)
                 ctx.cp_off.append(offset)
         ctx.frontier = end_pos
-        stats = self.vector_stats
-        stats["batches"] += n_batches
-        stats["batched_accesses"] += n_batched
-        stats["hazard_checks"] += n_checks
         return offset
 
 
@@ -414,10 +359,10 @@ def simulate(
 ) -> SimulationResult:
     """Convenience one-shot simulation on :class:`VectorizedSimulator`.
 
-    Construct the class directly to read its ``steady_report``,
-    ``warm_stats`` or ``vector_stats`` telemetry after ``run()``.
-    ``warm_store`` optionally shares post-warm-up memory state between
-    content-equal runs (bit-identical either way).
+    Construct the class directly to read its ``steady_report`` after
+    ``run()``.  ``warm_store`` optionally shares post-warm-up memory
+    state between content-equal runs (bit-identical either way) and
+    counts its own hits and stores.
     """
     return VectorizedSimulator(
         schedule, n_iterations, n_times, steady, warm_store

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..store import ContentStore
 
@@ -45,7 +45,7 @@ __all__ = ["WARM_STATE_VERSION", "WarmRecord", "WarmStateStore"]
 
 #: Bump when the record layout or snapshot format changes: the keys
 #: change, so older disk entries are never read again.
-WARM_STATE_VERSION = 1
+WARM_STATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class WarmRecord:
     """
 
     entries_simulated: int
-    records: Tuple[Tuple[int, Dict[str, int]], ...]
+    records: Tuple[Tuple[int, Tuple[int, ...]], ...]
     match_start: Optional[int]
     snapshot: dict
     entry_stall: int = 0

@@ -5,7 +5,7 @@ protocol — signature capture, period detection, exactness proof,
 counters-delta replay:
 
 * :class:`~repro.steady.entry.EntrySteadyDetector` memoizes repeated
-  *loop entries* (``NTIMES`` granularity);
+  *loop entries* (one unit per ``NTIMES`` step);
 * :class:`~repro.steady.iteration.IterationSteadyDetector` fast-forwards
   repeated *iterations* of the modulo pipeline inside a single entry —
   the detector that covers ``NTIMES=1`` streaming kernels.

@@ -7,11 +7,11 @@ streaming kernels — the *iterations* of the modulo pipeline repeat
 within one entry.  Both phenomena are exploited by detectors that share
 one shape, captured here as the :class:`SteadyStateDetector` protocol:
 
-1. **signature capture** — at each boundary of its granularity the
-   detector snapshots the behaviour-relevant state in a normalized,
+1. **signature capture** — at each of its boundaries the detector
+   snapshots the behaviour-relevant state in a normalized,
    hashable form (shift-normalized
    :meth:`~repro.memory.hierarchy.DistributedMemorySystem.state_signature`
-   plus whatever pipeline-local state the granularity carries);
+   plus whatever pipeline-local state its unit carries);
 2. **period detection** — a repeated snapshot means the simulation has
    entered a cycle;
 3. **exactness proof** — before anything is skipped, the detector proves
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "STEADY_MODES",
@@ -84,7 +84,7 @@ class Replay:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """How entry-level memoization split a run (``simulator.steady_state``)."""
+    """How entry-level memoization split a run (``steady_report.entry``)."""
 
     detected_at: int  #: index of the first replayed entry
     period: int  #: length of the repeating entry cycle
@@ -133,17 +133,17 @@ class SteadyStateReport:
 
 
 class SteadyStateDetector(ABC):
-    """One steady-state detection strategy at one boundary granularity.
+    """One steady-state detection strategy at one kind of boundary.
 
     The simulator drives a detector through a stream of boundaries of
-    its granularity (loop entries for ``entry``, modulo-pipeline groups
+    its kind (loop entries for ``entry``, modulo-pipeline groups
     for ``iteration``).  ``boundary`` is called *before* simulating the
     unit starting there and may answer with a :class:`Replay` once the
     four protocol steps (capture, detect, prove, replay) have all
     succeeded; ``commit`` is called *after* a unit was simulated in
     full, so the detector can record its (stall, counters-delta) record.
 
-    ``time`` is the granularity's own monotonic time coordinate — each
+    ``time`` is the boundary kind's own monotonic time coordinate — each
     detector defines it and anchors its signatures with it, and a driver
     must supply the coordinate its detector documents: the entry
     detector takes the absolute clock at the entry start; the iteration
@@ -153,11 +153,6 @@ class SteadyStateDetector(ABC):
     offset, from which it reconstructs the boundary's absolute time as
     ``entry base + group * II + offset``.
     """
-
-    #: Mode string under which this detector is selected.
-    mode: ClassVar[str]
-    #: Boundary granularity: ``"entry"`` or ``"iteration"``.
-    granularity: ClassVar[str]
 
     @abstractmethod
     def boundary(self, index: int, time: int) -> Optional[Replay]:

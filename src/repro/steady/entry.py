@@ -27,6 +27,7 @@ exploits this without changing a single bit of the results:
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from .base import Replay, SteadyState, SteadyStateDetector
@@ -42,9 +43,6 @@ class EntrySteadyDetector(SteadyStateDetector):
     but never mutates anything besides applying replayed counter deltas.
     """
 
-    mode = "entry"
-    granularity = "entry"
-
     def __init__(self, simulator, outer_points: List[Dict[str, int]]):
         self.sim = simulator
         self.outer_points = outer_points
@@ -57,9 +55,9 @@ class EntrySteadyDetector(SteadyStateDetector):
         self.history: Dict[
             Tuple[object, ...], List[Tuple[int, int, tuple]]
         ] = {}
-        self.records: List[Tuple[int, Dict[str, int]]] = []
+        self.records: List[Tuple[int, Tuple[int, ...]]] = []
         self.cumulative_shift = 0
-        self._counters_before: Optional[Dict[str, int]] = None
+        self._counters_before: Optional[Tuple[int, ...]] = None
         # Optional warm-state capture hook: called as (match_start,
         # entry) right before a confirmed detection replays its deltas,
         # i.e. while the memory system still holds the pristine
@@ -107,9 +105,8 @@ class EntrySteadyDetector(SteadyStateDetector):
 
     def commit(self, index: int, stall: int) -> None:
         after = self.sim.memory.counters()
-        before = self._counters_before
         self.records.append(
-            (stall, {key: after[key] - before[key] for key in after})
+            (stall, tuple(map(sub, after, self._counters_before)))
         )
 
     # ------------------------------------------------------------------
@@ -117,7 +114,7 @@ class EntrySteadyDetector(SteadyStateDetector):
     # ------------------------------------------------------------------
     def adopt(
         self,
-        records: List[Tuple[int, Dict[str, int]]],
+        records: List[Tuple[int, Tuple[int, ...]]],
         match_start: int,
         entry: int,
     ) -> Optional[Replay]:

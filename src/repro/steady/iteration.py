@@ -86,9 +86,6 @@ class IterationSteadyDetector:
     ``boundary``/``commit``.
     """
 
-    mode = "iteration"
-    granularity = "iteration"
-
     #: How many multiples of the line-aligned base period the cheap
     #: period search tries at each boundary.
     MAX_PERIODS = 16
@@ -97,15 +94,14 @@ class IterationSteadyDetector:
         self.sim = simulator
         self.ii: int = simulator.schedule.ii
         self.n_ops: int = simulator._n_ops
-        placements = simulator.schedule.placements
-        self.stage: List[int] = [
-            placements[name].time // self.ii for name in simulator._op_names
-        ]
-        self.max_stage = max(self.stage, default=0)
+        self.stage: List[int] = simulator._op_stage
+        self.max_stage: int = simulator._max_stage
         # Exactness proof obligation: every memory reference must advance
         # by the same per-iteration stride, or no single address shift
         # can align two boundaries and detection stays off.
-        strides = set(self._iteration_strides())
+        strides = {
+            affine[1] for affine in simulator._mem_affine if affine is not None
+        }
         self.enabled = len(strides) <= 1
         self.stride: int = strides.pop() if strides else 0
         unit = simulator.memory.signature_shift_unit()
@@ -114,40 +110,12 @@ class IterationSteadyDetector:
         self.q: int = 1 if sub == 0 else unit // gcd(unit, sub)
         # Ready-value window: how many groups back a future consumer can
         # reach (flow distance plus consumer/producer stage gap).
-        self.window = max(
-            (
-                distance + self.stage[v] - self.stage[src]
-                for v in range(self.n_ops)
-                for src, distance, _extra in simulator._flows[v]
-            ),
-            default=0,
-        )
+        self.window: int = simulator._ready_window
         # First boundary where the pipeline is full and the whole ready
         # window exists.
         self.k0 = self.max_stage + self.window
-        self.group_bounds, self.n_groups = simulator.instance_group_bounds()
+        self.n_groups: int = simulator.instance_group_bounds()[1]
         self.detections: List[IterationSteadyState] = []
-
-    # ------------------------------------------------------------------
-    def _iteration_strides(self) -> List[int]:
-        """Per-iteration address stride of every memory reference.
-
-        Affine references advance by a constant per inner iteration
-        independent of the outer point, so one probe point suffices."""
-        sim = self.sim
-        loop = sim.loop
-        inner = loop.inner
-        point = {dim.var: dim.lower for dim in loop.outer_dims}
-        strides = []
-        for index in range(sim._n_ops):
-            ref = sim._mem_ref[index]
-            if ref is None:
-                continue
-            point[inner.var] = inner.lower
-            first = ref.address(point)
-            point[inner.var] = inner.lower + inner.step
-            strides.append(ref.address(point) - first)
-        return strides
 
     # ------------------------------------------------------------------
     def begin_entry(
@@ -177,7 +145,7 @@ class IterationSteadyDetector:
 
 
 class _EntryRun(SteadyStateDetector):
-    """The iteration-granularity :class:`SteadyStateDetector`: detection
+    """The iteration-level :class:`SteadyStateDetector`: detection
     state for the modulo-pipeline groups of one loop entry.
 
     ``niter`` tracks the *remaining* iteration count of the
@@ -185,9 +153,6 @@ class _EntryRun(SteadyStateDetector):
     walking the same group indices with a smaller effective NITER, which
     is exactly a continuation of the smaller-NITER run — so the run
     re-arms and can detect (and skip) again in that frame."""
-
-    mode = "iteration"
-    granularity = "iteration"
 
     def __init__(self, detector: IterationSteadyDetector, entry: int,
                  base: int, ready,
@@ -247,7 +212,7 @@ class _EntryRun(SteadyStateDetector):
             self.active = False
             return None
         memory = det.sim.memory
-        values = memory.counters_tuple()
+        values = memory.counters()
         if self.prev_values is not None:
             self.records[k - 1] = (
                 offset - self.prev_offset,
@@ -481,7 +446,7 @@ class _EntryRun(SteadyStateDetector):
         k1: int,
         period: int,
         offset1: int,
-        counters1: Dict[str, int],
+        counters1: Tuple[int, ...],
         k2: int,
         offset2: int,
         probe1: Tuple[tuple, tuple],
@@ -520,8 +485,7 @@ class _EntryRun(SteadyStateDetector):
         if t <= 0:
             return None
         period_stall = offset2 - offset1
-        counters2 = sim.memory.counters()
-        delta = {key: counters2[key] - counters1[key] for key in counters2}
+        delta = tuple(map(sub, sim.memory.counters(), counters1))
         sim.memory.add_counters(delta, t)
         self.ff_time_delta += t * (period * det.ii + period_stall)
         self.ff_addr_shift += t * shift_per_period

@@ -103,13 +103,13 @@ class TestSteadyOffMode:
         simulator = VectorizedSimulator(tomcatv_schedule, steady="off")
         simulator.run()
         assert simulator.steady_mode == "off"
-        assert simulator.steady_state is None
+        assert simulator.steady_report.entry is None
 
     def test_memoized_reports_replay_and_matches_exact(self, tomcatv_schedule):
         simulator = VectorizedSimulator(tomcatv_schedule)
         memo = simulator.run()
         exact = VectorizedSimulator(tomcatv_schedule, steady="off").run()
-        steady = simulator.steady_state
+        steady = simulator.steady_report.entry
         assert steady.replayed_entries > 0
         assert steady.period >= 1
         assert (

@@ -18,27 +18,35 @@ figure moved.  This module makes the omission loud:
   assert the claimed channel actually reacts.
 
 When adding memory-system state: wire it into ``state_signature`` (if
-it can affect future timing) or ``counters`` (+ ``counters_tuple`` and
-``add_counters``, if it is an additive statistic), extend ``translate``,
-then classify it here.
+it can affect future timing) or, if it is an additive statistic, into
+the ``COUNTERS`` names table and the ``counters`` reader in the same
+position (the table drives ``add_counters``, snapshots and these
+tests), extend ``translate``, then classify it here.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.machine import BusConfig, four_cluster, two_cluster
 from repro.memory.cache import MSHR, CacheLine, ClusterCache, LineState
 from repro.memory.coherence import MSIController
-from repro.memory.hierarchy import DistributedMemorySystem, MemoryStats
+from repro.memory.hierarchy import (
+    COUNTERS,
+    DistributedMemorySystem,
+    MemoryStats,
+)
 from repro.memory.membus import MemoryBusPool
 
 # ----------------------------------------------------------------------
 # The classification.  "signature": covered by state_signature (future
 # behaviour); "counters": covered by counters()/add_counters (additive
-# statistics); "config": immutable configuration; "recurse": a child
-# component with its own classification; "derived": a view computed
-# from classified state, with no behavioural state of its own (the
-# comment says how it is kept in step); "excluded": deliberately outside
-# both channels, with the justification in the comment.
+# statistics, named in the COUNTERS table); "config": immutable
+# configuration; "recurse": a child component with its own
+# classification; "derived": a view computed from classified state,
+# with no behavioural state of its own (the comment says how it is kept
+# in step); "excluded": deliberately outside both channels, with the
+# justification in the comment.
 # ----------------------------------------------------------------------
 COVERAGE = {
     DistributedMemorySystem: {
@@ -103,17 +111,11 @@ COVERAGE = {
     },
 }
 
-#: counters() key for every attribute classified "counters" above
-#: (MemoryStats fields are checked separately, field by field).
-COUNTER_KEYS = {
-    (MemoryBusPool, "total_wait_cycles"): "bus_total_wait_cycles",
-    (MemoryBusPool, "total_transactions"): "bus_total_transactions",
-    (MemoryBusPool, "total_busy_cycles"): "bus_total_busy_cycles",
-    (MSIController, "n_invalidations"): "msi_invalidations",
-    (MSIController, "n_interventions"): "msi_interventions",
-    (MSIController, "n_writebacks"): "msi_writebacks",
-    (MSHR, "total_wait_cycles"): "mshr{index}_wait_cycles",
-}
+#: The counter-vector positions of the 4-cluster machine
+#: ``_warmed_memory`` builds, named for the test ids.
+POSITIONS = [
+    f"{component}.{attribute}" for component, attribute in COUNTERS
+] + [f"caches[{index}].mshr.total_wait_cycles" for index in range(4)]
 
 
 def _memory(machine=None):
@@ -154,30 +156,38 @@ class TestInventory:
                     f"exclusion) before adding memory-system state"
                 )
 
-    def test_memory_stats_fields_all_in_counters(self):
-        import dataclasses
-
+    def test_counters_table_matches_classification(self):
+        """The names table holds exactly the attributes classified
+        "counters" above, plus every MemoryStats field."""
         memory, _time = _warmed_memory()
-        counters = memory.counters()
-        for field in dataclasses.fields(MemoryStats):
-            assert field.name in counters, (
-                f"MemoryStats.{field.name} missing from counters() — "
-                f"steady-state replay would not restore it"
-            )
-
-    def test_counters_tuple_matches_counters(self):
-        memory, _time = _warmed_memory()
-        assert memory.counters_tuple() == tuple(memory.counters().values())
+        named = [
+            (type(owner), attribute)
+            for owner, attribute in memory.counter_fields()
+        ]
+        classified = {
+            (cls, attribute)
+            for cls, table in COVERAGE.items()
+            for attribute, kind in table.items()
+            if kind == "counters" and cls is not DistributedMemorySystem
+        } | {
+            (MemoryStats, stat.name)
+            for stat in dataclasses.fields(MemoryStats)
+        }
+        assert set(named) == classified
+        # One MSHR entry per cluster, every other name once.
+        assert len(named) == len(classified) + len(memory.caches) - 1
 
     def test_add_counters_inverts_deltas(self):
         memory, time = _warmed_memory()
         before = memory.counters()
         memory.access(0, 65536, False, time)
         after = memory.counters()
-        delta = {key: after[key] - before[key] for key in after}
+        delta = tuple(a - b for a, b in zip(after, before))
+        assert any(delta)
         memory.add_counters(delta, 3)
-        expected = {key: after[key] + 3 * delta[key] for key in after}
-        assert memory.counters() == expected
+        assert memory.counters() == tuple(
+            a + 3 * d for a, d in zip(after, delta)
+        )
 
 
 class TestSignatureSensitivity:
@@ -275,55 +285,21 @@ class TestSignatureSensitivity:
 
 
 class TestCounterSensitivity:
-    """Each "counters" attribute must actually move counters()."""
+    """The hand-written ``counters()`` reader is bound to the names
+    table: bumping each named field moves exactly its own position."""
 
     @pytest.mark.parametrize(
-        "mutate,key",
-        [
-            (lambda m: setattr(m.bus, "total_wait_cycles",
-                               m.bus.total_wait_cycles + 1),
-             "bus_total_wait_cycles"),
-            (lambda m: setattr(m.bus, "total_transactions",
-                               m.bus.total_transactions + 1),
-             "bus_total_transactions"),
-            (lambda m: setattr(m.bus, "total_busy_cycles",
-                               m.bus.total_busy_cycles + 1),
-             "bus_total_busy_cycles"),
-            (lambda m: setattr(m.msi, "n_invalidations",
-                               m.msi.n_invalidations + 1),
-             "msi_invalidations"),
-            (lambda m: setattr(m.msi, "n_interventions",
-                               m.msi.n_interventions + 1),
-             "msi_interventions"),
-            (lambda m: setattr(m.msi, "n_writebacks",
-                               m.msi.n_writebacks + 1),
-             "msi_writebacks"),
-            (lambda m: setattr(m.caches[1].mshr, "total_wait_cycles",
-                               m.caches[1].mshr.total_wait_cycles + 1),
-             "mshr1_wait_cycles"),
-        ],
+        "position", range(len(POSITIONS)), ids=POSITIONS
     )
-    def test_component_counter_reacts(self, mutate, key):
+    def test_each_field_moves_its_own_position(self, position):
         memory, _time = _warmed_memory()
+        fields = memory.counter_fields()
+        assert len(fields) == len(memory.counters()) == len(POSITIONS)
+        owner, attribute = fields[position]
         before = memory.counters()
-        mutate(memory)
-        after = memory.counters()
-        assert after[key] == before[key] + 1
-        changed = {k for k in after if after[k] != before[k]}
-        assert changed == {key}
-
-    def test_every_memory_stats_field_reacts(self):
-        import dataclasses
-
-        memory, _time = _warmed_memory()
-        for field in dataclasses.fields(MemoryStats):
-            before = memory.counters()
-            setattr(
-                memory.stats, field.name,
-                getattr(memory.stats, field.name) + 1,
-            )
-            after = memory.counters()
-            assert after[field.name] == before[field.name] + 1
+        setattr(owner, attribute, getattr(owner, attribute) + 1)
+        moved = [a - b for a, b in zip(memory.counters(), before)]
+        assert moved == [int(i == position) for i in range(len(fields))]
 
 
 class TestTranslate:

@@ -173,6 +173,14 @@ class TestEndToEnd:
         grid_stats = list(stats["grids"].values())
         assert grid_stats, "the persistent grid must be reported"
         assert grid_stats[0]["stages"]["schedule"]["hits"] > 0
+        assert grid_stats[0]["plan"]["batch_width_max"] > 0
+
+    def test_job_telemetry_counts_only_its_own_work(self, smoke_run):
+        """The second fig6-smoke job runs no unit, so it reports no
+        batch width; the grid's lifetime maximum stays on /stats."""
+        plan = smoke_run["results"][1]["telemetry"]["plan"]
+        assert plan["simulate_tasks"] == plan["batches"] == 0
+        assert plan.get("batch_width_max", 0) == 0
 
 
 class TestValidationOverHttp:
@@ -386,18 +394,15 @@ class TestBackends:
         backend.save({"id": "b", "sequence": 2, "state": "queued"})
         assert backend.load("a")["state"] == "done"
         assert backend.load("missing") is None
-        assert backend.job_ids() == ["a", "b"]
-        assert backend.delete("a") and not backend.delete("a")
-        assert backend.job_ids() == ["b"]
+        assert [record["id"] for record in backend.records()] == ["a", "b"]
 
     def test_disk_backend_round_trip(self, tmp_path):
         backend = DiskBackend(tmp_path / "jobs")
         backend.save({"id": "b", "sequence": 2, "state": "done"})
         backend.save({"id": "a", "sequence": 1, "state": "done"})
         assert backend.load("a")["sequence"] == 1
-        assert backend.job_ids() == ["a", "b"]  # creation order, not name
-        assert backend.delete("b") and not backend.delete("b")
-        assert backend.job_ids() == ["a"]
+        # Creation order, not name.
+        assert [record["id"] for record in backend.records()] == ["a", "b"]
 
     def test_disk_backend_tolerates_rot(self, tmp_path):
         backend = DiskBackend(tmp_path)
@@ -405,7 +410,7 @@ class TestBackends:
         (tmp_path / "foreign.json").write_text(json.dumps({"id": "other"}))
         assert backend.load("corrupt") is None
         assert backend.load("foreign") is None
-        assert backend.job_ids() == []
+        assert backend.records() == []
 
     def test_make_backend(self, tmp_path):
         assert isinstance(make_backend("memory"), MemoryBackend)
@@ -530,6 +535,26 @@ class TestBackends:
             assert finished and events[-1]["error"] == job.error
             assert backend.load(job.id)["state"] == "failed"
         assert [job.id for job in manager.jobs()] == ["orphan1", "orphan2"]
+
+    def test_restart_reads_each_record_once(self, tmp_path):
+        """A manager starting over saved jobs parses each record once."""
+        reads = []
+
+        class CountingBackend(DiskBackend):
+            def load(self, job_id):
+                reads.append(job_id)
+                return super().load(job_id)
+
+        backend = CountingBackend(tmp_path / "jobs")
+        spec = ScenarioSpec.from_dict(_tiny_spec_dict("saved"))
+        for sequence in (1, 2, 3):
+            job = Job(f"saved{sequence}", sequence, spec, {})
+            backend.save({**job.record(), "state": "queued"})
+        manager = JobManager(backend=backend)
+        assert [job.id for job in manager.jobs()] == [
+            "saved1", "saved2", "saved3"
+        ]
+        assert len(reads) == 3
 
 
 class TestParsePayload:

@@ -38,7 +38,7 @@ def _assert_equivalent(schedule, n_iterations=None, n_times=None):
     )
     memo = memo_sim.run()
     assert memo.as_dict() == exact.as_dict()
-    assert exact_sim.steady_state is None  # exact never memoizes
+    assert exact_sim.steady_report.entry is None  # exact never memoizes
     # Aggregates outside SimulationResult are patched by replay too.
     assert memo_sim.memory.counters() == exact_sim.memory.counters()
     return memo_sim
@@ -59,7 +59,7 @@ class TestSuiteKernelEquivalence:
         kernel = kernel_by_name(kernel_name)
         sim = _assert_equivalent(_schedule(kernel, machine_factory()))
         # These stencil sweeps all settle: the win must actually exist.
-        steady = sim.steady_state
+        steady = sim.steady_report.entry
         assert steady is not None
         assert steady.replayed_entries > 0
         assert (
@@ -73,14 +73,14 @@ class TestSuiteKernelEquivalence:
         differ by whole lines — every 4th entry (4*328 = 41 lines)."""
         kernel = kernel_by_name("swim")
         sim = _assert_equivalent(_schedule(kernel, four_cluster()))
-        assert sim.steady_state is not None
-        assert sim.steady_state.period % 4 == 0
+        assert sim.steady_report.entry is not None
+        assert sim.steady_report.entry.period % 4 == 0
 
     def test_single_entry_kernels_never_memoize(self):
         for kernel_name in ("su2cor", "applu", "turb3d"):
             kernel = kernel_by_name(kernel_name)
             sim = _assert_equivalent(_schedule(kernel, two_cluster()))
-            assert sim.steady_state is None
+            assert sim.steady_report.entry is None
 
 
 class TestEntryBaseAddresses:
@@ -111,7 +111,7 @@ class TestNTimesSweep:
         schedule = _schedule(stencil, two_cluster())
         sim = _assert_equivalent(schedule, n_times=n_times)
         if n_times == 1:
-            assert sim.steady_state is None
+            assert sim.steady_report.entry is None
 
     @pytest.mark.parametrize("n_iterations", [1, 4, 9])
     def test_iteration_override_equivalence(self, stencil, n_iterations):
@@ -181,7 +181,7 @@ class TestNonConvergingKernels:
         kernel = _mixed_stride_kernel()
         schedule = _schedule(kernel, two_cluster())
         sim = _assert_equivalent(schedule)
-        assert sim.steady_state is None
+        assert sim.steady_report.entry is None
 
     def test_cache_thrashing_still_equivalent(self):
         kernel = _thrash_kernel()
@@ -244,7 +244,7 @@ class TestValidation:
         schedule = _schedule(stencil, four_cluster())
         sim = LockstepSimulator(schedule)
         sim.run()
-        steady = sim.steady_state
+        steady = sim.steady_report.entry
         if steady is not None:
             assert isinstance(steady, SteadyState)
             assert steady.period >= 1

@@ -61,7 +61,6 @@ def _assert_same(a, b, context=""):
         b_sim.memory.state_signature(0) == a_sim.memory.state_signature(0)
     ), context
     assert b_sim.steady_report == a_sim.steady_report, context
-    assert b_sim.steady_state == a_sim.steady_state, context
 
 
 class TestWarmStoreUnit:
@@ -165,10 +164,12 @@ class TestWarmEquivalence:
             cold = _run(schedule, **kwargs)
             store = WarmStateStore()
             first = _run(schedule, store=store, **kwargs)
+            stored = store.stores
             second = _run(schedule, store=store, **kwargs)
             _assert_same(cold, first, label)
             _assert_same(cold, second, label)
-            assert second[0].warm_stats["hits"] == store.hits, label
+            # A hit that failed adoption would simulate and store again.
+            assert store.stores == stored, label
             hits += store.hits
             checked += 1
         assert checked > 0
@@ -199,12 +200,12 @@ class TestWarmEquivalence:
             assert store.stores == 1, kernel.name
             warm_vector = _run(schedule, VectorizedSimulator, store=store)
             _assert_same(cold, warm_vector, kernel.name)
-            assert warm_vector[0].warm_stats["hits"] == 1, kernel.name
+            assert (store.hits, store.stores) == (1, 1), kernel.name
             other = WarmStateStore()
             _run(schedule, VectorizedSimulator, store=other)
             warm_scalar = _run(schedule, LockstepSimulator, store=other)
             _assert_same(cold, warm_scalar, kernel.name)
-            assert warm_scalar[0].warm_stats["hits"] == 1, kernel.name
+            assert (other.hits, other.stores) == (1, 1), kernel.name
 
     def test_disk_layer_serves_fresh_store(self, analyzer, tmp_path):
         kernel = streaming_long_suite()[0]
@@ -244,7 +245,8 @@ class TestWarmEquivalence:
         )
         survived = _run(schedule, store=store)
         _assert_same(cold, survived)
-        assert survived[0].warm_stats["hits"] == 0
+        # Refused: the run simulated cold and stored its own record.
+        assert store.stores == 2
         _assert_same(cold, seeded)
 
     def test_restored_then_refused_record_runs_cold(self, analyzer):
@@ -267,7 +269,7 @@ class TestWarmEquivalence:
         )
         survived = _run(schedule, store=store)
         _assert_same(cold, survived)
-        assert survived[0].warm_stats == {"hits": 0, "stores": 1}
+        assert (store.hits, store.stores) == (1, 2)
         assert store._memory[key] == record
 
 
@@ -305,17 +307,15 @@ class TestWarmGridEndToEnd:
         assert not list((tmp_path / "warm").glob("*/*.pkl"))
         assert not outcome.grid.warm_store._memory
 
-    def test_simulator_reports_warm_telemetry(self, analyzer):
+    def test_store_counts_one_store_then_one_hit(self, analyzer):
         store = WarmStateStore()
         schedule = schedule_kernel(
             streaming_long_suite()[0], two_cluster(), "rmca", 1.0, analyzer
         )
-        first = VectorizedSimulator(schedule, warm_store=store)
-        first.run()
-        assert first.warm_stats == {"hits": 0, "stores": 1}
-        second = VectorizedSimulator(schedule, warm_store=store)
-        second.run()
-        assert second.warm_stats == {"hits": 1, "stores": 0}
+        VectorizedSimulator(schedule, warm_store=store).run()
+        assert store.counts() == {"hits": 0, "misses": 1, "stores": 1}
+        VectorizedSimulator(schedule, warm_store=store).run()
+        assert store.counts() == {"hits": 1, "misses": 1, "stores": 1}
 
     def test_unwritable_warm_dir_still_completes(self, tmp_path):
         (tmp_path / "warm").write_text("not a directory")
