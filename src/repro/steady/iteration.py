@@ -95,7 +95,6 @@ class IterationSteadyDetector:
         self.ii: int = simulator.schedule.ii
         self.n_ops: int = simulator._n_ops
         self.stage: List[int] = simulator._op_stage
-        self.max_stage: int = simulator._max_stage
         # Exactness proof obligation: every memory reference must advance
         # by the same per-iteration stride, or no single address shift
         # can align two boundaries and detection stays off.
@@ -113,7 +112,7 @@ class IterationSteadyDetector:
         self.window: int = simulator._ready_window
         # First boundary where the pipeline is full and the whole ready
         # window exists.
-        self.k0 = self.max_stage + self.window
+        self.k0 = simulator._max_stage + self.window
         self.n_groups: int = simulator.instance_group_bounds()[1]
         self.detections: List[IterationSteadyState] = []
 
