@@ -97,11 +97,12 @@ class _TracingSimulator(LockstepSimulator):
         self._entry_index = 0
 
     def _run_once(  # noqa: D102 - see class doc
-        self, outer, lrb, base, entry=0, detector=None
+        self, outer, base, entry=0, detector=None
     ):
         # steady="off" in __init__ guarantees detector is None here: a
         # trace records every instance, never a steady-state replay.
         assert detector is None
+        lrb = self.machine.register_bus.latency
         loop = self.loop
         placements = self.schedule.placements
         inner = loop.inner

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cme.sampling import _FunctionalCache
@@ -273,6 +273,7 @@ def test_equations_match_simulation_on_random_kernels(seed):
 
 @_SLOW
 @given(seed=st.integers(0, 10_000))
+@example(seed=176)  # cross-cluster operands stall: needs the bus latency
 def test_trace_stall_matches_simulation(seed):
     from repro.simulator import simulate
     from repro.simulator.trace import trace_schedule

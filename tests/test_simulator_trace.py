@@ -8,6 +8,7 @@ from repro.machine import BusConfig, two_cluster, unified
 from repro.scheduler import BaselineScheduler, SchedulerConfig
 from repro.simulator import simulate
 from repro.simulator.trace import trace_schedule
+from repro.workloads import kernel_by_name
 
 
 def _missing_kernel():
@@ -25,6 +26,18 @@ class TestTraceSemantics:
         schedule = BaselineScheduler().schedule(saxpy, two_cluster_machine)
         trace = trace_schedule(schedule)
         plain = simulate(schedule)
+        assert trace.total_stall == plain.stall_cycles
+
+    def test_total_stall_matches_across_entries(self):
+        """Several entries on a clustered machine: each entry starts at
+        its own clock and cross-cluster operands pay the register-bus
+        latency, in the trace as in the simulation."""
+        schedule = BaselineScheduler().schedule(
+            kernel_by_name("tomcatv"), two_cluster()
+        )
+        assert schedule.n_communications > 0
+        trace = trace_schedule(schedule, n_iterations=8, n_times=3)
+        plain = simulate(schedule, n_iterations=8, n_times=3, steady="off")
         assert trace.total_stall == plain.stall_cycles
 
     def test_total_stall_matches_on_missing_kernel(self):
