@@ -82,86 +82,90 @@ class Trace:
 class _TracingSimulator(LockstepSimulator):
     """LockstepSimulator that records per-instance events.
 
-    Re-implements the inner loop of :meth:`LockstepSimulator._run_once`
-    with event capture; the timing semantics are identical, which the
-    test suite asserts by comparing total stall cycles.
+    Supplies its own span walk to the shared entry walk
+    (:meth:`LockstepSimulator._entry_walk`): the same lockstep timing as
+    the scalar walk, recording one event per instance, which the test
+    suite asserts by comparing total stall cycles.
     """
 
     def __init__(self, schedule: Schedule, n_iterations=None, n_times=None):
         # steady="off": a trace wants one event per instance, so every
-        # entry must actually execute — no steady-state replay.
+        # entry must actually execute — no steady-state replay, and no
+        # detector ever reads a ready view.
         super().__init__(
             schedule, n_iterations=n_iterations, n_times=n_times, steady="off"
         )
         self.trace = Trace(schedule=schedule)
         self._entry_index = 0
 
-    def _run_once(  # noqa: D102 - see class doc
-        self, outer, base, entry=0, detector=None
-    ):
-        # steady="off" in __init__ guarantees detector is None here: a
-        # trace records every instance, never a steady-state replay.
-        assert detector is None
-        lrb = self.machine.register_bus.latency
+    def _entry_walk(self, base, mem_base, mem_stride):  # noqa: D102
         loop = self.loop
         placements = self.schedule.placements
-        inner = loop.inner
-        offset = 0
+        lrb = self.machine.register_bus.latency
+        bounds = self.instance_group_bounds()[0]
+        entry = self._entry_index
+        self._entry_index += 1
         ready: Dict[Tuple[str, int], int] = {}
 
-        for nominal, iteration, op_index in self._instances:
-            name = self._op_names[op_index]
-            placement = placements[name]
-            op = loop.operation(name)
-            issue = base + nominal + offset
-            stall_here = 0
+        def walk(first: int, last: int, offset: int, n_iterations: int) -> int:
+            stall_before = offset
+            for nominal, iteration, op_index in self._instances[
+                bounds[first]:bounds[last]
+            ]:
+                name = self._op_names[op_index]
+                placement = placements[name]
+                op = loop.operation(name)
+                issue = base + nominal + offset
+                stall_here = 0
 
-            late_producer: Optional[str] = None
-            for flow in self._flow_inputs.get(name, ()):
-                src_iter = iteration - flow.distance
-                if src_iter < 0:
-                    continue
-                produced = ready.get((flow.producer, src_iter))
-                if produced is None:
-                    continue
-                operand_ready = produced + (lrb if flow.cross_cluster else 0)
-                if operand_ready > issue:
-                    stall = operand_ready - issue
-                    stall_here += stall
-                    offset += stall
-                    issue += stall
-                    late_producer = flow.producer
+                late_producer: Optional[str] = None
+                for flow in self._flow_inputs.get(name, ()):
+                    src_iter = iteration - flow.distance
+                    if src_iter < 0:
+                        continue
+                    produced = ready.get((flow.producer, src_iter))
+                    if produced is None:
+                        continue
+                    operand_ready = produced + (
+                        lrb if flow.cross_cluster else 0
+                    )
+                    if operand_ready > issue:
+                        stall = operand_ready - issue
+                        stall_here += stall
+                        offset += stall
+                        issue += stall
+                        late_producer = flow.producer
 
-            level: Optional[str] = None
-            if op.is_memory:
-                point = dict(outer)
-                point[inner.var] = inner.lower + iteration * inner.step
-                address = loop.ref_of(op).address(point)
-                result = self.memory.access(
-                    placement.cluster, address, op.is_store, issue
-                )
-                ready[(name, iteration)] = result.ready_time
-                ready_time = result.ready_time
-                level = result.level
-            else:
-                ready_time = issue + self.machine.latency(op.opclass)
+                level: Optional[str] = None
+                if op.is_memory:
+                    result = self.memory.access(
+                        placement.cluster,
+                        mem_base[op_index] + mem_stride[op_index] * iteration,
+                        op.is_store,
+                        issue,
+                    )
+                    ready_time = result.ready_time
+                    level = result.level
+                else:
+                    ready_time = issue + self.machine.latency(op.opclass)
                 ready[(name, iteration)] = ready_time
 
-            self.trace.events.append(
-                TraceEvent(
-                    op=name,
-                    iteration=iteration,
-                    entry=self._entry_index,
-                    issue=issue,
-                    ready=ready_time,
-                    level=level,
-                    stall_caused=stall_here,
-                    stalled_on=late_producer,
+                self.trace.events.append(
+                    TraceEvent(
+                        op=name,
+                        iteration=iteration,
+                        entry=entry,
+                        issue=issue,
+                        ready=ready_time,
+                        level=level,
+                        stall_caused=stall_here,
+                        stalled_on=late_producer,
+                    )
                 )
-            )
-        self._entry_index += 1
-        self.trace.total_stall += offset
-        return offset
+            self.trace.total_stall += offset - stall_before
+            return offset
+
+        return None, walk
 
 
 def trace_schedule(
