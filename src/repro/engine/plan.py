@@ -20,7 +20,11 @@ The planner owns the whole store protocol — lookups at plan and
 assembly time, :meth:`ExecutionPlanner.record` for every executed
 product — while the task helpers (:func:`run_analyze_task`,
 :func:`run_schedule_task`, :func:`run_simulate_batch`) compute products
-with the pure stage functions of :mod:`repro.engine.stages`.  Every
+with the pure stage functions of :mod:`repro.engine.stages`.  The
+store keeps a schedule as its
+:class:`~repro.scheduler.result.ScheduleBody`; every schedule the plan
+reads from the store is re-attached to the plan's own kernel and the
+shared machine its key names (:meth:`StagePlan.attach`).  Every
 simulation runs on :class:`~repro.simulator.VectorizedSimulator` under
 the steady mode its cell names.
 
@@ -43,13 +47,13 @@ from ..cme.locality import LocalityAnalyzer, locality_fingerprint
 from ..cme.trace import loop_fingerprint
 from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
-from ..scheduler.result import Schedule
+from ..scheduler.result import Schedule, ScheduleBody
 from ..simulator import VectorizedSimulator, WarmStateStore
 from ..simulator.stats import SimulationResult
 from ..steady import resolve_steady_mode
 from .result import RunResult
 from .stages import analyze_loop, schedule_kernel
-from .stagestore import StageStore
+from .stagestore import StageStore, machine_from_key
 
 __all__ = [
     "PlanTask",
@@ -103,11 +107,14 @@ class StagePlan:
 
     ``schedules``/``simulations`` accumulate the materialized products
     (store hits at plan time, then task results during execution);
-    assembly reads them by key.  ``counters`` summarizes the plan for
-    telemetry (``planned`` vs ``executed`` task counts).
+    assembly reads them by key.  ``kernels`` maps each cell's kernel
+    name to the object store hits re-attach to.  ``counters``
+    summarizes the plan for telemetry (``planned`` vs ``executed`` task
+    counts).
     """
 
     locality_fp: str
+    kernels: Mapping[str, Kernel] = field(default_factory=dict)
     analyze_tasks: List[PlanTask] = field(default_factory=list)
     schedule_tasks: List[PlanTask] = field(default_factory=list)
     simulate_tasks: List[PlanTask] = field(default_factory=list)
@@ -115,6 +122,13 @@ class StagePlan:
     schedules: Dict[str, Schedule] = field(default_factory=dict)
     simulations: Dict[str, SimulationResult] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
+
+    def attach(self, spec: object, body: ScheduleBody) -> Schedule:
+        """A stored schedule body, on ``spec``'s kernel from this plan
+        and the shared machine its key names."""
+        return body.attach(
+            self.kernels[spec.kernel], machine_from_key(spec.machine)
+        )
 
 
 def kernel_units(tasks: Sequence[PlanTask]) -> List[List[PlanTask]]:
@@ -158,7 +172,7 @@ class ExecutionPlanner:
         become tasks.  Duplicate cells incur their (counted) lookups at
         assembly time instead.
         """
-        plan = StagePlan(locality_fp=self.locality_fp)
+        plan = StagePlan(locality_fp=self.locality_fp, kernels=kernels)
         counters = plan.counters
         counters["runs"] = 1
         counters["cells"] = len(specs)
@@ -206,7 +220,7 @@ class ExecutionPlanner:
                 schedule_owner[key] = None
                 hit = self.store.lookup("schedule", key)
                 if hit is not None:
-                    plan.schedules[key] = hit
+                    plan.schedules[key] = plan.attach(spec, hit)
                 else:
                     plan.schedule_tasks.append(
                         PlanTask(
@@ -280,28 +294,29 @@ class ExecutionPlanner:
     # -- execution results -------------------------------------------
     def record(self, plan: StagePlan, task: PlanTask, product: object) -> None:
         """Keep one executed schedule/simulate task's product: in the
-        plan for assembly, and in the store."""
-        products = (
-            plan.schedules if task.stage == "schedule" else plan.simulations
-        )
-        products[task.key] = product
-        self.store.store(task.stage, task.key, product)
+        plan for assembly, and in the store (a schedule as its body)."""
+        if task.stage == "schedule":
+            plan.schedules[task.key] = product
+            self.store.store("schedule", task.key, product.body())
+        else:
+            plan.simulations[task.key] = product
+            self.store.store("simulate", task.key, product)
 
     # -- assembly ------------------------------------------------------
     def assemble(self, node: AssemblyNode, plan: StagePlan) -> RunResult:
         """Relabel this cell's shared products into its ``RunResult``.
 
         Owners read the product straight from the plan; duplicate cells
-        do a counted store lookup.  The simulation is always relabeled
-        with the cell's own kernel/machine/scheduler/threshold (a shared
-        simulate product may have been produced under a different label
-        set).
+        do a counted store lookup (and re-attach a schedule body).  The
+        simulation is always relabeled with the cell's own
+        kernel/machine/scheduler/threshold (a shared simulate product
+        may have been produced under a different label set).
         """
         spec = node.spec
         schedule = (
             plan.schedules[node.schedule_key]
             if node.schedule_owner
-            else self._adopt("schedule", node.schedule_key)
+            else plan.attach(spec, self._adopt("schedule", node.schedule_key))
         )
         simulation = (
             plan.simulations[node.simulate_key]
@@ -364,9 +379,9 @@ def run_schedule_task(
     machine: MachineConfig,
     locality: LocalityAnalyzer,
 ) -> Schedule:
-    """Produce one schedule, fingerprinted before it is stored or
-    shipped so every copy (pickled to disk or back from a worker)
-    carries its simulate-key hash."""
+    """Produce one schedule, fingerprinted before it is shipped so the
+    copy back from a worker, and the body the planner stores, carry its
+    simulate-key hash."""
     schedule = schedule_kernel(
         kernel,
         machine,

@@ -27,12 +27,20 @@ analyze/schedule/simulate key across a whole grid call — so hits are
 planned away before anything runs, and it stores every executed task's
 product (pool workers only compute; the parent does all store I/O).
 
+A schedule entry is the schedule's
+:class:`~repro.scheduler.result.ScheduleBody`: the key pins the kernel
+by content fingerprint and the machine by its canonical encoding, so
+the planner re-attaches its own kernel and the one shared
+:func:`machine_from_key` config instead of unpickling copies of both.
+
 This module is also the canonical home of the grid's content
-fingerprints (:func:`kernel_fingerprint`, :func:`machine_key`).
+fingerprints (:func:`kernel_fingerprint`, :func:`machine_key`) and of
+:func:`machine_from_key`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -42,7 +50,7 @@ from typing import Dict, Optional
 from ..cme.trace import AddressTrace
 from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
-from ..scheduler.result import Schedule
+from ..scheduler.result import ScheduleBody
 from ..simulator.stats import SimulationResult
 from ..store import ContentStore
 
@@ -51,12 +59,13 @@ __all__ = [
     "STAGE_STORE_STAGES",
     "StageStore",
     "kernel_fingerprint",
+    "machine_from_key",
     "machine_key",
 ]
 
 #: Bump when a key schema or value layout changes: the keys change, so
 #: older disk entries are never read again.
-STAGE_STORE_VERSION = 3
+STAGE_STORE_VERSION = 4
 
 #: The stages with a content-addressed result store, in pipeline order.
 STAGE_STORE_STAGES = ("analyze", "schedule", "simulate")
@@ -65,7 +74,7 @@ STAGE_STORE_STAGES = ("analyze", "schedule", "simulate")
 #: is rot.
 _VALUE_TYPES = {
     "analyze": AddressTrace,
-    "schedule": Schedule,
+    "schedule": ScheduleBody,
     "simulate": SimulationResult,
 }
 
@@ -100,10 +109,19 @@ def kernel_fingerprint(kernel: Kernel) -> str:
 
 
 def machine_key(machine: MachineConfig) -> str:
-    """Canonical JSON encoding of a machine (hashable cache-key part)."""
-    return json.dumps(
-        machine.to_dict(), sort_keys=True, separators=(",", ":")
-    )
+    """Canonical JSON encoding of a machine (hashable cache-key part),
+    cached on the machine."""
+    return machine.canonical_json
+
+
+# Unbounded: every key is also part of the stage-store keys naming its
+# machine, which the store keeps for the life of the process anyway.
+@functools.lru_cache(maxsize=None)
+def machine_from_key(key: str) -> MachineConfig:
+    """The machine a :func:`machine_key` string describes: one shared
+    frozen config per key, so every schedule the planner re-attaches
+    on that machine holds the same object."""
+    return MachineConfig.from_dict(json.loads(key))
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,12 @@ from ..engine.plan import (
     run_simulate_batch,
 )
 from ..engine.result import RunResult
-from ..engine.stagestore import StageStore, kernel_fingerprint, machine_key
+from ..engine.stagestore import (
+    StageStore,
+    kernel_fingerprint,
+    machine_from_key,
+    machine_key,
+)
 from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
 from ..scheduler.result import Schedule
@@ -96,14 +101,9 @@ ProgressCallback = Callable[[int, int, "CellSpec", str], None]
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
-# ``kernel_fingerprint`` and ``machine_key`` live in
-# ``repro.engine.stagestore`` (the store keys on them) and are
+# ``kernel_fingerprint``, ``machine_key`` and ``machine_from_key`` live
+# in ``repro.engine.stagestore`` (the store keys on them) and are
 # re-exported here — this module remains their harness-facing home.
-
-
-def machine_from_key(key: str) -> MachineConfig:
-    """Rebuild the machine a :func:`machine_key` string describes."""
-    return MachineConfig.from_dict(json.loads(key))
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +161,10 @@ class CellSpec:
 
     @property
     def machine_name(self) -> str:
-        return json.loads(self.machine)["name"]
+        return machine_from_key(self.machine).name
 
     def build_machine(self) -> MachineConfig:
+        """The shared config of this cell's machine key."""
         return machine_from_key(self.machine)
 
     def to_json(self) -> str:
@@ -271,8 +272,8 @@ def _timed(fn: Callable, *args) -> Tuple[object, float]:
 def _schedule_unit(
     context: _Context, tasks: Sequence[PlanTask]
 ) -> Tuple[List[Schedule], float]:
-    """One kernel's schedule tasks in plan order, each machine rebuilt
-    from its key: ``(schedules, seconds)``."""
+    """One kernel's schedule tasks in plan order, each on the shared
+    machine of its key: ``(schedules, seconds)``."""
     kernel = context.kernels[str(tasks[0].payload["kernel"])]
     return _timed(
         lambda: [

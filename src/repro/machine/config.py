@@ -17,6 +17,7 @@ simulator never queues.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
@@ -283,6 +284,17 @@ class MachineConfig:
                 for oc in sorted(self.latencies, key=lambda o: o.value)
             },
         }
+
+    # cached_property, as on CacheConfig: the experiment grid keys
+    # every cell on this encoding.  A ``dataclasses.replace`` copy is a
+    # new instance and encodes itself.
+    @cached_property
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as compact, key-sorted JSON, encoded once per
+        instance (the grid's ``machine_key``)."""
+        return json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":")
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "MachineConfig":

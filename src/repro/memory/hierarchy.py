@@ -921,9 +921,9 @@ class DistributedMemorySystem:
             }
             cache.in_flight = dict(data["in_flight"])
             release_times, peak = data["mshr"]
-            # Sorted: snapshots taken before the MSHR kept its release
-            # list sorted hold it in arrival order.
-            cache.mshr._release_times = sorted(release_times)
+            # Copied, so the snapshot can be restored again; already
+            # sorted, since the MSHR keeps its release list sorted.
+            cache.mshr._release_times = list(release_times)
             cache.mshr.peak_occupancy = peak
         busy = snap["bus"]
         self.bus._busy_until = None if busy is None else list(busy)

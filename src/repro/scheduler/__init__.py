@@ -8,7 +8,13 @@ from .mii import compute_mii, rec_mii, res_mii
 from .mrt import ModuloReservationTable, Transaction
 from .mve import AllocationError, RegisterAssignment, allocate_registers
 from .ordering import compute_times, sms_order
-from .result import Communication, Placement, Schedule, SchedulingError
+from .result import (
+    Communication,
+    Placement,
+    Schedule,
+    ScheduleBody,
+    SchedulingError,
+)
 from .rmca import RMCAScheduler
 
 __all__ = [
@@ -23,6 +29,7 @@ __all__ = [
     "RegisterAssignment",
     "RMCAScheduler",
     "Schedule",
+    "ScheduleBody",
     "SchedulerConfig",
     "SchedulingError",
     "Transaction",

@@ -3,6 +3,9 @@
 A :class:`Schedule` is the scheduler's output and the simulator's input:
 per-operation placements (cluster, absolute time, assumed latency) plus
 the inter-cluster register communications the schedule commits to.
+Its :class:`ScheduleBody` is the same decisions without the kernel and
+machine they were made for: the stage store keeps bodies and
+re-attaches its caller's own kernel and machine.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from ..ir.builder import Kernel
 from ..ir.operations import Operation
 from ..machine.config import MachineConfig
 
-__all__ = ["Placement", "Communication", "Schedule", "SchedulingError"]
+__all__ = [
+    "Placement",
+    "Communication",
+    "Schedule",
+    "ScheduleBody",
+    "SchedulingError",
+]
 
 
 class SchedulingError(RuntimeError):
@@ -177,6 +186,21 @@ class Schedule:
         object.__setattr__(self, "_content_fingerprint", digest)
         return digest
 
+    def body(self) -> "ScheduleBody":
+        """What the scheduler decided, without the kernel and machine
+        (fingerprinted first, so the body carries the hash)."""
+        return ScheduleBody(
+            ii=self.ii,
+            placements=self.placements,
+            communications=self.communications,
+            mii=self.mii,
+            res_mii=self.res_mii,
+            rec_mii=self.rec_mii,
+            scheduler_name=self.scheduler_name,
+            threshold=self.threshold,
+            fingerprint=self.fingerprint(),
+        )
+
     def validate(self) -> None:
         """Internal consistency checks (used heavily by the test suite).
 
@@ -311,3 +335,45 @@ class Schedule:
             f"Schedule({self.kernel.name}@{self.machine.name}: II={self.ii}, "
             f"SC={self.stage_count}, comms={self.n_communications})"
         )
+
+
+@dataclass(frozen=True)
+class ScheduleBody:
+    """A :class:`Schedule` without its kernel and machine: the stage
+    store's schedule entry.
+
+    The store key already pins the kernel (by content fingerprint) and
+    the machine (by canonical encoding), so an entry carries neither.
+    ``fingerprint`` is the schedule's :meth:`Schedule.fingerprint`,
+    which :meth:`attach` hands on so the rebuilt schedule never hashes
+    again.  An attached schedule shares the body's placement and
+    communication containers, so neither may be mutated.
+    """
+
+    ii: int
+    placements: Dict[str, Placement]
+    communications: List[Communication]
+    mii: int
+    res_mii: int
+    rec_mii: int
+    scheduler_name: str
+    threshold: float
+    fingerprint: str
+
+    def attach(self, kernel: Kernel, machine: MachineConfig) -> Schedule:
+        """The schedule these decisions make for ``kernel`` on
+        ``machine`` (the ones the store key names)."""
+        schedule = Schedule(
+            kernel=kernel,
+            machine=machine,
+            ii=self.ii,
+            placements=self.placements,
+            communications=self.communications,
+            mii=self.mii,
+            res_mii=self.res_mii,
+            rec_mii=self.rec_mii,
+            scheduler_name=self.scheduler_name,
+            threshold=self.threshold,
+        )
+        schedule._content_fingerprint = self.fingerprint
+        return schedule

@@ -12,6 +12,7 @@ are memoized on the objects they hash, so the memos travel with every
 copy; they must equal a recompute from content wherever they arrive.
 """
 
+import hashlib
 import pickle
 import subprocess
 import sys
@@ -66,6 +67,10 @@ def _worker_schedule_fp(schedule):
 def _fingerprints(schedule):
     """Kernel and schedule fingerprints (memoizing both)."""
     return kernel_fingerprint(schedule.kernel), schedule.fingerprint()
+
+
+def _no_hashing(*args):
+    raise AssertionError("hashed again")
 
 
 def _memo_and_recompute(schedule):
@@ -164,11 +169,13 @@ class TestMemos:
         assert kernel_fingerprint(kernel) == after
 
     def test_disk_served_schedule_carries_its_fingerprint(
-        self, analyzer, tmp_path
+        self, analyzer, tmp_path, monkeypatch
     ):
         spec = CellSpec.of("applu", two_cluster(), "rmca", 1.0)
-        ExperimentGrid(locality=analyzer, cache_dir=tmp_path).run_one(spec)
-        served = StageStore(cache_dir=tmp_path / "stages").lookup(
+        cold = ExperimentGrid(locality=analyzer, cache_dir=tmp_path).run_one(
+            spec
+        )
+        body = StageStore(cache_dir=tmp_path / "stages").lookup(
             "schedule",
             StageStore.schedule_key(
                 kernel_name=spec.kernel,
@@ -179,13 +186,19 @@ class TestMemos:
                 locality_fp=locality_fingerprint(analyzer),
             ),
         )
-        memoized, recomputed = _memo_and_recompute(served)
-        assert memoized == recomputed
+        assert _memo_and_recompute(cold.schedule) == (
+            (spec.kernel_fp, body.fingerprint),
+        ) * 2
         fresh = ExperimentGrid(
             locality=IncrementalCME(max_points=MAX_POINTS), cache_dir=tmp_path
         )
-        assert fresh.run_one(spec).schedule.fingerprint() == recomputed[1]
+        served = fresh.run_one(spec).schedule
         assert stage_work(fresh) == (0, 0, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(hashlib, "sha256", _no_hashing)
+            assert served.fingerprint() == body.fingerprint
+        object.__delattr__(served, "_content_fingerprint")
+        assert served.fingerprint() == body.fingerprint
 
     def test_memos_survive_pickling(self, schedules):
         expected = [_fingerprints(s) for s in schedules]

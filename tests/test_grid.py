@@ -1,5 +1,6 @@
 """Tests for the parallel experiment-grid engine (harness.grid)."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -25,6 +26,7 @@ from repro.harness.scenarios import run_scenario
 from repro.harness.sweep import figure5
 from repro.ir.builder import Kernel
 from repro.machine import BusConfig, MachineConfig, two_cluster, unified
+from repro.machine.presets import ALL_PRESETS
 from repro.workloads import spec_suite
 
 from reference_cells import reference_run, stage_work
@@ -62,6 +64,39 @@ class TestFingerprints:
     def test_machine_key_canonical(self):
         assert machine_key(two_cluster()) == machine_key(two_cluster())
         assert machine_key(two_cluster()) != machine_key(unified())
+
+    def test_machine_key_encodes_each_instance_once(self, monkeypatch):
+        to_dict = MachineConfig.to_dict
+        encoded = []
+
+        def counting_to_dict(machine):
+            encoded.append(machine)
+            return to_dict(machine)
+
+        def uncached(machine):
+            return json.dumps(
+                to_dict(machine), sort_keys=True, separators=(",", ":")
+            )
+
+        monkeypatch.setattr(MachineConfig, "to_dict", counting_to_dict)
+        for factory in ALL_PRESETS.values():
+            machine = factory()
+            assert machine_key(machine) == uncached(machine)
+            assert machine_key(machine) == uncached(machine)
+            copy = dataclasses.replace(
+                machine, memory_bus=BusConfig(count=3, latency=2)
+            )
+            assert machine_key(copy) == uncached(copy)
+            assert machine_key(copy) != machine_key(machine)
+            assert [id(m) for m in encoded] == [id(machine), id(copy)]
+            encoded.clear()
+
+    def test_machine_from_key_shares_one_config_per_key(self):
+        key = machine_key(two_cluster())
+        assert machine_from_key(key) is machine_from_key(key)
+        assert machine_from_key(key) == two_cluster()
+        other = machine_key(unified())
+        assert machine_from_key(other) is not machine_from_key(key)
 
     def test_kernel_fingerprint_stable(self, small_suite):
         a, b = spec_suite(["su2cor"])[0], small_suite[0]

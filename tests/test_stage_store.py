@@ -9,15 +9,18 @@ warm-state reuse to.  The disk layer's rot and write failures are
 ``tests/test_store.py``'s.
 """
 
+import pickle
+
 import pytest
 
 from repro.cme import IncrementalCME
 from repro.cme.trace import AddressTrace, loop_fingerprint
-from repro.engine import StageStore
+from repro.engine import STAGE_STORE_VERSION, StageStore
 from repro.engine.stages import make_scheduler
-from repro.harness.grid import CellSpec, ExperimentGrid
-from repro.harness.scenarios import run_scenario
+from repro.harness.grid import CellSpec, ExperimentGrid, machine_key
+from repro.harness.scenarios import get_scenario, run_scenario
 from repro.machine import two_cluster
+from repro.scheduler import ScheduleBody
 from repro.workloads import spec_suite
 from test_simulator_vectorized import _grid_scenario_cells
 
@@ -80,6 +83,66 @@ class TestStageStoreUnit:
         assert store.publish("analyze", "k", trace) is True
         assert store.publish("analyze", "k", trace) is False
         assert store.counts("analyze")["stores"] == 1
+
+
+class _BodyOnlyUnpickler(pickle.Unpickler):
+    """Loads a schedule entry, refusing every kernel and machine class."""
+
+    REFUSED = ("repro.ir", "repro.machine.config")
+
+    def find_class(self, module, name):
+        if any(module == r or module.startswith(r + ".") for r in self.REFUSED):
+            raise pickle.UnpicklingError(f"entry pickles {module}.{name}")
+        return super().find_class(module, name)
+
+
+@pytest.fixture(scope="module")
+def smoke_cache(tmp_path_factory):
+    """A cache directory a cold ``fig6-smoke`` run filled, and the run."""
+    cache_dir = tmp_path_factory.mktemp("smoke-cache")
+    return cache_dir, run_scenario("fig6-smoke", cache_dir=cache_dir)
+
+
+class TestScheduleBodies:
+    def test_schedule_entries_hold_no_kernel_or_machine(self, smoke_cache):
+        cache_dir, _cold = smoke_cache
+        entries = sorted((cache_dir / "stages" / "schedule").glob("*/*.pkl"))
+        assert entries
+        for path in entries:
+            with open(path, "rb") as handle:
+                key, body = _BodyOnlyUnpickler(handle).load()
+            assert key.startswith(f"s{STAGE_STORE_VERSION}|schedule|")
+            assert isinstance(body, ScheduleBody)
+
+    def test_warm_pass_reattaches_grid_kernels_and_shared_machines(
+        self, smoke_cache
+    ):
+        cache_dir, cold = smoke_cache
+        grid = ExperimentGrid(
+            locality=get_scenario("fig6-smoke").locality.build(),
+            cache_dir=cache_dir,
+        )
+        served = []
+        run = grid.run
+
+        def recording_run(specs):
+            results = run(specs)
+            served.extend(results)
+            return results
+
+        grid.run = recording_run
+        warm = run_scenario("fig6-smoke", grid=grid)
+        assert stage_work(grid) == (0, 0, 0)
+        assert warm.figure.records == cold.figure.records
+        machines = {}
+        for result in served:
+            schedule = result.schedule
+            assert schedule.kernel is grid._kernels[result.kernel]
+            shared = machines.setdefault(
+                machine_key(schedule.machine), schedule.machine
+            )
+            assert schedule.machine is shared
+        assert len(machines) < len(served)
 
 
 class TestStageEquivalence:

@@ -114,29 +114,6 @@ class TestSnapshotRestore:
         assert target.counters() == source.counters()
         assert target.state_signature(0) == source.state_signature(0)
 
-    def test_unsorted_release_list_restores_sorted(self):
-        """Snapshots taken before the MSHR kept its release list sorted
-        hold it in arrival order; a restore must grant exactly as the
-        source system does."""
-        machine = two_cluster()
-        source = DistributedMemorySystem(machine)
-        time = self._exercise(source)
-        snap = source.snapshot()
-        for cache in snap["caches"]:
-            cache["mshr"][0].reverse()
-        assert any(len(cache["mshr"][0]) > 1 for cache in snap["caches"])
-        target = DistributedMemorySystem(machine)
-        target.restore(snap)
-        for cache in target.caches:
-            release = cache.mshr._release_times
-            assert release == sorted(release)
-        rng = random.Random(3)
-        for _ in range(100):
-            time += rng.randrange(0, 2)
-            request = (rng.randrange(2), rng.randrange(0, 8192), False, time)
-            assert target.access(*request) == source.access(*request)
-        assert target.snapshot() == source.snapshot()
-
     def test_snapshot_is_a_deep_copy(self):
         memory = DistributedMemorySystem(two_cluster())
         self._exercise(memory)
