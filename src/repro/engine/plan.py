@@ -114,7 +114,7 @@ class StagePlan:
     """
 
     locality_fp: str
-    kernels: Mapping[str, Kernel] = field(default_factory=dict)
+    kernels: Mapping[str, Kernel]
     analyze_tasks: List[PlanTask] = field(default_factory=list)
     schedule_tasks: List[PlanTask] = field(default_factory=list)
     simulate_tasks: List[PlanTask] = field(default_factory=list)
