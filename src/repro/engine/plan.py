@@ -7,10 +7,12 @@ families:
 
 * one **analyze** task per unique ``loop_fingerprint`` × analyzer
   configuration,
-* one **schedule** task per kernel × machine × scheduler × threshold ×
-  analyzer,
+* one **schedule** task per scheduling problem: kernel × scheduler ×
+  threshold × analyzer × the machine's scheduling view (the machine
+  without its memory-bus count, which no scheduler reads),
 * one **simulate** task per ``Schedule.fingerprint()`` × steady mode ×
-  iteration overrides,
+  iteration overrides, where the fingerprint names the cell's own
+  machine, memory buses included,
 
 plus one :class:`AssemblyNode` per cell that relabels the shared
 products into that cell's :class:`~repro.engine.result.RunResult`.
@@ -20,13 +22,15 @@ The planner owns the whole store protocol — lookups at plan and
 assembly time, :meth:`ExecutionPlanner.record` for every executed
 product — while the task helpers (:func:`run_analyze_task`,
 :func:`run_schedule_task`, :func:`run_simulate_batch`) compute products
-with the pure stage functions of :mod:`repro.engine.stages`.  The
-store keeps a schedule as its
-:class:`~repro.scheduler.result.ScheduleBody`; every schedule the plan
-reads from the store is re-attached to the plan's own kernel and the
-shared machine its key names (:meth:`StagePlan.attach`).  Every
-simulation runs on :class:`~repro.simulator.VectorizedSimulator` under
-the steady mode its cell names.
+with the pure stage functions of :mod:`repro.engine.stages`.  A
+schedule task schedules on its key's scheduling view, and the store
+keeps the result as its :class:`~repro.scheduler.result.ScheduleBody`.
+The plan attaches each key's decisions, once per (key, cell machine),
+to its own kernel and the shared machine of the cell
+(:meth:`StagePlan.attached`); planning the simulate wave, running it
+and assembly all read that attached schedule.  Every simulation runs on
+:class:`~repro.simulator.VectorizedSimulator` under the steady mode its
+cell names.
 
 The schedule and simulate waves run in per-kernel work units:
 :func:`kernel_units` groups a wave's unique tasks by kernel, each group
@@ -41,7 +45,7 @@ units in-process or on its process pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..cme.locality import LocalityAnalyzer, locality_fingerprint
 from ..cme.trace import loop_fingerprint
@@ -89,9 +93,8 @@ class AssemblyNode:
     """Per-cell sink: relabels shared products into a ``RunResult``.
 
     ``schedule_owner``/``simulate_owner`` mark the first cell to claim
-    each product key; duplicate cells adopt the product through a
-    counted store lookup at assembly time, so every cell probes each
-    store family exactly once.
+    each product key; duplicate cells make a counted store lookup at
+    assembly time, so every cell probes each store family exactly once.
     """
 
     spec: object  # CellSpec (duck-typed; harness owns the class)
@@ -106,9 +109,11 @@ class StagePlan:
     """One grid call's unique tasks plus its per-cell sinks.
 
     ``schedules``/``simulations`` accumulate the materialized products
-    (store hits at plan time, then task results during execution);
-    assembly reads them by key.  ``kernels`` maps each cell's kernel
-    name to the object store hits re-attach to.  ``counters``
+    by key (store hits at plan time, then task results during
+    execution).  A schedule product is a stored body or an executed
+    task's schedule on the key's scheduling view; either attaches to a
+    cell machine (:meth:`attached`).  ``kernels`` maps each cell's
+    kernel name to the object schedules attach to.  ``counters``
     summarizes the plan for telemetry (``planned`` vs ``executed`` task
     counts).
     """
@@ -119,16 +124,27 @@ class StagePlan:
     schedule_tasks: List[PlanTask] = field(default_factory=list)
     simulate_tasks: List[PlanTask] = field(default_factory=list)
     assembly: List[AssemblyNode] = field(default_factory=list)
-    schedules: Dict[str, Schedule] = field(default_factory=dict)
+    schedules: Dict[str, Union[ScheduleBody, Schedule]] = field(
+        default_factory=dict
+    )
     simulations: Dict[str, SimulationResult] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
+    #: :meth:`attached`'s schedules, by (schedule key, cell machine key).
+    attachments: Dict[Tuple[str, str], Schedule] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
-    def attach(self, spec: object, body: ScheduleBody) -> Schedule:
-        """A stored schedule body, on ``spec``'s kernel from this plan
-        and the shared machine its key names."""
-        return body.attach(
-            self.kernels[spec.kernel], machine_from_key(spec.machine)
-        )
+    def attached(self, kernel: str, key: str, machine: str) -> Schedule:
+        """Schedule ``key``'s decisions on this plan's ``kernel`` and the
+        shared config of the cell machine key ``machine``: attached once
+        per (key, machine), so every cell on that machine reads one
+        object."""
+        schedule = self.attachments.get((key, machine))
+        if schedule is None:
+            schedule = self.attachments[key, machine] = self.schedules[
+                key
+            ].attach(self.kernels[kernel], machine_from_key(machine))
+        return schedule
 
 
 def kernel_units(tasks: Sequence[PlanTask]) -> List[List[PlanTask]]:
@@ -204,13 +220,15 @@ class ExecutionPlanner:
                 )
         counters["analyze_tasks"] = len(plan.analyze_tasks)
 
-        # Schedule: one task per unique store key; first spec owns it.
+        # Schedule: one task per unique scheduling problem, keyed and
+        # scheduled on the cell machine's view; first spec owns it.
         schedule_owner: Dict[str, None] = {}
         for spec in specs:
+            view = machine_from_key(spec.machine).scheduling_view
             key = StageStore.schedule_key(
                 kernel_name=spec.kernel,
                 kernel_fp=spec.kernel_fp,
-                machine=spec.machine,
+                view=view.canonical_json,
                 scheduler=spec.scheduler,
                 threshold=spec.threshold,
                 locality_fp=self.locality_fp,
@@ -220,7 +238,7 @@ class ExecutionPlanner:
                 schedule_owner[key] = None
                 hit = self.store.lookup("schedule", key)
                 if hit is not None:
-                    plan.schedules[key] = plan.attach(spec, hit)
+                    plan.schedules[key] = hit
                 else:
                     plan.schedule_tasks.append(
                         PlanTask(
@@ -229,7 +247,7 @@ class ExecutionPlanner:
                             payload={
                                 "kernel": spec.kernel,
                                 "kernel_fp": spec.kernel_fp,
-                                "machine": spec.machine,
+                                "machine": view.canonical_json,
                                 "scheduler": spec.scheduler,
                                 "threshold": spec.threshold,
                                 "locality_fp": self.locality_fp,
@@ -247,15 +265,18 @@ class ExecutionPlanner:
     def plan_simulate(self, plan: StagePlan) -> None:
         """Dedup simulate work once every schedule exists.
 
-        Keys come from the materialized schedules' fingerprints; one
-        counted lookup per unique key, misses become tasks.  The
-        ``batches`` counters describe the wave's :func:`kernel_units`.
+        Keys come from the fingerprints of the schedules attached to
+        each cell's machine; one counted lookup per unique key, misses
+        become tasks.  The ``batches`` counters describe the wave's
+        :func:`kernel_units`.
         """
         counters = plan.counters
         simulate_owner: Dict[str, None] = {}
         for node in plan.assembly:
             spec = node.spec
-            schedule = plan.schedules[node.schedule_key]
+            schedule = plan.attached(
+                spec.kernel, node.schedule_key, spec.machine
+            )
             steady = resolve_steady_mode(spec.steady)
             key = StageStore.simulate_key(
                 schedule_fp=schedule.fingerprint(),
@@ -279,6 +300,7 @@ class ExecutionPlanner:
                     payload={
                         "kernel": spec.kernel,
                         "schedule_key": node.schedule_key,
+                        "machine": spec.machine,
                         "steady": steady,
                         "n_iterations": spec.n_iterations,
                         "n_times": spec.n_times,
@@ -294,7 +316,7 @@ class ExecutionPlanner:
     # -- execution results -------------------------------------------
     def record(self, plan: StagePlan, task: PlanTask, product: object) -> None:
         """Keep one executed schedule/simulate task's product: in the
-        plan for assembly, and in the store (a schedule as its body)."""
+        plan, and in the store (a schedule as its body)."""
         if task.stage == "schedule":
             plan.schedules[task.key] = product
             self.store.store("schedule", task.key, product.body())
@@ -306,18 +328,17 @@ class ExecutionPlanner:
     def assemble(self, node: AssemblyNode, plan: StagePlan) -> RunResult:
         """Relabel this cell's shared products into its ``RunResult``.
 
-        Owners read the product straight from the plan; duplicate cells
-        do a counted store lookup (and re-attach a schedule body).  The
-        simulation is always relabeled with the cell's own
-        kernel/machine/scheduler/threshold (a shared simulate product
-        may have been produced under a different label set).
+        The schedule is the one attached to the cell's machine.  Owners
+        read the simulation straight from the plan; duplicate cells do a
+        counted store lookup for each product, so every cell probes each
+        store family once.  The simulation is always relabeled with the
+        cell's own kernel/machine/scheduler/threshold (a shared simulate
+        product may have been produced under a different label set).
         """
         spec = node.spec
-        schedule = (
-            plan.schedules[node.schedule_key]
-            if node.schedule_owner
-            else plan.attach(spec, self._adopt("schedule", node.schedule_key))
-        )
+        if not node.schedule_owner:
+            self._adopt("schedule", node.schedule_key)
+        schedule = plan.attached(spec.kernel, node.schedule_key, spec.machine)
         simulation = (
             plan.simulations[node.simulate_key]
             if node.simulate_owner
@@ -379,9 +400,10 @@ def run_schedule_task(
     machine: MachineConfig,
     locality: LocalityAnalyzer,
 ) -> Schedule:
-    """Produce one schedule, fingerprinted before it is shipped so the
-    copy back from a worker, and the body the planner stores, carry its
-    simulate-key hash."""
+    """Produce one schedule on ``machine`` (the task's scheduling view),
+    digested before it is shipped so the copy back from a worker, the
+    body the planner stores and every schedule attached from either
+    carry the hash of its decisions."""
     schedule = schedule_kernel(
         kernel,
         machine,
@@ -389,7 +411,7 @@ def run_schedule_task(
         float(task.payload["threshold"]),  # type: ignore[arg-type]
         locality,
     )
-    schedule.fingerprint()
+    schedule.digest()
     return schedule
 
 

@@ -7,10 +7,13 @@ cell itself:
   the loop content and the analyzer configuration — every machine,
   scheduler, threshold and scenario probing the same kernel re-walks the
   same iteration space;
-* the **schedule** product depends on kernel × machine × scheduler ×
-  threshold × analyzer, but *not* on the steady mode or iteration
-  overrides — the four groups of ``fig6-steady-ablation`` compute the
-  same schedules four times;
+* the **schedule** product depends on kernel × scheduler × threshold ×
+  analyzer × the machine's *scheduling view*
+  (:attr:`~repro.machine.config.MachineConfig.scheduling_view`: the
+  machine with its memory-bus count dropped, which no scheduler reads),
+  but *not* on the steady mode or iteration overrides — the four groups
+  of ``fig6-steady-ablation`` share their schedules, and so do Figure
+  6's NMB=1 and NMB=2 cells;
 * the **simulate** product depends only on the schedule *content*
   (``Schedule.fingerprint()`` — scheduler name and threshold
   deliberately excluded, the same key family the warm-state store uses)
@@ -29,9 +32,10 @@ product (pool workers only compute; the parent does all store I/O).
 
 A schedule entry is the schedule's
 :class:`~repro.scheduler.result.ScheduleBody`: the key pins the kernel
-by content fingerprint and the machine by its canonical encoding, so
-the planner re-attaches its own kernel and the one shared
-:func:`machine_from_key` config instead of unpickling copies of both.
+by content fingerprint and the scheduling view by its canonical
+encoding, so the planner attaches its own kernel and the one shared
+:func:`machine_from_key` config of each cell machine that shares the
+view, instead of unpickling copies of both.
 
 This module is also the canonical home of the grid's content
 fingerprints (:func:`kernel_fingerprint`, :func:`machine_key`) and of
@@ -65,7 +69,7 @@ __all__ = [
 
 #: Bump when a key schema or value layout changes: the keys change, so
 #: older disk entries are never read again.
-STAGE_STORE_VERSION = 4
+STAGE_STORE_VERSION = 5
 
 #: The stages with a content-addressed result store, in pipeline order.
 STAGE_STORE_STAGES = ("analyze", "schedule", "simulate")
@@ -119,8 +123,8 @@ def machine_key(machine: MachineConfig) -> str:
 @functools.lru_cache(maxsize=None)
 def machine_from_key(key: str) -> MachineConfig:
     """The machine a :func:`machine_key` string describes: one shared
-    frozen config per key, so every schedule the planner re-attaches
-    on that machine holds the same object."""
+    frozen config per key, so every schedule the planner attaches to
+    that machine holds the same object."""
     return MachineConfig.from_dict(json.loads(key))
 
 
@@ -162,17 +166,20 @@ class StageStore:
     def schedule_key(
         kernel_name: str,
         kernel_fp: str,
-        machine: str,
+        view: str,
         scheduler: str,
         threshold: float,
         locality_fp: str,
     ) -> str:
-        """Address of one scheduling run's product.
+        """Address of one scheduling problem's product.
 
-        Deliberately *excludes* the steady mode and iteration overrides
+        ``view`` is the :func:`machine_key` of the cell machine's
+        ``scheduling_view``, not of the machine itself: cells whose
+        machines differ only in the memory-bus count share one entry.
+        The key also *excludes* the steady mode and iteration overrides
         a cell spec carries: the schedule does not depend on how it will
         be simulated, so cells differing only in simulation strategy
-        share one entry.
+        share one entry too.
         """
         return "|".join(
             [
@@ -180,7 +187,7 @@ class StageStore:
                 "schedule",
                 kernel_name,
                 kernel_fp,
-                machine,
+                view,
                 scheduler,
                 repr(threshold),
                 locality_fp,

@@ -29,8 +29,9 @@ the call — in memory always, on disk under ``cache_dir/stages`` (and
 is exported — so two sweeps sharing cells (``figure5`` and ``figure6``
 both normalize against the Unified reference) never recompute them.
 Entries are invalidated implicitly: the store keys cover the kernel
-fingerprint, machine encoding, scheduler, threshold, analyzer
-configuration and, for simulations, the schedule content.
+fingerprint, machine encoding (for schedules, that of the machine's
+scheduling view), scheduler, threshold, analyzer configuration and,
+for simulations, the schedule content.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ def _schedule_unit(
     context: _Context, tasks: Sequence[PlanTask]
 ) -> Tuple[List[Schedule], float]:
     """One kernel's schedule tasks in plan order, each on the shared
-    machine of its key: ``(schedules, seconds)``."""
+    config of the scheduling view its key names (no cell machine's
+    memory-bus count reaches a scheduler): ``(schedules, seconds)``."""
     kernel = context.kernels[str(tasks[0].payload["kernel"])]
     return _timed(
         lambda: [
@@ -529,7 +531,11 @@ class ExperimentGrid:
                     (
                         tasks,
                         [
-                            plan.schedules[str(task.payload["schedule_key"])]
+                            plan.attached(
+                                str(task.payload["kernel"]),
+                                str(task.payload["schedule_key"]),
+                                str(task.payload["machine"]),
+                            )
                             for task in tasks
                         ],
                     )

@@ -225,6 +225,24 @@ class MachineConfig:
             + self.main_memory_latency
         )
 
+    # cached_property, as canonical_json: the execution planner asks
+    # every cell's machine for its view.
+    @cached_property
+    def scheduling_view(self) -> "MachineConfig":
+        """This machine as the schedulers see it: the memory-bus count
+        set to ``None`` and every other field kept.
+
+        Schedulers read the memory bus only through :attr:`miss_latency`
+        (bus contention is not known statically), so machines that
+        differ only in the number of memory buses share one view, and
+        one schedule.  An unbounded machine is its own view.
+        """
+        if self.memory_bus.count is None:
+            return self
+        return self.with_buses(
+            memory_bus=BusConfig(count=None, latency=self.memory_bus.latency)
+        )
+
     def with_buses(
         self,
         register_bus: Optional[BusConfig] = None,

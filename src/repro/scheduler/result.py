@@ -4,12 +4,21 @@ A :class:`Schedule` is the scheduler's output and the simulator's input:
 per-operation placements (cluster, absolute time, assumed latency) plus
 the inter-cluster register communications the schedule commits to.
 Its :class:`ScheduleBody` is the same decisions without the kernel and
-machine they were made for: the stage store keeps bodies and
-re-attaches its caller's own kernel and machine.
+machine they were made for: the stage store keeps bodies, and the
+execution planner attaches each to its own kernel and to every cell
+machine that shares the machine's scheduling view.
+
+A schedule's fingerprint has two levels: :meth:`Schedule.digest`
+hashes the machine-free decisions once, where the schedule is made,
+and :meth:`Schedule.fingerprint` combines that digest with a machine's
+canonical encoding through a process-wide memo, so attaching a body to
+another machine never hashes a loop or a placement again.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,6 +37,17 @@ __all__ = [
 
 class SchedulingError(RuntimeError):
     """Raised when no feasible schedule exists up to the II limit."""
+
+
+# Unbounded, like ``machine_from_key``: one entry per schedule the
+# process attaches to a machine, each a pair of short strings.
+@functools.lru_cache(maxsize=None)
+def _fingerprint(digest: str, machine_key: str) -> str:
+    """:meth:`Schedule.fingerprint` of decisions with ``digest`` on the
+    machine whose canonical encoding is ``machine_key``."""
+    return hashlib.sha256(
+        f"{digest}\n{machine_key}".encode("utf-8")
+    ).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -140,23 +160,14 @@ class Schedule:
         """NCYCLE_compute = NTIMES * (NITER + SC - 1) * II (Section 2.2)."""
         return n_times * (n_iterations + self.stage_count - 1) * self.ii
 
-    def fingerprint(self) -> str:
-        """Content hash of everything the simulator reads from this
-        schedule: the kernel's loop (operations, references, bounds) and
-        dependence graph, the full machine configuration, the II, and
-        every placement and communication.  ``scheduler_name`` and
-        ``threshold`` are deliberately *excluded* — they label how the
-        schedule was produced, not what it is, so cells whose schedules
-        land byte-identical (e.g. neighbouring thresholds that move no
-        load across the miss-ratio boundary) hash equal and can share
-        content-addressed warm state.
-        """
-        cached = getattr(self, "_content_fingerprint", None)
+    def digest(self) -> str:
+        """Content hash of the decisions, without the machine: the
+        kernel's loop (operations, references, bounds) and dependence
+        graph, the II, and every placement and communication.  Computed
+        once per schedule and carried by its :meth:`body`."""
+        cached = self.__dict__.get("_digest")
         if cached is not None:
             return cached
-        import hashlib
-        import json
-
         edges = sorted(
             (edge.src, edge.dst, edge.kind, edge.distance)
             for edge in self.kernel.ddg.edges()
@@ -165,7 +176,6 @@ class Schedule:
             [
                 repr(self.kernel.loop),
                 repr(edges),
-                json.dumps(self.machine.to_dict(), sort_keys=True),
                 str(self.ii),
                 repr(
                     sorted(
@@ -183,12 +193,30 @@ class Schedule:
             ]
         )
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        object.__setattr__(self, "_content_fingerprint", digest)
+        self._digest = digest
         return digest
+
+    def fingerprint(self) -> str:
+        """Content hash of everything the simulator reads from this
+        schedule: the :meth:`digest` of its decisions and the full
+        machine configuration.  ``scheduler_name`` and ``threshold`` are
+        deliberately *excluded* — they label how the schedule was
+        produced, not what it is, so cells whose schedules land
+        byte-identical (e.g. neighbouring thresholds that move no load
+        across the miss-ratio boundary) hash equal and can share
+        content-addressed warm state.  The machine *is* included, memory
+        buses and all, so cells sharing one schedule on machines with
+        different bus counts never share a simulation.
+        """
+        cached = self.__dict__.get("_content_fingerprint")
+        if cached is None:
+            cached = _fingerprint(self.digest(), self.machine.canonical_json)
+            self._content_fingerprint = cached
+        return cached
 
     def body(self) -> "ScheduleBody":
         """What the scheduler decided, without the kernel and machine
-        (fingerprinted first, so the body carries the hash)."""
+        (digested first, so the body carries the hash)."""
         return ScheduleBody(
             ii=self.ii,
             placements=self.placements,
@@ -198,8 +226,14 @@ class Schedule:
             rec_mii=self.rec_mii,
             scheduler_name=self.scheduler_name,
             threshold=self.threshold,
-            fingerprint=self.fingerprint(),
+            digest=self.digest(),
         )
+
+    def attach(self, kernel: Kernel, machine: MachineConfig) -> "Schedule":
+        """These decisions on ``kernel`` (this schedule's, by content)
+        and ``machine`` (one sharing this schedule's scheduling view),
+        as :meth:`ScheduleBody.attach` makes them, without a body."""
+        return _attached(self, self.digest(), kernel, machine)
 
     def validate(self) -> None:
         """Internal consistency checks (used heavily by the test suite).
@@ -343,11 +377,12 @@ class ScheduleBody:
     store's schedule entry.
 
     The store key already pins the kernel (by content fingerprint) and
-    the machine (by canonical encoding), so an entry carries neither.
-    ``fingerprint`` is the schedule's :meth:`Schedule.fingerprint`,
-    which :meth:`attach` hands on so the rebuilt schedule never hashes
-    again.  An attached schedule shares the body's placement and
-    communication containers, so neither may be mutated.
+    the machine's scheduling view (by canonical encoding), so an entry
+    carries neither.  ``digest`` is the schedule's
+    :meth:`Schedule.digest`, which :meth:`attach` hands on so the
+    rebuilt schedule never hashes its decisions again.  An attached
+    schedule shares the body's placement and communication containers,
+    so neither may be mutated.
     """
 
     ii: int
@@ -358,22 +393,31 @@ class ScheduleBody:
     rec_mii: int
     scheduler_name: str
     threshold: float
-    fingerprint: str
+    digest: str
 
     def attach(self, kernel: Kernel, machine: MachineConfig) -> Schedule:
         """The schedule these decisions make for ``kernel`` on
-        ``machine`` (the ones the store key names)."""
-        schedule = Schedule(
-            kernel=kernel,
-            machine=machine,
-            ii=self.ii,
-            placements=self.placements,
-            communications=self.communications,
-            mii=self.mii,
-            res_mii=self.res_mii,
-            rec_mii=self.rec_mii,
-            scheduler_name=self.scheduler_name,
-            threshold=self.threshold,
-        )
-        schedule._content_fingerprint = self.fingerprint
-        return schedule
+        ``machine`` (any machine sharing the scheduling view the store
+        key names)."""
+        return _attached(self, self.digest, kernel, machine)
+
+
+def _attached(
+    decisions, digest: str, kernel: Kernel, machine: MachineConfig
+) -> Schedule:
+    """A schedule of ``decisions`` (a schedule or a body) on ``kernel``
+    and ``machine``, sharing their containers and carrying ``digest``."""
+    schedule = Schedule(
+        kernel=kernel,
+        machine=machine,
+        ii=decisions.ii,
+        placements=decisions.placements,
+        communications=decisions.communications,
+        mii=decisions.mii,
+        res_mii=decisions.res_mii,
+        rec_mii=decisions.rec_mii,
+        scheduler_name=decisions.scheduler_name,
+        threshold=decisions.threshold,
+    )
+    schedule._digest = digest
+    return schedule

@@ -59,7 +59,7 @@ class ContentStore:
         self, value_type: type, cache_dir: Optional[os.PathLike] = None
     ):
         self.value_type = value_type
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache_dir = cache_dir
         self._memory: Dict[str, object] = {}
         self.hits = self.misses = self.stores = 0
         self._lock = threading.RLock()
@@ -75,6 +75,20 @@ class ContentStore:
 
     def __len__(self) -> int:
         return len(self._memory)
+
+    @property
+    def cache_dir(self) -> Optional[Path]:
+        """The disk layer's directory, or ``None`` for memory only."""
+        return self._cache_dir
+
+    @cache_dir.setter
+    def cache_dir(self, cache_dir: Optional[os.PathLike]) -> None:
+        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
+        # Entry paths are joined onto this string on every disk lookup:
+        # building pathlib objects there costs more than the lookup.
+        self._root = (
+            None if cache_dir is None else os.fspath(self._cache_dir) + os.sep
+        )
 
     def lookup(self, key: str) -> Optional[object]:
         """The value stored under ``key``, or ``None`` (a miss)."""
@@ -128,12 +142,12 @@ class ContentStore:
     # ------------------------------------------------------------------
     # Disk layer
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-        return self.cache_dir / digest[:2] / f"{digest}.pkl"
+        return f"{self._root}{digest[:2]}{os.sep}{digest}.pkl"
 
     def _load(self, key: str) -> Optional[object]:
-        if self.cache_dir is None:
+        if self._root is None:
             return None
         path = self._path(key)
         try:
@@ -150,13 +164,13 @@ class ContentStore:
             # Garbage, truncated, foreign or misplaced: disk rot must
             # never fail a run.  Drop the file and recompute.
             with contextlib.suppress(OSError):
-                path.unlink()
+                os.unlink(path)
             return None
 
     def _save(self, key: str, value: object) -> None:
-        if self.cache_dir is None:
+        if self._root is None:
             return
-        path = self._path(key)
+        path = Path(self._path(key))
         data = pickle.dumps((key, value), protocol=pickle.HIGHEST_PROTOCOL)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

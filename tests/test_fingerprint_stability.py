@@ -26,9 +26,10 @@ from repro.cme.trace import _FINGERPRINT_ATTR, loop_fingerprint
 from repro.engine import StageStore
 from repro.engine.stages import make_scheduler
 from repro.engine.stagestore import kernel_fingerprint
-from repro.harness.grid import CellSpec, ExperimentGrid
+from repro.harness.grid import CellSpec, ExperimentGrid, machine_key
 from repro.ir.ddg import DepEdge
 from repro.machine import two_cluster
+from repro.scheduler.result import _fingerprint
 from repro.workloads import spec_suite
 
 from reference_cells import stage_work
@@ -180,15 +181,18 @@ class TestMemos:
             StageStore.schedule_key(
                 kernel_name=spec.kernel,
                 kernel_fp=spec.kernel_fp,
-                machine=spec.machine,
+                view=machine_key(two_cluster().scheduling_view),
                 scheduler=spec.scheduler,
                 threshold=spec.threshold,
                 locality_fp=locality_fingerprint(analyzer),
             ),
         )
+        fingerprint = cold.schedule.fingerprint()
         assert _memo_and_recompute(cold.schedule) == (
-            (spec.kernel_fp, body.fingerprint),
+            (spec.kernel_fp, fingerprint),
         ) * 2
+        object.__delattr__(cold.schedule, "_digest")
+        assert cold.schedule.digest() == body.digest  # from content
         fresh = ExperimentGrid(
             locality=IncrementalCME(max_points=MAX_POINTS), cache_dir=tmp_path
         )
@@ -196,9 +200,25 @@ class TestMemos:
         assert stage_work(fresh) == (0, 0, 0)
         with monkeypatch.context() as patch:
             patch.setattr(hashlib, "sha256", _no_hashing)
-            assert served.fingerprint() == body.fingerprint
+            assert served.fingerprint() == fingerprint
+        # Without the process's memo, as in a fresh interpreter, the
+        # re-attached schedule hashes its body's digest and its machine,
+        # never the kernel, placements or communications.
         object.__delattr__(served, "_content_fingerprint")
-        assert served.fingerprint() == body.fingerprint
+        _fingerprint.cache_clear()
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def recording(data):
+            hashed.append(data)
+            return sha256(data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hashlib, "sha256", recording)
+            assert served.fingerprint() == fingerprint
+        assert hashed == [
+            f"{body.digest}\n{machine_key(served.machine)}".encode()
+        ]
 
     def test_memos_survive_pickling(self, schedules):
         expected = [_fingerprints(s) for s in schedules]

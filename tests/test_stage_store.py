@@ -178,7 +178,10 @@ class TestStageEquivalence:
         probes = (
             telemetry["simulate"]["hits"] + telemetry["simulate"]["misses"]
         )
-        assert probes == telemetry["schedule"]["misses"]  # one per cell
+        cells = (
+            telemetry["schedule"]["hits"] + telemetry["schedule"]["misses"]
+        )
+        assert probes == cells  # one per cell
 
     def test_cross_scenario_reuse(self):
         """A second scenario sharing kernels/machines with a cold
