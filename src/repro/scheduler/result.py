@@ -39,8 +39,8 @@ class SchedulingError(RuntimeError):
     """Raised when no feasible schedule exists up to the II limit."""
 
 
-# Unbounded, like ``machine_from_key``: one entry per schedule the
-# process attaches to a machine, each a pair of short strings.
+# Unbounded, like ``machine_from_key``: one entry per decisions and
+# machine pair the process fingerprints, a digest and a machine key.
 @functools.lru_cache(maxsize=None)
 def _fingerprint(digest: str, machine_key: str) -> str:
     """:meth:`Schedule.fingerprint` of decisions with ``digest`` on the
@@ -231,9 +231,9 @@ class Schedule:
 
     def attach(self, kernel: Kernel, machine: MachineConfig) -> "Schedule":
         """These decisions on ``kernel`` (this schedule's, by content)
-        and ``machine`` (one sharing this schedule's scheduling view),
-        as :meth:`ScheduleBody.attach` makes them, without a body."""
-        return _attached(self, self.digest(), kernel, machine)
+        and ``machine`` (one sharing this schedule's scheduling view):
+        :meth:`ScheduleBody.attach` of this schedule's body."""
+        return self.body().attach(kernel, machine)
 
     def validate(self) -> None:
         """Internal consistency checks (used heavily by the test suite).
@@ -399,25 +399,17 @@ class ScheduleBody:
         """The schedule these decisions make for ``kernel`` on
         ``machine`` (any machine sharing the scheduling view the store
         key names)."""
-        return _attached(self, self.digest, kernel, machine)
-
-
-def _attached(
-    decisions, digest: str, kernel: Kernel, machine: MachineConfig
-) -> Schedule:
-    """A schedule of ``decisions`` (a schedule or a body) on ``kernel``
-    and ``machine``, sharing their containers and carrying ``digest``."""
-    schedule = Schedule(
-        kernel=kernel,
-        machine=machine,
-        ii=decisions.ii,
-        placements=decisions.placements,
-        communications=decisions.communications,
-        mii=decisions.mii,
-        res_mii=decisions.res_mii,
-        rec_mii=decisions.rec_mii,
-        scheduler_name=decisions.scheduler_name,
-        threshold=decisions.threshold,
-    )
-    schedule._digest = digest
-    return schedule
+        schedule = Schedule(
+            kernel=kernel,
+            machine=machine,
+            ii=self.ii,
+            placements=self.placements,
+            communications=self.communications,
+            mii=self.mii,
+            res_mii=self.res_mii,
+            rec_mii=self.rec_mii,
+            scheduler_name=self.scheduler_name,
+            threshold=self.threshold,
+        )
+        schedule._digest = self.digest
+        return schedule

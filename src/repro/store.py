@@ -84,8 +84,8 @@ class ContentStore:
     @cache_dir.setter
     def cache_dir(self, cache_dir: Optional[os.PathLike]) -> None:
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
-        # Entry paths are joined onto this string on every disk lookup:
-        # building pathlib objects there costs more than the lookup.
+        # Entry paths are joined onto this string on every disk lookup,
+        # where building pathlib objects took several times as long.
         self._root = (
             None if cache_dir is None else os.fspath(self._cache_dir) + os.sep
         )
