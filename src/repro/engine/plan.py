@@ -331,11 +331,15 @@ class ExecutionPlanner:
         The schedule is the one attached to the cell's machine.  Owners
         read the simulation straight from the plan; duplicate cells do a
         counted store lookup for each product, so every cell probes each
-        store family once.  The simulation is always relabeled with the
-        cell's own kernel/machine/scheduler/threshold (a shared simulate
-        product may have been produced under a different label set).
+        store family once.  The simulation carries the cell's own
+        kernel/machine/scheduler/threshold: a product made under another
+        label set is relabeled into a copy, and one that already carries
+        the cell's labels is used as it is.  Results therefore share
+        their ``SimulationResult`` with the plan, the store and other
+        results, and nothing ever mutates one.
         """
         spec = node.spec
+        machine = spec.machine_name
         if not node.schedule_owner:
             self._adopt("schedule", node.schedule_key)
         schedule = plan.attached(spec.kernel, node.schedule_key, spec.machine)
@@ -344,16 +348,24 @@ class ExecutionPlanner:
             if node.simulate_owner
             else self._adopt("simulate", node.simulate_key)
         )
-        simulation = replace(
-            simulation,
-            kernel=spec.kernel,
-            machine=spec.machine_name,
-            scheduler=spec.scheduler,
-            threshold=spec.threshold,
-        )
+        # ``repr`` tells 1 from 1.0 and 0.0 from -0.0, as the result's
+        # canonical form does.
+        if (
+            simulation.kernel != spec.kernel
+            or simulation.machine != machine
+            or simulation.scheduler != spec.scheduler
+            or repr(simulation.threshold) != repr(spec.threshold)
+        ):
+            simulation = replace(
+                simulation,
+                kernel=spec.kernel,
+                machine=machine,
+                scheduler=spec.scheduler,
+                threshold=spec.threshold,
+            )
         return RunResult(
             kernel=spec.kernel,
-            machine=spec.machine_name,
+            machine=machine,
             scheduler=spec.scheduler,
             threshold=spec.threshold,
             schedule=schedule,

@@ -9,6 +9,7 @@ re-running them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import pathlib
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -16,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from .sweep import FigureData
 
 __all__ = [
+    "render_csv",
     "records_to_csv",
     "records_to_json",
     "figure_to_csv",
@@ -35,17 +37,24 @@ def _fieldnames(records: Sequence[Dict[str, object]]) -> List[str]:
     return list(names)
 
 
+def render_csv(records: Sequence[Dict[str, object]]) -> bytes:
+    """Record dictionaries as UTF-8 CSV bytes (union of keys as the
+    header)."""
+    if not records:
+        raise ValueError("no records to write")
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=_fieldnames(records))
+    writer.writeheader()
+    writer.writerows(records)
+    return text.getvalue().encode("utf-8")
+
+
 def records_to_csv(
     records: Sequence[Dict[str, object]], path: PathLike
 ) -> pathlib.Path:
-    """Write record dictionaries as CSV (union of keys as the header)."""
+    """Write :func:`render_csv`'s bytes to ``path``."""
     path = pathlib.Path(path)
-    if not records:
-        raise ValueError("no records to write")
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_fieldnames(records))
-        writer.writeheader()
-        writer.writerows(records)
+    path.write_bytes(render_csv(records))
     return path
 
 

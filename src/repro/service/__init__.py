@@ -22,7 +22,7 @@ Layering (each module usable on its own):
   server (:class:`ExperimentServer`, plus the test-friendly
   :class:`ServerThread`);
 * :mod:`repro.service.export` — npz/csv quick-look artifacts from any
-  result set;
+  result set, rendered in memory;
 * :mod:`repro.service.client` — the stdlib ``urllib`` client behind
   ``repro submit`` and the end-to-end tests.
 """
@@ -36,6 +36,7 @@ from .export import (
     load_npz,
     outcome_records,
     records_to_npz,
+    render_records,
 )
 from .jobs import Job, JobManager
 from .server import ExperimentServer, ServerThread, run_server
@@ -58,5 +59,6 @@ __all__ = [
     "make_backend",
     "outcome_records",
     "records_to_npz",
+    "render_records",
     "run_server",
 ]

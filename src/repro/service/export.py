@@ -6,7 +6,7 @@ threshold, cycle counts, memory counters, and the figures' normalized
 columns).  This module turns that list into analysis-ready artifacts
 without re-running anything:
 
-* **csv** via :func:`repro.harness.io.records_to_csv` (spreadsheets,
+* **csv** via :func:`repro.harness.io.render_csv` (spreadsheets,
   pandas);
 * **npz** — one named numpy array per column, so a quick-look notebook
   is ``np.load(path)`` away from plotting.  Integer columns stay int64,
@@ -17,11 +17,15 @@ without re-running anything:
 :func:`outcome_records` flattens a
 :class:`~repro.harness.scenarios.ScenarioOutcome` (grid rows or figure
 records) and the service's export endpoint, the ``repro export`` CLI
-and the round-trip tests all share it.
+and the round-trip tests all share it.  :func:`render_records` renders
+either format in memory; the endpoint serves its bytes and
+:func:`export_records` writes them, so a ``repro export`` file and an
+``/export`` body are the same bytes (the npz's zip timestamps aside).
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from pathlib import Path
@@ -30,15 +34,17 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..engine.result import RunResult
-from ..harness.io import records_to_csv
+from ..harness.io import render_csv
 from ..harness.scenarios import ScenarioOutcome
 
 __all__ = [
     "EXPORT_FORMATS",
     "result_record",
     "outcome_records",
+    "render_npz",
     "records_to_npz",
     "load_npz",
+    "render_records",
     "export_records",
     "export_outcome",
 ]
@@ -97,13 +103,10 @@ def _column(values: List[object], key: str) -> np.ndarray:
     )
 
 
-def records_to_npz(
-    records: Sequence[Dict[str, object]], path: os.PathLike
-) -> Path:
-    """Write records as a compressed npz, one array per column."""
+def render_npz(records: Sequence[Dict[str, object]]) -> bytes:
+    """Records as compressed npz bytes, one array per column."""
     if not records:
         raise ValueError("no records to export")
-    path = Path(path)
     names: Dict[str, None] = {}
     for record in records:
         for key in record:
@@ -112,10 +115,16 @@ def records_to_npz(
         key: _column([record.get(key) for record in records], key)
         for key in names
     }
-    np.savez_compressed(path, **arrays)
-    # np.savez appends .npz when the suffix is missing — report where
-    # the bytes actually went.
-    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def records_to_npz(
+    records: Sequence[Dict[str, object]], path: os.PathLike
+) -> Path:
+    """Write records as a compressed npz; returns the path written."""
+    return export_records(records, path, "npz")
 
 
 def load_npz(path: os.PathLike) -> List[Dict[str, object]]:
@@ -131,17 +140,32 @@ def load_npz(path: os.PathLike) -> List[Dict[str, object]]:
     ]
 
 
-def export_records(
-    records: Sequence[Dict[str, object]], path: os.PathLike, format: str
-) -> Path:
-    """Write records in one of :data:`EXPORT_FORMATS`; returns the path."""
+def render_records(
+    records: Sequence[Dict[str, object]], format: str
+) -> bytes:
+    """Records as the bytes of one of :data:`EXPORT_FORMATS`."""
     if format == "npz":
-        return records_to_npz(records, path)
+        return render_npz(records)
     if format == "csv":
-        return records_to_csv(records, path)
+        return render_csv(records)
     raise ValueError(
         f"unknown export format {format!r}; choose from {EXPORT_FORMATS}"
     )
+
+
+def export_records(
+    records: Sequence[Dict[str, object]], path: os.PathLike, format: str
+) -> Path:
+    """Write :func:`render_records`' bytes; returns the path written.
+
+    An npz path gets the ``.npz`` suffix ``np.savez`` would give it.
+    """
+    body = render_records(records, format)
+    path = Path(path)
+    if format == "npz" and not path.name.endswith(".npz"):
+        path = path.with_name(path.name + ".npz")
+    path.write_bytes(body)
+    return path
 
 
 def export_outcome(

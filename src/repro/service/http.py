@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from http import HTTPStatus
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 from urllib.parse import parse_qs, unquote, urlsplit
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "send_json",
     "send_bytes",
     "start_ndjson_stream",
-    "send_ndjson_line",
+    "send_ndjson",
 ]
 
 #: Upper bound on request bodies (a scenario spec is a few KB; anything
@@ -178,14 +178,20 @@ async def send_json(writer, status: int, payload: object) -> None:
     await send_bytes(writer, status, body, "application/json")
 
 
-async def start_ndjson_stream(writer) -> None:
-    """Open a close-delimited NDJSON stream (no Content-Length)."""
+def start_ndjson_stream(writer) -> None:
+    """Open a close-delimited NDJSON stream (no Content-Length).
+
+    Only the head is written; the stream's first :func:`send_ndjson`
+    drains it together with its lines.
+    """
     writer.write(_head(200, "application/x-ndjson", None))
-    await writer.drain()
 
 
-async def send_ndjson_line(writer, payload: object) -> None:
-    """One event line on an open NDJSON stream."""
-    writer.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
-    writer.write(b"\n")
+async def send_ndjson(writer, payloads: Sequence[object]) -> None:
+    """Lines on an open NDJSON stream: one write and one drain for all."""
+    if payloads:
+        writer.write(b"".join(
+            json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+            for payload in payloads
+        ))
     await writer.drain()

@@ -13,8 +13,11 @@ them the way a fresh CLI process would, and each job's telemetry
 stores served it.
 
 Execution model: jobs run on a **single worker thread**
-(``ThreadPoolExecutor(max_workers=1)``), submitted from the event loop
-with ``loop.run_in_executor``.  Submission is thread-safe and concurrent;
+(``ThreadPoolExecutor(max_workers=1)``).  A job is made in two halves:
+:meth:`JobManager.create` saves and registers it ``queued`` and
+:meth:`JobManager.start` hands it to the worker, so the server can
+answer ``POST /jobs`` before the job competes with it for the GIL;
+:meth:`JobManager.submit` does both.  Submission is thread-safe and concurrent;
 execution is serialized — the paper's cells are CPU-bound, so two jobs
 interleaving on one process would only trade latency for confusion, and
 the single writer keeps per-job telemetry deltas exact.  Parallelism
@@ -23,8 +26,9 @@ the single writer keeps per-job telemetry deltas exact.  Parallelism
 Progress flows through the existing
 :data:`~repro.harness.grid.ProgressCallback` hook: each running job
 installs its per-cell callback on the grid, events append to the job's
-list under a condition variable, and the server's NDJSON handler drains
-them by cursor (:meth:`Job.events_since`).
+list under a condition variable, and each append calls the job's
+subscribers (:meth:`Job.subscribe`), which is how the server's NDJSON
+handler learns to drain them by cursor (:meth:`Job.events_since`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cme.locality import locality_fingerprint
 from ..harness.grid import CellSpec, ExperimentGrid
@@ -66,6 +70,16 @@ class Job:
     and per-job store telemetry.  Mutation happens only on the manager's
     worker thread; reads may come from any thread, so state transitions
     and event appends happen under :attr:`condition`.
+
+    Subscribers are how a reader learns of new events without polling.
+    A subscriber is a callable taking no arguments.  Every event append
+    calls each subscriber once, on the emitting thread (usually the
+    worker), after :attr:`condition` is released; it says only that
+    events may be waiting, so the subscriber reads them itself with
+    :meth:`events_since`.  Subscribe *before* the first read, so no
+    event can fall between the read and the subscription, and
+    unsubscribe when done.  A subscriber must be quick and must not
+    raise: an exception would propagate into the job's run.
     """
 
     def __init__(
@@ -89,6 +103,8 @@ class Job:
         self.telemetry: Optional[Dict[str, object]] = None
         self.condition = threading.Condition()
         self.events: List[Dict[str, object]] = []
+        #: Replaced, never changed in place, so an emit reads it once.
+        self._subscribers: Tuple[Callable[[], None], ...] = ()
         self._emit({"type": "state", "state": "queued"})
 
     @classmethod
@@ -139,6 +155,21 @@ class Job:
             event["job"] = self.id
             self.events.append(event)
             self.condition.notify_all()
+            subscribers = self._subscribers
+        for subscriber in subscribers:
+            subscriber()
+
+    def subscribe(self, subscriber: Callable[[], None]) -> None:
+        """Call ``subscriber()`` after every later event append."""
+        with self.condition:
+            self._subscribers += (subscriber,)
+
+    def unsubscribe(self, subscriber: Callable[[], None]) -> None:
+        """Stop calling ``subscriber``."""
+        with self.condition:
+            self._subscribers = tuple(
+                s for s in self._subscribers if s is not subscriber
+            )
 
     def _transition(self, state: str, **extra: object) -> None:
         with self.condition:
@@ -337,14 +368,18 @@ class JobManager:
                 ) from None
         return spec, overrides
 
-    def submit_payload(self, payload: object) -> Job:
-        """Validate and enqueue one job (the ``POST /jobs`` entry)."""
-        spec, overrides = self.parse_payload(payload)
-        return self.submit(spec, overrides)
-
     def submit(
         self, spec: ScenarioSpec, overrides: Optional[Dict[str, object]] = None
     ) -> Job:
+        """Create and start one job (the one-call in-process API)."""
+        job = self.create(spec, overrides)
+        self.start(job)
+        return job
+
+    def create(
+        self, spec: ScenarioSpec, overrides: Optional[Dict[str, object]] = None
+    ) -> Job:
+        """Save and register one ``queued`` job; :meth:`start` runs it."""
         overrides = dict(overrides or {})
         with self._lock:
             self._sequence += 1
@@ -359,8 +394,11 @@ class JobManager:
         self.backend.save(job.record())
         with self._lock:
             self._jobs[job.id] = job
-        self._executor.submit(self._run, job)
         return job
+
+    def start(self, job: Job) -> None:
+        """Hand a job :meth:`create` made to the worker thread."""
+        self._executor.submit(self._run, job)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -5,9 +5,19 @@
 the :class:`~repro.service.jobs.JobManager` owns the persistent grids
 and runs the work, and this module maps URLs to both.  The event loop
 never blocks on experiment work — jobs execute on the manager's worker
-thread, and the one long-lived response shape (the NDJSON event stream)
-polls the job's event list with short sleeps instead of crossing the
-thread boundary with loop plumbing.
+thread — and nothing on it polls:
+
+* ``POST /jobs`` saves and registers the job, writes its ``201``
+  (which therefore always reads ``queued``) and only then hands the job
+  to the worker, so the answer never waits for the GIL behind the job
+  it announces.
+* The one long-lived response shape, the NDJSON event stream,
+  subscribes to its job (:meth:`~repro.service.jobs.Job.subscribe`).
+  The worker's event appends wake the stream's handler through
+  ``loop.call_soon_threadsafe``, at most one pending wakeup at a time,
+  and each wakeup sends every fresh event with one write and one drain
+  (:class:`_Wakeup`).
+* Exports are rendered in memory (:func:`~repro.service.export.render_records`).
 
 Endpoints::
 
@@ -32,32 +42,23 @@ embedding caller).
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import tempfile
 import threading
-from pathlib import Path
 from typing import Optional
 
 from ..harness.scenarios import scenario_listing
-from .export import EXPORT_FORMATS, export_records
+from .export import EXPORT_FORMATS, render_records
 from .http import (
     HttpError,
     HttpRequest,
     read_request,
     send_bytes,
     send_json,
-    send_ndjson_line,
+    send_ndjson,
     start_ndjson_stream,
 )
 from .jobs import Job, JobManager
 
 __all__ = ["ExperimentServer", "ServerThread", "run_server"]
-
-#: How often the event stream re-checks a job's list for fresh events.
-#: Worker-thread appends land between polls; 50 ms keeps streams snappy
-#: without measurable load.
-EVENT_POLL_SECONDS = 0.05
 
 _EXPORT_CONTENT_TYPES = {"npz": "application/octet-stream", "csv": "text/csv"}
 
@@ -149,10 +150,15 @@ class ExperimentServer:
             return
         if path == "/jobs" and method == "POST":
             try:
-                job = self.manager.submit_payload(request.json())
+                spec, overrides = self.manager.parse_payload(request.json())
             except (ValueError, KeyError) as exc:
                 raise HttpError(400, str(exc))
-            await send_json(writer, 201, job.describe())
+            job = self.manager.create(spec, overrides)
+            try:
+                await send_json(writer, 201, job.describe())
+            finally:
+                # Even when the client went away: a saved job must run.
+                self.manager.start(job)
             return
         if path == "/jobs" and method == "GET":
             await send_json(
@@ -212,16 +218,22 @@ class ExperimentServer:
                 400, f"query parameter 'cursor' must be >= 0, got {cursor}"
             )
         follow = request.query_value("follow", "1") not in ("0", "false")
-        await start_ndjson_stream(writer)
-        while True:
-            events, cursor, finished = job.events_since(cursor)
-            for event in events:
-                await send_ndjson_line(writer, event)
-            if finished or not follow:
-                return
-            # The worker thread appends events; poll rather than plumb a
-            # cross-thread wakeup into the loop.
-            await asyncio.sleep(EVENT_POLL_SECONDS)
+        start_ndjson_stream(writer)
+        if not follow:
+            await send_ndjson(writer, job.events_since(cursor)[0])
+            return
+        wakeup = _Wakeup(asyncio.get_running_loop())
+        job.subscribe(wakeup)
+        try:
+            while True:
+                wakeup.clear()
+                events, cursor, finished = job.events_since(cursor)
+                await send_ndjson(writer, events)
+                if finished:
+                    return
+                await wakeup.event.wait()
+        finally:
+            job.unsubscribe(wakeup)
 
     async def _send_export(
         self, job: Job, request: HttpRequest, writer
@@ -241,19 +253,41 @@ class ExperimentServer:
             raise HttpError(
                 409, f"job {job.id} {job.state} without result records"
             )
-        records = job.export_records
-
-        def _render() -> bytes:
-            with tempfile.TemporaryDirectory(prefix="repro-export-") as tmp:
-                path = export_records(
-                    records, Path(tmp) / f"{job.id}.{fmt}", fmt
-                )
-                return path.read_bytes()
-
-        # Rendering hits the filesystem and (for npz) compresses — do it
-        # off the loop.
-        body = await asyncio.get_running_loop().run_in_executor(None, _render)
+        # An npz compresses: render off the loop.
+        body = await asyncio.get_running_loop().run_in_executor(
+            None, render_records, job.export_records, fmt
+        )
         await send_bytes(writer, 200, body, _EXPORT_CONTENT_TYPES[fmt])
+
+
+class _Wakeup:
+    """A job subscriber that sets :attr:`event` on ``loop``.
+
+    Called on the job's one emitting thread, it schedules a set only
+    when none is pending since the stream's last :meth:`clear`, so a
+    burst of events costs the loop one wakeup, not one per event.  The
+    unlocked flag can only add a spurious wakeup, never lose one: a
+    set still pending when :meth:`clear` runs lands after it.  A closed
+    loop means the stream is gone, and the job must not fail for that.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self.loop = loop
+        self.event = asyncio.Event()
+        self.pending = False
+
+    def __call__(self) -> None:
+        if not self.pending:
+            self.pending = True
+            try:
+                self.loop.call_soon_threadsafe(self.event.set)
+            except RuntimeError:
+                pass
+
+    def clear(self) -> None:
+        """Re-arm before a read (on the loop): later events wake it."""
+        self.pending = False
+        self.event.clear()
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,10 @@ class SimulationResult:
     ``NTIMES * (NITER + SC - 1) * II`` and stall accumulates the dynamic
     lockstep stalls caused by memory latencies the compiler
     underestimated, MSHR pressure and bus contention.
+
+    One result may be shared by several cells' results, the stage store
+    and the plan (see ``ExecutionPlanner.assemble``), so it is never
+    mutated; relabel a copy with ``dataclasses.replace``.
     """
 
     kernel: str

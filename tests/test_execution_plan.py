@@ -137,6 +137,49 @@ class TestColdRunTaskAccounting:
         assert _canonical(warm.results) == _canonical(cold.results)
 
 
+class TestAssemblyRelabel:
+    def test_matching_labels_reuse_the_plan_product(self, monkeypatch):
+        """A store-served owner cell whose product already carries its
+        labels gets the plan's own ``SimulationResult``; any other cell
+        gets a relabeled copy, and the results are unchanged."""
+        scenario = get_scenario("fig6-smoke")
+        grid = ExperimentGrid(locality=scenario.locality.build())
+        seen = []
+        real_assemble = ExecutionPlanner.assemble
+
+        def _assemble(planner, node, plan):
+            product = plan.simulations.get(node.simulate_key)
+            result = real_assemble(planner, node, plan)
+            seen.append((node, product, result))
+            return result
+
+        monkeypatch.setattr(ExecutionPlanner, "assemble", _assemble)
+        cold = run_scenario(scenario, grid=grid)
+        cold_results = _canonical(result for _n, _p, result in seen)
+        seen.clear()
+        tasks = grid.stats.plan["simulate_tasks"]
+        warm = run_scenario(scenario, grid=grid)
+        assert grid.stats.plan["simulate_tasks"] == tasks  # store-served
+        assert _canonical(result for _n, _p, result in seen) == cold_results
+        assert warm.figure.records == cold.figure.records
+        reused = relabeled = 0
+        for node, product, result in seen:
+            spec = node.spec
+            labels = (spec.kernel, spec.machine_name, spec.scheduler,
+                      spec.threshold)
+            simulation = result.simulation
+            assert (simulation.kernel, simulation.machine,
+                    simulation.scheduler, simulation.threshold) == labels
+            if (product.kernel, product.machine, product.scheduler,
+                    product.threshold) != labels:
+                assert simulation is not product
+                relabeled += 1
+            elif node.simulate_owner:
+                assert simulation is product
+                reused += 1
+        assert reused and relabeled
+
+
 # ----------------------------------------------------------------------
 # Planner unit contracts
 # ----------------------------------------------------------------------

@@ -7,11 +7,15 @@ against it: results bit-identical to ``run_scenario``, and the second
 identical job answered from the persistent stage stores.
 """
 
+import asyncio
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from urllib.request import urlopen
 
 import pytest
 
@@ -37,6 +41,7 @@ from repro.service import (
     make_backend,
     outcome_records,
 )
+from repro.service import server as server_module
 from repro.service.jobs import Job
 
 
@@ -599,3 +604,148 @@ class TestParsePayload:
         spec, overrides = manager.parse_payload({"spec": _tiny_spec_dict()})
         assert spec.kernels == ("tomcatv",)
         assert overrides == {}
+
+
+# ----------------------------------------------------------------------
+# Push-driven job path: answer first, wake streams, render in memory
+# ----------------------------------------------------------------------
+class _InlineExecutor:
+    """Runs each submission at once, on the submitting thread."""
+
+    def submit(self, fn, *args):
+        fn(*args)
+
+    def shutdown(self, wait=True):
+        pass
+
+
+@pytest.fixture
+def blocked_jobs(monkeypatch):
+    """Jobs whose run waits for the returned event before running."""
+    release = threading.Event()
+    real = run_scenario
+
+    def _blocked(*args, **kwargs):
+        assert release.wait(timeout=60)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("repro.service.jobs.run_scenario", _blocked)
+    yield release
+    release.set()
+
+
+def _until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestPushedJobPath:
+    def test_stream_ends_without_sleeping(self, blocked_jobs, monkeypatch):
+        """A stream open while its job runs is woken by the job's
+        events; the loop never sleeps to look for them."""
+
+        async def _no_sleep(*_args, **_kwargs):
+            raise AssertionError("the event stream slept")
+
+        with ServerThread() as srv:
+            client = ServiceClient(srv.url)
+            job = client.submit(spec=_tiny_spec_dict("pushed"))
+            stream = client.events(job["id"])
+            assert next(stream)["state"] == "queued"
+            monkeypatch.setattr("repro.service.server.asyncio.sleep", _no_sleep)
+            time.sleep(0.2)  # longer than any sleep begun before the patch
+            blocked_jobs.set()
+            rest = list(stream)
+        assert rest[-1]["type"] == "state" and rest[-1]["state"] == "done"
+        assert [e["seq"] for e in rest] == list(range(1, len(rest) + 1))
+
+    def test_streams_leave_no_subscriber(self, blocked_jobs, monkeypatch):
+        subscribed = []
+        real_subscribe = Job.subscribe
+
+        def _subscribe(job, subscriber):
+            subscribed.append(subscriber)
+            real_subscribe(job, subscriber)
+
+        monkeypatch.setattr(Job, "subscribe", _subscribe)
+        with ServerThread() as srv:
+            client = ServiceClient(srv.url)
+            job_id = client.submit(spec=_tiny_spec_dict("subs"))["id"]
+            job = srv.manager.job(job_id)
+            # A replay subscribes to nothing.
+            assert [e["state"] for e in client.events(job_id, follow=False)]
+            assert subscribed == [] and job._subscribers == ()
+            # A client that leaves mid-stream.
+            with urlopen(f"{srv.url}/jobs/{job_id}/events") as response:
+                assert json.loads(response.readline())["state"] == "queued"
+                _until(lambda: len(job._subscribers) == 1)
+            blocked_jobs.set()
+            assert job.wait(timeout=60) and job.state == "done"
+            _until(lambda: job._subscribers == ())
+            # A stream that reads to the end.
+            events = list(client.events(job_id))
+            assert events[-1]["state"] == "done"
+            assert job._subscribers == ()
+        assert len(subscribed) == 2
+
+    def test_submit_answers_queued_before_the_job_starts(self):
+        with ServerThread() as srv:
+            srv.manager._executor = _InlineExecutor()
+            client = ServiceClient(srv.url)
+            job = client.submit(spec=_tiny_spec_dict("answered"))
+            # The inline executor ran the job before the client read
+            # anything else, yet the 201 was written before it started.
+            assert job["state"] == "queued"
+            assert client.job(job["id"])["state"] == "done"
+
+    def test_dropped_submit_still_runs_its_job(self, monkeypatch):
+        real_send_json = server_module.send_json
+
+        async def _drop_201(writer, status, payload):
+            if status == 201:
+                raise ConnectionResetError("client went away")
+            await real_send_json(writer, status, payload)
+
+        monkeypatch.setattr("repro.service.server.send_json", _drop_201)
+        with ServerThread() as srv:
+            srv.manager._executor = _InlineExecutor()
+            body = json.dumps({"spec": _tiny_spec_dict("dropped")}).encode()
+            with socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
+            _until(lambda: srv.manager.jobs())
+            (job,) = srv.manager.jobs()
+            assert job.wait(timeout=60) and job.state == "done"
+
+    def test_closed_loop_subscriber_does_not_fail_the_job(self):
+        loop = asyncio.new_event_loop()
+        loop.close()
+        manager = JobManager()
+        job = manager.create(ScenarioSpec.from_dict(_tiny_spec_dict("gone")))
+        job.subscribe(server_module._Wakeup(loop))
+        manager.start(job)
+        manager.shutdown(wait=True)
+        assert job.state == "done", job.error
+
+    def test_export_renders_without_a_temp_dir(
+        self, service, smoke_run, tmp_path, monkeypatch
+    ):
+        _srv, client = service
+        job_id = smoke_run["jobs"][0]["id"]
+        records = outcome_records(smoke_run["local"])
+        local_csv = export_records(records, tmp_path / "local.csv", "csv")
+
+        def _no_temp_dir(*_args, **_kwargs):
+            raise AssertionError("export used a temporary directory")
+
+        monkeypatch.setattr("tempfile.TemporaryDirectory", _no_temp_dir)
+        assert client.export(job_id, "csv") == local_csv.read_bytes()
+        npz_path = tmp_path / "remote.npz"
+        npz_path.write_bytes(client.export(job_id, "npz"))
+        assert load_npz(npz_path) == records
