@@ -17,11 +17,11 @@ Execution model: jobs run on a **single worker thread**
 :meth:`JobManager.create` saves and registers it ``queued`` and
 :meth:`JobManager.start` hands it to the worker, so the server can
 answer ``POST /jobs`` before the job competes with it for the GIL;
-:meth:`JobManager.submit` does both.  Submission is thread-safe and concurrent;
-execution is serialized — the paper's cells are CPU-bound, so two jobs
-interleaving on one process would only trade latency for confusion, and
-the single writer keeps per-job telemetry deltas exact.  Parallelism
-*within* a job is the grid's own ``n_jobs`` process fan-out.
+:meth:`JobManager.submit` does both.  Submission is thread-safe and
+concurrent; execution is serialized — the paper's cells are CPU-bound,
+so two jobs interleaving on one process would only trade latency for
+confusion, and the single writer keeps per-job telemetry deltas exact.
+Parallelism *within* a job is the grid's own ``n_jobs`` process fan-out.
 
 Progress flows through the existing
 :data:`~repro.harness.grid.ProgressCallback` hook: each running job
