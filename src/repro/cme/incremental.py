@@ -36,8 +36,9 @@ pickling, and be shared across processes without aliasing hazards.
 
 Exactness is enforced by ``tests/test_cme_incremental.py``, which checks
 estimates against the from-scratch reference across generated kernels,
-op subsets, geometries and probe orders; `tests/test_scheduler_equivalence.py`
-checks that full schedules are byte-identical.
+op subsets, geometries and probe orders; the ``incremental`` column of
+``tests/test_differential.py`` checks that full schedules are
+byte-identical.
 """
 
 from __future__ import annotations

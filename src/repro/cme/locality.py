@@ -62,7 +62,7 @@ def default_analyzer(max_points: int = 2048) -> IncrementalCME:
 
     The incremental engine computes exactly the sampled estimator of
     the paper (bit-identical to :class:`SamplingCME`, enforced by the
-    equivalence suites) and shares its ``"sampling"`` fingerprint, so
+    differential matrix) and shares its ``"sampling"`` fingerprint, so
     grid cache entries and golden recordings are interchangeable
     between the two.
     """

@@ -270,8 +270,9 @@ class DistributedMemorySystem:
         of accesses, with every per-access lookup (cache geometry, tag
         scan, MSHR, bus, snoop) inlined and all statistics accumulated
         locally and flushed once.  Semantics are line-for-line those of
-        :meth:`access` — the scalar method stays the reference, and the
-        equivalence suite proves bit-identical results *and* state.
+        :meth:`access` — the scalar method stays the reference, and
+        ``tests/test_simulator_vectorized.py`` proves bit-identical
+        results *and* state.
         Two shortcuts keep a miss free of sorts and allocations without
         changing any state the scalar walk would reach: the MSHR's
         release list is sorted (the :class:`~repro.memory.cache.MSHR`

@@ -64,11 +64,6 @@ class Placement:
     time: int
     assumed_latency: int
 
-    @property
-    def stage(self) -> int:
-        """Modulo-schedule stage index (needs the II; see Schedule.stage)."""
-        raise AttributeError("use Schedule.stage_of(op)")
-
 
 @dataclass(frozen=True)
 class Communication:

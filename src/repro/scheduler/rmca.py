@@ -49,8 +49,8 @@ class RMCAScheduler(CommunicationAwareScheduler):
         share the candidate's address trace, and the snapshots they
         leave behind turn the engine's follow-up ``_assumed_latency``
         miss-ratio query into a memo hit.  The ranking is identical to
-        scoring clusters one by one (``tests/test_scheduler_equivalence``
-        holds the two paths together).
+        scoring clusters one by one (the ``incremental`` column of
+        ``tests/test_differential.py`` holds the two paths together).
         """
         machine = state.machine
         if (

@@ -51,7 +51,11 @@ class ServiceClient:
         try:
             return urlopen(request, timeout=self.timeout)
         except HTTPError as exc:
-            body = exc.read()
+            # The error owns the answer: close it even if reading fails.
+            try:
+                body = exc.read()
+            finally:
+                exc.close()
             try:
                 message = json.loads(body.decode("utf-8"))["error"]
             except Exception:

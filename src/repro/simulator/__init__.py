@@ -7,7 +7,8 @@ instances never visited.  :func:`simulate` is its one-shot helper.
 :class:`LockstepSimulator`, the scalar walk with one interpreted loop
 body per operation instance, is the engine's base class, its fallback
 for statically unsafe schedules and the test oracle it is proven
-bit-identical to (``tests/test_simulator_vectorized.py``).
+bit-identical to (the ``vectorized`` column of
+``tests/test_differential.py``).
 """
 
 from .executor import LockstepSimulator, ReadyWindow, SteadyState

@@ -40,7 +40,8 @@ loop body per operation instance.  Runs use the
 :class:`~repro.simulator.vectorized.VectorizedSimulator` subclass (and
 its :func:`~repro.simulator.vectorized.simulate` one-shot helper); the
 scalar class stays as its fallback for statically unsafe schedules and
-as the oracle the equivalence suites hold it to.
+as the oracle the differential matrix (``tests/test_differential.py``)
+holds it to.
 """
 
 from __future__ import annotations

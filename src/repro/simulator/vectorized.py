@@ -26,11 +26,11 @@ executes the same lockstep model array-at-a-time:
 
 Results are **bit-identical** to the scalar engine — same
 :class:`~repro.simulator.stats.SimulationResult`, same memory-system
-state and statistics, same steady-state reports — proven by
-``tests/test_simulator_vectorized.py`` across every scenario cell and
-both steady detectors.  Schedules that violate the static no-stall
-proof (none of the repository's schedulers produce them) fall back to
-the scalar walk for the whole cell (``_vector_ok`` is false).
+state and statistics, same steady-state reports — proven by the
+``vectorized`` column of ``tests/test_differential.py`` across every
+scenario cell and every steady mode.  Schedules that violate the static
+no-stall proof (none of the repository's schedulers produce them) fall
+back to the scalar walk for the whole cell (``_vector_ok`` is false).
 
 Steady-state detectors plug in unchanged: the entry detector observes
 entry boundaries exactly as before, and the iteration detector drives

@@ -17,9 +17,9 @@ unique (schedule, geometry, steady mode) pays for warm-up once:
   stage store's simulate key, which an experiment grid consults first,
   so inside a grid the warm store only hits after a stage-store disk
   entry was lost.  The key names no engine: the scalar reference and
-  the vectorized engine are proven bit-identical by
-  ``tests/test_simulator_vectorized.py``, so warm state recorded by
-  either serves both.
+  the vectorized engine are proven bit-identical by the ``vectorized``
+  column of ``tests/test_differential.py``, so warm state recorded by
+  either serves both (its ``warm`` column).
 * the **record** holds a deep :meth:`DistributedMemorySystem.snapshot`
   of the memory state at the detector's confirmation boundary plus the
   detector evidence (per-entry counter-delta records, or the

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cme import AnalyticCME, SamplingCME
 from repro.ir import LoopBuilder
-from repro.machine import BusConfig, four_cluster, two_cluster, unified
+from repro.machine import four_cluster, two_cluster, unified
 from repro.workloads import motivating_kernel, motivating_machine
 
 
@@ -68,14 +68,6 @@ def two_cluster_machine():
 @pytest.fixture
 def four_cluster_machine():
     return four_cluster()
-
-
-@pytest.fixture
-def unbounded_two_cluster():
-    return two_cluster(
-        register_bus=BusConfig(count=None, latency=1),
-        memory_bus=BusConfig(count=None, latency=1),
-    )
 
 
 @pytest.fixture

@@ -6,18 +6,23 @@ reproduce bit for bit: each cell calls the pure stage functions —
 :func:`repro.engine.stages.schedule_kernel`, then
 :func:`repro.simulator.simulate` — with nothing shared between cells but
 the analyzer.
+
+:func:`reference_analyzer` and :func:`reference_simulator` are the
+oracle the differential matrix (``tests/test_differential.py``) holds
+every fast path to.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
+from repro.cme import IncrementalCME, SamplingCME
 from repro.cme.locality import LocalityAnalyzer, default_analyzer
 from repro.engine import RunResult, schedule_kernel
-from repro.harness.grid import CellSpec, ExperimentGrid
+from repro.harness.grid import CellSpec
 from repro.ir.builder import Kernel
 from repro.machine.config import MachineConfig
-from repro.simulator import simulate
+from repro.simulator import LockstepSimulator, simulate
 from repro.workloads import kernel_by_name
 
 
@@ -68,12 +73,19 @@ def reference_run(
     ]
 
 
-class ReferenceGrid(ExperimentGrid):
-    """A grid whose :meth:`run` is :func:`reference_run`: drives the
-    figure sweeps and scenarios through the store-less reference."""
+def reference_analyzer(locality):
+    """The oracle's analyzer for ``locality``: ``SamplingCME`` for the
+    sampled estimator ``IncrementalCME`` computes; an analyzer with no
+    second implementation (equations, analytic) stands for itself."""
+    if isinstance(locality, IncrementalCME):
+        return SamplingCME(max_points=locality.max_points)
+    return locality
 
-    def run(self, specs):
-        return reference_run(specs, self.locality, self._kernels)
+
+def reference_simulator(schedule, n_iterations=None, n_times=None):
+    """The oracle's simulation, not yet run: the scalar engine under
+    steady ``off``, with no warm store."""
+    return LockstepSimulator(schedule, n_iterations, n_times, steady="off")
 
 
 def stage_work(grid):

@@ -1,13 +1,10 @@
-"""Plan-based grid execution: equivalence, dedup accounting, batching.
+"""Plan-based grid execution: dedup accounting, assembly, batching.
 
-The load-bearing contract of the execution plan: running a grid through
-the :class:`~repro.engine.plan.ExecutionPlanner` stage plan produces
-**byte-identical** results compared to the store-less reference
-(``reference_cells``: the pure stages, one cell at a time), for every
-registered grid scenario and a golden figure panel, at ``n_jobs`` 1 and
-2 and with the steady-state detectors forced off.  On a cold run each
-unique analyze/schedule/simulate key executes exactly once (planned task
-count == unique store keys).
+On a cold run each unique analyze/schedule/simulate key executes exactly
+once (planned task count == unique store keys), assembly relabels shared
+products into each cell's result, and the planner is deterministic.
+The plan's results against the store-less reference, for every cell, are
+the ``plan`` column of ``tests/test_differential.py``.
 """
 
 import pytest
@@ -17,61 +14,16 @@ from repro.engine import ExecutionPlanner, StageStore
 from repro.engine.plan import kernel_units, run_schedule_task
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import CellSpec, ExperimentGrid, machine_from_key
-from repro.harness.scenarios import all_scenarios, get_scenario, run_scenario
+from repro.harness.scenarios import get_scenario, run_scenario
 from repro.machine import four_cluster, two_cluster
 from repro.simulator import LockstepSimulator, VectorizedSimulator
 from repro.workloads import spec_suite
 
-from reference_cells import ReferenceGrid
-
 MAX_POINTS = 512
-
-GRID_SCENARIOS = [s.name for s in all_scenarios() if not s.is_figure]
-
-#: Grid settings every equivalence test runs the plan under.
-MODES = {
-    "serial": {},
-    "n_jobs=2": {"n_jobs": 2},
-    "steady=off": {"steady": "off"},
-}
 
 
 def _canonical(results):
     return [result.canonical() for result in results]
-
-
-def _reference(name):
-    scenario = get_scenario(name)
-    grid = ReferenceGrid(locality=scenario.locality.build(), cache=False)
-    return run_scenario(scenario, grid=grid)
-
-
-# ----------------------------------------------------------------------
-# Plan vs store-less reference
-# ----------------------------------------------------------------------
-class TestPlanReferenceEquivalence:
-    @pytest.fixture(scope="class")
-    def references(self):
-        return {}
-
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    @pytest.mark.parametrize("name", GRID_SCENARIOS)
-    def test_every_grid_scenario(self, name, mode, references):
-        if name not in references:
-            references[name] = _canonical(_reference(name).results)
-        planned = run_scenario(name, cache=False, **MODES[mode])
-        assert _canonical(planned.results) == references[name]
-        assert planned.grid.stats.plan["runs"] == 1
-        assert planned.grid.stats.plan["cells"] == len(planned.results)
-
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_golden_figure_panel(self, mode, references):
-        if "fig6-smoke" not in references:
-            references["fig6-smoke"] = _reference("fig6-smoke").figure
-        reference = references["fig6-smoke"]
-        planned = run_scenario("fig6-smoke", cache=False, **MODES[mode])
-        assert planned.figure.bars == reference.bars
-        assert planned.figure.records == reference.records
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,9 @@ The schedulers read the memory bus only through
 plan keys, computes and stores one schedule per kernel × scheduler ×
 threshold × analyzer × *scheduling view* — the machine with its
 memory-bus count dropped — and attaches it to every cell machine that
-shares the view.  These tests hold that to the per-cell oracle: a
-schedule made on the view equals the one made on the cell's own machine
-for every cell the repository runs, the plan makes one task per view,
-and the fingerprint a simulate key embeds still names the cell's own
-machine, bus count included.
+shares the view.  These tests hold the plan to one task per view and
+the fingerprint to the cell's own machine, bus count included; the view
+schedule's equality to the cell's is ``tests/test_differential.py``'s.
 """
 
 import dataclasses
@@ -18,44 +16,11 @@ import pytest
 
 from repro.cme import IncrementalCME
 from repro.engine.stages import make_scheduler
-from repro.harness.grid import ExperimentGrid, machine_from_key
-from repro.harness.scenarios import all_scenarios, get_scenario, run_scenario
+from repro.harness.scenarios import run_scenario
 from repro.machine import two_cluster
 from repro.machine.config import BusConfig
 from repro.scheduler import Schedule
 from repro.workloads import spec_suite
-
-#: Grid scenarios run their own cells; of the figures, the two NMB × LMB
-#: sweeps hold every machine pair that differs only in the bus count.
-SCENARIOS = [s.name for s in all_scenarios() if not s.is_figure] + [
-    "fig6-2cluster",
-    "fig6-4cluster",
-]
-
-
-class _Captured(Exception):
-    pass
-
-
-class _CaptureGrid(ExperimentGrid):
-    """Records the cells a figure submits, then stops it."""
-
-    def run(self, specs):
-        self.specs = list(specs)
-        raise _Captured
-
-
-def _cells(name):
-    """The scenario's cells, its kernels by name and its analyzer."""
-    scenario = get_scenario(name)
-    locality = scenario.locality.build()
-    if not scenario.is_figure:
-        kernels = scenario.build_kernels()
-        return scenario.expand(kernels), {k.name: k for k in kernels}, locality
-    grid = _CaptureGrid(locality=locality, cache=False)
-    with pytest.raises(_Captured):
-        run_scenario(scenario, grid=grid)
-    return grid.specs, grid._kernels, locality
 
 
 def _decisions(schedule):
@@ -65,36 +30,6 @@ def _decisions(schedule):
         for f in dataclasses.fields(Schedule)
         if f.name != "machine"
     }
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_view_schedule_equals_cell_schedule(name):
-    specs, kernels, locality = _cells(name)
-    problems = {
-        (spec.kernel, spec.machine, spec.scheduler, spec.threshold)
-        for spec in specs
-    }
-    bounded = 0
-    for kernel_name, key, scheduler, threshold in sorted(problems):
-        machine = machine_from_key(key)
-        view = machine.scheduling_view
-        latency = machine.memory_bus.latency
-        assert view == dataclasses.replace(
-            machine, memory_bus=BusConfig(count=None, latency=latency)
-        )
-        if machine.memory_bus.count is None:
-            assert view is machine
-            continue
-        bounded += 1
-        engine = make_scheduler(scheduler, threshold, locality)
-        kernel = kernels[kernel_name]
-        on_view = engine.schedule(kernel, view)
-        on_cell = engine.schedule(kernel, machine)
-        assert _decisions(on_view) == _decisions(on_cell), (
-            kernel_name, machine.name, scheduler, threshold,
-        )
-    if name.startswith("fig6-"):
-        assert bounded > 0
 
 
 def _plan(name):

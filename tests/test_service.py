@@ -8,6 +8,7 @@ identical job answered from the persistent stage stores.
 """
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -256,6 +257,7 @@ class TestValidationOverHttp:
         )
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
+        info.value.close()  # the error holds the answer's socket
         assert info.value.code == 400
 
     def test_unknown_job_is_404(self, service):
@@ -287,6 +289,25 @@ class TestValidationOverHttp:
             assert [e["state"] for e in events] == ["queued"]
         finally:
             del srv.manager._jobs[job.id]
+
+    @pytest.mark.filterwarnings(
+        "error::ResourceWarning",
+        "error::pytest.PytestUnraisableExceptionWarning",
+    )
+    def test_error_answers_close_their_sockets(self, service):
+        """A 400, a 404 and a 409 leave the collector no socket to close."""
+        srv, client = service
+        job = Job("stalled0410", 9_998, get_scenario("fig6-smoke"), {})
+        srv.manager._jobs[job.id] = job
+        try:
+            for call, arg, status in ((client.submit, "fig7", 400),
+                                      (client.job, "deadbeef", 404),
+                                      (client.result, job.id, 409)):
+                with pytest.raises(ServiceError, match=f"HTTP {status}:"):
+                    call(arg)
+        finally:
+            del srv.manager._jobs[job.id]
+        gc.collect()
 
     def test_bad_export_format_is_400(self, service, smoke_run):
         _srv, client = service

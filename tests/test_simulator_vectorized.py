@@ -1,37 +1,24 @@
-"""Scalar-vs-vectorized simulate-engine equivalence.
+"""The vectorized engine's own contracts.
 
-The load-bearing contract of the vectorized engine (PR 5): for every
-cell the repository can run, :class:`VectorizedSimulator` produces a
-**bit-identical** :class:`SimulationResult` — including memory
-statistics and steady-state reports — *and* leaves the memory system in
-a behaviourally identical state (equal ``state_signature``/``counters``)
-compared to the scalar reference walk.  Coverage mirrors
-``tests/test_scheduler_equivalence.py``: every registered grid-scenario
-cell, the golden figure panels' reduced grids, every steady mode, and
-hypothesis-generated kernels.
-
-The batched memory API the engine rides on is pinned separately:
 ``DistributedMemorySystem.access_batch`` must match ``access`` call for
-call, down to raw container state, on randomized access streams.
+call, down to raw container state, on randomized access streams; the
+default engine must batch its accesses, and its scalar fallback must
+stay bit-identical; every cell on both engines is the ``vectorized``
+column of ``tests/test_differential.py``.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cme import IncrementalCME
 from repro.engine.stages import make_scheduler
-from repro.harness.grid import machine_key
-from repro.harness.scenarios import all_scenarios
-from repro.machine import BusConfig, four_cluster, heterogeneous, two_cluster, unified
+from repro.machine import BusConfig, four_cluster, heterogeneous, two_cluster
 from repro.memory.cache import LineState
 from repro.memory.hierarchy import DistributedMemorySystem
 from repro.simulator import LockstepSimulator, VectorizedSimulator
-from repro.workloads import GeneratorConfig, random_kernel, spec_suite
-from repro.workloads.suite import streaming_long_suite
+from repro.workloads import spec_suite
 
 MAX_POINTS = 512
 
@@ -39,175 +26,6 @@ MAX_POINTS = 512
 @pytest.fixture(scope="module")
 def analyzer():
     return IncrementalCME(max_points=MAX_POINTS)
-
-
-def _assert_engines_agree(schedule, steady=None,
-                          n_iterations=None, n_times=None, label=""):
-    """Run both engines on one schedule and compare everything."""
-    scalar = LockstepSimulator(
-        schedule, steady=steady, n_iterations=n_iterations, n_times=n_times,
-    )
-    vector = VectorizedSimulator(
-        schedule, steady=steady, n_iterations=n_iterations, n_times=n_times,
-    )
-    want = scalar.run()
-    got = vector.run()
-    context = f"{label} {schedule.kernel.name} steady={steady}"
-    assert got.as_dict() == want.as_dict(), context
-    assert vector.memory.counters() == scalar.memory.counters(), context
-    assert (
-        vector.memory.state_signature(0) == scalar.memory.state_signature(0)
-    ), context
-    assert vector.steady_report == scalar.steady_report, context
-    return vector
-
-
-def _grid_scenario_cells():
-    """Every registered grid-scenario cell, deduplicated on what the
-    simulate stage actually reads."""
-    seen = set()
-    for scenario in all_scenarios():
-        if scenario.is_figure:
-            continue
-        kernels = scenario.build_kernels()
-        for group in scenario.groups:
-            machine = group.machine.build()
-            steady = group.steady if group.steady is not None else scenario.steady
-            for threshold in scenario.thresholds:
-                for kernel in kernels:
-                    key = (
-                        kernel.name,
-                        machine_key(machine),
-                        group.scheduler,
-                        threshold,
-                        steady,
-                        scenario.n_iterations,
-                        scenario.n_times,
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield (
-                        f"{scenario.name}:{group.label}",
-                        kernel,
-                        machine,
-                        group.scheduler,
-                        threshold,
-                        steady,
-                        scenario.n_iterations,
-                        scenario.n_times,
-                    )
-
-
-def _figure_panel_cells():
-    """The golden-regression figure panels (reduced grids, steady=auto)."""
-    kernels = spec_suite()
-    fig6_machine = two_cluster(
-        register_bus=BusConfig(count=2, latency=1),
-        memory_bus=BusConfig(count=1, latency=1),
-    )
-    fig5_machine = four_cluster(
-        register_bus=BusConfig(count=None, latency=1),
-        memory_bus=BusConfig(count=None, latency=1),
-    )
-    reference = unified(memory_bus=BusConfig(count=1, latency=1))
-    for kernel in kernels:
-        for threshold in (1.0, 0.75, 0.25, 0.0):
-            yield "fig6:unified", kernel, reference, "baseline", threshold
-            for scheduler in ("baseline", "rmca"):
-                yield "fig6:NMB=1,LMB=1", kernel, fig6_machine, scheduler, threshold
-        for threshold in (1.0, 0.0):
-            for scheduler in ("baseline", "rmca"):
-                yield "fig5:LRB=1,LMB=1", kernel, fig5_machine, scheduler, threshold
-
-
-class TestScenarioCellEquivalence:
-    def test_every_grid_scenario_cell(self, analyzer):
-        checked = 0
-        for (label, kernel, machine, scheduler, threshold, steady,
-             n_iterations, n_times) in _grid_scenario_cells():
-            engine = make_scheduler(scheduler, threshold, analyzer)
-            schedule = engine.schedule(kernel, machine)
-            vector = _assert_engines_agree(
-                schedule, steady=steady,
-                n_iterations=n_iterations, n_times=n_times, label=label,
-            )
-            assert vector._vector_ok, label
-            checked += 1
-        assert checked > 0
-
-    def test_golden_figure_panels(self, analyzer):
-        checked = 0
-        for label, kernel, machine, scheduler, threshold in _figure_panel_cells():
-            engine = make_scheduler(scheduler, threshold, analyzer)
-            schedule = engine.schedule(kernel, machine)
-            _assert_engines_agree(schedule, steady="auto", label=label)
-            checked += 1
-        assert checked > 0
-
-
-class TestSteadyModeMatrix:
-    """Both detectors and all modes."""
-
-    @pytest.mark.parametrize("kernel_name", ["su2cor", "turb3d", "tomcatv", "mgrid"])
-    @pytest.mark.parametrize("steady", ["off", "entry", "iteration", "auto"])
-    def test_modes(self, kernel_name, steady, analyzer):
-        kernel = next(k for k in spec_suite() if k.name == kernel_name)
-        schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
-            kernel, two_cluster()
-        )
-        _assert_engines_agree(schedule, steady=steady, label=steady)
-
-    def test_iteration_overrides(self, analyzer):
-        kernel = next(k for k in spec_suite() if k.name == "applu")
-        schedule = make_scheduler("baseline", 1.0, analyzer).schedule(
-            kernel, four_cluster()
-        )
-        _assert_engines_agree(
-            schedule, steady="iteration", n_iterations=300, n_times=3,
-            label="overrides",
-        )
-
-    def test_streaming_long_detection_fires_vectorized(self, analyzer):
-        """The streaming-long suite must detect (and fast-forward) under
-        the vectorized engine too."""
-        for kernel in streaming_long_suite():
-            schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
-                kernel, two_cluster()
-            )
-            vector = _assert_engines_agree(
-                schedule, steady="auto", label="streaming-long"
-            )
-            assert vector.steady_report.iterations_replayed > 0, kernel.name
-
-
-class TestHypothesisKernels:
-    @given(seed=st.integers(0, 10_000))
-    @settings(
-        max_examples=15, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_random_kernels(self, seed):
-        kernel = random_kernel(seed)
-        schedule = make_scheduler("baseline", 1.0, None).schedule(
-            kernel, two_cluster()
-        )
-        _assert_engines_agree(schedule, steady="auto", label=f"rand{seed}")
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(
-        max_examples=8, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_conflict_heavy_kernels(self, seed):
-        config = GeneratorConfig(
-            conflict_probability=0.9, max_dims=1, min_extent=32
-        )
-        kernel = random_kernel(seed, config)
-        schedule = make_scheduler("baseline", 1.0, None).schedule(
-            kernel, four_cluster()
-        )
-        _assert_engines_agree(schedule, steady="auto", label=f"conflict{seed}")
 
 
 class TestAccessBatch:

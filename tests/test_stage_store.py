@@ -1,12 +1,9 @@
-"""Per-stage result-store equivalence and robustness.
+"""Per-stage result-store units and robustness.
 
-The load-bearing contract of the stage store: for every cell the
-repository can run, a grid run that *adopts* stored
-analyze/schedule/simulate products produces a **bit-identical**
-:class:`RunResult` compared to the store-less reference — per
-grid-scenario cell, the same standard ``tests/test_warm_state.py`` holds
-warm-state reuse to.  The disk layer's rot and write failures are
-``tests/test_store.py``'s.
+Key composition, schedule bodies, dedup across thresholds and
+scenarios, the disk layer, pool-computed products and relabeling.  Runs
+served from the store, for every cell, are the ``plan`` column of
+``tests/test_differential.py``; disk rot is ``tests/test_store.py``'s.
 """
 
 import pickle
@@ -22,9 +19,8 @@ from repro.harness.scenarios import get_scenario, run_scenario
 from repro.machine import two_cluster
 from repro.scheduler import ScheduleBody
 from repro.workloads import spec_suite
-from test_simulator_vectorized import _grid_scenario_cells
 
-from reference_cells import reference_cell, stage_work
+from reference_cells import stage_work
 
 MAX_POINTS = 512
 
@@ -146,29 +142,6 @@ class TestScheduleBodies:
 
 
 class TestStageEquivalence:
-    def test_every_grid_scenario_cell(self, analyzer):
-        """reference == first grid pass == store-hit pass, for every
-        registered grid-scenario cell."""
-        checked = 0
-        grid = ExperimentGrid(locality=analyzer, cache=False)
-        for (label, kernel, machine, scheduler, threshold, steady,
-             n_iterations, n_times) in _grid_scenario_cells():
-            grid.register([kernel])
-            spec = CellSpec.of(
-                kernel, machine, scheduler, threshold, n_iterations,
-                n_times, steady=steady,
-            )
-            cold = reference_cell(
-                kernel, machine, scheduler, threshold, analyzer,
-                n_iterations, n_times, steady=steady,
-            ).canonical()
-            assert grid.run_one(spec).canonical() == cold, label
-            done = stage_work(grid)
-            assert grid.run_one(spec).canonical() == cold, label
-            assert stage_work(grid) == done, label
-            checked += 1
-        assert checked > 0
-
     def test_threshold_sweep_dedups_simulate(self, tmp_path):
         """The fig6 threshold sweep must skip simulate for the cells
         whose schedules land byte-identical — the headline dedup win."""
@@ -212,15 +185,6 @@ class TestStageEquivalence:
         rerun = run_scenario("streaming", grid=fanned.grid)
         assert stage_work(fanned.grid) == done
         assert _canonical(rerun.results) == _canonical(serial.results)
-
-    def test_disk_layer_serves_fresh_store(self, tmp_path):
-        cold = run_scenario("streaming", cache_dir=tmp_path)
-        assert list((tmp_path / "stages").glob("*/*/*.pkl"))
-        warm = run_scenario("streaming", cache_dir=tmp_path)
-        telemetry = warm.grid.stage_store.telemetry()
-        assert telemetry["schedule"]["hits"] == len(warm.results)
-        assert stage_work(warm.grid) == (0, 0, 0)
-        assert _canonical(warm.results) == _canonical(cold.results)
 
     def test_warm_fig6_pass_returns_cold_figure(self, tmp_path):
         """The stage store alone serves a warm Figure-6 regeneration."""

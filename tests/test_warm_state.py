@@ -1,15 +1,9 @@
-"""Warm-state store equivalence and robustness.
+"""Warm-state store units and robustness.
 
-The load-bearing contract of content-addressed warm-state reuse: for
-every cell the repository can run, a simulation that *adopts* a stored
-warm-up prefix produces a **bit-identical** :class:`SimulationResult` —
-including memory statistics, steady-state reports and the final memory
-``state_signature``/``counters`` — compared to a cold run.  Coverage
-mirrors ``tests/test_simulator_vectorized.py``: every registered
-grid-scenario cell, the golden figure panels' reduced grids, and
-cross-engine sharing (warm state recorded by either engine serves
-both).  The disk layer's rot and write failures are
-``tests/test_store.py``'s.
+The store's key, snapshots and restores, its disk layer, a record that
+fails its replay proof, and the grid end to end.  Warm hits on every
+cell, from records either engine wrote, are the ``warm`` column of
+``tests/test_differential.py``; disk rot is ``tests/test_store.py``'s.
 """
 
 import pickle
@@ -23,20 +17,11 @@ from repro.engine import schedule_kernel
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import ExperimentGrid
 from repro.harness.scenarios import run_scenario
-from repro.machine import two_cluster, unified
+from repro.machine import two_cluster
 from repro.memory.hierarchy import DistributedMemorySystem
-from repro.simulator import (
-    LockstepSimulator,
-    VectorizedSimulator,
-    WarmRecord,
-    WarmStateStore,
-)
+from repro.simulator import LockstepSimulator, VectorizedSimulator, WarmStateStore
 from repro.workloads import spec_suite
 from repro.workloads.suite import streaming_long_suite
-from test_simulator_vectorized import (
-    _figure_panel_cells,
-    _grid_scenario_cells,
-)
 
 MAX_POINTS = 512
 
@@ -126,64 +111,6 @@ class TestSnapshotRestore:
 
 
 class TestWarmEquivalence:
-    def test_every_grid_scenario_cell(self, analyzer):
-        """cold == store pass == warm-hit pass, for every registered
-        grid-scenario cell."""
-        checked = hits = 0
-        for (label, kernel, machine, scheduler, threshold, steady,
-             n_iterations, n_times) in _grid_scenario_cells():
-            schedule = make_scheduler(scheduler, threshold, analyzer).schedule(
-                kernel, machine
-            )
-            kwargs = dict(
-                steady=steady, n_iterations=n_iterations, n_times=n_times
-            )
-            cold = _run(schedule, **kwargs)
-            store = WarmStateStore()
-            first = _run(schedule, store=store, **kwargs)
-            stored = store.stores
-            second = _run(schedule, store=store, **kwargs)
-            _assert_same(cold, first, label)
-            _assert_same(cold, second, label)
-            # A hit that failed adoption would simulate and store again.
-            assert store.stores == stored, label
-            hits += store.hits
-            checked += 1
-        assert checked > 0
-        assert hits > 0  # the sweep must actually exercise adoption
-
-    def test_golden_figure_panels(self, analyzer):
-        hits = 0
-        for label, kernel, machine, scheduler, threshold in _figure_panel_cells():
-            schedule = make_scheduler(scheduler, threshold, analyzer).schedule(
-                kernel, machine
-            )
-            store = WarmStateStore()
-            cold = _run(schedule, store=store, steady="auto")
-            warm = _run(schedule, store=store, steady="auto")
-            _assert_same(cold, warm, label)
-            hits += store.hits
-        assert hits > 0
-
-    def test_cross_engine_sharing(self, analyzer):
-        """Warm state recorded by one engine must serve the other,
-        bit-identically, in both directions."""
-        for kernel in streaming_long_suite():
-            schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
-                kernel, two_cluster()
-            )
-            store = WarmStateStore()
-            cold = _run(schedule, LockstepSimulator, store=store)
-            assert store.stores == 1, kernel.name
-            warm_vector = _run(schedule, VectorizedSimulator, store=store)
-            _assert_same(cold, warm_vector, kernel.name)
-            assert (store.hits, store.stores) == (1, 1), kernel.name
-            other = WarmStateStore()
-            _run(schedule, VectorizedSimulator, store=other)
-            warm_scalar = _run(schedule, LockstepSimulator, store=other)
-            _assert_same(cold, warm_scalar, kernel.name)
-            assert (other.hits, other.stores) == (1, 1), kernel.name
-
     def test_disk_layer_serves_fresh_store(self, analyzer, tmp_path):
         kernel = streaming_long_suite()[0]
         schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
