@@ -6,8 +6,9 @@ under its own analyzer; the golden panels', as their generators submit
 them; every steady mode on four kernels; one cell with and without
 iteration overrides.  The reference (``reference_cells``) runs once per
 key, one job per kernel on two processes.  Each column holds one fast
-path to it, naming failing cells; ``tests/invariants.py`` checks every
-run and schedule.  A new fast path is one more column.
+path to it, one test per cell group (a scenario's group, a panel, a
+steady mode), naming failing cells; ``tests/invariants.py`` checks
+every run and schedule.  A new fast path is one more column.
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ class Matrix:
     def __init__(self):
         self.localities, self.analyzers, self.kernels = {}, {}, {}
         self.schedules, self.fast, self.runs = {}, {}, {}
-        self.cells, self.view_cells = {}, {}  # (analyzer, spec) -> Cell
+        self.cells = {}  # (analyzer, spec) -> Cell
+        self.groups = {}  # label -> its cells, so labelled
         for scenario in all_scenarios():
             if scenario.name in VIEW_FIGURES:
-                self._capture(self.view_cells, scenario.name, scenario.locality,
+                self._capture({}, scenario.name, scenario.locality,
                               lambda grid: run_scenario(scenario, grid))
             if scenario.is_figure:
                 continue
@@ -158,7 +160,8 @@ class Matrix:
         suite = spec_suite(["su2cor", "turb3d", "tomcatv", "mgrid", "applu"])
         for kernel, mode in product(suite[:4], STEADY_MODES):
             spec = CellSpec.of(kernel, two_cluster(), "rmca", 1.0, steady=mode)
-            self._add(self.cells, "steady-modes", LocalitySpec(), spec, suite)
+            self._add(self.cells, f"steady-modes:{mode}", LocalitySpec(),
+                      spec, suite)
         for overrides in ((None, None), (300, 3)):
             spec = CellSpec.of(suite[4], four_cluster(), "baseline", 1.0,
                                *overrides, steady="iteration")
@@ -173,7 +176,8 @@ class Matrix:
         self.analyzers.setdefault(fp, locality.build())
         kernel = self.kernels.setdefault(
             spec.kernel, next(k for k in kernels if k.name == spec.kernel))
-        cells.setdefault((fp, spec), Cell(fp, spec, kernel, label))
+        cell = cells.setdefault((fp, spec), Cell(fp, spec, kernel, label))
+        self.groups.setdefault(label, []).append(cell._replace(label=label))
 
     def _capture(self, cells, label, locality, draw):
         """The cells ``draw`` submits to its grid."""
@@ -227,12 +231,21 @@ class Matrix:
         return self.fast[key]
 
 
+#: Enumerating takes milliseconds; each column runs once per cell group.
+MATRIX = Matrix()
+GROUPS = [label for label in MATRIX.groups if label not in VIEW_FIGURES]
+
+
+def _per_group(groups):
+    ids = [group.replace(" ", "-") for group in groups]
+    return pytest.mark.parametrize("group", groups, ids=ids)
+
+
 @pytest.fixture(scope="module")
 def matrix():
-    matrix = Matrix()
     with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
-        matrix.compute(matrix.cells.values(), pool)
-    return matrix
+        MATRIX.compute(MATRIX.cells.values(), pool)
+    return MATRIX
 
 
 def _unique(cells, key):
@@ -345,35 +358,45 @@ def warm(matrix, cell) -> dict:
     return hits
 
 
-def _simulations(matrix):
-    """One matrix cell per simulation key."""
-    return _unique(matrix.cells.values(), lambda cell: (
+def _simulations(matrix, cells):
+    """One of ``cells`` per simulation key."""
+    return _unique(cells, lambda cell: (
         matrix.schedules[cell.key].fingerprint(), cell.spec.steady,
         cell.spec.n_iterations, cell.spec.n_times))
 
 
-def test_incremental(matrix):
-    """Also: the compared engine took its batched probe path."""
+@_per_group(GROUPS)
+def test_incremental(matrix, group):
     _check("incremental", lambda cell: incremental(matrix, cell),
-           _unique(matrix.cells.values(), lambda cell: cell.key))
+           _unique(matrix.groups[group], lambda cell: cell.key))
+
+
+def test_incremental_takes_the_batched_path(matrix):
+    for cell in _unique(matrix.by_analyzer[SAMPLED], lambda cell: cell.key):
+        matrix.fast_schedule(cell)
     assert matrix.analyzers[SAMPLED].telemetry()["batched_calls"] > 0
 
 
-def test_view(matrix):
-    cells = [*matrix.cells.values(), *matrix.view_cells.values()]
+@_per_group([*GROUPS, *VIEW_FIGURES])
+def test_view(matrix, group):
     _check("view", lambda cell: view(matrix, cell),
-           _unique(cells, lambda cell: cell.key))
+           _unique(matrix.groups[group], lambda cell: cell.key))
 
 
-def test_vectorized(matrix):
+@_per_group(GROUPS)
+def test_vectorized(matrix, group):
     _check("vectorized", lambda cell: vectorized(matrix, cell),
-           _simulations(matrix))
+           _simulations(matrix, matrix.groups[group]))
 
 
-def test_warm(matrix):
+@_per_group([group for group in GROUPS if any(
+    cell.spec.steady != "off" for cell in MATRIX.groups[group])])
+def test_warm(matrix, group):
+    """In every group with a detector on, each engine hits the other's
+    records."""
     hits = Counter()
     _check("warm", lambda cell: hits.update(warm(matrix, cell)),
-           _simulations(matrix))
+           _simulations(matrix, matrix.groups[group]))
     assert len(hits) == 2 and all(hits.values()), f"warm | hits {hits}"
 
 
