@@ -7,9 +7,9 @@ reproduce bit for bit: each cell calls the pure stage functions —
 :func:`repro.simulator.simulate` — with nothing shared between cells but
 the analyzer.
 
-:func:`reference_analyzer` and :func:`reference_simulator` are the
-oracle the differential matrix (``tests/test_differential.py``) holds
-every fast path to.
+:func:`reference_analyzer` gives the differential matrix
+(``tests/test_differential.py``) its oracle's analyzer; the matrix
+simulates with the scalar ``LockstepSimulator`` under steady ``off``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.engine import RunResult, schedule_kernel
 from repro.harness.grid import CellSpec
 from repro.ir.builder import Kernel
 from repro.machine.config import MachineConfig
-from repro.simulator import LockstepSimulator, simulate
+from repro.simulator import simulate
 from repro.workloads import kernel_by_name
 
 
@@ -80,12 +80,6 @@ def reference_analyzer(locality):
     if isinstance(locality, IncrementalCME):
         return SamplingCME(max_points=locality.max_points)
     return locality
-
-
-def reference_simulator(schedule, n_iterations=None, n_times=None):
-    """The oracle's simulation, not yet run: the scalar engine under
-    steady ``off``, with no warm store."""
-    return LockstepSimulator(schedule, n_iterations, n_times, steady="off")
 
 
 def stage_work(grid):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.compare import make_scheduler, normalized_cycles
-from repro.cme import SamplingCME
 from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.machine import two_cluster, unified
 from repro.scheduler import BaselineScheduler, RMCAScheduler

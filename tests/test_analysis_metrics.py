@@ -1,9 +1,7 @@
 """Tests for schedule quality metrics."""
 
-import pytest
-
 from repro.analysis.metrics import schedule_metrics, workload_balance
-from repro.machine import BusConfig, two_cluster, unified
+from repro.machine import BusConfig, two_cluster
 from repro.scheduler import BaselineScheduler
 
 

@@ -1,7 +1,5 @@
 """Tests for the LocalityAnalyzer protocol and backend agreement."""
 
-import pytest
-
 from repro.cme import (
     AnalyticCME,
     IncrementalCME,

@@ -1,7 +1,5 @@
 """Unit tests for the reuse analysis (CME front-end)."""
 
-import pytest
-
 from repro.cme.reuse import (
     analyze_reuse,
     group_pairs,

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import invariants
-from reference_cells import reference_analyzer, reference_simulator, stage_work
+from reference_cells import reference_analyzer, stage_work
 from repro.cme.locality import locality_fingerprint
 from repro.engine import RunResult
 from repro.engine.stages import make_scheduler, schedule_kernel
@@ -118,7 +118,8 @@ def _reference(job):
     runs = {}
     for key, (schedule, named) in modes.items():
         args = (schedule, *key[1:])
-        run = runs[key] = {"reference": _run(reference_simulator(*args))}
+        # The reference: the scalar engine under steady off, no store.
+        run = runs[key] = {"reference": _run(LockstepSimulator(*args, "off"))}
         run["off", ENGINES[0]] = _run(ENGINES[0](*args, "off"))
         run["off", ENGINES[1]] = run["reference"]
         for mode in sorted(named - {"off"}):
@@ -371,12 +372,6 @@ def test_incremental(matrix, group):
            _unique(matrix.groups[group], lambda cell: cell.key))
 
 
-def test_incremental_takes_the_batched_path(matrix):
-    for cell in _unique(matrix.by_analyzer[SAMPLED], lambda cell: cell.key):
-        matrix.fast_schedule(cell)
-    assert matrix.analyzers[SAMPLED].telemetry()["batched_calls"] > 0
-
-
 @_per_group([*GROUPS, *VIEW_FIGURES])
 def test_view(matrix, group):
     _check("view", lambda cell: view(matrix, cell),
@@ -385,19 +380,13 @@ def test_view(matrix, group):
 
 @_per_group(GROUPS)
 def test_vectorized(matrix, group):
-    _check("vectorized", lambda cell: vectorized(matrix, cell),
-           _simulations(matrix, matrix.groups[group]))
-
-
-@_per_group([group for group in GROUPS if any(
-    cell.spec.steady != "off" for cell in MATRIX.groups[group])])
-def test_warm(matrix, group):
-    """In every group with a detector on, each engine hits the other's
-    records."""
-    hits = Counter()
-    _check("warm", lambda cell: hits.update(warm(matrix, cell)),
-           _simulations(matrix, matrix.groups[group]))
-    assert len(hits) == 2 and all(hits.values()), f"warm | hits {hits}"
+    """The ``vectorized`` and ``warm`` columns; in a group with a
+    detector on, each engine hits the other's records."""
+    cells, hits = _simulations(matrix, matrix.groups[group]), Counter()
+    _check("vectorized", lambda cell: vectorized(matrix, cell), cells)
+    _check("warm", lambda cell: hits.update(warm(matrix, cell)), cells)
+    if any(cell.spec.steady != "off" for cell in cells):
+        assert len(hits) == 2 and all(hits.values()), f"warm | hits {hits}"
 
 
 @pytest.mark.parametrize("config, machine, examples", [
@@ -465,22 +454,28 @@ def test_plan(matrix, planned):
                                cache_dir=cache_dir, kernels=matrix.kernels)
         _check_plan(matrix, "plan disk", cells, fresh.run(specs))
         assert stage_work(fresh) == (0, 0, 0), "plan disk | stage work ran"
+        hits = fresh.stage_store.telemetry()["schedule"]["hits"]
+        assert hits == len(cells), f"plan disk | {hits} schedule hits"
 
 
-def test_plan_on_the_pool_with_steady_off(matrix, monkeypatch):
-    """A cold run at ``n_jobs=2`` with steady forced ``off`` (one run for
-    both: each changes only where or how a simulate task runs) starts its
-    pool once and equals the reference."""
+@pytest.mark.parametrize("n_jobs, steady", [(2, None), (1, "off")])
+def test_plan_cold(matrix, monkeypatch, n_jobs, steady):
+    """A cold run on the pool, under each cell's own mode (every worker's
+    detectors use its own copy of the warm store), and a serial one with
+    steady forced ``off`` equal the reference; only the pool run starts
+    a pool, once."""
     starts, pool = [], grid_module.ProcessPoolExecutor
     monkeypatch.setattr(grid_module, "ProcessPoolExecutor",
                         lambda **kwargs: starts.append(1) or pool(**kwargs))
+    column = f"plan n_jobs={n_jobs} steady={steady or 'own'}"
     for fp, cells in matrix.by_analyzer.items():
         starts.clear()
-        grid = ExperimentGrid(locality=matrix.analyzers[fp], n_jobs=2,
+        grid = ExperimentGrid(locality=matrix.analyzers[fp], n_jobs=n_jobs,
                               cache=False, kernels=matrix.kernels)
-        results = grid.run([replace(c.spec, steady="off") for c in cells])
-        assert len(starts) == 1, f"plan n_jobs=2 | {len(starts)} pool starts"
-        _check_plan(matrix, "plan n_jobs=2 steady=off", cells, results)
+        results = grid.run([replace(c.spec, steady=steady or c.spec.steady)
+                            for c in cells])
+        assert len(starts) == (n_jobs > 1), f"{column} | {len(starts)} pools"
+        _check_plan(matrix, column, cells, results)
 
 
 def test_figure(matrix, planned):

@@ -1,7 +1,5 @@
 """Tests for automatic memory dependence analysis."""
 
-import pytest
-
 from repro.ir import LoopBuilder
 from repro.ir.ddg import build_ddg
 from repro.ir.depanalysis import (

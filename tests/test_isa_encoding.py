@@ -4,9 +4,9 @@ import pytest
 
 from repro.ir.operations import FUType
 from repro.isa import EncodingError, encode_kernel
-from repro.machine import BusConfig, two_cluster, unified
+from repro.machine import BusConfig, two_cluster
 from repro.scheduler import BaselineScheduler
-from repro.workloads import kernel_by_name, motivating_kernel, motivating_machine
+from repro.workloads import kernel_by_name
 
 
 class TestEncodeStructure:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.ir.operations import FUType
 from repro.machine import (
     ALL_PRESETS,
     TOTAL_CACHE_BYTES,

@@ -1,7 +1,5 @@
 """Unit tests for the memory-bus pool."""
 
-import pytest
-
 from repro.machine.config import BusConfig
 from repro.memory.membus import MemoryBusPool
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cme import SamplingCME
 from repro.ir import LoopBuilder
-from repro.ir.ddg import DepEdge, build_ddg
+from repro.ir.ddg import DepEdge
 from repro.machine import BusConfig, four_cluster, two_cluster, unified
 from repro.scheduler.mii import compute_mii, edge_latency, rec_mii, res_mii
 from repro.workloads import kernel_by_name

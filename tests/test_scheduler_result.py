@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scheduler import BaselineScheduler
-from repro.scheduler.result import Communication, Placement, Schedule
+from repro.scheduler.result import Communication, Placement
 
 
 class TestScheduleProperties:

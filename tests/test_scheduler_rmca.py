@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cme import AnalyticCME, SamplingCME
+from repro.cme import AnalyticCME
 from repro.ir import LoopBuilder
 from repro.machine import two_cluster
 from repro.scheduler import BaselineScheduler, RMCAScheduler, SchedulerConfig

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cme import SamplingCME
 from repro.ir import LoopBuilder
 from repro.machine import BusConfig, two_cluster, unified
 from repro.scheduler import BaselineScheduler, SchedulerConfig

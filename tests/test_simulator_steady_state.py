@@ -10,7 +10,6 @@ irregular kernels simply never memoize), but equivalence is not.
 
 import pytest
 
-from repro.cme import SamplingCME
 from repro.ir import LoopBuilder
 from repro.machine import (
     BusConfig,

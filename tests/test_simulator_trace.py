@@ -1,11 +1,8 @@
 """Tests for the execution tracer."""
 
-import pytest
-
-from repro.cme import SamplingCME
 from repro.ir import LoopBuilder
-from repro.machine import BusConfig, two_cluster, unified
-from repro.scheduler import BaselineScheduler, SchedulerConfig
+from repro.machine import two_cluster, unified
+from repro.scheduler import BaselineScheduler
 from repro.simulator import simulate
 from repro.simulator.trace import trace_schedule
 from repro.workloads import kernel_by_name
