@@ -435,31 +435,33 @@ def planned(matrix, tmp_path_factory):
     return runs
 
 
-def test_plan(matrix, planned):
+@pytest.mark.parametrize("fp", list(MATRIX.by_analyzer))
+def test_plan(matrix, planned, fp):
     """The cold run, a rerun on its grid (no stage task, nothing stored)
     and a fresh grid over its cache directory (no stage work) all equal
     the reference."""
-    for fp, (grid, results, cache_dir) in planned.items():
-        cells = matrix.by_analyzer[fp]
-        specs = [cell.spec for cell in cells]
-        plan = grid.stats.plan
-        assert (plan["runs"], plan["cells"]) == (1, len(cells))
-        for schedule in {id(r.schedule): r.schedule for r in results}.values():
-            invariants.check_schedule(schedule)
-        _check_plan(matrix, "plan", cells, results)
-        done = stage_work(grid)
-        _check_plan(matrix, "plan rerun", cells, grid.run(specs))
-        assert stage_work(grid) == done, "plan rerun | stage work ran"
-        fresh = ExperimentGrid(locality=matrix.localities[fp].build(),
-                               cache_dir=cache_dir, kernels=matrix.kernels)
-        _check_plan(matrix, "plan disk", cells, fresh.run(specs))
-        assert stage_work(fresh) == (0, 0, 0), "plan disk | stage work ran"
-        hits = fresh.stage_store.telemetry()["schedule"]["hits"]
-        assert hits == len(cells), f"plan disk | {hits} schedule hits"
+    grid, results, cache_dir = planned[fp]
+    cells = matrix.by_analyzer[fp]
+    specs = [cell.spec for cell in cells]
+    plan = grid.stats.plan
+    assert (plan["runs"], plan["cells"]) == (1, len(cells))
+    for schedule in {id(r.schedule): r.schedule for r in results}.values():
+        invariants.check_schedule(schedule)
+    _check_plan(matrix, "plan", cells, results)
+    done = stage_work(grid)
+    _check_plan(matrix, "plan rerun", cells, grid.run(specs))
+    assert stage_work(grid) == done, "plan rerun | stage work ran"
+    fresh = ExperimentGrid(locality=matrix.localities[fp].build(),
+                           cache_dir=cache_dir, kernels=matrix.kernels)
+    _check_plan(matrix, "plan disk", cells, fresh.run(specs))
+    assert stage_work(fresh) == (0, 0, 0), "plan disk | stage work ran"
+    hits = fresh.stage_store.telemetry()["schedule"]["hits"]
+    assert hits == len(cells), f"plan disk | {hits} schedule hits"
 
 
+@pytest.mark.parametrize("fp", list(MATRIX.by_analyzer))
 @pytest.mark.parametrize("n_jobs, steady", [(2, None), (1, "off")])
-def test_plan_cold(matrix, monkeypatch, n_jobs, steady):
+def test_plan_cold(matrix, monkeypatch, n_jobs, steady, fp):
     """A cold run on the pool, under each cell's own mode (every worker's
     detectors use its own copy of the warm store), and a serial one with
     steady forced ``off`` equal the reference; only the pool run starts
@@ -467,15 +469,13 @@ def test_plan_cold(matrix, monkeypatch, n_jobs, steady):
     starts, pool = [], grid_module.ProcessPoolExecutor
     monkeypatch.setattr(grid_module, "ProcessPoolExecutor",
                         lambda **kwargs: starts.append(1) or pool(**kwargs))
-    column = f"plan n_jobs={n_jobs} steady={steady or 'own'}"
-    for fp, cells in matrix.by_analyzer.items():
-        starts.clear()
-        grid = ExperimentGrid(locality=matrix.analyzers[fp], n_jobs=n_jobs,
-                              cache=False, kernels=matrix.kernels)
-        results = grid.run([replace(c.spec, steady=steady or c.spec.steady)
-                            for c in cells])
-        assert len(starts) == (n_jobs > 1), f"{column} | {len(starts)} pools"
-        _check_plan(matrix, column, cells, results)
+    cells, column = matrix.by_analyzer[fp], f"plan n_jobs={n_jobs}"
+    grid = ExperimentGrid(locality=matrix.analyzers[fp], n_jobs=n_jobs,
+                          cache=False, kernels=matrix.kernels)
+    results = grid.run([replace(cell.spec, steady=steady or cell.spec.steady)
+                        for cell in cells])
+    assert len(starts) == (n_jobs > 1), f"{column} | {len(starts)} pools"
+    _check_plan(matrix, f"{column} steady={steady or 'own'}", cells, results)
 
 
 def test_figure(matrix, planned):
