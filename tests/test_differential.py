@@ -4,11 +4,13 @@ fast path checked against it.
 :class:`Matrix` enumerates the cells: every registered grid scenario's,
 under its own analyzer; the golden panels', as their generators submit
 them; every steady mode on four kernels; one cell with and without
-iteration overrides.  The reference (``reference_cells``) runs once per
-key, one job per kernel on two processes.  Each column holds one fast
-path to it, one test per cell group (a scenario's group, a panel, a
-steady mode), naming failing cells; ``tests/invariants.py`` checks
-every run and schedule.  A new fast path is one more column.
+iteration overrides.  The reference (``reference_analyzer``'s schedule,
+then the scalar engine under steady ``off``) runs once per key, one job
+per kernel on two processes.  Each column holds one fast path to it,
+one test per cell group (a scenario's group, a panel, a steady mode)
+or, for the plan, per analyzer, naming failing cells;
+``tests/invariants.py`` checks every run and schedule.  A new fast path
+is one more column.
 """
 
 from __future__ import annotations
