@@ -8,8 +8,12 @@ every kernel's tasks under both modes with each tree's
 first, so drift in machine speed hits both trees alike.  Every run's
 ``SimulationResult`` must be the same in both trees and both modes: the
 script exits non-zero naming the first kernel whose results differ.
-Prints a markdown table of medians over the rounds; ``--json`` also
-writes every round's timings.
+Prints a markdown table of medians over the rounds, then a table of
+the detector work of one untimed ``auto`` pass per kernel and tree:
+calls to ``boundary`` (both detectors), to ``state_probe`` and to the
+pruned tier's ``probe_signature``, counted by wrapping the loaded
+tree's methods.  ``--json`` also writes every round's timings and the
+work counts.
 
 usage (from the repository root)::
 
@@ -30,23 +34,39 @@ import pathlib
 import statistics
 import sys
 import time
+from typing import NamedTuple
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 MODES = ("off", "auto")
+WORK = ("boundary", "state_probe", "pruned probe_signature")
 
 
-def load(src: pathlib.Path):
-    """Import ``repro`` afresh from ``src``; returns the tree's
-    ``VectorizedSimulator`` (an earlier tree's modules stay alive
-    through the objects that reference them)."""
+class Tree(NamedTuple):
+    """One loaded source tree: its simulator and the classes whose
+    methods :func:`count_work` wraps."""
+
+    simulator: type
+    memory: type
+    detectors: tuple
+
+
+def load(src: pathlib.Path) -> Tree:
+    """Import ``repro`` afresh from ``src`` (an earlier tree's modules
+    stay alive through the objects that reference them)."""
     for name in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
+        from repro.memory.hierarchy import DistributedMemorySystem
         from repro.simulator import VectorizedSimulator
+        from repro.steady import SteadyStateDetector
     finally:
         sys.path.remove(str(src))
-    return VectorizedSimulator
+    detectors = tuple(
+        cls for cls in SteadyStateDetector.__subclasses__()
+        if "boundary" in vars(cls)
+    )
+    return Tree(VectorizedSimulator, DistributedMemorySystem, detectors)
 
 
 def collect_tasks(scenario: str) -> list:
@@ -95,6 +115,38 @@ def time_tasks(simulator, tasks: list, mode: str) -> tuple:
     return total, results
 
 
+def count_work(tree: Tree, tasks: list) -> dict:
+    """Detector work of one ``auto`` pass over ``tasks``: calls to
+    ``boundary``, ``state_probe`` and ``probe_signature`` with a
+    ``live_prune`` predicate (the pruned tier)."""
+    counts = dict.fromkeys(WORK, 0)
+    wrapped = [(cls, "boundary", "boundary", False) for cls in tree.detectors]
+    wrapped += [
+        (tree.memory, "state_probe", "state_probe", False),
+        (tree.memory, "probe_signature", "pruned probe_signature", True),
+    ]
+    originals = []
+
+    def counting(method, work, pruned_only):
+        def call(*args, **kwargs):
+            if not pruned_only or kwargs.get("live_prune") is not None:
+                counts[work] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+    try:
+        for cls, name, work, pruned_only in wrapped:
+            method = vars(cls)[name]
+            originals.append((cls, name, method))
+            setattr(cls, name, counting(method, work, pruned_only))
+        time_tasks(tree.simulator, tasks, "auto")
+    finally:
+        for cls, name, method in originals:
+            setattr(cls, name, method)
+    return counts
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline_src", type=pathlib.Path)
@@ -124,7 +176,7 @@ def main(argv=None) -> None:
                 for tree in order:
                     for mode in MODES:
                         seconds, results = time_tasks(
-                            trees[tree], kernel_tasks, mode
+                            trees[tree].simulator, kernel_tasks, mode
                         )
                         times[kernel][mode][tree].append(seconds)
                         if expected is None:
@@ -156,6 +208,31 @@ def main(argv=None) -> None:
             totals[key] += value
         _row(kernel, cells)
     _row("total", totals)
+
+    # kernel -> tree -> work -> calls
+    work = {
+        kernel: {
+            tree: count_work(trees[tree], kernel_tasks) for tree in order
+        }
+        for kernel, kernel_tasks in by_kernel.items()
+    }
+    print()
+    print(
+        "| kernel | "
+        + " | ".join(f"{w}, baseline | {w}" for w in WORK)
+        + " |"
+    )
+    print("|" + " --- |" * (1 + 2 * len(WORK)))
+    for kernel in list(work) + ["total"]:
+        calls = [
+            sum(
+                work[k][tree][w]
+                for k in (work if kernel == "total" else (kernel,))
+            )
+            for w in WORK
+            for tree in ("baseline", "this")
+        ]
+        print(f"| {kernel} | " + " | ".join(map(str, calls)) + " |")
     if args.json is not None:
         args.json.write_text(
             json.dumps(
@@ -168,6 +245,7 @@ def main(argv=None) -> None:
                         for r in range(args.rounds)
                     ],
                     "seconds": times,
+                    "work": work,
                 },
                 indent=1,
             )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..machine.config import CacheConfig
@@ -136,9 +137,11 @@ _ONE_LINE = {
 }
 
 
+@lru_cache(maxsize=None)
 def _digest_weights(n_sets: int) -> Tuple[Tuple[int, ...], int]:
     """``(_R**index for every set index, _R**n_sets)``: line ``n`` of tag
-    ``t`` and set ``i`` weighs ``(_R**n_sets)**t * _R**i``."""
+    ``t`` and set ``i`` weighs ``(_R**n_sets)**t * _R**i``.  Built once
+    per set count and shared by every cache of that size."""
     weights = []
     weight = 1
     for _ in range(n_sets):

@@ -39,6 +39,10 @@ __all__ = [
 _MODIFIED = LineState.MODIFIED
 _SHARED = LineState.SHARED
 _INVALID = LineState.INVALID
+#: ``state -> state.value``: a dict lookup costs less than the enum's
+#: ``value`` descriptor, which :meth:`DistributedMemorySystem.snapshot`
+#: would call once per resident line.
+_STATE_VALUE = {state: state.value for state in LineState}
 
 
 class AccessLevel:
@@ -752,6 +756,13 @@ class DistributedMemorySystem:
             )
         )
 
+    def occupied_sets(self) -> Tuple[int, ...]:
+        """Each cache's count of non-empty sets: the length of its set
+        list in the whole-set signature.  No access, translation or
+        restore leaves a set's way list empty, so this is the size of
+        each set map, and it never falls between two resets."""
+        return tuple(len(cache._sets) for cache in self.caches)
+
     def counters(self) -> Tuple[int, ...]:
         """The counter vector: every additive statistic, in
         :meth:`counter_fields` order (for delta replay).
@@ -883,11 +894,12 @@ class DistributedMemorySystem:
         pickles compactly and loads without importing simulator state.
         """
         busy = self.bus._busy_until
+        value = _STATE_VALUE
         return {
             "caches": [
                 {
                     "sets": {
-                        index: [(line.tag, line.state.value) for line in ways]
+                        index: [(line.tag, value[line.state]) for line in ways]
                         for index, ways in cache._sets.items()
                     },
                     "in_flight": dict(cache.in_flight),

@@ -598,12 +598,17 @@ class LockstepSimulator:
 
         The engine supplies the walk (:meth:`_entry_walk`); this is the
         group walk both engines share.  Without an iteration detector
-        the entry is walked as one span.  With one, the walk is split at
-        modulo-pipeline group boundaries so the detector can observe
-        them.  A fast-forward shrinks the remaining iteration count:
-        skipped iterations were proven to repeat the detected cycle, and
-        the tail simulates identically in the fast-forwarded frame (the
-        run's finish() re-anchors the memory state afterwards)."""
+        the entry is walked as one span.  With one, the walk is split
+        only where the detector looks: groups ``0..k0-1`` as one span,
+        then one span of ``q`` groups per boundary ``k0 + m*q`` while
+        the run is active (its candidate periods are multiples of the
+        base period ``q``, so no other boundary can confirm one), then
+        the rest as one span.  A fast-forward shrinks the remaining
+        iteration count: skipped iterations were proven to repeat the
+        detected cycle, and the tail simulates identically in the
+        fast-forwarded frame (the run's finish() re-anchors the memory
+        state afterwards); groups past ``NITER + max stage`` of that
+        frame hold only skipped iterations and are not walked."""
         mem_base, mem_stride = self._entry_tables(outer)
         ready, walk = self._entry_walk(base, mem_base, mem_stride)
         n_groups = self.instance_group_bounds()[1]
@@ -619,17 +624,21 @@ class LockstepSimulator:
             return walk(0, n_groups, 0, self.n_iterations)
 
         effective_niter = self.n_iterations
-        offset = 0
         extra_stall = 0
-        for k in range(n_groups):
-            if run.active:
-                replay = run.boundary(k, offset)
-                if replay is not None:
-                    effective_niter -= replay.skipped
-                    extra_stall += replay.stall_cycles
-            offset = walk(k, k + 1, offset, effective_niter)
-            if k + 1 >= effective_niter + self._max_stage:
-                break  # every remaining instance is a skipped iteration's
+        q = detector.q
+        k = detector.k0
+        offset = walk(0, k, 0, effective_niter)
+        while run.active:
+            replay = run.boundary(k, offset)
+            if replay is not None:
+                effective_niter -= replay.skipped
+                extra_stall += replay.stall_cycles
+            last = effective_niter + self._max_stage
+            end = min(k + q, last) if run.active else last
+            offset = walk(k, end, offset, effective_niter)
+            if end == last:
+                break  # every later instance is a skipped iteration's
+            k = end
         run.finish()
         return offset + extra_stall
 

@@ -43,9 +43,11 @@ from ..store import ContentStore
 
 __all__ = ["WARM_STATE_VERSION", "WarmRecord", "WarmStateStore"]
 
-#: Bump when the record layout or snapshot format changes: the keys
-#: change, so older disk entries are never read again.
-WARM_STATE_VERSION = 2
+#: Bump when the record layout, the snapshot format or where the
+#: detectors confirm changes (an iteration record carries its
+#: ``detected_at``): the keys change, so older disk entries are never
+#: read again.
+WARM_STATE_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -136,12 +136,14 @@ class SteadyStateDetector(ABC):
     """One steady-state detection strategy at one kind of boundary.
 
     The simulator drives a detector through a stream of boundaries of
-    its kind (loop entries for ``entry``, modulo-pipeline groups
-    for ``iteration``).  ``boundary`` is called *before* simulating the
-    unit starting there and may answer with a :class:`Replay` once the
-    four protocol steps (capture, detect, prove, replay) have all
-    succeeded; ``commit`` is called *after* a unit was simulated in
-    full, so the detector can record its (stall, counters-delta) record.
+    its kind (loop entries for ``entry``; for ``iteration``, one
+    modulo-pipeline group boundary per base period, the smallest
+    iteration count whose address shift is whole cache lines).
+    ``boundary`` is called *before* simulating the unit starting there
+    and may answer with a :class:`Replay` once the four protocol steps
+    (capture, detect, prove, replay) have all succeeded; ``commit`` is
+    called *after* a unit was simulated in full, so the detector can
+    record its (stall, counters-delta) record.
 
     ``time`` is the boundary kind's own monotonic time coordinate — each
     detector defines it and anchors its signatures with it, and a driver

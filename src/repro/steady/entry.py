@@ -58,6 +58,7 @@ class EntrySteadyDetector(SteadyStateDetector):
         self.records: List[Tuple[int, Tuple[int, ...]]] = []
         self.cumulative_shift = 0
         self._counters_before: Optional[Tuple[int, ...]] = None
+        self._occupied: Optional[Tuple[int, ...]] = None
         # Optional warm-state capture hook: called as (match_start,
         # entry) right before a confirmed detection replays its deltas,
         # i.e. while the memory system still holds the pristine
@@ -78,6 +79,16 @@ class EntrySteadyDetector(SteadyStateDetector):
                 self.cumulative_shift = 0
             else:
                 self.cumulative_shift += delta
+        # Each cache's count of non-empty sets never falls within a run
+        # and is part of the whole-set signature, so a boundary that
+        # raised it cannot equal any earlier one and is not probed.  A
+        # state first reached here is then matched one entry later.
+        occupied = memory.occupied_sets()
+        grew = self._occupied is not None and occupied != self._occupied
+        self._occupied = occupied
+        if grew:
+            self._counters_before = memory.counters()
+            return None
         # Signatures normalize only by line-aligned shifts; the sub-line
         # remainder is keyed alongside, so two entries compare iff their
         # cumulative shifts differ by a whole number of shift units

@@ -42,10 +42,19 @@ memory system with
 any subsequent loop entry sees exactly the state full simulation would
 have produced.
 
-Even a state probe costs more than a group, so probing at every
+Candidate periods are multiples of the *base period*: the smallest
+``q`` with ``q * stride`` a whole number of cache lines, so the
+signature shift always commutes with line/set mapping.  A capture and
+its confirm are therefore always a multiple of ``q`` groups apart, and
+the run observes one boundary per base period — ``k0``, ``k0 + q``,
+``k0 + 2q``, ... — where ``k0`` is the first boundary with a full
+pipeline and a whole ready window; the executor walks the ``q`` groups
+between two of them as one span.
+
+Even a state probe costs more than a base period, so probing at every
 boundary would cost more than it saves.  Detection is therefore
-two-phase: a cheap per-group record — (stall delta, statistics deltas)
-— is kept for every group, candidate periods are spotted by pure tuple
+two-phase: a cheap record — (stall delta, statistics deltas) — is kept
+for every base period, candidate periods are spotted by pure tuple
 comparisons, and the memory state is probed only twice per candidate
 (capture and confirm) with
 :meth:`~repro.memory.hierarchy.DistributedMemorySystem.state_probe`.
@@ -53,18 +62,18 @@ A probe costs the sets touched since the previous one plus a dict copy
 per cache: its key is a shift-normalized digest of the per-set
 fragments plus the small exact parts, and the full signatures are
 rebuilt from the probes' witnesses only when the keys match.  The
-pruned second tier is lazier still: a capture keeps just its prune
-predicate, and both pruned signatures are rebuilt at confirm only when
-the whole comparison has failed.  Candidate periods are multiples of
-the smallest ``q`` with ``q * stride`` a whole number of cache lines, so
-the signature shift always commutes with line/set mapping.
+pruned second tier is lazier still: it runs only once a whole
+comparison has failed and only while some live line can be stripped at
+all, a capture keeps just its prune predicate, and both pruned
+signatures are rebuilt at confirm only when the whole comparison has
+failed again.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import sub
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .base import IterationSteadyState, Replay, SteadyStateDetector
 
@@ -167,7 +176,8 @@ class _EntryRun(SteadyStateDetector):
         self.active = True
         #: Remaining iterations in the current (pretend) frame.
         self.niter = detector.sim.n_iterations
-        #: (stall delta, counters delta) per finished group.
+        #: (stall delta, counters delta) per finished base period, at
+        #: the index of its last group (``None`` between them).
         self.records: List[Optional[Tuple[int, Tuple[int, ...]]]] = (
             [None] * detector.n_groups
         )
@@ -201,10 +211,12 @@ class _EntryRun(SteadyStateDetector):
 
     # ------------------------------------------------------------------
     def boundary(self, k: int, offset: int) -> Optional[Replay]:
-        """Observe the boundary before group ``k`` at stall ``offset``."""
+        """Observe the boundary before group ``k`` at stall ``offset``.
+
+        The executor calls it at ``k0`` and then once per base period
+        (``k0 + m*q``) while the run is active, so each record covers
+        the ``q`` groups since the previous boundary."""
         det = self.det
-        if k < det.k0:
-            return None
         if k >= self.niter:
             # Pipeline drain of the (possibly fast-forwarded) frame:
             # groups are partial from here on, nothing left to detect.
@@ -254,7 +266,8 @@ class _EntryRun(SteadyStateDetector):
                     # one period between capture and confirm, and only
                     # per-side envelopes keep the kept/pruned frontier
                     # at the same shift-relative position in both
-                    # states.
+                    # states.  The confirm's predicate is not None:
+                    # the capture's was not (see _live_prune_predicate).
                     live2: List[Tuple[int, int, str]] = []
                     pruned2 = memory.probe_signature(
                         probe2,
@@ -282,7 +295,7 @@ class _EntryRun(SteadyStateDetector):
 
     # ------------------------------------------------------------------
     def _search(self, k: int, offset: int) -> None:
-        """Cheap period search: spot a candidate from group records alone."""
+        """Cheap period search: spot a candidate from the records alone."""
         det = self.det
         records = self.records
         newest = records[k - 1]
@@ -303,9 +316,10 @@ class _EntryRun(SteadyStateDetector):
                 # state carrying one can only match under this pruned
                 # comparison.  Final entries only: translate() would
                 # misplace the stripped lines for a later entry's
-                # re-sweep.  The capture keeps only the predicate; its
-                # pruned signature is rebuilt from the probe's witness
-                # if the confirm ever needs it.
+                # re-sweep.  The capture keeps only the predicate (None
+                # when no line could be stripped); its pruned signature
+                # is rebuilt from the probe's witness if the confirm
+                # ever needs it.
                 self.pending = (
                     k,
                     period,
@@ -333,39 +347,44 @@ class _EntryRun(SteadyStateDetector):
         signature comparison, which is what lets kernels whose warm-up
         leaves non-translating live scars (turb3d on 2-cluster) still
         prove their steady period.
+
+        Returns ``None`` when (b) rejects every line: each cluster's own
+        envelopes reach every set of its cache.  The predicate would
+        strip nothing, so the pruned comparison would repeat the whole
+        one, which has already failed.  Envelopes only shrink as ``k``
+        grows, so a capture that gets ``None`` never has a confirm that
+        does not.
         """
         det = self.det
         sim = det.sim
         caches = sim.memory.caches
         span = sim.memory.signature_shift_unit()
         envelopes: List[Tuple[int, int]] = []
-        byte_bands: Dict[int, List[Tuple[int, int]]] = {}
+        # (b) per cluster: a flag per set of its cache, set when one of
+        # the cluster's own envelopes maps into it.
+        reached = [bytearray(cache.config.n_sets) for cache in caches]
         for op, lo, hi in self._remaining_envelopes(k):
             envelopes.append((lo, hi))
-            byte_bands.setdefault(sim._cluster[op], []).append((lo, hi))
+            config = caches[sim._cluster[op]].config
+            n_sets = config.n_sets
+            first = lo // config.line_size
+            count = min(hi // config.line_size - first + 1, n_sets)
+            s0 = first % n_sets
+            head = min(count, n_sets - s0)
+            sets = reached[sim._cluster[op]]
+            sets[s0:s0 + head] = b"\x01" * head
+            sets[:count - head] = b"\x01" * (count - head)
+        if all(0 not in sets for sets in reached):
+            return None
 
         def prunable(cluster: int, line_addr: int) -> bool:
+            # (b) set reachability from the line's own cluster.
+            if reached[cluster][caches[cluster].config.set_index(line_addr)]:
+                return False
             # (a) address reachability, widened to a full shift unit so
             # any cache's line span is covered (mirrors the ghost check).
             for lo, hi in envelopes:
                 if line_addr <= hi and line_addr + span - 1 >= lo:
-                    return False
-            # (b) set reachability from the line's own cluster.
-            config = caches[cluster].config
-            line_size = config.line_size
-            n_sets = config.n_sets
-            scar_set = config.set_index(line_addr)
-            for lo, hi in byte_bands.get(cluster, ()):
-                first = lo // line_size
-                last = hi // line_size
-                if last - first + 1 >= n_sets:
-                    return False
-                s0 = first % n_sets
-                s1 = last % n_sets
-                if s0 <= s1:
-                    if s0 <= scar_set <= s1:
-                        return False
-                elif scar_set >= s0 or scar_set <= s1:
                     return False
             return True
 

@@ -3,6 +3,7 @@
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import invariants
 from repro.cme.sampling import _FunctionalCache
 from repro.ir.references import AffineExpr, Array, ArrayReference
 from repro.machine import two_cluster, unified
@@ -12,7 +13,7 @@ from repro.memory.coherence import BusOp, MSIController
 from repro.scheduler import BaselineScheduler
 from repro.scheduler.lifetimes import cluster_pressures
 from repro.scheduler.mii import compute_mii
-from repro.simulator import simulate
+from repro.simulator import VectorizedSimulator
 from repro.workloads import GeneratorConfig, random_kernel
 
 _SLOW = settings(
@@ -162,11 +163,14 @@ def test_random_kernels_pressure_within_register_files(seed):
 
 @_SLOW
 @given(seed=st.integers(0, 10_000))
-def test_simulation_total_is_compute_plus_stall(seed):
+def test_random_runs_keep_the_timing_invariants(seed):
     kernel = random_kernel(seed, _GEN_CONFIG)
     schedule = BaselineScheduler().schedule(kernel, unified())
-    result = simulate(schedule, n_iterations=min(8, kernel.loop.n_iterations))
-    assert result.total_cycles == result.compute_cycles + result.stall_cycles
+    simulator = VectorizedSimulator(
+        schedule, n_iterations=min(8, kernel.loop.n_iterations)
+    )
+    result = simulator.run()
+    invariants.check_run(simulator, result)
     assert result.stall_cycles >= 0
 
 

@@ -303,3 +303,41 @@ class TestStateProbe:
             assert sorted(witness_out) == sorted(walk_out), seed
 
         _drive(memory, rng, n_ops=60, probe=probe)
+
+
+class TestOccupiedSets:
+    """``occupied_sets`` (each cache's count of non-empty sets) lets the
+    entry detector skip its probe wherever the count grew.  That is
+    exact only because no way list is ever left empty: the count is
+    then each set map's size and the length of each cache's set list in
+    the whole-set signature, and no mutation but a reset removes a
+    set."""
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_no_way_list_is_left_empty(self, seed):
+        rng = random.Random(seed)
+        machine = rng.choice(_MACHINES)()
+        memory = DistributedMemorySystem(machine)
+
+        def check(system, time):
+            for cache in system.caches:
+                assert all(cache._sets.values())
+            caches = system.state_signature(time)[0]
+            assert system.occupied_sets() == tuple(
+                len(sets) for sets, _fills, _mshr in caches
+            )
+
+        time = _drive(memory, rng, 200, lambda t: check(memory, t))
+        check(memory, time)
+        occupied = memory.occupied_sets()
+        memory.translate(7, 3 * memory.signature_shift_unit())
+        assert memory.occupied_sets() == occupied
+        check(memory, time + 7)
+        restored = DistributedMemorySystem(machine)
+        restored.restore(memory.snapshot())
+        assert restored.occupied_sets() == occupied
+        check(restored, time + 7)
