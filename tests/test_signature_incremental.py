@@ -16,6 +16,7 @@ the other direction: probing (which prunes expired in-flight entries in
 place) must never change observable behaviour.
 """
 
+import operator
 import random
 from dataclasses import replace
 
@@ -322,14 +323,21 @@ class TestOccupiedSets:
         rng = random.Random(seed)
         machine = rng.choice(_MACHINES)()
         memory = DistributedMemorySystem(machine)
+        # A reset replaces the statistics object; between two resets no
+        # count may fall.
+        seen = {"stats": memory.stats, "occupied": memory.occupied_sets()}
 
         def check(system, time):
             for cache in system.caches:
                 assert all(cache._sets.values())
+            occupied = system.occupied_sets()
             caches = system.state_signature(time)[0]
-            assert system.occupied_sets() == tuple(
+            assert occupied == tuple(
                 len(sets) for sets, _fills, _mshr in caches
             )
+            if system.stats is seen["stats"]:
+                assert all(map(operator.ge, occupied, seen["occupied"]))
+            seen.update(stats=system.stats, occupied=occupied)
 
         time = _drive(memory, rng, 200, lambda t: check(memory, t))
         check(memory, time)
