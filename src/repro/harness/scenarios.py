@@ -447,10 +447,12 @@ class ScenarioSpec:
         kernels = (
             list(kernels) if kernels is not None else self.build_kernels()
         )
+        # One machine per group: each new config encodes its key once.
+        machines = [group.machine.build() for group in self.groups]
         return [
             CellSpec.of(
                 kernel,
-                group.machine.build(),
+                machine,
                 group.scheduler,
                 threshold,
                 n_iterations=self.n_iterations,
@@ -459,7 +461,7 @@ class ScenarioSpec:
                     group.steady if group.steady is not None else self.steady
                 ),
             )
-            for group in self.groups
+            for group, machine in zip(self.groups, machines)
             for threshold in self.thresholds
             for kernel in kernels
         ]

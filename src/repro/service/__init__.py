@@ -21,13 +21,20 @@ Layering (each module usable on its own):
 * :mod:`repro.service.server` — the endpoint routing and the asyncio
   server (:class:`ExperimentServer`, plus the test-friendly
   :class:`ServerThread`);
-* :mod:`repro.service.export` — npz/csv quick-look artifacts from any
-  result set, rendered in memory;
+* :mod:`repro.service.export` — the result payload, the export rows
+  derived from it, and npz/csv quick-look artifacts rendered in memory;
 * :mod:`repro.service.client` — the stdlib ``urllib`` client behind
   ``repro submit`` and the end-to-end tests.
 """
 
-from .backend import BACKEND_KINDS, DiskBackend, MemoryBackend, ResultBackend, make_backend
+from .backend import (
+    BACKEND_KINDS,
+    DiskBackend,
+    MemoryBackend,
+    ResultBackend,
+    json_with_result,
+    make_backend,
+)
 from .client import ServiceClient, ServiceError
 from .export import (
     EXPORT_FORMATS,
@@ -35,8 +42,11 @@ from .export import (
     export_records,
     load_npz,
     outcome_records,
+    payload_records,
     records_to_npz,
     render_records,
+    render_result,
+    result_payload,
 )
 from .jobs import Job, JobManager
 from .server import ExperimentServer, ServerThread, run_server
@@ -55,10 +65,14 @@ __all__ = [
     "ServiceError",
     "export_outcome",
     "export_records",
+    "json_with_result",
     "load_npz",
     "make_backend",
     "outcome_records",
+    "payload_records",
     "records_to_npz",
     "render_records",
+    "render_result",
+    "result_payload",
     "run_server",
 ]

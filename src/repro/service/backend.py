@@ -1,17 +1,21 @@
 """Pluggable job-record persistence.
 
-The service stores one JSON-serializable record per job (spec, state,
-telemetry, result payload, export records).  :class:`ResultBackend` is
-the seam that keeps laptop runs zero-dependency while allowing a real
-deployment to swap in a shared store: the in-proc :class:`MemoryBackend`
-is the default, :class:`DiskBackend` persists records as JSON files so
-jobs survive a restart, and an external store only has to implement the
-same three methods.
+The service stores one record per job (spec, state, telemetry, result).
+:class:`ResultBackend` is the seam that keeps laptop runs
+zero-dependency while allowing a real deployment to swap in a shared
+store: the in-proc :class:`MemoryBackend` is the default,
+:class:`DiskBackend` persists records as JSON files so jobs survive a
+restart, and an external store only has to implement the same three
+methods.
 
-Records are plain dicts of JSON types — by construction (the
-:class:`~repro.service.jobs.JobManager` serializes results through
-``RunResult.canonical()`` / the figure payload before they get here), so
-every backend can persist them without pickling live objects.
+Records are plain dicts of JSON types, but for ``result``: the job's
+result payload already encoded as JSON bytes (``None`` until the job
+is done).  The :class:`~repro.service.jobs.JobManager` encodes it once,
+at the job's terminal save, and never again: the memory backend keeps
+the very bytes the job holds, and :func:`json_with_result` splices them
+into a disk record or a ``/result`` body as they are.  A record holds
+no export rows; exports are derived from the result
+(:func:`~repro.service.export.payload_records`).
 """
 
 from __future__ import annotations
@@ -25,11 +29,22 @@ from ..store import atomic_write
 
 __all__ = [
     "BACKEND_KINDS",
+    "json_with_result",
     "ResultBackend",
     "MemoryBackend",
     "DiskBackend",
     "make_backend",
 ]
+
+
+def json_with_result(
+    fields: Dict[str, object], result: Optional[bytes], sort_keys: bool = False
+) -> bytes:
+    """``fields`` as a JSON object, plus a ``result`` member holding the
+    encoded ``result`` bytes as they are (``null`` for ``None``)."""
+    head = json.dumps(fields, sort_keys=sort_keys).encode()
+    member = b'"result": ' + (b"null" if result is None else result)
+    return (head[:-1] + b", " if fields else b"{") + member + b"}"
 
 
 class ResultBackend:
@@ -86,12 +101,20 @@ class DiskBackend(ResultBackend):
         return self.directory / f"{job_id}.json"
 
     def save(self, record: Dict[str, object]) -> None:
-        # Key order is kept: an export's columns follow its records'.
+        fields = {key: value for key, value in record.items() if key != "result"}
         atomic_write(
-            self._path(str(record["id"])), json.dumps(record).encode()
+            self._path(str(record["id"])),
+            json_with_result(fields, record.get("result")),
         )
 
     def load(self, job_id: str) -> Optional[Dict[str, object]]:
+        """The saved record, its ``result`` encoded again as bytes.
+
+        A decoded payload keeps its key order, so the bytes are the
+        ones the save spliced in.  A record saved with ``export_records``
+        (the layout before exports were derived) loads too; the job
+        ignores that key.
+        """
         path = self._path(job_id)
         if not path.exists():
             return None
@@ -99,9 +122,11 @@ class DiskBackend(ResultBackend):
             record = json.loads(path.read_text())
             if not isinstance(record, dict) or record.get("id") != job_id:
                 raise ValueError("foreign job record")
-            return record
         except Exception:
             return None
+        if record.get("result") is not None:
+            record["result"] = json.dumps(record["result"]).encode()
+        return record
 
     def records(self) -> List[Dict[str, object]]:
         """Every readable record, each file parsed once, sorted by the

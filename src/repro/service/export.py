@@ -14,11 +14,13 @@ without re-running anything:
   float64), and everything else is stored as fixed-width unicode — no
   pickled objects, so archives load with ``allow_pickle=False``.
 
-:func:`outcome_records` flattens a
-:class:`~repro.harness.scenarios.ScenarioOutcome` (grid rows or figure
-records) and the service's export endpoint, the ``repro export`` CLI
-and the round-trip tests all share it.  :func:`render_records` renders
-either format in memory; the endpoint serves its bytes and
+:func:`payload_records` derives the rows from a result payload (the
+JSON body :func:`result_payload` builds, which is what the service
+keeps of a finished job), and :func:`outcome_records` is that function
+over a :class:`~repro.harness.scenarios.ScenarioOutcome`'s payload, so
+the service's export endpoint, the ``repro export`` CLI and the
+round-trip tests all derive rows one way.  :func:`render_records`
+renders either format in memory; the endpoint serves its bytes and
 :func:`export_records` writes them, so a ``repro export`` file and an
 ``/export`` body are the same bytes (the npz's zip timestamps aside).
 """
@@ -26,25 +28,27 @@ either format in memory; the endpoint serves its bytes and
 from __future__ import annotations
 
 import io
+import json
 import math
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..engine.result import RunResult
-from ..harness.io import render_csv
+from ..harness.io import figure_payload, render_csv
 from ..harness.scenarios import ScenarioOutcome
 
 __all__ = [
     "EXPORT_FORMATS",
-    "result_record",
+    "result_payload",
+    "payload_records",
     "outcome_records",
     "render_npz",
     "records_to_npz",
     "load_npz",
     "render_records",
+    "render_result",
     "export_records",
     "export_outcome",
 ]
@@ -52,33 +56,53 @@ __all__ = [
 EXPORT_FORMATS = ("npz", "csv")
 
 
-def result_record(
-    result: RunResult, group: Optional[str] = None
-) -> Dict[str, object]:
-    """One cell's flat export row (simulation counters + schedule facts)."""
-    record: Dict[str, object] = {}
-    if group is not None:
-        record["group"] = group
-    record.update(result.simulation.as_dict())
-    record["mii"] = result.schedule.mii
-    record["stage_count"] = result.schedule.stage_count
-    record["communications"] = result.schedule.n_communications
-    return record
+def result_payload(outcome: ScenarioOutcome) -> Dict[str, object]:
+    """The JSON result body — bit-identical to what the in-process APIs
+    produce (``RunResult.canonical()`` rows; the shared figure payload)."""
+    if outcome.figure is not None:
+        return {"kind": "figure", "figure": figure_payload(outcome.figure)}
+    return {
+        "kind": "grid",
+        "rows": [
+            {
+                "group": label,
+                "threshold": threshold,
+                "kernel": kernel,
+                "result": result.canonical(),
+            }
+            for label, threshold, kernel, result in outcome.iter_rows()
+        ],
+    }
+
+
+def payload_records(payload: Dict[str, object]) -> List[Dict[str, object]]:
+    """A result payload's export rows, in enumeration order.
+
+    Figure payloads already carry per-kernel records (with the
+    ``norm_*`` columns the figures add), copied here.  A grid row is
+    its group label, the simulation's counters and three schedule
+    facts read from the canonical result: ``mii``, ``stage_count``
+    (the simulation's ``sc``) and ``communications`` (how many the
+    schedule has).  The payload may be decoded JSON or built in
+    process; the rows are the same.
+    """
+    if payload["kind"] == "figure":
+        return [dict(record) for record in payload["figure"]["records"]]
+    records = []
+    for row in payload["rows"]:
+        result = row["result"]
+        record: Dict[str, object] = {"group": row["group"]}
+        record.update(result["simulation"])
+        record["mii"] = result["mii"]
+        record["stage_count"] = result["simulation"]["sc"]
+        record["communications"] = len(result["communications"])
+        records.append(record)
+    return records
 
 
 def outcome_records(outcome: ScenarioOutcome) -> List[Dict[str, object]]:
-    """Flatten a scenario outcome into export rows, enumeration order.
-
-    Figure outcomes already carry per-kernel records (with the
-    ``norm_*`` columns the figures add); grid outcomes are flattened
-    through :func:`result_record` with the group label attached.
-    """
-    if outcome.figure is not None:
-        return [dict(record) for record in outcome.figure.records]
-    return [
-        result_record(result, group=label)
-        for label, _threshold, _kernel, result in outcome.iter_rows()
-    ]
+    """Flatten a scenario outcome into export rows, enumeration order."""
+    return payload_records(result_payload(outcome))
 
 
 def _column(values: List[object], key: str) -> np.ndarray:
@@ -151,6 +175,11 @@ def render_records(
     raise ValueError(
         f"unknown export format {format!r}; choose from {EXPORT_FORMATS}"
     )
+
+
+def render_result(result_json: bytes, format: str) -> bytes:
+    """An encoded result payload's rows as :func:`render_records` bytes."""
+    return render_records(payload_records(json.loads(result_json)), format)
 
 
 def export_records(

@@ -29,10 +29,19 @@ installs its per-cell callback on the grid, events append to the job's
 list under a condition variable, and each append calls the job's
 subscribers (:meth:`Job.subscribe`), which is how the server's NDJSON
 handler learns to drain them by cursor (:meth:`Job.events_since`).
+
+A finished job holds its result once, as bytes: the worker encodes the
+result payload to JSON a single time, in the job's terminal save, and
+keeps only that encoding (:attr:`Job.result_json`), which the memory
+backend shares and which the disk record and the ``/result`` body
+splice in unchanged.  Exports are derived from it on demand
+(:func:`~repro.service.export.render_result`), so no job keeps export
+rows.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -43,9 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cme.locality import locality_fingerprint
 from ..harness.grid import CellSpec, ExperimentGrid
-from ..harness.io import figure_payload
 from ..harness.scenarios import (
-    ScenarioOutcome,
     ScenarioSpec,
     get_scenario,
     run_scenario,
@@ -53,7 +60,7 @@ from ..harness.scenarios import (
 )
 from ..steady import validate_steady_mode
 from .backend import MemoryBackend, ResultBackend
-from .export import outcome_records
+from .export import result_payload
 
 __all__ = ["JOB_STATES", "Job", "JobManager"]
 
@@ -66,10 +73,13 @@ class Job:
 
     Everything a client can see lives here: the (resolved) spec, the
     run overrides, the state machine, the monotonically growing event
-    list, and — once terminal — the result payload, flat export records
-    and per-job store telemetry.  Mutation happens only on the manager's
-    worker thread; reads may come from any thread, so state transitions
-    and event appends happen under :attr:`condition`.
+    list, and — once terminal — per-job store telemetry and, when done,
+    the result payload encoded once as JSON bytes (:attr:`result_json`;
+    :attr:`result` decodes a copy for in-process callers).  A job keeps
+    no export rows: they are derived from those bytes.  Mutation
+    happens only on the manager's worker thread; reads may come from
+    any thread, so state transitions and event appends happen under
+    :attr:`condition`.
 
     Subscribers are how a reader learns of new events without polling.
     A subscriber is a callable taking no arguments.  Every event append
@@ -98,8 +108,8 @@ class Job:
         self.created = time.time()
         self.started: Optional[float] = None
         self.finished: Optional[float] = None
-        self.result: Optional[Dict[str, object]] = None
-        self.export_records: Optional[List[Dict[str, object]]] = None
+        #: The result payload as JSON, in the payload's own key order.
+        self.result_json: Optional[bytes] = None
         self.telemetry: Optional[Dict[str, object]] = None
         self.condition = threading.Condition()
         self.events: List[Dict[str, object]] = []
@@ -126,8 +136,7 @@ class Job:
         job.started = record["started"]
         job.finished = record["finished"]
         job.error = record["error"]
-        job.result = record["result"]
-        job.export_records = record["export_records"]
+        job.result_json = record["result"]
         job.telemetry = record["telemetry"]
         job.state = record["state"]
         if not job.is_terminal:
@@ -210,6 +219,13 @@ class Job:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
+    @property
+    def result(self) -> Optional[Dict[str, object]]:
+        """The result payload, decoded afresh on each read."""
+        if self.result_json is None:
+            return None
+        return json.loads(self.result_json)
+
     def describe(self) -> Dict[str, object]:
         """The job summary ``GET /jobs`` and ``GET /jobs/<id>`` serve."""
         with self.condition:
@@ -230,8 +246,7 @@ class Job:
         """The full JSON record the :class:`ResultBackend` persists."""
         record = self.describe()
         record["spec"] = self.spec.to_dict()
-        record["result"] = self.result
-        record["export_records"] = self.export_records
+        record["result"] = self.result_json
         record["telemetry"] = self.telemetry
         return record
 
@@ -251,31 +266,19 @@ def _progress_event(
     }
 
 
-def _result_payload(outcome: ScenarioOutcome) -> Dict[str, object]:
-    """The JSON result body — bit-identical to what the in-process APIs
-    produce (``RunResult.canonical()`` rows; the shared figure payload)."""
-    if outcome.figure is not None:
-        return {"kind": "figure", "figure": figure_payload(outcome.figure)}
-    return {
-        "kind": "grid",
-        "rows": [
-            {
-                "group": label,
-                "threshold": threshold,
-                "kernel": kernel,
-                "result": result.canonical(),
-            }
-            for label, threshold, kernel, result in outcome.iter_rows()
-        ],
-    }
-
-
 #: The keys ``POST /jobs`` accepts.
 _SUBMIT_KEYS = frozenset({"scenario", "spec", "steady"})
 
 
 class JobManager:
-    """Owns the persistent grids and runs submitted jobs against them."""
+    """Owns the persistent grids and runs submitted jobs against them.
+
+    A job's terminal save encodes its result payload once (after
+    ``finished`` is stamped, before the terminal event); the job and
+    the backend keep those bytes and nothing decoded, so what a
+    finished job holds for the life of the process is its encoded
+    result, its events and its telemetry.
+    """
 
     def __init__(
         self,
@@ -523,8 +526,6 @@ class JobManager:
                 before, self._store_snapshot(grid)
             )
             with job.condition:
-                job.result = _result_payload(outcome)
-                job.export_records = outcome_records(outcome)
                 job.telemetry = telemetry
                 job.finished = time.time()
             state, extra = "done", {"telemetry": telemetry}
@@ -534,12 +535,15 @@ class JobManager:
                 job.finished = time.time()
             state, extra = "failed", {"error": job.error}
         # Announce the terminal state only once its record is saved, so
-        # a client never sees an outcome the backend does not hold.
+        # a client never sees an outcome the backend does not hold.  The
+        # result is encoded here, once; the job keeps only these bytes.
         try:
+            if state == "done":
+                job.result_json = json.dumps(result_payload(outcome)).encode()
             self.backend.save({**job.record(), "state": state})
         except Exception as exc:
             with job.condition:
-                job.result = job.export_records = None
+                job.result_json = None
                 job.error = (
                     f"saving the job record failed: "
                     f"{type(exc).__name__}: {exc}"

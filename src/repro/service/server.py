@@ -17,7 +17,11 @@ thread — and nothing on it polls:
   ``loop.call_soon_threadsafe``, at most one pending wakeup at a time,
   and each wakeup sends every fresh event with one write and one drain
   (:class:`_Wakeup`).
-* Exports are rendered in memory (:func:`~repro.service.export.render_records`).
+* ``/result`` sends the bytes the job's terminal save encoded, spliced
+  into its JSON body without encoding the payload again
+  (:func:`~repro.service.backend.json_with_result`).
+* Exports are derived from those bytes and rendered in memory, off the
+  loop (:func:`~repro.service.export.render_result`).
 
 Endpoints::
 
@@ -46,7 +50,8 @@ import threading
 from typing import Optional
 
 from ..harness.scenarios import scenario_listing
-from .export import EXPORT_FORMATS, render_records
+from .backend import json_with_result
+from .export import EXPORT_FORMATS, render_result
 from .http import (
     HttpError,
     HttpRequest,
@@ -197,14 +202,14 @@ class ExperimentServer:
                 f"job {job.id} is {job.state}; the result exists only "
                 f"once the job is done or failed",
             )
-        payload = {
+        fields = {
             "id": job.id,
             "state": job.state,
             "error": job.error,
-            "result": job.result,
             "telemetry": job.telemetry,
         }
-        await send_json(writer, 200, payload)
+        body = json_with_result(fields, job.result_json, sort_keys=True)
+        await send_bytes(writer, 200, body, "application/json")
 
     async def _stream_events(
         self, job: Job, request: HttpRequest, writer
@@ -249,13 +254,11 @@ class ExperimentServer:
             raise HttpError(
                 409, f"job {job.id} is {job.state}; nothing to export yet"
             )
-        if not job.export_records:
-            raise HttpError(
-                409, f"job {job.id} {job.state} without result records"
-            )
-        # An npz compresses: render off the loop.
+        if job.result_json is None:
+            raise HttpError(409, f"job {job.id} {job.state} without a result")
+        # Decoding and rendering (an npz compresses) run off the loop.
         body = await asyncio.get_running_loop().run_in_executor(
-            None, render_records, job.export_records, fmt
+            None, render_result, job.result_json, fmt
         )
         await send_bytes(writer, 200, body, _EXPORT_CONTENT_TYPES[fmt])
 

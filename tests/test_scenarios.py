@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.cme import SamplingCME
 from repro.engine import StageStore
-from repro.harness.grid import ExperimentGrid
+from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.harness.scenarios import (
     ABLATION_KERNELS,
     GroupSpec,
@@ -21,6 +21,7 @@ from repro.harness.scenarios import (
     scenario_listing,
     scenario_names,
 )
+from repro.machine.config import MachineConfig
 
 from reference_cells import stage_work
 
@@ -287,6 +288,41 @@ class TestExpansion:
         assert [s.scheduler for s in specs] == ["baseline"] * 4 + ["rmca"] * 4
         assert [s.threshold for s in specs] == [1.0, 1.0, 0.0, 0.0] * 2
         assert [s.kernel for s in specs] == ["tomcatv", "swim"] * 4
+
+    @pytest.mark.parametrize(
+        "name", ["bus-design-space-smoke", "fig6-steady-ablation"]
+    )
+    def test_expansion_encodes_one_machine_per_group(self, name, monkeypatch):
+        scenario = get_scenario(name)
+        kernels = scenario.build_kernels()
+        # The cells as built with a new machine per cell.
+        per_cell = [
+            CellSpec.of(
+                kernel,
+                group.machine.build(),
+                group.scheduler,
+                threshold,
+                n_iterations=scenario.n_iterations,
+                n_times=scenario.n_times,
+                steady=(
+                    group.steady if group.steady is not None
+                    else scenario.steady
+                ),
+            )
+            for group in scenario.groups
+            for threshold in scenario.thresholds
+            for kernel in kernels
+        ]
+        encoded = []
+        to_dict = MachineConfig.to_dict
+
+        def _counting_to_dict(machine):
+            encoded.append(machine)
+            return to_dict(machine)
+
+        monkeypatch.setattr(MachineConfig, "to_dict", _counting_to_dict)
+        assert scenario.expand(kernels) == per_cell
+        assert len(encoded) == len(scenario.groups)
 
     def test_sim_overrides_reach_cellspecs(self):
         specs = _tiny_scenario().expand()

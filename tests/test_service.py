@@ -10,9 +10,11 @@ identical job answered from the persistent stage stores.
 import asyncio
 import gc
 import json
+import pathlib
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -20,6 +22,8 @@ from urllib.request import urlopen
 
 import pytest
 
+from repro.cli import main
+from repro.harness import scenarios as scenarios_module
 from repro.harness.grid import ExperimentGrid
 from repro.harness.io import figure_payload
 from repro.harness.scenarios import (
@@ -41,6 +45,7 @@ from repro.service import (
     load_npz,
     make_backend,
     outcome_records,
+    render_records,
 )
 from repro.service import server as server_module
 from repro.service.jobs import Job
@@ -62,6 +67,28 @@ def _tiny_spec_dict(name="svc-tiny", kernels=("tomcatv",)):
         n_iterations=8,
         n_times=2,
     ).to_dict()
+
+
+def _tiny_figure_spec_dict(name="svc-tiny-figure"):
+    return ScenarioSpec(
+        name=name,
+        description="service test figure scenario",
+        figure="figure6",
+        figure_args=(
+            ("bus_counts", (1,)),
+            ("bus_latencies", (1,)),
+            ("n_clusters", 2),
+        ),
+        kernels=("tomcatv",),
+    ).to_dict()
+
+
+#: A job record saved before exports were derived from the result: it
+#: carries the export rows as ``export_records`` (2-cluster RMCA cells
+#: with register communications).
+LEGACY_RECORD = (
+    pathlib.Path(__file__).parent / "data" / "job_record_with_export_rows.json"
+)
 
 
 @dataclass(frozen=True)
@@ -494,6 +521,8 @@ class TestBackends:
         assert backend.load(job.id)["state"] == "queued"
 
     def test_served_jobs_persist_through_disk_backend(self, tmp_path):
+        """The file holds the result as JSON; a load hands back the
+        bytes the job encoded, and no record carries export rows."""
         manager = JobManager(backend=DiskBackend(tmp_path / "jobs"))
         with ServerThread(manager=manager) as srv:
             client = ServiceClient(srv.url)
@@ -501,9 +530,12 @@ class TestBackends:
             client.wait(job["id"])
         record = DiskBackend(tmp_path / "jobs").load(job["id"])
         assert record["state"] == "done"
-        assert record["result"]["kind"] == "grid"
+        assert record["result"] == manager.job(job["id"]).result_json
+        assert json.loads(record["result"])["kind"] == "grid"
         assert record["telemetry"]["grid"]["computed"] == 1
-        assert record["export_records"]
+        assert "export_records" not in record
+        saved = json.loads((tmp_path / "jobs" / f"{job['id']}.json").read_text())
+        assert saved["result"] == json.loads(record["result"])
 
     @staticmethod
     def _served(client, job_id, tmp_path):
@@ -545,6 +577,36 @@ class TestBackends:
         assert events == [{**before[4][-1], "seq": 0}]
         assert fresh["sequence"] == described["sequence"] + 1
 
+    def test_record_with_export_rows_is_served_unchanged(self, tmp_path):
+        """A record that carries ``export_records`` loads after a restart;
+        its exports, derived from its result, are the rows it saved."""
+        saved = json.loads(LEGACY_RECORD.read_text())
+        directory = tmp_path / "jobs"
+        directory.mkdir()
+        (directory / f"{saved['id']}.json").write_text(
+            LEGACY_RECORD.read_text()
+        )
+        with ServerThread(
+            manager=JobManager(backend=DiskBackend(directory))
+        ) as srv:
+            client = ServiceClient(srv.url)
+            (described,) = client.jobs()
+            result = client.result(saved["id"])
+            csv = client.export(saved["id"], "csv")
+            npz = tmp_path / "served.npz"
+            npz.write_bytes(client.export(saved["id"], "npz"))
+        # A restarted job streams only its terminal event.
+        assert described.pop("n_events") == 1
+        assert described == {key: saved[key] for key in described}
+        assert result == {
+            key: saved[key]
+            for key in ("id", "state", "error", "result", "telemetry")
+        }
+        assert csv == render_records(saved["export_records"], "csv")
+        expected = tmp_path / "saved.npz"
+        expected.write_bytes(render_records(saved["export_records"], "npz"))
+        assert load_npz(npz) == load_npz(expected)
+
     def test_unfinished_record_fails_on_restart(self, tmp_path):
         """A record a dead process left ``queued`` or ``running`` comes
         back ``failed``, naming the restart, and is saved that way."""
@@ -581,6 +643,76 @@ class TestBackends:
             "saved1", "saved2", "saved3"
         ]
         assert len(reads) == 3
+
+
+class TestExportParity:
+    @pytest.mark.parametrize(
+        "spec", [_tiny_spec_dict("parity-grid"), _tiny_figure_spec_dict()],
+        ids=["grid", "figure"],
+    )
+    def test_export_bodies_are_repro_export_files(
+        self, service, spec, tmp_path, monkeypatch, capsys
+    ):
+        """``/export`` serves what ``repro export`` writes for the same
+        scenario: csv bytes equal, npz records equal."""
+        _srv, client = service
+        scenario = ScenarioSpec.from_dict(spec)
+        monkeypatch.setitem(scenarios_module._REGISTRY, scenario.name, scenario)
+        job_id = client.submit(scenario=scenario.name)["id"]
+        assert client.wait(job_id)["state"] == "done"
+        for fmt in ("csv", "npz"):
+            assert main(
+                ["export", scenario.name, "--format", fmt, "--no-cache",
+                 "--no-progress", "--out", str(tmp_path / f"local.{fmt}")]
+            ) == 0
+        capsys.readouterr()
+        assert client.export(job_id, "csv") == (
+            tmp_path / "local.csv"
+        ).read_bytes()
+        served = tmp_path / "served.npz"
+        served.write_bytes(client.export(job_id, "npz"))
+        assert load_npz(served) == load_npz(tmp_path / "local.npz")
+
+
+class TestRetention:
+    #: Store-served jobs measured; fig6-smoke is warm from ``smoke_run``.
+    JOBS = 5
+    #: Traced memory a finished job may keep, per byte of result JSON
+    #: (the encoded result, its events and its telemetry read about
+    #: 1.6x; keeping decoded payloads and export rows read about 4.7x).
+    BOUND = 2.5
+
+    def test_finished_job_holds_its_result_once(self, service, smoke_run):
+        srv, _client = service
+        manager = srv.manager
+        spec = get_scenario("fig6-smoke")
+        jobs = []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(self.JOBS):
+                job = manager.submit(spec)
+                assert job.wait(timeout=120) and job.state == "done"
+                jobs.append(job)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_job = retained / self.JOBS
+        encoded = len(jobs[0].result_json)
+        assert per_job <= self.BOUND * encoded, (
+            f"a finished fig6-smoke job keeps {per_job / 1024:.0f} KiB "
+            f"for a {encoded / 1024:.0f} KiB result"
+        )
+        for job in jobs:
+            record = manager.backend.load(job.id)
+            # One encoded copy, shared by the job and the backend.
+            assert type(job.result_json) is bytes
+            assert record["result"] is job.result_json
+            assert set(record) == set(job.record())
+            assert not {"result", "export_records"} & set(vars(job))
+            assert "export_records" not in record
 
 
 class TestParsePayload:
