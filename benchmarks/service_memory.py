@@ -10,6 +10,10 @@ rounds twice, each round in mix order:
   before and after each job, for the RSS growth per job;
 * under ``tracemalloc``, collecting garbage before and after each job,
   for the traced memory a finished job leaves behind (``retained``).
+  One traced round runs first and is not counted: a scenario's first
+  traced job also counts each long-lived object it replaces, since
+  ``tracemalloc`` never saw the untraced predecessor it frees
+  (fig6-2cluster read about 400 KiB for that job, 262 KiB after).
 
 Prints a markdown table, one row per scenario: jobs measured, retained
 KiB per job, the result payload's JSON KiB, retained ÷ JSON, events per
@@ -81,6 +85,8 @@ def main() -> int:
                 run(manager, name)
                 rows[name]["rss"] += rss() - before
         tracemalloc.start()
+        for name in MIX:
+            run(manager, name)
         for _ in range(args.rounds):
             for name in MIX:
                 gc.collect()

@@ -45,7 +45,6 @@ from .export import (
     payload_records,
     records_to_npz,
     render_records,
-    render_result,
     result_payload,
 )
 from .jobs import Job, JobManager
@@ -72,7 +71,6 @@ __all__ = [
     "payload_records",
     "records_to_npz",
     "render_records",
-    "render_result",
     "result_payload",
     "run_server",
 ]

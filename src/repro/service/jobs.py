@@ -29,14 +29,6 @@ installs its per-cell callback on the grid, events append to the job's
 list under a condition variable, and each append calls the job's
 subscribers (:meth:`Job.subscribe`), which is how the server's NDJSON
 handler learns to drain them by cursor (:meth:`Job.events_since`).
-
-A finished job holds its result once, as bytes: the worker encodes the
-result payload to JSON a single time, in the job's terminal save, and
-keeps only that encoding (:attr:`Job.result_json`), which the memory
-backend shares and which the disk record and the ``/result`` body
-splice in unchanged.  Exports are derived from it on demand
-(:func:`~repro.service.export.render_result`), so no job keeps export
-rows.
 """
 
 from __future__ import annotations
@@ -535,8 +527,7 @@ class JobManager:
                 job.finished = time.time()
             state, extra = "failed", {"error": job.error}
         # Announce the terminal state only once its record is saved, so
-        # a client never sees an outcome the backend does not hold.  The
-        # result is encoded here, once; the job keeps only these bytes.
+        # a client never sees an outcome the backend does not hold.
         try:
             if state == "done":
                 job.result_json = json.dumps(result_payload(outcome)).encode()
