@@ -20,8 +20,12 @@ Three observations make that possible:
    ``resident + [op]`` differs from the resident's estimate *only* in
    the sets ``op`` touches.  The engine memoizes, per resident set, the
    per-set miss decomposition (a *snapshot*); a probe replays just the
-   added operation's sets against the merged streams and patches the
-   snapshot — the rest of the resident simulation is reused verbatim.
+   added operation's sets and patches the snapshot — the rest of the
+   resident simulation is reused verbatim.  Each of those set replays
+   runs directly, never memoized: a direct-mapped set with one
+   participating operation walks that operation's lines, and several
+   are merged in ``(point, position)`` order for the one replay and
+   then dropped.
 
 3. **The schedulers probe in batches.**  RMCA cluster ranking asks for
    every candidate cluster's ``resident + [op]`` probe at once, and the
@@ -44,7 +48,8 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir.loop import Loop
 from ..ir.operations import Operation
@@ -132,7 +137,6 @@ class IncrementalCME:
         self.max_points = max_points
         self.traces = traces if traces is not None else TraceStore()
         self._snapshots: Dict[Tuple, _Snapshot] = {}
-        self._set_memo: Dict[Tuple, Dict[str, int]] = {}
         # loop_fp -> program positions of its memory ops; the one piece
         # of trace state the memo-hit fast path needs.
         self._positions: Dict[str, Dict[str, int]] = {}
@@ -143,7 +147,6 @@ class IncrementalCME:
             "full_replays": 0,
             "batched_calls": 0,
             "sets_replayed": 0,
-            "set_memo_hits": 0,
         }
 
     def __getstate__(self):
@@ -154,7 +157,6 @@ class IncrementalCME:
         # rebuild snapshots from the traces in microseconds.
         state = self.__dict__.copy()
         state["_snapshots"] = {}
-        state["_set_memo"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -299,13 +301,12 @@ class IncrementalCME:
             else:
                 base = _Snapshot(MissEstimate(), {})
             self._counters["extensions"] += 1
-            return self._extend(loop_fp, geometry, cache, ordered, base, added)
+            return self._extend(geometry, cache, ordered, base, added)
         self._counters["full_replays"] += 1
-        return self._full_replay(loop_fp, geometry, cache, ordered)
+        return self._full_replay(geometry, cache, ordered)
 
     def _extend(
         self,
-        loop_fp: str,
         geometry: GeometryTrace,
         cache: CacheConfig,
         ordered: List[str],
@@ -317,8 +318,10 @@ class IncrementalCME:
         misses = {name: 0 for name in ordered}
         misses.update(base.estimate.misses)
         misses_by_set = dict(base.misses_by_set)
-        for cache_set in geometry.sets_of(added):
-            counts = self._replay_set(loop_fp, geometry, cache, cache_set, ordered)
+        replayed = self._replay_sets(
+            geometry, cache, geometry.sets_of(added), ordered
+        )
+        for cache_set, counts in replayed.items():
             stale = misses_by_set.get(cache_set)
             if stale is not None:
                 for name, count in stale.items():
@@ -330,7 +333,6 @@ class IncrementalCME:
 
     def _full_replay(
         self,
-        loop_fp: str,
         geometry: GeometryTrace,
         cache: CacheConfig,
         ordered: List[str],
@@ -341,10 +343,8 @@ class IncrementalCME:
             for cache_set in geometry.sets_of(name):
                 touched.setdefault(cache_set, None)
         misses = {name: 0 for name in ordered}
-        misses_by_set: Dict[int, Dict[str, int]] = {}
-        for cache_set in touched:
-            counts = self._replay_set(loop_fp, geometry, cache, cache_set, ordered)
-            misses_by_set[cache_set] = counts
+        misses_by_set = self._replay_sets(geometry, cache, touched, ordered)
+        for counts in misses_by_set.values():
             for name, count in counts.items():
                 misses[name] += count
         return self._snapshot(geometry, ordered, misses, misses_by_set)
@@ -363,39 +363,43 @@ class IncrementalCME:
         )
         return _Snapshot(estimate=estimate, misses_by_set=misses_by_set)
 
-    def _replay_set(
+    def _replay_sets(
         self,
-        loop_fp: str,
         geometry: GeometryTrace,
         cache: CacheConfig,
-        cache_set: int,
+        cache_sets: Iterable[int],
         ordered: List[str],
-    ) -> Dict[str, int]:
-        """Miss counts per op for one cache set under ``ordered``'s
-        merged access stream (memoized on the participating subset)."""
-        participants = [
-            name for name in ordered if cache_set in geometry.sets_of(name)
-        ]
-        key = (
-            loop_fp,
-            geometry.line_size,
-            geometry.n_sets,
-            cache.associativity,
-            cache_set,
-            frozenset(participants),
-        )
-        counts = self._set_memo.get(key)
-        if counts is not None:
-            self._counters["set_memo_hits"] += 1
-            return counts
-        self._counters["sets_replayed"] += 1
-        if len(participants) == 1:
-            events = geometry.sets_of(participants[0])[cache_set]
-        else:
-            events = []
-            for name in participants:
-                events.extend(geometry.sets_of(name)[cache_set])
+    ) -> Dict[int, Dict[str, int]]:
+        """Miss counts per op for each of ``cache_sets`` under
+        ``ordered``'s merged access stream, in ``cache_sets`` order."""
+        streams = [(name, geometry.streams[name]) for name in ordered]
+        positions = geometry.trace.positions
+        associativity = cache.associativity
+        replayed: Dict[int, Dict[str, int]] = {}
+        for cache_set in cache_sets:
+            participants = [
+                (name, sets[cache_set])
+                for name, sets in streams
+                if cache_set in sets
+            ]
+            if len(participants) == 1 and associativity == 1:
+                # One resident line per set: an access misses iff its
+                # line differs from the one before it.
+                name, (_points, lines) = participants[0]
+                misses = 0
+                resident = None
+                for line in lines:
+                    if line != resident:
+                        misses += 1
+                        resident = line
+                replayed[cache_set] = {name: misses}
+                continue
+            events: List[Tuple[int, int, int, str]] = []
+            for name, (points, lines) in participants:
+                events.extend(
+                    zip(points, repeat(positions[name]), lines, repeat(name))
+                )
             events.sort()
-        counts = replay_set_events(events, cache.associativity)
-        self._set_memo[key] = counts
-        return counts
+            replayed[cache_set] = replay_set_events(events, associativity)
+        self._counters["sets_replayed"] += len(replayed)
+        return replayed

@@ -17,8 +17,8 @@ replays:
   first ``max_points`` iteration points, plus each operation's program
   position (the interleaving key).
 * :class:`GeometryTrace` — per-operation, per-cache-set access streams
-  ``set -> [(point, line), ...]`` for one ``(line_size, n_sets)``
-  geometry, derived from an :class:`AddressTrace`.
+  ``set -> (points, lines)``, two typed arrays, for one ``(line_size,
+  n_sets)`` geometry, derived from an :class:`AddressTrace`.
 * :class:`TraceStore` — the content-addressed cache of both.  Every key
   is derived from loop content, so a store is safe to pickle and ship to
   grid worker processes (unlike the historical id-keyed memos, which had
@@ -28,6 +28,7 @@ replays:
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -108,50 +109,54 @@ class AddressTrace:
         )
 
 
+#: One operation's accesses to one cache set: its iteration points
+#: (ascending) and the line each access touches, as typed arrays.
+Stream = Tuple[array, array]
+
+
 @dataclass
 class GeometryTrace:
     """Per-set access streams of one address trace under one geometry.
 
-    ``by_set[op][s]`` lists the accesses operation ``op`` makes to cache
-    set ``s`` as merge-ready event tuples ``(point, position, line,
-    op_name)`` in point order — the sort key ``(point, position)`` is
-    the global interleaving order, so replaying a set under any op
-    subset is "concatenate the ops' lists, sort, walk".  ``line`` is the
-    global line number (``address // line_size``); within one set,
-    distinct lines correspond to distinct tags, so LRU over lines is
-    exactly LRU over tags.
+    ``streams[op][s]`` is the :data:`Stream` of the accesses operation
+    ``op`` makes to cache set ``s``: ``(points, lines)``, two typed
+    arrays of one length in point order.  Every access of one stream
+    has the same program position and op name, so neither is stored per
+    access: both come from ``trace`` and the key.  The global access
+    order of any op subset within a set is ``(point, position)``-
+    ascending.  ``line`` is the global line number (``address //
+    line_size``); within one set, distinct lines correspond to distinct
+    tags, so LRU over lines is exactly LRU over tags.
     """
 
     line_size: int
     n_sets: int
     trace: AddressTrace
-    by_set: Dict[str, Dict[int, List[Tuple[int, int, int, str]]]] = field(
-        default_factory=dict
-    )
+    streams: Dict[str, Dict[int, Stream]] = field(default_factory=dict)
 
     @classmethod
     def build(
         cls, trace: AddressTrace, line_size: int, n_sets: int
     ) -> "GeometryTrace":
-        by_set: Dict[str, Dict[int, List[Tuple[int, int, int, str]]]] = {}
+        streams: Dict[str, Dict[int, Stream]] = {}
         for name, addresses in trace.addresses.items():
-            position = trace.positions[name]
-            per_set: Dict[int, List[Tuple[int, int, int, str]]] = {}
+            per_set: Dict[int, Stream] = {}
             for point, address in enumerate(addresses):
                 line = address // line_size
-                per_set.setdefault(line % n_sets, []).append(
-                    (point, position, line, name)
-                )
-            by_set[name] = per_set
+                cache_set = line % n_sets
+                stream = per_set.get(cache_set)
+                if stream is None:
+                    stream = per_set[cache_set] = (array("I"), array("q"))
+                stream[0].append(point)
+                stream[1].append(line)
+            streams[name] = per_set
         return cls(
-            line_size=line_size, n_sets=n_sets, trace=trace, by_set=by_set
+            line_size=line_size, n_sets=n_sets, trace=trace, streams=streams
         )
 
-    def sets_of(
-        self, op_name: str
-    ) -> Dict[int, List[Tuple[int, int, int, str]]]:
+    def sets_of(self, op_name: str) -> Dict[int, Stream]:
         """The per-set streams of one operation ({} for unknown names)."""
-        return self.by_set.get(op_name, {})
+        return self.streams.get(op_name, {})
 
 
 class TraceStore:

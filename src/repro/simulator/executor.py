@@ -488,7 +488,7 @@ class LockstepSimulator:
                 return None
             if not record.iterations:
                 return None
-            self.memory.restore(record.snapshot)
+            self.memory.restore(record.memory_state())
             return record.entry_stall, SteadyStateReport(
                 mode=self.steady_mode, iterations=tuple(record.iterations)
             )
@@ -496,7 +496,7 @@ class LockstepSimulator:
         # the detector re-prove and replay exactly as on a cold hit.
         if entry_detector is None:
             return None
-        self.memory.restore(record.snapshot)
+        self.memory.restore(record.memory_state())
         replay = entry_detector.adopt(
             list(record.records), record.match_start, record.entries_simulated
         )
@@ -531,7 +531,7 @@ class LockstepSimulator:
                     entries_simulated=at_entry,
                     records=tuple(entry_detector.records[:at_entry]),
                     match_start=captured["match_start"],
-                    snapshot=captured["snapshot"],
+                    snapshot=WarmRecord.encode(captured["snapshot"]),
                 ),
             )
         elif (
@@ -545,7 +545,7 @@ class LockstepSimulator:
                     entries_simulated=1,
                     records=(),
                     match_start=None,
-                    snapshot=self.memory.snapshot(),
+                    snapshot=WarmRecord.encode(self.memory.snapshot()),
                     entry_stall=total_stall,
                     iterations=tuple(iteration_detector.detections),
                 ),

@@ -21,9 +21,13 @@ unique (schedule, geometry, steady mode) pays for warm-up once:
   column of ``tests/test_differential.py``, so warm state recorded by
   either serves both (its ``warm`` column).
 * the **record** holds a deep :meth:`DistributedMemorySystem.snapshot`
-  of the memory state at the detector's confirmation boundary plus the
-  detector evidence (per-entry counter-delta records, or the
-  iteration-level detections) needed to finish the run arithmetically.
+  of the memory state at the detector's confirmation boundary, encoded
+  once into one ``bytes`` where the record is made and decoded only
+  when a run adopts it, plus the detector evidence (per-entry
+  counter-delta records, or the iteration-level detections) needed to
+  finish the run arithmetically.  Inside a grid no record is adopted,
+  so each one costs a single bytes object rather than a graph of
+  dicts, lists and tuples.
   A consumer re-proves replay soundness against its own address tables
   before trusting a record — a hit changes *where* the proof inputs
   come from, never whether the proof runs.
@@ -36,6 +40,7 @@ unique (schedule, geometry, steady mode) pays for warm-up once:
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -47,7 +52,7 @@ __all__ = ["WARM_STATE_VERSION", "WarmRecord", "WarmStateStore"]
 #: detectors confirm changes (an iteration record carries its
 #: ``detected_at``): the keys change, so older disk entries are never
 #: read again.
-WARM_STATE_VERSION = 3
+WARM_STATE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -65,14 +70,28 @@ class WarmRecord:
     whose iteration-level detector fired.  ``snapshot`` is the final
     memory state (after the fast-forward translation), ``entry_stall``
     the entry's total stall, ``iterations`` the telemetry records.
+
+    ``snapshot`` is the memory state encoded by :meth:`encode`;
+    :meth:`memory_state` decodes it for
+    :meth:`DistributedMemorySystem.restore`.
     """
 
     entries_simulated: int
     records: Tuple[Tuple[int, Tuple[int, ...]], ...]
     match_start: Optional[int]
-    snapshot: dict
+    snapshot: bytes
     entry_stall: int = 0
     iterations: tuple = ()
+
+    @staticmethod
+    def encode(memory_state: dict) -> bytes:
+        """One :meth:`DistributedMemorySystem.snapshot`, as a record
+        holds it.  Equal states built alike encode to equal bytes."""
+        return pickle.dumps(memory_state, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def memory_state(self) -> dict:
+        """The decoded snapshot, a fresh copy on every call."""
+        return pickle.loads(self.snapshot)
 
 
 class WarmStateStore(ContentStore):

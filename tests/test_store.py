@@ -42,7 +42,8 @@ class WarmLayer:
 
     def value():
         return WarmRecord(entries_simulated=2, records=((3, {"hits": 1}),) * 2,
-                          match_start=0, snapshot={"caches": []})
+                          match_start=0,
+                          snapshot=WarmRecord.encode({"caches": []}))
 
     def old_layout(key, value):
         return value

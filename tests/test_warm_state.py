@@ -122,6 +122,34 @@ class TestWarmEquivalence:
         _assert_same(cold, warm)
         assert fresh.hits == 1 and fresh.stores == 0
 
+    @pytest.mark.parametrize(
+        "kernel, shape",
+        [(spec_suite(["tomcatv"])[0], "entry"),
+         (streaming_long_suite()[0], "iteration")],
+        ids=["entry", "iteration"],
+    )
+    def test_encoded_record_round_trips_disk_into_fresh_grid(
+        self, analyzer, tmp_path, kernel, shape
+    ):
+        """A record reaches disk with its snapshot encoded, and a fresh
+        grid's warm store adopts it into the state the storing run
+        ended in."""
+        schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
+            kernel, two_cluster()
+        )
+        stored = _run(schedule, store=WarmStateStore(cache_dir=tmp_path))
+        (entry,) = tmp_path.glob("*/*.pkl")
+        _key, record = pickle.loads(entry.read_bytes())
+        assert isinstance(record.snapshot, bytes)
+        assert (record.match_start is None) == (shape == "iteration")
+        grid = ExperimentGrid(cache=False, locality=analyzer)
+        grid.warm_store.cache_dir = tmp_path
+        adopted = _run(schedule, store=grid.warm_store)
+        _assert_same(stored, adopted)
+        assert grid.warm_store.counts() == {
+            "hits": 1, "misses": 0, "stores": 0
+        }
+
     def test_steady_off_bypasses_store(self, analyzer):
         kernel = spec_suite(["applu"])[0]
         schedule = make_scheduler("rmca", 1.0, analyzer).schedule(
