@@ -49,12 +49,13 @@ from .harness.grid import CellSpec, ExperimentGrid, ProgressCallback
 from .harness.io import figure_to_csv, figure_to_json
 from .harness.report import format_table
 from .harness.scenarios import (
+    LocalitySpec,
+    ScenarioSpec,
     all_scenarios,
     get_scenario,
     run_scenario,
     scenario_listing,
 )
-from .harness.sweep import figure5, figure6
 from .machine import ALL_PRESETS, preset
 from .service import (
     BACKEND_KINDS,
@@ -364,48 +365,24 @@ def _build_grid(args: argparse.Namespace, locality) -> ExperimentGrid:
     )
 
 
-def _emit_figure(figure, args: argparse.Namespace) -> None:
-    """Render a figure to stdout plus the optional --csv/--out files."""
-    print(render_figure(figure))
-    if args.csv:
-        print(f"records written to {figure_to_csv(figure, args.csv)}")
-    if args.out:
-        print(f"figure written to {figure_to_json(figure, args.out)}")
-
-
-def _cmd_figure(args: argparse.Namespace, which: str) -> int:
-    # Explicit is-None test: argparse leaves the attribute None when the
-    # flag is absent, and a falsy-but-present value must not be treated
-    # as "use the default suite".
-    kernels = (
-        None
-        if args.kernels is None
-        else [kernel_by_name(name) for name in args.kernels]
+def _figure_spec(args: argparse.Namespace, figure: str) -> ScenarioSpec:
+    """A ``figure5``/``figure6`` command line as an inline figure spec;
+    its sweep flags are the figure's ``figure_args``."""
+    flags = ("latencies", "bus_counts", "bus_latencies", "thresholds")
+    figure_args = {
+        key: tuple(getattr(args, key)) for key in flags if hasattr(args, key)
+    }
+    figure_args["n_clusters"] = args.clusters
+    return ScenarioSpec(
+        name=figure,
+        description=figure,
+        figure=figure,
+        figure_args=tuple(sorted(figure_args.items())),
+        # argparse leaves the attribute None when the flag is absent.
+        kernels=None if args.kernels is None else tuple(args.kernels),
+        locality=LocalitySpec(max_points=args.max_points),
+        steady=args.steady,
     )
-    grid = _build_grid(args, _build_locality(args))
-    if which == "figure5":
-        figure = figure5(
-            n_clusters=args.clusters,
-            latencies=tuple(args.latencies),
-            thresholds=tuple(args.thresholds),
-            kernels=kernels,
-            grid=grid,
-            steady=args.steady,
-        )
-    else:
-        figure = figure6(
-            n_clusters=args.clusters,
-            bus_counts=tuple(args.bus_counts),
-            bus_latencies=tuple(args.bus_latencies),
-            thresholds=tuple(args.thresholds),
-            kernels=kernels,
-            grid=grid,
-            steady=args.steady,
-        )
-    if not args.no_progress:
-        _grid_stats_line(grid, sys.stderr)
-    _emit_figure(figure, args)
-    return 0
 
 
 def _grid_stats_line(grid: ExperimentGrid, stream) -> None:
@@ -451,32 +428,33 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(scenario_listing(), indent=1, sort_keys=True))
         return 0
-    rows = []
-    for scenario in all_scenarios():
-        cells = scenario.n_cells()
-        rows.append(
-            (
-                scenario.name,
-                "figure" if scenario.is_figure else "grid",
-                "-" if cells is None else cells,
-                scenario.description,
-            )
+    rows = [
+        (
+            scenario.name,
+            "figure" if scenario.is_figure else "grid",
+            scenario.n_cells(),
+            scenario.description,
         )
+        for scenario in all_scenarios()
+    ]
     print(format_table(["scenario", "kind", "cells", "description"], rows))
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.scenario)
-    if args.spec:
-        print(scenario.to_json())
-        return 0
+def _cmd_run(args: argparse.Namespace, scenario: ScenarioSpec) -> int:
+    """Run ``scenario`` on the grid the flags describe and print a
+    figure's chart (plus the --csv/--out files) or the per-cell table."""
     grid = _build_grid(args, scenario.locality.build())
     outcome = run_scenario(scenario, grid=grid, steady=args.steady)
     if not args.no_progress:
         _grid_stats_line(grid, sys.stderr)
-    if outcome.figure is not None:
-        _emit_figure(outcome.figure, args)
+    figure = outcome.figure
+    if figure is not None:
+        print(render_figure(figure))
+        if args.csv:
+            print(f"records written to {figure_to_csv(figure, args.csv)}")
+        if args.out:
+            print(f"figure written to {figure_to_json(figure, args.out)}")
         return 0
     rows = [
         (
@@ -581,7 +559,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "scenarios":
         return _cmd_scenarios(args)
     if args.command == "run":
-        return _cmd_run(args)
+        scenario = get_scenario(args.scenario)
+        if args.spec:
+            print(scenario.to_json())
+            return 0
+        return _cmd_run(args, scenario)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "submit":
@@ -591,7 +573,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     aliases = {"fig5": "figure5", "fig6": "figure6"}
     command = aliases.get(args.command, args.command)
     if command in ("figure5", "figure6"):
-        return _cmd_figure(args, command)
+        return _cmd_run(args, _figure_spec(args, command))
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -91,6 +91,7 @@ __all__ = [
     "locality_fingerprint",
     "machine_key",
     "machine_from_key",
+    "resolve_grid",
 ]
 
 #: Environment variable providing a default on-disk cache directory.
@@ -561,3 +562,26 @@ class ExperimentGrid:
     def _tally(self, stage: str, seconds: float) -> None:
         with self._lock:
             self.stats.add_stage_seconds({stage: seconds})
+
+
+def resolve_grid(
+    locality: Optional[LocalityAnalyzer],
+    grid: Optional[ExperimentGrid] = None,
+    **options,
+) -> ExperimentGrid:
+    """``grid``, or a new grid running ``locality`` built with ``options``.
+
+    A given grid runs its own analyzer, so a ``locality`` naming another
+    configuration would be ignored: refuse it instead of computing
+    results the caller did not ask for.
+    """
+    if grid is None:
+        return ExperimentGrid(locality=locality, **options)
+    actual = locality_fingerprint(grid.locality)
+    if locality is not None and locality_fingerprint(locality) != actual:
+        raise ValueError(
+            f"conflicting locality analyzers: "
+            f"{locality_fingerprint(locality)!r} was asked for but the "
+            f"grid runs {actual!r}; pass one or the other"
+        )
+    return grid

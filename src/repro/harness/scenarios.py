@@ -9,15 +9,17 @@ registry gives every sweep in the repository a name: the paper figures,
 the DSP extension and the CME-backend ablations are all entries, runnable
 via ``python -m repro.cli run <scenario>`` and reusable from benchmarks.
 
-Two kinds of scenario exist:
+Every scenario expands to ``groups × thresholds × kernels`` cells through
+one enumerator, and runs through one path (:func:`run_on_grid`): expand,
+one ``grid.run``, results in enumeration order.  Two kinds exist:
 
-* **grid** scenarios enumerate ``groups × thresholds × kernels`` cells
-  explicitly; :func:`run_scenario` returns the per-cell
-  :class:`RunResult` list in enumeration order.
-* **figure** scenarios delegate to the figure generators
-  (:func:`~repro.harness.sweep.figure5` / ``figure6``), which do their
-  own cell enumeration plus the paper's Unified normalization;
-  :func:`run_scenario` returns the :class:`FigureData`.
+* **grid** scenarios list their groups and thresholds explicitly.
+* **figure** scenarios (the paper's Figures 5 and 6) build them from
+  their ``figure_args``: the Unified group, then one group per bus
+  configuration × scheduler.  Their cells start with the normalization
+  reference (Unified, unbounded 1-cycle memory bus, Baseline, threshold
+  1.00), and their rows are normalized into a
+  :class:`~repro.harness.sweep.FigureData`.
 
 Adding a scenario is one :func:`register_scenario` call (or an entry in
 ``_BUILTIN_SCENARIOS`` below); specs round-trip through
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..cme import AnalyticCME, EquationCME, IncrementalCME
-from ..cme.locality import LocalityAnalyzer, locality_fingerprint
+from ..cme.locality import LocalityAnalyzer
 from ..engine.result import RunResult
 from ..engine.stages import SCHEDULER_NAMES
 from ..ir.builder import Kernel
@@ -48,8 +50,8 @@ from ..workloads.suite import (
     spec_suite,
     streaming_long_suite,
 )
-from .grid import CellSpec, ExperimentGrid, ProgressCallback
-from .sweep import FigureData, figure5, figure6
+from .grid import CellSpec, ExperimentGrid, ProgressCallback, resolve_grid
+from .sweep import DEFAULT_THRESHOLDS, FigureData, figure_from_rows
 
 __all__ = [
     "MachineSpec",
@@ -63,6 +65,7 @@ __all__ = [
     "all_scenarios",
     "scenario_listing",
     "run_scenario",
+    "run_on_grid",
 ]
 
 _SUITES = {
@@ -70,14 +73,6 @@ _SUITES = {
     "dsp": (DSP_KERNELS, dsp_suite),
     "streaming-long": (STREAMING_LONG_KERNELS, streaming_long_suite),
 }
-
-_FIGURES = {"figure5": figure5, "figure6": figure6}
-
-#: Figure-generator arguments :func:`run_scenario` supplies itself, so a
-#: spec's ``figure_args`` may not.
-_RUNNER_FIGURE_ARGS = frozenset(
-    {"grid", "steady", "kernels", "locality", "n_jobs", "progress"}
-)
 
 
 def _bus_to_json(bus: Optional[Tuple[Optional[int], int]]):
@@ -175,22 +170,28 @@ def _check_count(value: Optional[int], key: str, context: str) -> None:
         )
 
 
-def _bus_from_json(data, key: str = "bus", context: str = "machine spec"):
-    if data is None:
+def _is_count(value: object) -> bool:
+    """An ``int`` of at least 1 (``bool`` is not a count)."""
+    return type(value) is int and value >= 1
+
+
+def _bus_pair(bus, key: str) -> Optional[Tuple[Optional[int], int]]:
+    """A ``[count, latency]`` bus as a tuple, checked as
+    :class:`~repro.machine.config.BusConfig` checks it, naming the key."""
+    if bus is None:
         return None
     if (
-        not isinstance(data, (list, tuple))
-        or len(data) != 2
-        or not (data[0] is None or isinstance(data[0], int))
-        or not isinstance(data[1], int)
-        or isinstance(data[0], bool)
-        or isinstance(data[1], bool)
+        not isinstance(bus, (list, tuple))
+        or len(bus) != 2
+        or not (bus[0] is None or _is_count(bus[0]))
+        or not _is_count(bus[1])
     ):
         raise ValueError(
-            f"key {key!r} in {context} must be a [count, latency] pair "
-            f"(count may be null for an unbounded pool), got {data!r}"
+            f"key {key!r} in machine spec must be a [count, latency] pair "
+            f"of integers >= 1 (count may be null for an unbounded pool), "
+            f"got {bus!r}"
         )
-    return (data[0], data[1])
+    return tuple(bus)
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,8 @@ class MachineSpec:
     """A machine preset plus optional bus overrides.
 
     Buses are ``(count, latency)`` pairs; ``count=None`` means the
-    unbounded pool of the paper's Section 5.2 study.
+    unbounded pool of the paper's Section 5.2 study.  They are checked
+    when the spec is built, so :meth:`build` cannot fail.
     """
 
     preset: str
@@ -211,6 +213,8 @@ class MachineSpec:
                 f"unknown machine preset {self.preset!r}; "
                 f"choose from {sorted(ALL_PRESETS)}"
             )
+        for key in ("register_bus", "memory_bus"):
+            object.__setattr__(self, key, _bus_pair(getattr(self, key), key))
 
     def build(self) -> MachineConfig:
         kwargs = {}
@@ -238,12 +242,8 @@ class MachineSpec:
             preset=_typed(
                 data, "preset", str, "a preset name", context, required=True
             ),
-            register_bus=_bus_from_json(
-                data.get("register_bus"), "register_bus", context
-            ),
-            memory_bus=_bus_from_json(
-                data.get("memory_bus"), "memory_bus", context
-            ),
+            register_bus=data.get("register_bus"),
+            memory_bus=data.get("memory_bus"),
         )
 
 
@@ -353,13 +353,89 @@ class GroupSpec:
         )
 
 
+# ----------------------------------------------------------------------
+# Figures: figure_args -> groups and thresholds
+# ----------------------------------------------------------------------
+def _figure5(latencies=(1, 2, 4)):
+    """Figure 5 (Section 5.2): unbounded buses, LRB × LMB latencies."""
+    return "Figure 5 ({}): unbounded buses", (None, 1), [
+        (f"LRB={lrb},LMB={lmb}", (None, lrb), (None, lmb))
+        for lrb in latencies
+        for lmb in latencies
+    ]
+
+
+def _figure6(bus_counts=(1, 2), bus_latencies=(1, 4)):
+    """Figure 6 (Section 5.3): 2 register buses @ 1 cycle, NMB × LMB.
+    Unified shares the clustered runs' single-bus memory system, so the
+    comparison isolates clustering, not bus bandwidth."""
+    return "Figure 6 ({}): realistic buses", (1, 1), [
+        (f"NMB={nmb},LMB={lmb}", (2, 1), (nmb, lmb))
+        for nmb in bus_counts
+        for lmb in bus_latencies
+    ]
+
+
+#: Each figure's title, Unified memory bus and ``(group prefix, register
+#: bus, memory bus)`` sweep; its parameters, ``n_clusters`` and
+#: ``thresholds`` are the figure's ``figure_args``.
+_FIGURES = {"figure5": _figure5, "figure6": _figure6}
+
+#: A figure's normalization reference: Unified with an unbounded 1-cycle
+#: memory bus, Baseline, threshold 1.00.
+_REFERENCE = GroupSpec(
+    "reference", MachineSpec("unified", memory_bus=(None, 1)), "baseline"
+)
+
+
+def _figure_layout(figure: str, figure_args: Mapping, context: str):
+    """A figure's title and ``(group, thresholds)`` blocks: the reference,
+    Unified, then each bus configuration × scheduler.  The values are
+    checked as the grid fields are."""
+    sweep = _FIGURES[figure]
+    context = f"key 'figure_args' in {context} ({figure})"
+    keys = {"n_clusters", "thresholds", *inspect.signature(sweep).parameters}
+    _reject_unknown_keys(figure_args, frozenset(keys), context)
+    # Absent and null both mean "use the default".
+    args = {key: val for key, val in figure_args.items() if val is not None}
+    thresholds = _typed_list(
+        args, "thresholds", (int, float), "numbers", context,
+        default=DEFAULT_THRESHOLDS,
+    )
+    n_clusters = args.pop("n_clusters", 2)
+    if type(n_clusters) is not int or n_clusters not in (2, 4):
+        raise ValueError(
+            f"key 'n_clusters' in {context} must be 2 or 4, "
+            f"got {n_clusters!r}"
+        )
+    buses = {key: args[key] for key in sorted(args) if key != "thresholds"}
+    for key in buses:
+        for value in _typed_list(args, key, int, "integers", context):
+            _check_count(value, key, context)
+    title, unified_bus, configs = sweep(**buses)
+    clustered = f"{n_clusters}-cluster"
+    groups = [GroupSpec("unified", MachineSpec("unified", None, unified_bus),
+                        "baseline")]
+    groups.extend(
+        GroupSpec(f"{prefix} {scheduler}",
+                  MachineSpec(clustered, register_bus, memory_bus), scheduler)
+        for prefix, register_bus, memory_bus in configs
+        for scheduler in ("baseline", "rmca")
+    )
+    thresholds = tuple(thresholds)
+    return title.format(clustered), [(_REFERENCE, (1.0,))] + [
+        (group, thresholds) for group in groups
+    ]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named, serializable experiment description.
 
     Grid scenarios set ``groups`` (+ ``thresholds``/workload selection);
-    figure scenarios set ``figure`` (+ ``figure_args`` forwarded to the
-    generator).  ``kernels=None`` selects the whole suite.
+    figure scenarios set ``figure`` (+ ``figure_args``, which build the
+    figure's groups and thresholds when the spec is built).
+    ``kernels=None`` selects the whole suite.
     """
 
     name: str
@@ -410,18 +486,25 @@ class ScenarioSpec:
                 f"key 'kernels' in {context} selects no kernel; omit it "
                 f"to select the whole suite"
             )
+        # What the one enumerator walks: (group, thresholds) in order.
+        title, blocks = None, [(g, self.thresholds) for g in self.groups]
         if self.figure is not None:
-            parameters = inspect.signature(_FIGURES[self.figure]).parameters
-            _reject_unknown_keys(
-                dict(self.figure_args),
-                frozenset(parameters) - _RUNNER_FIGURE_ARGS,
-                f"key 'figure_args' in {context} ({self.figure})",
+            if self.groups or tuple(self.thresholds) != (1.0,):
+                key = "groups" if self.groups else "thresholds"
+                raise ValueError(
+                    f"key {key!r} in {context} cannot be set on a figure: "
+                    f"its figure_args build its groups and thresholds"
+                )
+            title, blocks = _figure_layout(
+                self.figure, dict(self.figure_args), context
             )
         elif self.figure_args:
             raise ValueError(
                 f"key 'figure_args' in {context} needs a figure; grid "
                 f"scenarios take none"
             )
+        object.__setattr__(self, "_title", title)
+        object.__setattr__(self, "_blocks", tuple(blocks))
 
     # ------------------------------------------------------------------
     @property
@@ -429,30 +512,37 @@ class ScenarioSpec:
         return self.figure is not None
 
     def build_kernels(self) -> List[Kernel]:
-        """Instantiate the selected workload kernels, in suite order."""
+        """Instantiate the selected workload kernels: the whole suite in
+        suite order, or the named subset in the order given."""
         registry, factory = _SUITES[self.suite]
         if self.kernels is None:
             return factory()
         return factory(list(self.kernels))
 
+    def _cells(
+        self, kernels: Sequence[Kernel]
+    ) -> Iterator[Tuple[GroupSpec, float, Kernel]]:
+        """The one enumeration: a figure's reference cells, then
+        groups × thresholds × kernels."""
+        for group, thresholds in self._blocks:
+            for threshold in thresholds:
+                for kernel in kernels:
+                    yield group, threshold, kernel
+
     def expand(
         self, kernels: Optional[Sequence[Kernel]] = None
     ) -> List[CellSpec]:
-        """The scenario's cell grid: groups × thresholds × kernels."""
-        if self.is_figure:
-            raise ValueError(
-                f"figure scenario {self.name!r} delegates enumeration to "
-                f"{self.figure}; run it via run_scenario()"
-            )
+        """The scenario's cells, in enumeration order."""
         kernels = (
             list(kernels) if kernels is not None else self.build_kernels()
         )
-        # One machine per group: each new config encodes its key once.
-        machines = [group.machine.build() for group in self.groups]
+        # One machine per distinct spec: each config encodes its key once.
+        distinct = dict.fromkeys(group.machine for group, _ in self._blocks)
+        machines = {machine: machine.build() for machine in distinct}
         return [
             CellSpec.of(
                 kernel,
-                machine,
+                machines[group.machine],
                 group.scheduler,
                 threshold,
                 n_iterations=self.n_iterations,
@@ -461,20 +551,16 @@ class ScenarioSpec:
                     group.steady if group.steady is not None else self.steady
                 ),
             )
-            for group, machine in zip(self.groups, machines)
-            for threshold in self.thresholds
-            for kernel in kernels
+            for group, threshold, kernel in self._cells(kernels)
         ]
 
-    def n_cells(self) -> Optional[int]:
-        """Cell count of a grid scenario (``None`` for figure kind)."""
-        if self.is_figure:
-            return None
+    def n_cells(self) -> int:
+        """How many cells :meth:`expand` lists."""
         registry, _factory = _SUITES[self.suite]
         n_kernels = (
             len(registry) if self.kernels is None else len(self.kernels)
         )
-        return len(self.groups) * len(self.thresholds) * n_kernels
+        return n_kernels * sum(len(t) for _group, t in self._blocks)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -593,34 +679,25 @@ class ScenarioSpec:
 class ScenarioOutcome:
     """What running a scenario produced.
 
-    Grid scenarios fill ``results`` (aligned with
-    ``scenario.expand()``); figure scenarios fill ``figure``.
+    ``results`` align with ``scenario.expand()``; a figure scenario also
+    fills ``figure``, its rows normalized into bars.
     """
 
     scenario: ScenarioSpec
     grid: ExperimentGrid
     kernels: List[Kernel] = field(default_factory=list)
-    results: Optional[List[RunResult]] = None
+    results: List[RunResult] = field(default_factory=list)
     figure: Optional[FigureData] = None
 
     def iter_rows(
         self,
     ) -> Iterator[Tuple[str, float, str, RunResult]]:
         """Yield ``(group label, threshold, kernel name, result)`` in
-        enumeration order (grid scenarios only)."""
-        if self.results is None:
-            raise ValueError(
-                f"scenario {self.scenario.name!r} is a figure scenario; "
-                f"read .figure instead"
-            )
-        index = 0
-        for group in self.scenario.groups:
-            for threshold in self.scenario.thresholds:
-                for kernel in self.kernels:
-                    yield group.label, threshold, kernel.name, self.results[
-                        index
-                    ]
-                    index += 1
+        enumeration order (a figure's reference cells are labelled
+        ``reference``)."""
+        cells = self.scenario._cells(self.kernels)
+        for (group, threshold, kernel), result in zip(cells, self.results):
+            yield group.label, threshold, kernel.name, result
 
     def result_for(
         self, label: str, threshold: float, kernel: str
@@ -717,37 +794,40 @@ def run_scenario(
         scenario = get_scenario(scenario)
     if steady is not None:
         scenario = replace(scenario, steady=validate_steady_mode(steady))
-    if grid is None:
-        grid = ExperimentGrid(
-            locality=scenario.locality.build(),
-            n_jobs=n_jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
-    else:
-        wanted = locality_fingerprint(scenario.locality.build())
-        actual = locality_fingerprint(grid.locality)
-        if wanted != actual:
-            raise ValueError(
-                f"scenario {scenario.name!r} declares analyzer {wanted!r} "
-                f"but the grid runs {actual!r}; pass a matching grid or "
-                f"none"
-            )
-    if scenario.is_figure:
-        figure_fn = _FIGURES[scenario.figure]
-        kwargs = {key: value for key, value in scenario.figure_args}
-        if scenario.kernels is not None:
-            kwargs["kernels"] = scenario.build_kernels()
-        figure = figure_fn(grid=grid, steady=scenario.steady, **kwargs)
-        return ScenarioOutcome(scenario=scenario, grid=grid, figure=figure)
-    kernels = scenario.build_kernels()
-    grid.register(kernels)
-    specs = scenario.expand(kernels)
-    results = grid.run(specs)
-    return ScenarioOutcome(
-        scenario=scenario, grid=grid, kernels=kernels, results=results
+    grid = resolve_grid(
+        scenario.locality.build(),
+        grid,
+        n_jobs=n_jobs,
+        cache=cache,
+        cache_dir=cache_dir,
+        progress=progress,
     )
+    return run_on_grid(scenario, grid)
+
+
+def run_on_grid(
+    scenario: ScenarioSpec,
+    grid: ExperimentGrid,
+    kernels: Optional[Sequence[Kernel]] = None,
+) -> ScenarioOutcome:
+    """The one run path: expand ``scenario`` over ``kernels`` (default:
+    its own selection), run every cell in one ``grid.run`` and, for a
+    figure, normalize the rows into its :class:`FigureData`."""
+    kernels = (
+        list(kernels) if kernels is not None else scenario.build_kernels()
+    )
+    grid.register(kernels)
+    outcome = ScenarioOutcome(
+        scenario=scenario,
+        grid=grid,
+        kernels=kernels,
+        results=grid.run(scenario.expand(kernels)),
+    )
+    if scenario.is_figure:
+        outcome.figure = figure_from_rows(
+            scenario._title, outcome.iter_rows(), len(kernels)
+        )
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -946,13 +1026,7 @@ _BUILTIN_SCENARIOS = (
             "Unified machine with an unbounded 1-cycle memory bus at "
             "threshold 1.0: the figures' normalization denominator"
         ),
-        groups=(
-            GroupSpec(
-                label="unified",
-                machine=MachineSpec(preset="unified", memory_bus=(None, 1)),
-                scheduler="baseline",
-            ),
-        ),
+        groups=(replace(_REFERENCE, label="unified"),),
         thresholds=(1.0,),
     ),
     _ablation_scenario("sampling", 512),

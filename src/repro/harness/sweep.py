@@ -14,32 +14,27 @@ The two figure generators mirror the paper's methodology:
 2 register buses @ 1 cycle and sweeps the number and latency of memory
 buses (Section 5.3).
 
-Both figures enumerate their cells as :class:`~repro.harness.grid.CellSpec`
-grids and submit them through one
-:class:`~repro.harness.grid.ExperimentGrid` run, so cells shared between
-sweeps (most importantly the Unified normalization reference) are
-computed once, and ``n_jobs > 1`` fans the whole figure out over worker
-processes without changing any result.
+Each figure is a figure scenario (:mod:`repro.harness.scenarios`): its
+``figure_args`` build its groups, the scenario's one enumerator lists its
+cells (the Unified normalization reference first) and one
+:class:`~repro.harness.grid.ExperimentGrid` run computes them, so cells
+shared between sweeps are computed once, and ``n_jobs > 1`` fans the
+whole figure out over worker processes without changing any result.
+:func:`figure_from_rows` then normalizes the cells into bars.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.compare import RunResult
+from ..analysis.compare import RunResult, normalized_cycles
 from ..cme.locality import LocalityAnalyzer
 from ..ir.builder import Kernel
 from ..machine.config import BusConfig, MachineConfig
-from ..machine.presets import four_cluster, two_cluster, unified
-from ..workloads.suite import spec_suite
-from .grid import (
-    CellSpec,
-    ExperimentGrid,
-    ProgressCallback,
-    locality_fingerprint,
-)
+from ..machine.presets import unified
+from .grid import CellSpec, ExperimentGrid, ProgressCallback, resolve_grid
 
 __all__ = [
     "Bar",
@@ -47,13 +42,12 @@ __all__ = [
     "DEFAULT_THRESHOLDS",
     "unified_reference",
     "suite_bar",
+    "figure_from_rows",
     "figure5",
     "figure6",
 ]
 
 DEFAULT_THRESHOLDS: Tuple[float, ...] = (1.0, 0.75, 0.25, 0.0)
-
-_CLUSTER_PRESETS = {2: two_cluster, 4: four_cluster}
 
 #: The bandwidth-free memory system the normalization reference runs on.
 _REFERENCE_BUS = BusConfig(count=None, latency=1)
@@ -110,68 +104,63 @@ class FigureData:
         return list(seen)
 
 
-def _resolve_grid(
-    locality: Optional[LocalityAnalyzer],
-    grid: Optional[ExperimentGrid],
-    n_jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
-) -> ExperimentGrid:
-    """The grid a sweep runs on; refuses silently-conflicting analyzers.
-
-    An explicit ``grid`` carries its own analyzer, so a ``locality``
-    argument naming a *different* configuration would be ignored —
-    raise instead of computing bars the caller didn't ask for.
-    """
-    if grid is None:
-        return ExperimentGrid(
-            locality=locality, n_jobs=n_jobs, progress=progress
-        )
-    if locality is not None and locality_fingerprint(
-        locality
-    ) != locality_fingerprint(grid.locality):
-        raise ValueError(
-            f"conflicting locality analyzers: the sweep was given "
-            f"{locality_fingerprint(locality)!r} but the grid runs "
-            f"{locality_fingerprint(grid.locality)!r}; pass one or the "
-            f"other"
-        )
-    return grid
+#: One cell of a figure: ``(group label, threshold, kernel name, result)``.
+Row = Tuple[str, float, str, RunResult]
 
 
 def _aggregate(
-    group: str,
-    kernels: Sequence[Kernel],
-    results: Sequence[RunResult],
-    scheduler: str,
-    threshold: float,
-    reference: Dict[str, int],
+    rows: Sequence[Row], reference: Dict[str, int]
 ) -> Tuple[Bar, List[Dict[str, object]]]:
-    """Average one bar's per-kernel cells (fixed kernel order)."""
+    """Average one bar's per-kernel rows (fixed kernel order)."""
+    group, threshold, _kernel, first = rows[0]
+    results = [row[3] for row in rows]
     records: List[Dict[str, object]] = []
     compute_sum = 0.0
     stall_sum = 0.0
-    for kernel, result in zip(kernels, results):
-        denom = reference[kernel.name]
-        compute_sum += result.compute_cycles / denom
-        stall_sum += result.stall_cycles / denom
+    for result, norm in zip(results, normalized_cycles(results, reference)):
+        compute_sum += norm["norm_compute"]
+        stall_sum += norm["norm_stall"]
         records.append(
             {
                 "group": group,
                 **result.simulation.as_dict(),
-                "norm_compute": result.compute_cycles / denom,
-                "norm_stall": result.stall_cycles / denom,
-                "norm_total": result.total_cycles / denom,
+                "norm_compute": norm["norm_compute"],
+                "norm_stall": norm["norm_stall"],
+                "norm_total": norm["norm_total"],
             }
         )
-    n = len(kernels)
+    n = len(results)
     bar = Bar(
         group=group,
-        scheduler=scheduler,
+        scheduler=first.scheduler,
         threshold=threshold,
         norm_compute=compute_sum / n,
         norm_stall=stall_sum / n,
     )
     return bar, records
+
+
+def figure_from_rows(
+    title: str, rows: Iterable[Row], n_kernels: int
+) -> FigureData:
+    """Normalize a figure scenario's rows into its bars and records.
+
+    ``rows`` come in enumeration order
+    (:meth:`~repro.harness.scenarios.ScenarioOutcome.iter_rows`): the
+    ``n_kernels`` reference cells, whose totals are the denominators,
+    then ``n_kernels`` cells per bar.
+    """
+    rows = list(rows)
+    reference = {
+        kernel: result.total_cycles
+        for _group, _threshold, kernel, result in rows[:n_kernels]
+    }
+    figure = FigureData(title=title)
+    for start in range(n_kernels, len(rows), n_kernels):
+        bar, records = _aggregate(rows[start:start + n_kernels], reference)
+        figure.bars.append(bar)
+        figure.records.extend(records)
+    return figure
 
 
 def unified_reference(
@@ -188,7 +177,7 @@ def unified_reference(
     machine, not bus starvation; pass an explicit bus to reproduce a
     bandwidth-limited reference.
     """
-    grid = _resolve_grid(locality, grid)
+    grid = resolve_grid(locality, grid)
     grid.register(kernels)
     machine = unified(
         memory_bus=_REFERENCE_BUS if memory_bus is None else memory_bus
@@ -216,76 +205,38 @@ def suite_bar(
     steady: str = "auto",
 ) -> Tuple[Bar, List[Dict[str, object]]]:
     """Run one bar's cells (through the grid) and average them."""
-    grid = _resolve_grid(locality, grid)
+    grid = resolve_grid(locality, grid)
     grid.register(kernels)
     specs = [
         CellSpec.of(kernel, machine, scheduler, threshold, steady=steady)
         for kernel in kernels
     ]
-    results = grid.run(specs)
-    return _aggregate(
-        group, kernels, results, scheduler, threshold, reference
-    )
+    rows = [(group, threshold, r.kernel, r) for r in grid.run(specs)]
+    return _aggregate(rows, reference)
 
 
-def _assemble_figure(
-    title: str,
-    kernels: Sequence[Kernel],
-    thresholds: Sequence[float],
-    unified_machine: MachineConfig,
-    groups: Sequence[Tuple[str, MachineConfig, str]],
-    grid: ExperimentGrid,
-    steady: str = "auto",
+def _figure(
+    figure: str,
+    kernels: Optional[Sequence[Kernel]],
+    locality: Optional[LocalityAnalyzer],
+    grid: Optional[ExperimentGrid],
+    n_jobs: int,
+    progress: Optional[ProgressCallback],
+    steady: str,
+    **figure_args: object,
 ) -> FigureData:
-    """Enumerate every cell of a figure, run them in one grid wave.
+    """Run ``figure`` as an inline figure scenario."""
+    from .scenarios import ScenarioSpec, run_on_grid  # it imports this module
 
-    ``groups`` lists ``(group name, machine, scheduler)`` in figure
-    order; the Unified reference cells lead the submission so their
-    totals normalize everything else.  Bar and record ordering is fully
-    determined by the enumeration, never by completion order.
-    """
-    grid.register(kernels)
-    reference_machine = unified(memory_bus=_REFERENCE_BUS)
-    specs: List[CellSpec] = [
-        CellSpec.of(kernel, reference_machine, "baseline", 1.0, steady=steady)
-        for kernel in kernels
-    ]
-    bar_plan: List[Tuple[str, str, float, int]] = []
-
-    def plan(
-        group: str, machine: MachineConfig, scheduler: str, threshold: float
-    ) -> None:
-        bar_plan.append((group, scheduler, threshold, len(specs)))
-        specs.extend(
-            CellSpec.of(kernel, machine, scheduler, threshold, steady=steady)
-            for kernel in kernels
-        )
-
-    for threshold in thresholds:
-        plan("unified", unified_machine, "baseline", threshold)
-    for group, machine, scheduler in groups:
-        for threshold in thresholds:
-            plan(group, machine, scheduler, threshold)
-
-    results = grid.run(specs)
-    n = len(kernels)
-    reference = {
-        kernel.name: result.total_cycles
-        for kernel, result in zip(kernels, results[:n])
-    }
-    figure = FigureData(title=title)
-    for group, scheduler, threshold, start in bar_plan:
-        bar, records = _aggregate(
-            group,
-            kernels,
-            results[start:start + n],
-            scheduler,
-            threshold,
-            reference,
-        )
-        figure.bars.append(bar)
-        figure.records.extend(records)
-    return figure
+    scenario = ScenarioSpec(
+        name=figure,
+        description=figure,
+        figure=figure,
+        figure_args=tuple(sorted(figure_args.items())),
+        steady=steady,
+    )
+    grid = resolve_grid(locality, grid, n_jobs=n_jobs, progress=progress)
+    return run_on_grid(scenario, grid, kernels).figure
 
 
 def figure5(
@@ -306,30 +257,10 @@ def figure5(
     shared :class:`ExperimentGrid` (or ``n_jobs``/``progress`` to build
     one) to parallelize and to reuse stored products across figures.
     """
-    if n_clusters not in _CLUSTER_PRESETS:
-        raise ValueError(f"n_clusters must be one of {sorted(_CLUSTER_PRESETS)}")
-    kernels = list(kernels) if kernels is not None else spec_suite()
-    grid = _resolve_grid(locality, grid, n_jobs, progress)
-    preset = _CLUSTER_PRESETS[n_clusters]
-    groups: List[Tuple[str, MachineConfig, str]] = []
-    for lrb in latencies:
-        for lmb in latencies:
-            machine = preset(
-                register_bus=BusConfig(count=None, latency=lrb),
-                memory_bus=BusConfig(count=None, latency=lmb),
-            )
-            for scheduler in ("baseline", "rmca"):
-                groups.append(
-                    (f"LRB={lrb},LMB={lmb} {scheduler}", machine, scheduler)
-                )
-    return _assemble_figure(
-        title=f"Figure 5 ({n_clusters}-cluster): unbounded buses",
-        kernels=kernels,
-        thresholds=thresholds,
-        unified_machine=unified(memory_bus=_REFERENCE_BUS),
-        groups=groups,
-        grid=grid,
-        steady=steady,
+    return _figure(
+        "figure5", kernels, locality, grid, n_jobs, progress, steady,
+        n_clusters=n_clusters, latencies=tuple(latencies),
+        thresholds=tuple(thresholds),
     )
 
 
@@ -351,29 +282,8 @@ def figure6(
     (which shares the clustered runs' single-bus memory system so the
     comparison isolates clustering, not bus bandwidth).
     """
-    if n_clusters not in _CLUSTER_PRESETS:
-        raise ValueError(f"n_clusters must be one of {sorted(_CLUSTER_PRESETS)}")
-    kernels = list(kernels) if kernels is not None else spec_suite()
-    grid = _resolve_grid(locality, grid, n_jobs, progress)
-    preset = _CLUSTER_PRESETS[n_clusters]
-    register_bus = BusConfig(count=2, latency=1)
-    groups: List[Tuple[str, MachineConfig, str]] = []
-    for nmb in bus_counts:
-        for lmb in bus_latencies:
-            machine = preset(
-                register_bus=register_bus,
-                memory_bus=BusConfig(count=nmb, latency=lmb),
-            )
-            for scheduler in ("baseline", "rmca"):
-                groups.append(
-                    (f"NMB={nmb},LMB={lmb} {scheduler}", machine, scheduler)
-                )
-    return _assemble_figure(
-        title=f"Figure 6 ({n_clusters}-cluster): realistic buses",
-        kernels=kernels,
-        thresholds=thresholds,
-        unified_machine=unified(memory_bus=BusConfig(count=1, latency=1)),
-        groups=groups,
-        grid=grid,
-        steady=steady,
+    return _figure(
+        "figure6", kernels, locality, grid, n_jobs, progress, steady,
+        n_clusters=n_clusters, bus_counts=tuple(bus_counts),
+        bus_latencies=tuple(bus_latencies), thresholds=tuple(thresholds),
     )

@@ -148,7 +148,7 @@ DSP_KERNELS: Mapping[str, Callable[[], Kernel]] = {
 
 
 def dsp_suite(names: Optional[List[str]] = None) -> List[Kernel]:
-    """Instantiate the DSP suite (or a named subset, in registry order)."""
+    """Instantiate the DSP suite (or a named subset, in the order given)."""
     selected = list(DSP_KERNELS) if names is None else names
     unknown = [n for n in selected if n not in DSP_KERNELS]
     if unknown:

@@ -58,7 +58,7 @@ def streaming_long_suite(names: Optional[List[str]] = None) -> List[Kernel]:
 
 
 def spec_suite(names: Optional[List[str]] = None) -> List[Kernel]:
-    """Instantiate the suite (or the named subset, in registry order)."""
+    """Instantiate the suite (or the named subset, in the order given)."""
     selected = list(SPEC_KERNELS) if names is None else names
     unknown = [n for n in selected if n not in SPEC_KERNELS]
     if unknown:

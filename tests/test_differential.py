@@ -2,15 +2,15 @@
 fast path checked against it.
 
 :class:`Matrix` enumerates the cells: every registered grid scenario's,
-under its own analyzer; the golden panels', as their generators submit
-them; every steady mode on four kernels; one cell with and without
-iteration overrides.  The reference (``reference_analyzer``'s schedule,
-then the scalar engine under steady ``off``) runs once per key, one job
-per kernel on two processes.  Each column holds one fast path to it,
-one test per cell group (a scenario's group, a panel, a steady mode)
-or, for the plan, per analyzer, naming failing cells;
-``tests/invariants.py`` checks every run and schedule.  A new fast path
-is one more column.
+under its own analyzer; the golden panels', as the scenarios' one
+enumerator (``expand()``) lists them; every steady mode on four kernels;
+one cell with and without iteration overrides.  The reference
+(``reference_analyzer``'s schedule, then the scalar engine under steady
+``off``) runs once per key, one job per kernel on two processes.  Each
+column holds one fast path to it, one test per cell group (a scenario's
+group, a panel, a steady mode) or, for the plan, per analyzer, naming
+failing cells; ``tests/invariants.py`` checks every run and schedule.  A
+new fast path is one more column.
 """
 
 from __future__ import annotations
@@ -34,8 +34,13 @@ from repro.engine import RunResult
 from repro.engine.stages import make_scheduler, schedule_kernel
 from repro.harness import grid as grid_module
 from repro.harness.grid import CellSpec, ExperimentGrid
-from repro.harness.scenarios import LocalitySpec, all_scenarios, run_scenario
-from repro.harness.sweep import figure5
+from repro.harness.scenarios import (
+    LocalitySpec,
+    ScenarioSpec,
+    all_scenarios,
+    get_scenario,
+    run_scenario,
+)
 from repro.machine import four_cluster, two_cluster
 from repro.machine.config import BusConfig
 from repro.scheduler import Schedule
@@ -43,11 +48,16 @@ from repro.simulator import LockstepSimulator, VectorizedSimulator, WarmStateSto
 from repro.steady import STEADY_MODES
 from repro.workloads import GeneratorConfig, random_kernel, spec_suite
 
-#: The golden panels, each drawn on a given grid.
+#: The golden panels.
 PANELS = {
-    "fig6-smoke": lambda grid: run_scenario("fig6-smoke", grid=grid).figure,
-    "fig5-4cluster-reduced": lambda grid: figure5(
-        n_clusters=4, latencies=(1,), thresholds=(1.0, 0.0), grid=grid),
+    "fig6-smoke": get_scenario("fig6-smoke"),
+    "fig5-4cluster-reduced": ScenarioSpec(
+        name="fig5-4cluster-reduced",
+        description="Figure 5 (4-cluster), LRB=LMB=1, two thresholds",
+        figure="figure5",
+        figure_args=(("latencies", (1,)), ("n_clusters", 4),
+                     ("thresholds", (1.0, 0.0))),
+    ),
 }
 #: The view column also covers every scheduling problem of these: every
 #: machine pair that differs only in its memory-bus count.
@@ -134,10 +144,6 @@ def _reference(job):
     return schedules, runs
 
 
-class _Stop(Exception):
-    pass
-
-
 class Matrix:
     """The one cell enumerator, and every product the columns share."""
 
@@ -148,18 +154,13 @@ class Matrix:
         self.groups = {}  # label -> its cells, so labelled
         for scenario in all_scenarios():
             if scenario.name in VIEW_FIGURES:
-                self._capture({}, scenario.name, scenario.locality,
-                              lambda grid: run_scenario(scenario, grid))
-            if scenario.is_figure:
-                continue
-            kernels, groups = scenario.build_kernels(), scenario.groups
-            specs = scenario.expand(kernels)
-            for index, spec in enumerate(specs):
-                group = groups[index * len(groups) // len(specs)]
-                self._add(self.cells, f"{scenario.name}:{group.label}",
-                          scenario.locality, spec, kernels)
-        for name, draw in PANELS.items():
-            self._capture(self.cells, name, LocalitySpec(), draw)
+                self._expand({}, scenario.name, scenario)
+            elif not scenario.is_figure:
+                for group in scenario.groups:
+                    self._expand(self.cells, f"{scenario.name}:{group.label}",
+                                 replace(scenario, groups=(group,)))
+        for name, panel in PANELS.items():
+            self._expand(self.cells, name, panel)
         suite = spec_suite(["su2cor", "turb3d", "tomcatv", "mgrid", "applu"])
         for kernel, mode in product(suite[:4], STEADY_MODES):
             spec = CellSpec.of(kernel, two_cluster(), "rmca", 1.0, steady=mode)
@@ -182,20 +183,11 @@ class Matrix:
         cell = cells.setdefault((fp, spec), Cell(fp, spec, kernel, label))
         self.groups.setdefault(label, []).append(cell._replace(label=label))
 
-    def _capture(self, cells, label, locality, draw):
-        """The cells ``draw`` submits to its grid."""
-        specs = []
-
-        def stop(submitted):
-            specs.extend(submitted)
-            raise _Stop
-
-        grid = ExperimentGrid(locality=locality.build(), cache=False)
-        grid.run = stop
-        with pytest.raises(_Stop):
-            draw(grid)
-        for spec in specs:
-            self._add(cells, label, locality, spec, grid._kernels.values())
+    def _expand(self, cells, label, scenario):
+        """The cells of ``scenario``, all labelled ``label``."""
+        kernels = scenario.build_kernels()
+        for spec in scenario.expand(kernels):
+            self._add(cells, label, scenario.locality, spec, kernels)
 
     def compute(self, cells, pool=None) -> None:
         """The reference of ``cells``, one job per kernel."""
@@ -481,15 +473,16 @@ def test_plan_cold(matrix, monkeypatch, n_jobs, steady, fp):
 
 
 def test_figure(matrix, planned):
-    """The generators assemble the same bars and records from the plan's
-    grid (store-served) as from the reference."""
+    """Each panel normalizes into the same bars and records from the
+    plan's grid (store-served) as from the reference."""
     def answer(specs):
         return [matrix.result(matrix.cells[SAMPLED, spec]) for spec in specs]
 
-    for name, draw in PANELS.items():
+    for name, panel in PANELS.items():
         reference = ExperimentGrid(locality=matrix.analyzers[SAMPLED],
                                    cache=False, kernels=matrix.kernels)
         reference.run = answer
-        want, got = draw(reference), draw(planned[SAMPLED][0])
+        want, got = (run_scenario(panel, grid).figure
+                     for grid in (reference, planned[SAMPLED][0]))
         assert got.bars == want.bars, f"figure | {name}: bars differ"
         assert got.records == want.records, f"figure | {name}: records differ"

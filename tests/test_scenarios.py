@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.cme import SamplingCME
 from repro.engine import StageStore
-from repro.harness.grid import CellSpec, ExperimentGrid
+from repro.harness.grid import CellSpec, ExperimentGrid, machine_key
 from repro.harness.scenarios import (
     ABLATION_KERNELS,
     GroupSpec,
@@ -21,7 +21,9 @@ from repro.harness.scenarios import (
     scenario_listing,
     scenario_names,
 )
-from repro.machine.config import MachineConfig
+from repro.machine import two_cluster, unified
+from repro.machine.config import BusConfig, MachineConfig
+from repro.workloads.dsp import DSP_KERNELS
 
 from reference_cells import stage_work
 
@@ -195,6 +197,32 @@ class TestFromDictValidation:
                  "figure_args": {"kernels": ["applu"]}},
                 "'kernels'.*'figure_args'",
             ),
+            # A figure's figure_args build its groups and thresholds.
+            ({"figure": "figure6"}, "'groups'"),
+            (
+                {"groups": [], "figure": "figure6", "thresholds": [0.5]},
+                "'thresholds'",
+            ),
+            (
+                {"groups": [], "figure": "figure5",
+                 "figure_args": {"n_clusters": 3}},
+                "'n_clusters'",
+            ),
+            (
+                {"groups": [], "figure": "figure6",
+                 "figure_args": {"bus_counts": "ab"}},
+                "'bus_counts'",
+            ),
+            (
+                {"groups": [], "figure": "figure6",
+                 "figure_args": {"bus_latencies": [0]}},
+                "'bus_latencies'.*>= 1",
+            ),
+            (
+                {"groups": [], "figure": "figure5",
+                 "figure_args": {"thresholds": [True]}},
+                "'thresholds'.*'figure_args'",
+            ),
         ],
     )
     def test_bad_field_names_key(self, overrides, match):
@@ -220,11 +248,17 @@ class TestFromDictValidation:
             ScenarioSpec.from_dict(self._data(groups={"label": "g"}))
 
     def test_bad_bus_spec_named(self):
-        for bad in ([1], [1, 2, 3], ["one", 2], [True, 2], 7):
+        for bad in (
+            [1], [1, 2, 3], ["one", 2], [True, 2], 7, [1, 0], [0, 1],
+            [None, 0], [1, True],
+        ):
             with pytest.raises(ValueError, match="'memory_bus'"):
                 MachineSpec.from_dict(
                     {"preset": "unified", "memory_bus": bad}
                 )
+        # Built in code, a spec makes the same checks.
+        with pytest.raises(ValueError, match="'register_bus'"):
+            MachineSpec(preset="2-cluster", register_bus=(2, 0))
         # null count (unbounded pool) stays legal
         spec = MachineSpec.from_dict(
             {"preset": "unified", "memory_bus": [None, 1]}
@@ -248,10 +282,7 @@ class TestScenarioListing:
             }
             spec = ScenarioSpec.from_dict(entry["spec"])
             assert spec.to_dict() == entry["spec"]
-            if entry["kind"] == "figure":
-                assert entry["cells"] is None
-            else:
-                assert entry["cells"] == spec.n_cells()
+            assert entry["cells"] == spec.n_cells() > 0
 
     def test_listing_is_json_serializable(self):
         assert json.loads(json.dumps(scenario_listing()))
@@ -260,12 +291,7 @@ class TestScenarioListing:
 class TestExpansion:
     def test_cell_count_matches_expansion(self):
         for scenario in all_scenarios():
-            if scenario.is_figure:
-                assert scenario.n_cells() is None
-                with pytest.raises(ValueError, match="delegates enumeration"):
-                    scenario.expand()
-            else:
-                assert len(scenario.expand()) == scenario.n_cells()
+            assert len(scenario.expand()) == scenario.n_cells()
 
     def test_expansion_order_is_group_threshold_kernel(self):
         scenario = _tiny_scenario(
@@ -289,10 +315,74 @@ class TestExpansion:
         assert [s.threshold for s in specs] == [1.0, 1.0, 0.0, 0.0] * 2
         assert [s.kernel for s in specs] == ["tomcatv", "swim"] * 4
 
+    def test_figure_expansion_leads_with_the_reference(self, monkeypatch):
+        scenario = ScenarioSpec(
+            name="fig6-tiny",
+            description="one bus configuration, two thresholds",
+            figure="figure6",
+            figure_args=(
+                ("bus_counts", (1,)),
+                ("bus_latencies", (4,)),
+                ("thresholds", (1.0, 0.0)),
+            ),
+            kernels=("tomcatv", "swim"),
+        )
+        encoded = []
+        to_dict = MachineConfig.to_dict
+        monkeypatch.setattr(
+            MachineConfig, "to_dict",
+            lambda machine: encoded.append(machine) or to_dict(machine),
+        )
+        specs = scenario.expand()
+        # Reference, Unified, and one machine for both schedulers.
+        assert len(encoded) == 3
+        monkeypatch.undo()
+        machines = (
+            [unified(memory_bus=BusConfig(None, 1))] * 2
+            + [unified()] * 4
+            + [two_cluster(memory_bus=BusConfig(1, 4))] * 8
+        )
+        assert [s.machine for s in specs] == [
+            machine_key(machine) for machine in machines
+        ]
+        assert [s.scheduler for s in specs] == ["baseline"] * 10 + ["rmca"] * 4
+        assert [s.threshold for s in specs] == (
+            [1.0] * 2 + [1.0, 1.0, 0.0, 0.0] * 3
+        )
+        assert [s.kernel for s in specs] == ["tomcatv", "swim"] * 7
+        assert scenario.n_cells() == len(specs)
+
+    def test_figure_honours_workload_and_overrides(self):
+        scenario = ScenarioSpec(
+            name="fig6-dsp",
+            description="figure 6 over the DSP suite, clamped",
+            figure="figure6",
+            figure_args=(("thresholds", (0.5,)),),
+            suite="dsp",
+            n_iterations=7,
+            n_times=2,
+            steady="entry",
+        )
+        specs = scenario.expand()
+        n_dsp = len(DSP_KERNELS)
+        # Reference + Unified + 4 bus configurations x 2 schedulers.
+        assert len(specs) == scenario.n_cells() == 10 * n_dsp
+        assert [s.kernel for s in specs] == list(DSP_KERNELS) * 10
+        assert [s.threshold for s in specs] == (
+            [1.0] * n_dsp + [0.5] * 9 * n_dsp
+        )
+        assert all(
+            (s.n_iterations, s.n_times, s.steady) == (7, 2, "entry")
+            for s in specs
+        )
+
     @pytest.mark.parametrize(
-        "name", ["bus-design-space-smoke", "fig6-steady-ablation"]
+        "name, machines",
+        [("bus-design-space-smoke", 4), ("fig6-steady-ablation", 1)],
     )
-    def test_expansion_encodes_one_machine_per_group(self, name, monkeypatch):
+    def test_expansion_encodes_one_machine_per_spec(
+        self, name, machines, monkeypatch
+    ):
         scenario = get_scenario(name)
         kernels = scenario.build_kernels()
         # The cells as built with a new machine per cell.
@@ -322,7 +412,7 @@ class TestExpansion:
 
         monkeypatch.setattr(MachineConfig, "to_dict", _counting_to_dict)
         assert scenario.expand(kernels) == per_cell
-        assert len(encoded) == len(scenario.groups)
+        assert len(encoded) == machines
 
     def test_sim_overrides_reach_cellspecs(self):
         specs = _tiny_scenario().expand()
@@ -418,7 +508,7 @@ class TestRunScenario:
 
     def test_conflicting_grid_analyzer_rejected(self):
         grid = ExperimentGrid(locality=SamplingCME(max_points=64))
-        with pytest.raises(ValueError, match="declares analyzer"):
+        with pytest.raises(ValueError, match="conflicting locality"):
             run_scenario(_tiny_scenario(), grid=grid)
 
     def test_dsp_scenario_runs_on_its_suite(self):
@@ -453,12 +543,16 @@ class TestRunScenario:
         )
         outcome = run_scenario(scenario, cache=False)
         assert outcome.figure is not None
-        assert outcome.results is None
+        assert len(outcome.results) == scenario.n_cells() == 8
         groups = outcome.figure.groups
-        assert "unified" in groups
-        assert any("NMB=1,LMB=1" in group for group in groups)
-        with pytest.raises(ValueError, match="figure scenario"):
-            list(outcome.iter_rows())
+        assert groups == [
+            "unified", "NMB=1,LMB=1 baseline", "NMB=1,LMB=1 rmca"
+        ]
+        rows = list(outcome.iter_rows())
+        assert [row[0] for row in rows[::2]] == ["reference", *groups]
+        assert [record["group"] for record in outcome.figure.records] == [
+            row[0] for row in rows[2:]
+        ]
 
 
 class TestScenarioCLI:

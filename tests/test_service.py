@@ -98,6 +98,13 @@ class _FigureArg:
     value: object
 
 
+@dataclass(frozen=True)
+class _GroupMachine:
+    """A key of a grid group's machine spec, as a test input."""
+
+    value: object
+
+
 @pytest.fixture(scope="module")
 def service():
     with ServerThread() as srv:
@@ -254,6 +261,11 @@ class TestValidationOverHttp:
             ("n_cluster", _FigureArg(2)),
             ("grid", _FigureArg(None)),
             ("kernels", _FigureArg(["applu"])),
+            ("n_clusters", _FigureArg(3)),
+            ("bus_counts", _FigureArg("ab")),
+            ("bus_latencies", _FigureArg([0])),
+            ("memory_bus", _GroupMachine([1, 0])),
+            ("memory_bus", _GroupMachine([0, 1])),
         ],
     )
     def test_bad_inline_spec_is_400_and_named(self, service, key, value):
@@ -265,6 +277,8 @@ class TestValidationOverHttp:
             spec.update(
                 groups=[], figure="figure6", figure_args={key: value.value}
             )
+        elif isinstance(value, _GroupMachine):
+            spec["groups"][0]["machine"][key] = value.value
         else:
             spec[key] = value
         with pytest.raises(ServiceError, match=repr(key)) as info:
