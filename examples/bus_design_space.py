@@ -11,20 +11,16 @@ Usage::
 
     python examples/bus_design_space.py [--jobs N]
 
-All cells run through one :class:`ExperimentGrid`, so the sweep can fan
-out over worker processes and never recomputes a shared schedule or
-simulation.
+The sweep is one :func:`~repro.harness.figure6` call: the Unified
+reference and every bar's cells run in one :class:`ExperimentGrid` wave,
+so it can fan out over worker processes and never recomputes a shared
+schedule or simulation.
 """
 
 import argparse
 
-from repro import BusConfig, SamplingCME, four_cluster
-from repro.harness import (
-    ExperimentGrid,
-    format_table,
-    suite_bar,
-    unified_reference,
-)
+from repro import SamplingCME
+from repro.harness import ExperimentGrid, figure6, format_table
 from repro.workloads import spec_suite
 
 
@@ -37,43 +33,30 @@ def main():
     grid = ExperimentGrid(
         locality=SamplingCME(max_points=512), n_jobs=args.jobs
     )
-    reference = unified_reference(kernels, grid=grid)
+    figure = figure6(
+        n_clusters=4,
+        bus_counts=(1, 2),
+        bus_latencies=(1, 4),
+        thresholds=(1.0, 0.0),
+        kernels=kernels,
+        grid=grid,
+    )
 
     print("kernels:", ", ".join(k.name for k in kernels))
-    print("reference (unified @ threshold 1.00):", reference)
+    print(figure.title, "- normalized to Unified @ threshold 1.00")
     print()
-
-    rows = []
-    register_bus = BusConfig(count=2, latency=1)
-    for nmb in (1, 2):
-        for lmb in (1, 4):
-            machine = four_cluster(
-                register_bus=register_bus,
-                memory_bus=BusConfig(count=nmb, latency=lmb),
-            )
-            for scheduler in ("baseline", "rmca"):
-                for threshold in (1.0, 0.0):
-                    bar, _records = suite_bar(
-                        f"NMB={nmb},LMB={lmb}",
-                        kernels,
-                        machine,
-                        scheduler,
-                        threshold,
-                        None,
-                        reference,
-                        grid=grid,
-                    )
-                    rows.append(
-                        (
-                            bar.group,
-                            scheduler,
-                            threshold,
-                            bar.norm_compute,
-                            bar.norm_stall,
-                            bar.norm_total,
-                        )
-                    )
-
+    rows = [
+        (
+            bar.group.rsplit(" ", 1)[0],
+            bar.scheduler,
+            bar.threshold,
+            bar.norm_compute,
+            bar.norm_stall,
+            bar.norm_total,
+        )
+        for bar in figure.bars
+        if bar.group != "unified"
+    ]
     print(
         format_table(
             ["bus config", "scheduler", "threshold", "compute", "stall", "total"],

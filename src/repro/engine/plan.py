@@ -5,11 +5,13 @@
 *up front* by the :class:`~repro.engine.stagestore.StageStore` key
 families:
 
-* one **analyze** task per unique ``loop_fingerprint`` × analyzer
-  configuration,
 * one **schedule** task per scheduling problem: kernel × scheduler ×
   threshold × analyzer × the machine's scheduling view (the machine
   without its memory-bus count, which no scheduler reads),
+* one **analyze** task per unique ``loop_fingerprint`` × analyzer
+  configuration among the kernels of those schedule tasks: only a
+  scheduler reads an address trace, so a run whose every schedule is
+  stored loads and builds none,
 * one **simulate** task per ``Schedule.fingerprint()`` × steady mode ×
   iteration overrides, where the fingerprint names the cell's own
   machine, memory buses included,
@@ -164,7 +166,7 @@ class ExecutionPlanner:
 
     Planning happens in two passes because simulate keys depend on
     *materialized* schedules (``Schedule.fingerprint()``): :meth:`plan`
-    dedups analyze and schedule work up front, and once every schedule
+    dedups schedule and analyze work up front, and once every schedule
     exists — from store hits or executed tasks — :meth:`plan_simulate`
     dedups the simulate work.
     """
@@ -174,51 +176,27 @@ class ExecutionPlanner:
         self.store = store
         self.locality_fp = locality_fingerprint(locality)
 
-    # -- pass 1: analyze + schedule ------------------------------------
+    # -- pass 1: schedule + analyze ------------------------------------
     def plan(
         self,
         specs: Sequence[object],
         kernels: Mapping[str, Kernel],
     ) -> StagePlan:
-        """Dedup analyze/schedule work for ``specs`` against the store.
+        """Dedup schedule, then analyze work for ``specs`` against the
+        store.
 
         ``kernels`` maps each spec's kernel name to its resolved object.
         One counted store lookup happens per *unique* schedule key —
         hits are planned away as pre-materialized products, misses
         become tasks.  Duplicate cells incur their (counted) lookups at
-        assembly time instead.
+        assembly time instead.  Only a scheduler reads an analyze
+        product, so analyze tasks are planned for the kernels of the
+        schedule tasks alone.
         """
         plan = StagePlan(locality_fp=self.locality_fp, kernels=kernels)
         counters = plan.counters
         counters["runs"] = 1
         counters["cells"] = len(specs)
-
-        # Analyze: one task per unique loop × analyzer configuration.
-        # Only analyzers with a content-addressed trace store carry a
-        # shareable analyze product (see stages.analyze_loop).
-        traces = getattr(self.locality, "traces", None)
-        max_points = getattr(self.locality, "max_points", None)
-        if traces is not None and max_points is not None:
-            seen_analyze: Dict[str, None] = {}
-            for spec in specs:
-                kernel = kernels[spec.kernel]
-                loop_fp = loop_fingerprint(kernel.loop)
-                key = StageStore.analyze_key(loop_fp, self.locality_fp)
-                if key in seen_analyze:
-                    continue
-                seen_analyze[key] = None
-                plan.analyze_tasks.append(
-                    PlanTask(
-                        stage="analyze",
-                        key=key,
-                        payload={
-                            "kernel": spec.kernel,
-                            "loop_fp": loop_fp,
-                            "locality_fp": self.locality_fp,
-                        },
-                    )
-                )
-        counters["analyze_tasks"] = len(plan.analyze_tasks)
 
         # Schedule: one task per unique scheduling problem, keyed and
         # scheduled on the cell machine's view; first spec owns it.
@@ -257,6 +235,34 @@ class ExecutionPlanner:
             plan.assembly.append(
                 AssemblyNode(spec=spec, schedule_key=key, schedule_owner=owner)
             )
+
+        # Analyze: one task per unique loop × analyzer configuration
+        # that a schedule task reads.  Only analyzers with a
+        # content-addressed trace store carry a shareable analyze
+        # product (see stages.analyze_loop).
+        traces = getattr(self.locality, "traces", None)
+        max_points = getattr(self.locality, "max_points", None)
+        if traces is not None and max_points is not None:
+            seen_analyze: Dict[str, None] = {}
+            for task in plan.schedule_tasks:
+                name = task.payload["kernel"]
+                loop_fp = loop_fingerprint(kernels[name].loop)
+                key = StageStore.analyze_key(loop_fp, self.locality_fp)
+                if key in seen_analyze:
+                    continue
+                seen_analyze[key] = None
+                plan.analyze_tasks.append(
+                    PlanTask(
+                        stage="analyze",
+                        key=key,
+                        payload={
+                            "kernel": name,
+                            "loop_fp": loop_fp,
+                            "locality_fp": self.locality_fp,
+                        },
+                    )
+                )
+        counters["analyze_tasks"] = len(plan.analyze_tasks)
         counters["schedule_unique"] = len(schedule_owner)
         counters["schedule_tasks"] = len(plan.schedule_tasks)
         return plan

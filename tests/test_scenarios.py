@@ -1,12 +1,14 @@
 """Tests for the scenario registry and runner (repro.harness.scenarios)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.cme import SamplingCME
 from repro.engine import StageStore
+from repro.harness import scenarios
 from repro.harness.grid import CellSpec, ExperimentGrid, machine_key
 from repro.harness.scenarios import (
     ABLATION_KERNELS,
@@ -552,6 +554,71 @@ class TestRunScenario:
         assert [row[0] for row in rows[::2]] == ["reference", *groups]
         assert [record["group"] for record in outcome.figure.records] == [
             row[0] for row in rows[2:]
+        ]
+
+
+class TestBuiltOncePerProcess:
+    """A spec run on its own kernels builds them and its cells once per
+    process, keyed by its canonical JSON."""
+
+    NAME = "unified-reference"
+
+    def _grid(self):
+        return ExperimentGrid(
+            locality=get_scenario(self.NAME).locality.build(), cache=False
+        )
+
+    def test_signed_zero_thresholds_keep_their_sign(self):
+        positive = _tiny_scenario(thresholds=(1.0, 0.0))
+        negative = _tiny_scenario(thresholds=(1.0, -0.0))
+        # Equal specs with one hash, yet their cells differ.
+        assert positive == negative and hash(positive) == hash(negative)
+        grid = ExperimentGrid(locality=SamplingCME(max_points=512),
+                              cache=False)
+        run_scenario(positive, grid=grid)
+        outcome = run_scenario(negative, grid=grid)
+        for labels in (outcome.results,
+                       [r.simulation for r in outcome.results]):
+            assert [repr(r.threshold) for r in labels] == ["1.0", "-0.0"]
+
+    def test_second_run_builds_and_analyzes_nothing(self, monkeypatch):
+        grid = self._grid()
+        first = run_scenario(self.NAME, grid=grid)
+        built = []
+        names, factory = scenarios._SUITES["spec"]
+        monkeypatch.setitem(scenarios._SUITES, "spec", (
+            names, lambda *args: built.append("suite") or factory(*args)
+        ))
+        of = CellSpec.of
+        monkeypatch.setattr(CellSpec, "of", classmethod(
+            lambda cls, *args, **kw: built.append("cell") or of(*args, **kw)
+        ))
+        before = dict(grid.stats.plan)
+        second = run_scenario(self.NAME, grid=grid)
+        assert built == []
+        assert all(a is b for a, b in zip(second.kernels, first.kernels))
+        # Store-served: no schedule task, so no kernel is analyzed.
+        for key in ("analyze_tasks", "schedule_tasks", "simulate_tasks"):
+            assert grid.stats.plan[key] == before[key], key
+        assert [r.canonical() for r in second.results] == [
+            r.canonical() for r in first.results
+        ]
+
+    def test_changed_kernel_fails_the_next_run_loudly(self):
+        # A copy under its own name: its memo entry is this test's alone.
+        spec = replace(get_scenario(self.NAME), name="changed-kernel")
+        grid = self._grid()
+        outcome = run_scenario(spec, grid=grid)
+        kernel = outcome.kernels[0]
+        edge = kernel.ddg.edges()[0]
+        kernel.ddg.add_edge(replace(edge, distance=edge.distance + 7))
+        with pytest.raises(ValueError, match="content mismatch"):
+            run_scenario(spec, grid=grid)
+        # The failure empties the memo: the run after it builds afresh.
+        again = run_scenario(spec, grid=grid)
+        assert again.kernels[0] is not kernel
+        assert [r.canonical() for r in again.results] == [
+            r.canonical() for r in outcome.results
         ]
 
 

@@ -7,6 +7,7 @@ served from the store, for every cell, are the ``plan`` column of
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -262,19 +263,41 @@ class TestStageEquivalence:
         second = grid.stage_store.telemetry()
         assert second["schedule"]["hits"] == second["simulate"]["hits"] == 1
 
-    def test_analyze_store_serves_fresh_analyzer(self, tmp_path):
+    def _fresh_over(self, tmp_path):
+        """applu's cell run by a first grid into ``tmp_path``, then a
+        fresh grid with a fresh analyzer over the same directory."""
         kernel = spec_suite(["applu"])[0]
         spec = CellSpec.of(kernel, two_cluster(), "rmca", 1.0)
         first = ExperimentGrid(
             locality=IncrementalCME(max_points=MAX_POINTS), cache_dir=tmp_path
         )
-        first.run_one(spec)
+        result = first.run_one(spec)
         assert first.stage_store.counts("analyze")["stores"] == 1
-        fresh_analyzer = IncrementalCME(max_points=MAX_POINTS)
-        fresh = ExperimentGrid(locality=fresh_analyzer, cache_dir=tmp_path)
-        fresh.run_one(spec)
+        fresh = ExperimentGrid(
+            locality=IncrementalCME(max_points=MAX_POINTS), cache_dir=tmp_path
+        )
+        return loop_fingerprint(kernel.loop), spec, result, fresh
+
+    def test_analyze_store_serves_fresh_analyzer(self, tmp_path):
+        loop_fp, spec, _, fresh = self._fresh_over(tmp_path)
+        # Another threshold on the same loop: a schedule to compute,
+        # which reads the stored trace instead of building it.
+        fresh.run_one(replace(spec, threshold=0.5))
+        assert fresh.stats.plan["schedule_tasks"] == 1
         assert fresh.stage_store.counts("analyze")["hits"] == 1
-        assert fresh_analyzer.traces.peek_address_trace(
-            loop_fingerprint(kernel.loop), MAX_POINTS
-        ) is not None
-        assert fresh_analyzer.traces.address_builds == 0
+        traces = fresh.locality.traces
+        assert traces.peek_address_trace(loop_fp, MAX_POINTS) is not None
+        assert traces.address_builds == 0
+
+    def test_store_served_fresh_grid_analyzes_nothing(self, tmp_path):
+        loop_fp, spec, result, fresh = self._fresh_over(tmp_path)
+        served = fresh.run_one(spec)
+        # Every schedule is stored: no analyze lookup, no trace adopted.
+        assert fresh.stats.plan["analyze_tasks"] == 0
+        assert fresh.stats.plan["schedule_tasks"] == 0
+        counts = fresh.stage_store.counts("analyze")
+        assert counts["hits"] + counts["misses"] == 0
+        traces = fresh.locality.traces
+        assert traces.peek_address_trace(loop_fp, MAX_POINTS) is None
+        assert traces.address_builds == 0
+        assert served.canonical() == result.canonical()
