@@ -30,8 +30,6 @@ from .sweep import (
     FigureData,
     figure5,
     figure6,
-    suite_bar,
-    unified_reference,
 )
 
 __all__ = [
@@ -67,6 +65,4 @@ __all__ = [
     "format_table",
     "render_bar",
     "render_figure",
-    "suite_bar",
-    "unified_reference",
 ]

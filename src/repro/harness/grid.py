@@ -447,20 +447,23 @@ class ExperimentGrid:
             if self.progress is not None:
                 self.progress(done, total, spec, source)
 
-        unique: Dict[CellSpec, None] = {}
+        # Equal specs may still differ: thresholds 0.0 and -0.0 compare
+        # equal, and a result carries its cell's threshold by ``repr``.
+        slots: Dict[Tuple[CellSpec, str], int] = {}
+        unique: List[CellSpec] = []
+        positions: List[int] = []
         for spec in specs:
-            if spec in unique:
+            slot = slots.setdefault((spec, repr(spec.threshold)), len(slots))
+            if slot < len(unique):
                 report(spec, "dedup")
-            unique[spec] = None
+            else:
+                unique.append(spec)
+            positions.append(slot)
         with self._lock:
             self.stats.requested += total
             self.stats.deduplicated += total - len(unique)
-        results = (
-            dict(zip(unique, self._execute(list(unique), report)))
-            if unique
-            else {}
-        )
-        return [results[spec] for spec in specs]
+        results = self._execute(unique, report) if unique else []
+        return [results[slot] for slot in positions]
 
     def _execute(
         self,

@@ -32,25 +32,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..analysis.compare import RunResult, normalized_cycles
 from ..cme.locality import LocalityAnalyzer
 from ..ir.builder import Kernel
-from ..machine.config import BusConfig, MachineConfig
-from ..machine.presets import unified
-from .grid import CellSpec, ExperimentGrid, ProgressCallback, resolve_grid
+from .grid import ExperimentGrid, ProgressCallback, resolve_grid
 
 __all__ = [
     "Bar",
     "FigureData",
     "DEFAULT_THRESHOLDS",
-    "unified_reference",
-    "suite_bar",
     "figure_from_rows",
     "figure5",
     "figure6",
 ]
 
 DEFAULT_THRESHOLDS: Tuple[float, ...] = (1.0, 0.75, 0.25, 0.0)
-
-#: The bandwidth-free memory system the normalization reference runs on.
-_REFERENCE_BUS = BusConfig(count=None, latency=1)
 
 
 @dataclass(frozen=True)
@@ -161,58 +154,6 @@ def figure_from_rows(
         figure.bars.append(bar)
         figure.records.extend(records)
     return figure
-
-
-def unified_reference(
-    kernels: Sequence[Kernel],
-    locality: Optional[LocalityAnalyzer] = None,
-    memory_bus: Optional[BusConfig] = None,
-    grid: Optional[ExperimentGrid] = None,
-    steady: str = "auto",
-) -> Dict[str, int]:
-    """Per-kernel total cycles on Unified at threshold 1.00.
-
-    This is the figures' normalization denominator.  The memory bus
-    defaults to an unbounded 1-cycle pool so the reference measures the
-    machine, not bus starvation; pass an explicit bus to reproduce a
-    bandwidth-limited reference.
-    """
-    grid = resolve_grid(locality, grid)
-    grid.register(kernels)
-    machine = unified(
-        memory_bus=_REFERENCE_BUS if memory_bus is None else memory_bus
-    )
-    specs = [
-        CellSpec.of(kernel, machine, "baseline", 1.0, steady=steady)
-        for kernel in kernels
-    ]
-    results = grid.run(specs)
-    return {
-        kernel.name: result.total_cycles
-        for kernel, result in zip(kernels, results)
-    }
-
-
-def suite_bar(
-    group: str,
-    kernels: Sequence[Kernel],
-    machine: MachineConfig,
-    scheduler: str,
-    threshold: float,
-    locality: Optional[LocalityAnalyzer],
-    reference: Dict[str, int],
-    grid: Optional[ExperimentGrid] = None,
-    steady: str = "auto",
-) -> Tuple[Bar, List[Dict[str, object]]]:
-    """Run one bar's cells (through the grid) and average them."""
-    grid = resolve_grid(locality, grid)
-    grid.register(kernels)
-    specs = [
-        CellSpec.of(kernel, machine, scheduler, threshold, steady=steady)
-        for kernel in kernels
-    ]
-    rows = [(group, threshold, r.kernel, r) for r in grid.run(specs)]
-    return _aggregate(rows, reference)
 
 
 def _figure(

@@ -1,7 +1,7 @@
 """The long-running experiment service.
 
-``repro serve`` turns the experiment stack into a persistent asyncio
-HTTP service: one warm process owns the
+``repro serve`` turns the experiment stack into a persistent HTTP
+service on the stdlib's threaded server: one warm process owns the
 :class:`~repro.harness.grid.ExperimentGrid` and its content-addressed
 stores (trace, warm-state, per-stage results) across every job it runs,
 so the second submission of a scenario — or the first submission of a
@@ -10,16 +10,13 @@ of recomputing them the way a fresh CLI process would.
 
 Layering (each module usable on its own):
 
-* :mod:`repro.service.http` — a minimal zero-dependency HTTP/1.1 layer
-  over ``asyncio`` streams (request parsing, JSON responses, NDJSON
-  streaming);
 * :mod:`repro.service.backend` — the pluggable :class:`ResultBackend`
   protocol for job-record persistence (in-proc dict → disk directory);
 * :mod:`repro.service.jobs` — the :class:`JobManager` that owns the
-  persistent grid, runs jobs off the event loop and publishes per-cell
-  progress events;
-* :mod:`repro.service.server` — the endpoint routing and the asyncio
-  server (:class:`ExperimentServer`, plus the test-friendly
+  persistent grid, runs jobs on its worker thread and publishes
+  per-cell progress events;
+* :mod:`repro.service.server` — the endpoint routing on the stdlib's
+  ``http.server`` (:class:`ExperimentServer`, plus the test-friendly
   :class:`ServerThread`);
 * :mod:`repro.service.export` — the result payload, the export rows
   derived from it, and npz/csv quick-look artifacts rendered in memory;

@@ -26,9 +26,10 @@ Parallelism *within* a job is the grid's own ``n_jobs`` process fan-out.
 Progress flows through the existing
 :data:`~repro.harness.grid.ProgressCallback` hook: each running job
 installs its per-cell callback on the grid, events append to the job's
-list under a condition variable, and each append calls the job's
-subscribers (:meth:`Job.subscribe`), which is how the server's NDJSON
-handler learns to drain them by cursor (:meth:`Job.events_since`).
+list under its condition variable (:attr:`Job.condition`), and each
+append notifies it, which is how the server's NDJSON handler, waiting
+on that condition, learns to drain them by cursor
+(:meth:`Job.events_since`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cme.locality import locality_fingerprint
 from ..harness.grid import CellSpec, ExperimentGrid
@@ -73,15 +74,10 @@ class Job:
     any thread, so state transitions and event appends happen under
     :attr:`condition`.
 
-    Subscribers are how a reader learns of new events without polling.
-    A subscriber is a callable taking no arguments.  Every event append
-    calls each subscriber once, on the emitting thread (usually the
-    worker), after :attr:`condition` is released; it says only that
-    events may be waiting, so the subscriber reads them itself with
-    :meth:`events_since`.  Subscribe *before* the first read, so no
-    event can fall between the read and the subscription, and
-    unsubscribe when done.  A subscriber must be quick and must not
-    raise: an exception would propagate into the job's run.
+    The condition is also how a reader learns of new events without
+    polling: every event append calls its ``notify_all()``, so a reader
+    waits on it (``wait_for`` a longer event list or a terminal state)
+    and then reads with :meth:`events_since`.
     """
 
     def __init__(
@@ -105,8 +101,6 @@ class Job:
         self.telemetry: Optional[Dict[str, object]] = None
         self.condition = threading.Condition()
         self.events: List[Dict[str, object]] = []
-        #: Replaced, never changed in place, so an emit reads it once.
-        self._subscribers: Tuple[Callable[[], None], ...] = ()
         self._emit({"type": "state", "state": "queued"})
 
     @classmethod
@@ -156,21 +150,6 @@ class Job:
             event["job"] = self.id
             self.events.append(event)
             self.condition.notify_all()
-            subscribers = self._subscribers
-        for subscriber in subscribers:
-            subscriber()
-
-    def subscribe(self, subscriber: Callable[[], None]) -> None:
-        """Call ``subscriber()`` after every later event append."""
-        with self.condition:
-            self._subscribers += (subscriber,)
-
-    def unsubscribe(self, subscriber: Callable[[], None]) -> None:
-        """Stop calling ``subscriber``."""
-        with self.condition:
-            self._subscribers = tuple(
-                s for s in self._subscribers if s is not subscriber
-            )
 
     def _transition(self, state: str, **extra: object) -> None:
         with self.condition:

@@ -1,27 +1,30 @@
-"""The asyncio experiment server: routes, streaming, lifecycles.
+"""The experiment server: routes, streaming, lifecycles.
 
-:class:`ExperimentServer` glues the pieces together: the
-:mod:`~repro.service.http` layer parses requests off asyncio streams,
-the :class:`~repro.service.jobs.JobManager` owns the persistent grids
-and runs the work, and this module maps URLs to both.  The event loop
-never blocks on experiment work — jobs execute on the manager's worker
-thread — and nothing on it polls:
+:class:`ExperimentServer` glues the pieces together: the stdlib's
+:class:`~http.server.ThreadingHTTPServer` parses each request on a
+thread of its own, the :class:`~repro.service.jobs.JobManager` owns the
+persistent grids and runs the work, and :class:`_Handler` maps URLs to
+both.  No request thread runs experiment work — jobs execute on the
+manager's worker thread — and no answer waits on a timer:
 
 * ``POST /jobs`` saves and registers the job, writes its ``201``
   (which therefore always reads ``queued``) and only then hands the job
   to the worker, so the answer never waits for the GIL behind the job
   it announces.
-* The one long-lived response shape, the NDJSON event stream,
-  subscribes to its job (:meth:`~repro.service.jobs.Job.subscribe`).
-  The worker's event appends wake the stream's handler through
-  ``loop.call_soon_threadsafe``, at most one pending wakeup at a time,
-  and each wakeup sends every fresh event with one write and one drain
-  (:class:`_Wakeup`).
+* The one long-lived response shape, the NDJSON event stream, waits on
+  its job's :attr:`~repro.service.jobs.Job.condition`, which every
+  event append notifies, and each wakeup sends every fresh event with
+  one write.
 * ``/result`` sends the bytes the job's terminal save encoded, spliced
   into its JSON body without encoding the payload again
   (:func:`~repro.service.backend.json_with_result`).
-* Exports are derived from those bytes and rendered in memory, off the
-  loop (:func:`~repro.service.export.render_result`).
+* Exports are derived from those bytes and rendered in memory, on the
+  request's own thread (:func:`~repro.service.export.render_result`).
+
+Every answer, the stdlib's own parse errors included, is one
+``Connection: close`` response on an HTTP/1.1 status line with a JSON
+body (NDJSON for an event stream), so one connection carries one
+request and a stream ends when the server closes it.
 
 Endpoints::
 
@@ -45,157 +48,229 @@ embedding caller).
 
 from __future__ import annotations
 
-import asyncio
+import functools
+import json
 import threading
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..harness.scenarios import scenario_listing
 from .backend import json_with_result
 from .export import EXPORT_FORMATS, render_result
-from .http import (
-    HttpError,
-    HttpRequest,
-    read_request,
-    send_bytes,
-    send_json,
-    send_ndjson,
-    start_ndjson_stream,
-)
 from .jobs import Job, JobManager
 
-__all__ = ["ExperimentServer", "ServerThread", "run_server"]
+__all__ = ["ExperimentServer", "HttpError", "ServerThread", "run_server"]
+
+#: Upper bound on request bodies (a scenario spec is a few KB; anything
+#: approaching this is not a job submission).
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Upper bound on the header block, total.  The stdlib reads up to 100
+#: header lines of 64 KiB each before this bound is checked.
+MAX_HEADER_BYTES = 64 * 1024
 
 _EXPORT_CONTENT_TYPES = {"npz": "application/octet-stream", "csv": "text/csv"}
 
+#: Seconds between a :class:`ServerThread` listener's checks for a stop
+#: request; the stdlib's 0.5 s default would make each exit wait that long.
+_STOP_POLL_S = 0.02
 
-class ExperimentServer:
-    """One service instance: a job manager behind an asyncio listener."""
 
-    def __init__(
-        self,
-        manager: Optional[JobManager] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.manager = manager if manager is not None else JobManager()
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
+class HttpError(Exception):
+    """A request the server answers with a non-200 JSON error body."""
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener (resolving ``port=0`` to the real port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+        self.message = message
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+def _head(
+    status: int, content_type: str, content_length: Optional[int]
+) -> bytes:
+    lines = [
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+        f"Content-Type: {content_type}",
+        "Connection: close",
+    ]
+    if content_length is not None:
+        lines.append(f"Content-Length: {content_length}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
+class _Handler(BaseHTTPRequestHandler):
+    """One request: the stdlib parses it, :meth:`_dispatch` answers it.
+
+    The stdlib's ``protocol_version`` stays ``HTTP/1.0``, so it never
+    keeps a connection open for a second request and never sends an
+    interim ``100 Continue``: every byte on the wire comes from
+    :meth:`_send_bytes` or :meth:`_stream_events`.
+    """
+
+    server: "ExperimentServer"
+    #: Small writes (event lines) leave at once, not behind an ACK.
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
         try:
-            try:
-                request = await read_request(reader)
-                if request is None:
-                    return
-                await self._dispatch(request, writer)
-            except HttpError as exc:
-                await send_json(
-                    writer, exc.status, {"error": exc.message}
-                )
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:  # a handler bug must not kill the loop
-                await send_json(
-                    writer,
-                    500,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                )
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # peer went away mid-response; nothing left to tell it
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # CancelledError lands here when the server is torn down
-                # mid-connection; the transport is going away regardless.
-                pass
+            super().handle()
+        except ConnectionError:
+            pass  # peer went away mid-request; nothing left to tell it
 
-    async def _dispatch(self, request: HttpRequest, writer) -> None:
-        path = request.path.rstrip("/") or "/"
-        method = request.method
+    def log_message(self, format: str, *args: object) -> None:
+        """No access log."""
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        # The stdlib serves a request line without a version as
+        # HTTP/0.9: a bare body with no status line.
+        if self.request_version == "HTTP/0.9":
+            self.send_error(400, f"malformed request line {self.requestline!r}")
+            return False
+        # The stdlib's parser files a line without a colon as a defect
+        # and reads every later line as body.
+        if self.headers.defects:
+            self.send_error(400, "malformed header line")
+            return False
+        header_bytes = sum(
+            len(name) + len(value) + 4 for name, value in self.headers.items()
+        )
+        if header_bytes > MAX_HEADER_BYTES:
+            self.send_error(431, "header block too large")
+            return False
+        return True
+
+    def send_error(
+        self, code: int, message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """The stdlib's parse errors, answered like every other error."""
+        self._send_json(code, {"error": message or HTTPStatus(code).phrase})
+
+    def do_GET(self) -> None:
+        try:
+            split = urlsplit(self.path)
+            # A repeated query parameter counts by its first value.
+            self.query = {
+                key: values[0] for key, values in parse_qs(split.query).items()
+            }
+            self.body = self._read_body()
+            self._dispatch(unquote(split.path))
+        except HttpError as exc:
+            self._send_json(exc.status, {"error": exc.message})
+        except ConnectionError:
+            raise
+        except Exception as exc:  # a handler bug still gets an answer
+            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    do_POST = do_GET
+
+    # ------------------------------------------------------------------
+    # Request
+    # ------------------------------------------------------------------
+    def _read_body(self) -> bytes:
+        length_text = self.headers.get("Content-Length")
+        if length_text is None:
+            if self.headers.get("Transfer-Encoding"):
+                raise HttpError(
+                    501, "chunked request bodies are not supported; "
+                    "send Content-Length"
+                )
+            return b""
+        try:
+            length = int(length_text)
+        except ValueError:
+            raise HttpError(400, f"bad Content-Length {length_text!r}")
+        if length < 0 or length > MAX_BODY_BYTES:
+            raise HttpError(413, "request body too large")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise HttpError(400, "connection closed inside body")
+        return body
+
+    def _json_body(self) -> object:
+        """The body parsed as JSON (400 on syntax errors, not 500)."""
+        if not self.body:
+            raise HttpError(400, "request body must be JSON, got nothing")
+        try:
+            return json.loads(self.body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise HttpError(400, f"request body is not valid JSON: {exc}")
+
+    # ------------------------------------------------------------------
+    # Answers
+    # ------------------------------------------------------------------
+    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+        """One complete fixed-length response, in one write."""
+        self.wfile.write(_head(status, content_type, len(body)) + body)
+
+    def _send_json(self, status: int, payload: object) -> None:
+        """One complete JSON response (sorted keys: byte-stable output)."""
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send_bytes(status, body, "application/json")
+
+    # ------------------------------------------------------------------
+    # Routes
+    # ------------------------------------------------------------------
+    def _dispatch(self, route: str) -> None:
+        manager = self.server.manager
+        path = route.rstrip("/") or "/"
+        method = self.command
         if path == "/health" and method == "GET":
-            await send_json(writer, 200, {"ok": True})
+            self._send_json(200, {"ok": True})
             return
         if path == "/scenarios" and method == "GET":
-            await send_json(writer, 200, scenario_listing())
+            self._send_json(200, scenario_listing())
             return
         if path == "/stats" and method == "GET":
-            await send_json(writer, 200, self.manager.stats())
+            self._send_json(200, manager.stats())
             return
         if path == "/jobs" and method == "POST":
             try:
-                spec, overrides = self.manager.parse_payload(request.json())
+                spec, overrides = manager.parse_payload(self._json_body())
             except (ValueError, KeyError) as exc:
                 raise HttpError(400, str(exc))
-            job = self.manager.create(spec, overrides)
+            job = manager.create(spec, overrides)
             try:
-                await send_json(writer, 201, job.describe())
+                self._send_json(201, job.describe())
             finally:
                 # Even when the client went away: a saved job must run.
-                self.manager.start(job)
+                manager.start(job)
             return
         if path == "/jobs" and method == "GET":
-            await send_json(
-                writer, 200, [job.describe() for job in self.manager.jobs()]
+            self._send_json(
+                200, [job.describe() for job in manager.jobs()]
             )
             return
         if path.startswith("/jobs/"):
             parts = path.split("/")[2:]  # ["<id>"] or ["<id>", "<verb>"]
             if len(parts) in (1, 2) and method == "GET":
                 try:
-                    job = self.manager.job(parts[0])
+                    job = manager.job(parts[0])
                 except KeyError as exc:
                     raise HttpError(404, str(exc).strip('"'))
                 verb = parts[1] if len(parts) == 2 else None
                 if verb is None:
-                    await send_json(writer, 200, job.describe())
+                    self._send_json(200, job.describe())
                     return
                 if verb == "result":
-                    await self._send_result(job, writer)
+                    self._send_result(job)
                     return
                 if verb == "events":
-                    await self._stream_events(job, request, writer)
+                    self._stream_events(job)
                     return
                 if verb == "export":
-                    await self._send_export(job, request, writer)
+                    self._send_export(job)
                     return
-        raise HttpError(404, f"no route for {method} {request.path}")
+        raise HttpError(404, f"no route for {method} {route}")
 
     # ------------------------------------------------------------------
     # Job endpoints
     # ------------------------------------------------------------------
-    async def _send_result(self, job: Job, writer) -> None:
+    def _send_result(self, job: Job) -> None:
         if not job.is_terminal:
             raise HttpError(
                 409,
@@ -209,41 +284,39 @@ class ExperimentServer:
             "telemetry": job.telemetry,
         }
         body = json_with_result(fields, job.result_json, sort_keys=True)
-        await send_bytes(writer, 200, body, "application/json")
+        self._send_bytes(200, body, "application/json")
 
-    async def _stream_events(
-        self, job: Job, request: HttpRequest, writer
-    ) -> None:
+    def _stream_events(self, job: Job) -> None:
         try:
-            cursor = int(request.query_value("cursor", "0"))
+            cursor = int(self.query.get("cursor", "0"))
         except ValueError:
             raise HttpError(400, "query parameter 'cursor' must be an integer")
         if cursor < 0:
             raise HttpError(
                 400, f"query parameter 'cursor' must be >= 0, got {cursor}"
             )
-        follow = request.query_value("follow", "1") not in ("0", "false")
-        start_ndjson_stream(writer)
-        if not follow:
-            await send_ndjson(writer, job.events_since(cursor)[0])
-            return
-        wakeup = _Wakeup(asyncio.get_running_loop())
-        job.subscribe(wakeup)
-        try:
-            while True:
-                wakeup.clear()
+        follow = self.query.get("follow", "1") not in ("0", "false")
+        server = self.server
+        self.wfile.write(_head(200, "application/x-ndjson", None))
+        while True:
+            with job.condition:
+                if follow:
+                    job.condition.wait_for(
+                        lambda: len(job.events) > cursor
+                        or job.is_terminal
+                        or server.closing
+                    )
                 events, cursor, finished = job.events_since(cursor)
-                await send_ndjson(writer, events)
-                if finished:
-                    return
-                await wakeup.event.wait()
-        finally:
-            job.unsubscribe(wakeup)
+            if events:
+                self.wfile.write(b"".join(
+                    json.dumps(event, sort_keys=True).encode("utf-8") + b"\n"
+                    for event in events
+                ))
+            if finished or not follow or server.closing:
+                return
 
-    async def _send_export(
-        self, job: Job, request: HttpRequest, writer
-    ) -> None:
-        fmt = request.query_value("format", "npz")
+    def _send_export(self, job: Job) -> None:
+        fmt = self.query.get("format", "npz")
         if fmt not in EXPORT_FORMATS:
             raise HttpError(
                 400,
@@ -256,41 +329,40 @@ class ExperimentServer:
             )
         if job.result_json is None:
             raise HttpError(409, f"job {job.id} {job.state} without a result")
-        # Decoding and rendering (an npz compresses) run off the loop.
-        body = await asyncio.get_running_loop().run_in_executor(
-            None, render_result, job.result_json, fmt
-        )
-        await send_bytes(writer, 200, body, _EXPORT_CONTENT_TYPES[fmt])
+        body = render_result(job.result_json, fmt)
+        self._send_bytes(200, body, _EXPORT_CONTENT_TYPES[fmt])
 
 
-class _Wakeup:
-    """A job subscriber that sets :attr:`event` on ``loop``.
+class ExperimentServer(ThreadingHTTPServer):
+    """One service instance: a job manager behind a threaded listener.
 
-    Called on the job's one emitting thread, it schedules a set only
-    when none is pending since the stream's last :meth:`clear`, so a
-    burst of events costs the loop one wakeup, not one per event.  The
-    unlocked flag can only add a spurious wakeup, never lose one: a
-    set still pending when :meth:`clear` runs lands after it.  A closed
-    loop means the stream is gone, and the job must not fail for that.
+    The listener binds when the server is built, so ``port=0`` resolves
+    to the real port at once.  Request threads are daemons.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self.loop = loop
-        self.event = asyncio.Event()
-        self.pending = False
+    def __init__(
+        self,
+        manager: Optional[JobManager] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ):
+        self.manager = manager if manager is not None else JobManager()
+        #: Set by :meth:`close_streams`; an open event stream then ends.
+        self.closing = False
+        super().__init__((host, port), _Handler)
+        self.host = host
+        self.port = self.server_address[1]
 
-    def __call__(self) -> None:
-        if not self.pending:
-            self.pending = True
-            try:
-                self.loop.call_soon_threadsafe(self.event.set)
-            except RuntimeError:
-                pass
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
 
-    def clear(self) -> None:
-        """Re-arm before a read (on the loop): later events wake it."""
-        self.pending = False
-        self.event.clear()
+    def close_streams(self) -> None:
+        """End every open event stream after its next write."""
+        self.closing = True
+        for job in self.manager.jobs():
+            with job.condition:
+                job.condition.notify_all()
 
 
 # ----------------------------------------------------------------------
@@ -300,22 +372,18 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8642,
     manager: Optional[JobManager] = None,
-    announce=print,
+    announce=functools.partial(print, flush=True),
 ) -> None:
     """Run the service until interrupted (the ``repro serve`` body)."""
     server = ExperimentServer(manager=manager, host=host, port=port)
-
-    async def _main() -> None:
-        await server.start()
+    try:
         if announce is not None:
             announce(f"repro service listening on {server.url}")
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_main())
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        server.server_close()
         server.manager.shutdown(wait=False)
 
 
@@ -328,8 +396,9 @@ class ServerThread:
             client = ServiceClient(service.url)
             ...
 
-    ``__enter__`` returns once the listener is bound (so ``.url`` is
-    ready); ``__exit__`` cancels the loop and joins the thread.
+    ``__enter__`` binds the listener (so ``.url`` is ready) and starts
+    serving; ``__exit__`` stops the listener, ends every open event
+    stream, closes the socket and joins the thread.
     """
 
     def __init__(
@@ -337,58 +406,29 @@ class ServerThread:
         manager: Optional[JobManager] = None,
         host: str = "127.0.0.1",
     ):
-        self.server = ExperimentServer(manager=manager, host=host, port=0)
-        self.manager = self.server.manager
+        self.manager = manager if manager is not None else JobManager()
+        self.host = host
+        self.server: Optional[ExperimentServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._failure: Optional[BaseException] = None
 
     @property
     def url(self) -> str:
         return self.server.url
 
     def __enter__(self) -> "ServerThread":
+        self.server = ExperimentServer(self.manager, self.host, port=0)
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
+            target=self.server.serve_forever,
+            args=(_STOP_POLL_S,),
+            name="repro-serve",
+            daemon=True,
         )
         self._thread.start()
-        self._ready.wait(timeout=10)
-        if self._failure is not None:
-            raise RuntimeError(
-                "experiment service failed to start"
-            ) from self._failure
-        if not self._ready.is_set():
-            raise RuntimeError("experiment service did not start in time")
         return self
 
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def _main() -> None:
-            try:
-                await self.server.start()
-            except BaseException as exc:
-                self._failure = exc
-                raise
-            finally:
-                self._ready.set()
-            await self.server.serve_forever()
-
-        try:
-            self._loop.run_until_complete(_main())
-        except (asyncio.CancelledError, RuntimeError):
-            pass
-        finally:
-            self._ready.set()  # never leave __enter__ hanging
-            self._loop.close()
-
     def __exit__(self, *exc_info) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(
-                lambda: [task.cancel() for task in asyncio.all_tasks(self._loop)]
-            )
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        self.server.shutdown()
+        self.server.close_streams()
+        self.server.server_close()
+        self._thread.join(timeout=10)
         self.manager.shutdown(wait=False)

@@ -164,6 +164,30 @@ class TestStoreReuse:
         assert grid.stats.deduplicated == 2
         assert results[0] is results[1] is results[2]
 
+    def test_signed_zero_thresholds_are_not_duplicates(self):
+        """0.0 and -0.0 compare equal, yet each cell keeps its sign; a
+        true duplicate is still reported ``dedup``."""
+        positive, negative = (
+            CellSpec.of("tomcatv", unified(), "baseline", threshold,
+                        n_iterations=8, n_times=2)
+            for threshold in (0.0, -0.0)
+        )
+        grid = ExperimentGrid(cache=False)
+        results = grid.run([positive, negative])
+        assert [repr(r.threshold) for r in results] == ["0.0", "-0.0"]
+        assert grid.stats.deduplicated == 0
+        for spec, result in zip((positive, negative), results):
+            solo = ExperimentGrid(cache=False).run_one(spec)
+            assert result.canonical() == solo.canonical()
+        sources = []
+        grid = ExperimentGrid(
+            cache=False,
+            progress=lambda _done, _total, _spec, source: sources.append(source),
+        )
+        results = grid.run([positive, negative, negative])
+        assert [repr(r.threshold) for r in results] == ["0.0", "-0.0", "-0.0"]
+        assert grid.stats.deduplicated == 1 and sources.count("dedup") == 1
+
     def test_disk_store_survives_new_engine(self, small_suite, tmp_path):
         specs = _specs(small_suite, thresholds=(1.0,))
         first = ExperimentGrid(locality=_locality(), cache_dir=tmp_path)

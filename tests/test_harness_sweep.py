@@ -4,15 +4,14 @@ import pytest
 
 from repro.cme import SamplingCME
 from repro.harness.grid import ExperimentGrid
-from repro.harness.sweep import (
-    Bar,
-    FigureData,
-    figure5,
-    figure6,
-    suite_bar,
-    unified_reference,
+from repro.harness.scenarios import (
+    GroupSpec,
+    LocalitySpec,
+    MachineSpec,
+    ScenarioSpec,
+    run_scenario,
 )
-from repro.machine import BusConfig, two_cluster
+from repro.harness.sweep import Bar, FigureData, figure5, figure6
 from repro.workloads import spec_suite
 
 
@@ -25,6 +24,14 @@ def small_suite():
 @pytest.fixture(scope="module")
 def locality():
     return SamplingCME(max_points=256)
+
+
+@pytest.fixture(scope="module")
+def small_figure(small_suite, locality):
+    return figure6(
+        n_clusters=2, bus_counts=(1,), bus_latencies=(1,),
+        thresholds=(1.0, 0.0), kernels=small_suite, locality=locality,
+    )
 
 
 class TestFigureDataBar:
@@ -51,37 +58,48 @@ class TestFigureDataBar:
 
 
 class TestUnifiedReference:
-    def test_reference_per_kernel(self, small_suite, locality):
-        reference = unified_reference(small_suite, locality)
-        assert set(reference) == {"su2cor", "applu"}
-        assert all(v > 0 for v in reference.values())
+    """The figures' normalization denominator: Unified at threshold 1.00."""
 
-    def test_reference_memory_bus_matters(self, small_suite, locality):
-        fast = unified_reference(small_suite, locality)
-        slow = unified_reference(
-            small_suite, locality, memory_bus=BusConfig(count=1, latency=4)
+    def test_reference_per_kernel(self):
+        outcome = run_scenario("unified-reference")
+        assert [r.kernel for r in outcome.results] == [
+            k.name for k in outcome.kernels
+        ]
+        assert all(r.total_cycles > 0 for r in outcome.results)
+
+    def test_reference_memory_bus_matters(self):
+        def group(label, memory_bus):
+            return GroupSpec(
+                label, MachineSpec("unified", memory_bus=memory_bus),
+                "baseline",
+            )
+
+        spec = ScenarioSpec(
+            name="reference-buses",
+            description="the reference on an unbounded and a slow bus",
+            groups=(group("fast", (None, 1)), group("slow", (1, 4))),
+            kernels=("su2cor", "applu"),
+            locality=LocalitySpec(kind="sampling", max_points=256),
         )
-        assert all(slow[k] >= fast[k] for k in fast)
+        outcome = run_scenario(spec)
+        for kernel in spec.kernels:
+            fast = outcome.result_for("fast", 1.0, kernel).total_cycles
+            slow = outcome.result_for("slow", 1.0, kernel).total_cycles
+            assert slow >= fast
 
 
-class TestSuiteBar:
-    def test_bar_averages(self, small_suite, locality):
-        reference = unified_reference(small_suite, locality)
-        bar, records = suite_bar(
-            "g", small_suite, two_cluster(), "baseline", 1.0,
-            locality, reference,
-        )
-        assert bar.group == "g"
-        assert len(records) == len(small_suite)
-        mean_total = sum(r["norm_total"] for r in records) / len(records)
-        assert bar.norm_total == pytest.approx(mean_total)
+class TestFigureBars:
+    def test_bar_averages_its_records(self, small_figure, small_suite):
+        n = len(small_suite)
+        assert len(small_figure.records) == n * len(small_figure.bars)
+        for i, bar in enumerate(small_figure.bars):
+            records = small_figure.records[i * n:(i + 1) * n]
+            assert {r["group"] for r in records} == {bar.group}
+            mean_total = sum(r["norm_total"] for r in records) / n
+            assert bar.norm_total == pytest.approx(mean_total)
 
-    def test_records_have_norm_fields(self, small_suite, locality):
-        reference = unified_reference(small_suite, locality)
-        _bar, records = suite_bar(
-            "g", small_suite, two_cluster(), "rmca", 0.0, locality, reference,
-        )
-        for record in records:
+    def test_records_have_norm_fields(self, small_figure):
+        for record in small_figure.records:
             assert record["norm_total"] == pytest.approx(
                 record["norm_compute"] + record["norm_stall"]
             )
@@ -153,21 +171,24 @@ class TestSharedGrid:
 
     def test_matching_locality_and_grid_accepted(self, small_suite):
         grid = ExperimentGrid(locality=SamplingCME(max_points=256))
-        reference = unified_reference(
-            small_suite, SamplingCME(max_points=256), grid=grid
+        figure = figure5(
+            n_clusters=2, latencies=(1,), thresholds=(1.0,),
+            kernels=small_suite, locality=SamplingCME(max_points=256),
+            grid=grid,
         )
-        assert set(reference) == {k.name for k in small_suite}
+        assert {r["kernel"] for r in figure.records} == {
+            k.name for k in small_suite
+        }
 
-    def test_suite_bar_and_reference_accept_grid(self, small_suite):
+    def test_figure_runs_on_the_given_grid(self, small_suite):
         grid = ExperimentGrid(locality=SamplingCME(max_points=256))
-        reference = unified_reference(small_suite, grid=grid)
-        bar, records = suite_bar(
-            "g", small_suite, two_cluster(), "baseline", 1.0,
-            None, reference, grid=grid,
+        figure = figure6(
+            n_clusters=2, bus_counts=(1,), bus_latencies=(1,),
+            thresholds=(1.0,), kernels=small_suite, grid=grid,
         )
-        assert bar.group == "g"
-        assert len(records) == len(small_suite)
-        assert grid.stats.computed == 2 * len(small_suite)
+        # The reference cells and every bar's cells ran on ``grid``.
+        assert len(figure.records) == 3 * len(small_suite)
+        assert grid.stats.requested == 4 * len(small_suite)
 
 
 class TestFigure6:

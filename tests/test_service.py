@@ -7,7 +7,6 @@ against it: results bit-identical to ``run_scenario``, and the second
 identical job answered from the persistent stage stores.
 """
 
-import asyncio
 import gc
 import json
 import pathlib
@@ -109,6 +108,39 @@ class _GroupMachine:
 def service():
     with ServerThread() as srv:
         yield srv, ServiceClient(srv.url, timeout=120.0)
+
+
+def _raw_answer(srv, request):
+    """Send raw request bytes on a connection of their own and read the
+    answer until the server closes it: ``(status line, headers, body)``.
+
+    A server that answers before it has read the whole request may
+    reset the connection behind its answer; what arrived still counts.
+    """
+    answer = b""
+    with socket.create_connection(
+        (srv.server.host, srv.server.port), timeout=10
+    ) as sock:
+        try:
+            sock.sendall(request)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        try:
+            while chunk := sock.recv(65536):
+                answer += chunk
+        except ConnectionResetError:
+            pass
+    head, _sep, body = answer.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _sep, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status_line, headers, body
+
+
+def _padded_headers(count, size):
+    return b"".join(b"X-Pad-%d: %s\r\n" % (i, b"a" * size) for i in range(count))
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +402,44 @@ class TestValidationOverHttp:
         with pytest.raises(ServiceError, match="'cursor'.*>= 0") as info:
             list(client.events(job_id, cursor=-2))
         assert info.value.status == 400
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"HELLO\r\n\r\n", 400),
+            (b"GET /health\r\n\r\n", 400),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505),
+            (b"GET /health HTTP/1.1\r\nX-Pad: %s\r\n\r\n"
+             % (b"a" * (64 * 1024 + 1)), 431),
+            (b"GET /health HTTP/1.1\r\n%s\r\n"
+             % _padded_headers(70, 1000), 431),
+            (b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+             b"0\r\n\r\n", 501),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", 413),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"GET /health HTTP/1.1\r\nNo colon\r\n\r\n", 400),
+            (b"GET /%s HTTP/1.1\r\n\r\n" % (b"a" * (64 * 1024 + 1)), 414),
+            (b"PUT /jobs HTTP/1.1\r\n\r\n", 501),
+            (b"GET /health HTTP/1.1\r\n%s\r\n"
+             % _padded_headers(101, 1), 431),
+        ],
+        ids=[
+            "malformed-request-line", "no-version", "http-2",
+            "long-header-line", "large-header-block", "chunked-body",
+            "huge-content-length", "bad-content-length", "header-without-colon",
+            "long-request-line", "unsupported-method", "too-many-header-lines",
+        ],
+    )
+    def test_transport_errors_answer_json_and_close(
+        self, service, request_bytes, status
+    ):
+        srv, _client = service
+        status_line, headers, body = _raw_answer(srv, request_bytes)
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert int(headers["content-length"]) == len(body)
+        assert isinstance(json.loads(body)["error"], str)
 
 
 class TestFailedJob:
@@ -814,74 +884,78 @@ def _until(predicate, timeout=30.0):
         time.sleep(0.01)
 
 
+def _record_waits(monkeypatch, job):
+    """The timeout of every later wait on ``job.condition``."""
+    timeouts = []
+    real_wait = job.condition.wait
+
+    def _wait(timeout=None):
+        timeouts.append(timeout)
+        return real_wait(timeout)
+
+    monkeypatch.setattr(job.condition, "wait", _wait)
+    return timeouts
+
+
 class TestPushedJobPath:
-    def test_stream_ends_without_sleeping(self, blocked_jobs, monkeypatch):
-        """A stream open while its job runs is woken by the job's
-        events; the loop never sleeps to look for them."""
-
-        async def _no_sleep(*_args, **_kwargs):
-            raise AssertionError("the event stream slept")
-
+    def test_stream_waits_without_a_timeout(self, blocked_jobs, monkeypatch):
+        """A stream open while its job runs waits on the job's condition
+        with no timeout: only the job's events wake it."""
         with ServerThread() as srv:
             client = ServiceClient(srv.url)
             job = client.submit(spec=_tiny_spec_dict("pushed"))
+            timeouts = _record_waits(monkeypatch, srv.manager.job(job["id"]))
             stream = client.events(job["id"])
             assert next(stream)["state"] == "queued"
-            monkeypatch.setattr("repro.service.server.asyncio.sleep", _no_sleep)
-            time.sleep(0.2)  # longer than any sleep begun before the patch
+            _until(lambda: timeouts)
             blocked_jobs.set()
             rest = list(stream)
+        assert set(timeouts) == {None}
         assert rest[-1]["type"] == "state" and rest[-1]["state"] == "done"
         assert [e["seq"] for e in rest] == list(range(1, len(rest) + 1))
 
-    def test_streams_leave_no_subscriber(self, blocked_jobs, monkeypatch):
-        subscribed = []
-        real_subscribe = Job.subscribe
-
-        def _subscribe(job, subscriber):
-            subscribed.append(subscriber)
-            real_subscribe(job, subscriber)
-
-        monkeypatch.setattr(Job, "subscribe", _subscribe)
+    def test_streams_leave_no_waiter(self, blocked_jobs, monkeypatch):
         with ServerThread() as srv:
             client = ServiceClient(srv.url)
-            job_id = client.submit(spec=_tiny_spec_dict("subs"))["id"]
+            job_id = client.submit(spec=_tiny_spec_dict("waiters"))["id"]
             job = srv.manager.job(job_id)
-            # A replay subscribes to nothing.
+            timeouts = _record_waits(monkeypatch, job)
+            # A replay never waits.
             assert [e["state"] for e in client.events(job_id, follow=False)]
-            assert subscribed == [] and job._subscribers == ()
+            assert timeouts == []
             # A client that leaves mid-stream.
             with urlopen(f"{srv.url}/jobs/{job_id}/events") as response:
                 assert json.loads(response.readline())["state"] == "queued"
-                _until(lambda: len(job._subscribers) == 1)
+                _until(lambda: len(job.condition._waiters) == 1)
             blocked_jobs.set()
             assert job.wait(timeout=60) and job.state == "done"
-            _until(lambda: job._subscribers == ())
+            _until(lambda: not job.condition._waiters)
             # A stream that reads to the end.
             events = list(client.events(job_id))
             assert events[-1]["state"] == "done"
-            assert job._subscribers == ()
-        assert len(subscribed) == 2
+            assert not job.condition._waiters
 
     def test_submit_answers_queued_before_the_job_starts(self):
         with ServerThread() as srv:
             srv.manager._executor = _InlineExecutor()
             client = ServiceClient(srv.url)
             job = client.submit(spec=_tiny_spec_dict("answered"))
-            # The inline executor ran the job before the client read
-            # anything else, yet the 201 was written before it started.
+            # The inline executor runs the job on the request's thread,
+            # yet the 201 was written before it started.
             assert job["state"] == "queued"
+            assert srv.manager.job(job["id"]).wait(timeout=60)
             assert client.job(job["id"])["state"] == "done"
 
     def test_dropped_submit_still_runs_its_job(self, monkeypatch):
-        real_send_json = server_module.send_json
+        handler = server_module._Handler
+        real_send_json = handler._send_json
 
-        async def _drop_201(writer, status, payload):
+        def _drop_201(self, status, payload):
             if status == 201:
                 raise ConnectionResetError("client went away")
-            await real_send_json(writer, status, payload)
+            real_send_json(self, status, payload)
 
-        monkeypatch.setattr("repro.service.server.send_json", _drop_201)
+        monkeypatch.setattr(handler, "_send_json", _drop_201)
         with ServerThread() as srv:
             srv.manager._executor = _InlineExecutor()
             body = json.dumps({"spec": _tiny_spec_dict("dropped")}).encode()
@@ -895,16 +969,6 @@ class TestPushedJobPath:
             _until(lambda: srv.manager.jobs())
             (job,) = srv.manager.jobs()
             assert job.wait(timeout=60) and job.state == "done"
-
-    def test_closed_loop_subscriber_does_not_fail_the_job(self):
-        loop = asyncio.new_event_loop()
-        loop.close()
-        manager = JobManager()
-        job = manager.create(ScenarioSpec.from_dict(_tiny_spec_dict("gone")))
-        job.subscribe(server_module._Wakeup(loop))
-        manager.start(job)
-        manager.shutdown(wait=True)
-        assert job.state == "done", job.error
 
     def test_export_renders_without_a_temp_dir(
         self, service, smoke_run, tmp_path, monkeypatch

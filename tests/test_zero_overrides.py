@@ -14,7 +14,6 @@ from repro.cli import build_parser
 from repro.engine import schedule_kernel
 from repro.harness.grid import CellSpec, ExperimentGrid
 from repro.harness.scenarios import MachineSpec
-from repro.harness.sweep import unified_reference
 from repro.machine import BusConfig, two_cluster, unified
 from repro.machine.presets import preset
 from repro.simulator import simulate
@@ -86,15 +85,6 @@ class TestBusZero:
         assert swapped.register_bus == machine.register_bus
         untouched = machine.with_buses()
         assert untouched == machine
-
-    def test_unified_reference_explicit_bus(self, kernel):
-        """sweep.unified_reference must honour an explicit bus instead
-        of falling back to the unbounded default through truthiness."""
-        bounded = unified_reference(
-            [kernel], memory_bus=BusConfig(count=1, latency=4)
-        )
-        unbounded = unified_reference([kernel])
-        assert bounded[kernel.name] >= unbounded[kernel.name]
 
 
 class TestJobsZero:
