@@ -7,12 +7,9 @@ layer's size as the drop in traced memory its clearing gives:
 
 * the analyzer's probe memos: what ``IncrementalCME.__getstate__``
   leaves out of a pickle (its per-reference-set snapshots);
-* the trace store (geometry traces, and the address traces no other
-  layer holds);
+* the trace store (address and geometry traces);
 * the warm-state store;
-* the stage store (every stage's products, among them the address
-  traces the analyze wave also installed in the trace store, which are
-  counted here because they are freed here).
+* the stage store (schedule bodies and simulation results).
 
 It also reads the traced memory the whole pass keeps, the count of
 objects the cyclic garbage collector tracks after it, the seconds that
@@ -32,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import pathlib
 import sys
 import time
@@ -83,6 +81,9 @@ def main() -> int:
         help="registered scenario to run cold (default fig6-2cluster)",
     )
     args = parser.parse_args()
+    # Older trees read this variable as a default cache directory: drop
+    # it, so the cold pass runs memory-only in any checkout.
+    os.environ.pop("REPRO_GRID_CACHE", None)
     try:
         scenario = get_scenario(args.scenario)
     except KeyError as error:
@@ -100,7 +101,7 @@ def main() -> int:
     before = traced()
     gc.callbacks.append(on_gc)
     try:
-        grid = run_scenario(scenario, n_jobs=1, cache=False).grid
+        grid = run_scenario(scenario, n_jobs=1).grid
     finally:
         gc.callbacks.remove(on_gc)
     kept = traced()

@@ -1,7 +1,7 @@
 """Memory a finished service job keeps, per scenario of the
 ``service-warm`` mix, on an in-process ``JobManager``.
 
-The manager uses the memory backend and in-memory stores, as the
+The manager keeps no job records and its stores in memory, as the
 benchmark's ``repro serve --backend memory`` does.  One cold round of
 the mix primes its stores; then the mix runs ``--rounds`` store-served
 rounds twice, each round in mix order:

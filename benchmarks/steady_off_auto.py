@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import pathlib
 import statistics
 import sys
@@ -93,7 +94,7 @@ def collect_tasks(scenario: str) -> list:
 
     grid.run_simulate_batch = recording
     try:
-        run_scenario(scenario, cache=False)
+        run_scenario(scenario)
     finally:
         grid.run_simulate_batch = run_batch
     return tasks
@@ -154,6 +155,9 @@ def main(argv=None) -> None:
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--json", type=pathlib.Path)
     args = parser.parse_args(argv)
+    # Older trees read this variable as a default cache directory: drop
+    # it, so every tree collects its tasks memory-only.
+    os.environ.pop("REPRO_GRID_CACHE", None)
 
     trees = {"this": load(SRC)}
     tasks = collect_tasks(args.scenario)

@@ -19,8 +19,8 @@ additionally persist the raw records (``--csv`` / ``--out`` JSON).
 ``figure5``/``figure6`` (aliases ``fig5``/``fig6``) and ``run`` execute
 their cells through the experiment grid: ``--jobs N`` fans them out over
 N worker processes, repeated invocations reuse the stage products stored
-under ``--cache-dir`` (or ``$REPRO_GRID_CACHE``), and per-cell progress
-is reported on stderr (suppress with ``--no-progress``).  ``scenarios``
+under ``--cache-dir`` (without it the stores live in memory only), and
+per-cell progress is reported on stderr (suppress with ``--no-progress``).  ``scenarios``
 lists the registry (``--json`` for the machine-readable listing the
 service also serves); ``run <scenario>`` executes one entry end-to-end
 (``--steady`` picks the steady-state detectors, ``--spec`` prints the
@@ -58,13 +58,12 @@ from .harness.scenarios import (
 )
 from .machine import ALL_PRESETS, preset
 from .service import (
-    BACKEND_KINDS,
     EXPORT_FORMATS,
+    DiskBackend,
     JobManager,
     ServiceClient,
     ServiceError,
     export_outcome,
-    make_backend,
     run_server,
 )
 from .steady import STEADY_MODES
@@ -91,14 +90,9 @@ def _add_grid_options(cmd: argparse.ArgumentParser) -> None:
         help="worker processes for the experiment grid (default: 1)",
     )
     cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="keep the stage and warm-state stores in memory only "
-             "(ignore and write no disk layers)",
-    )
-    cmd.add_argument(
         "--cache-dir", metavar="DIR",
         help="directory for the stores' disk layers "
-             "(default: $REPRO_GRID_CACHE)",
+             "(default: none, the stores live in memory only)",
     )
     cmd.add_argument(
         "--no-progress", action="store_true",
@@ -206,13 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--cache-dir", metavar="DIR",
-        help="directory for the stores' disk layers (traces, warm state, "
-             "per-stage results); default: $REPRO_GRID_CACHE",
+        help="directory for the stores' disk layers (warm state, "
+             "per-stage results); default: none, memory only",
     )
     serve_cmd.add_argument(
-        "--backend", choices=BACKEND_KINDS, default="memory",
-        help="job-record persistence (default: memory; disk keeps records "
-             "across restarts, see --backend-dir)",
+        "--backend", choices=("memory", "disk"), default="memory",
+        help="job-record persistence (default: memory, the jobs live in "
+             "the process only; disk keeps records across restarts, see "
+             "--backend-dir)",
     )
     serve_cmd.add_argument(
         "--backend-dir", metavar="DIR",
@@ -311,7 +306,7 @@ def _cmd_schedule(args: argparse.Namespace, run_simulation: bool) -> int:
     if run_simulation:
         # One cell through the grid (stores in memory only), so the
         # per-stage seconds below cover exactly this cell's work.
-        grid = ExperimentGrid(locality=locality, cache=False)
+        grid = ExperimentGrid(locality=locality)
         result = grid.run_one(
             CellSpec.of(kernel, machine, args.scheduler, args.threshold)
         )
@@ -359,7 +354,6 @@ def _build_grid(args: argparse.Namespace, locality) -> ExperimentGrid:
     return ExperimentGrid(
         locality=locality,
         n_jobs=args.jobs,
-        cache=not args.no_cache,
         cache_dir=args.cache_dir,
         progress=None if args.no_progress else _progress_printer(sys.stderr),
     )
@@ -486,7 +480,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     manager = JobManager(
         cache_dir=args.cache_dir,
-        backend=make_backend(args.backend, args.backend_dir),
+        backend=(
+            DiskBackend(args.backend_dir) if args.backend == "disk" else None
+        ),
         n_jobs=args.jobs,
     )
     run_server(host=args.host, port=args.port, manager=manager)

@@ -122,20 +122,15 @@ class IncrementalCME:
     max_points:
         Maximum iteration points simulated per query (the sampling
         window of the reference estimator).
-    traces:
-        Optional shared :class:`~repro.cme.trace.TraceStore`; analyzers
-        given the same store share address traces.
     """
 
     name = "sampling"
 
-    def __init__(
-        self, max_points: int = 2048, traces: Optional[TraceStore] = None
-    ):
+    def __init__(self, max_points: int = 2048):
         if max_points < 1:
             raise ValueError("max_points must be positive")
         self.max_points = max_points
-        self.traces = traces if traces is not None else TraceStore()
+        self.traces = TraceStore()
         self._snapshots: Dict[Tuple, _Snapshot] = {}
         # loop_fp -> program positions of its memory ops; the one piece
         # of trace state the memo-hit fast path needs.

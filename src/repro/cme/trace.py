@@ -163,9 +163,8 @@ class TraceStore:
     """Content-addressed cache of address and geometry traces.
 
     Both layers key on the loop fingerprint (plus the sampling window
-    and, for geometry traces, the cache shape), so a store can be shared
-    between analyzers, survive pickling, and ship to worker processes
-    pre-warmed.
+    and, for geometry traces, the cache shape), so a store can survive
+    pickling and ship to worker processes pre-warmed.
     """
 
     def __init__(self) -> None:
@@ -185,20 +184,6 @@ class TraceStore:
             self._addresses[key] = trace
             self.address_builds += 1
         return trace
-
-    def peek_address_trace(
-        self, loop_fp: str, max_points: int
-    ) -> "AddressTrace | None":
-        """The cached address trace for a key, or ``None`` — never builds."""
-        return self._addresses.get((loop_fp, max_points))
-
-    def install_address_trace(self, trace: AddressTrace) -> None:
-        """Adopt an externally supplied trace (e.g. from a stage store).
-
-        First-wins: an already-cached trace for the same content key is
-        kept — both encode the same addresses, so either is correct.
-        """
-        self._addresses.setdefault((trace.loop_fp, trace.max_points), trace)
 
     def geometry_trace(
         self, loop: Loop, max_points: int, cache: CacheConfig

@@ -8,17 +8,18 @@ families:
 * one **schedule** task per scheduling problem: kernel × scheduler ×
   threshold × analyzer × the machine's scheduling view (the machine
   without its memory-bus count, which no scheduler reads),
-* one **analyze** task per unique ``loop_fingerprint`` × analyzer
-  configuration among the kernels of those schedule tasks: only a
-  scheduler reads an address trace, so a run whose every schedule is
-  stored loads and builds none,
+* one **analyze** task per unique ``loop_fingerprint`` among the
+  kernels of those schedule tasks, which builds the loop's address
+  trace into the analyzer, where the schedulers read it: a run whose
+  every schedule is stored builds none,
 * one **simulate** task per ``Schedule.fingerprint()`` × steady mode ×
   iteration overrides, where the fingerprint names the cell's own
   machine, memory buses included,
 
 plus one :class:`AssemblyNode` per cell that relabels the shared
 products into that cell's :class:`~repro.engine.result.RunResult`.
-Keys already in the store are planned away; only misses become tasks.
+Schedule and simulate keys already in the store are planned away; only
+misses become tasks.
 
 The planner owns the whole store protocol — lookups at plan and
 assembly time, :meth:`ExecutionPlanner.record` for every executed
@@ -86,7 +87,9 @@ class PlanTask:
     """
 
     stage: str  # "analyze" | "schedule" | "simulate"
-    key: str  # the StageStore key this task produces
+    #: The StageStore key this task produces (an analyze task's is its
+    #: loop fingerprint: traces live in the analyzer, not the store).
+    key: str
     payload: Dict[str, object] = field(default_factory=dict)
 
 
@@ -236,30 +239,20 @@ class ExecutionPlanner:
                 AssemblyNode(spec=spec, schedule_key=key, schedule_owner=owner)
             )
 
-        # Analyze: one task per unique loop × analyzer configuration
-        # that a schedule task reads.  Only analyzers with a
-        # content-addressed trace store carry a shareable analyze
-        # product (see stages.analyze_loop).
-        traces = getattr(self.locality, "traces", None)
-        max_points = getattr(self.locality, "max_points", None)
-        if traces is not None and max_points is not None:
+        # Analyze: one task per unique loop that a schedule task reads.
+        # Only analyzers with a content-addressed trace store have an
+        # analyze product (see stages.analyze_loop).
+        if getattr(self.locality, "traces", None) is not None:
             seen_analyze: Dict[str, None] = {}
             for task in plan.schedule_tasks:
                 name = task.payload["kernel"]
                 loop_fp = loop_fingerprint(kernels[name].loop)
-                key = StageStore.analyze_key(loop_fp, self.locality_fp)
-                if key in seen_analyze:
+                if loop_fp in seen_analyze:
                     continue
-                seen_analyze[key] = None
+                seen_analyze[loop_fp] = None
                 plan.analyze_tasks.append(
                     PlanTask(
-                        stage="analyze",
-                        key=key,
-                        payload={
-                            "kernel": name,
-                            "loop_fp": loop_fp,
-                            "locality_fp": self.locality_fp,
-                        },
+                        stage="analyze", key=loop_fp, payload={"kernel": name}
                     )
                 )
         counters["analyze_tasks"] = len(plan.analyze_tasks)
@@ -389,27 +382,11 @@ class ExecutionPlanner:
 # Task execution helpers
 # ----------------------------------------------------------------------
 def run_analyze_task(
-    task: PlanTask,
-    kernel: Kernel,
-    locality: LocalityAnalyzer,
-    store: StageStore,
+    task: PlanTask, kernel: Kernel, locality: LocalityAnalyzer
 ) -> None:
-    """Leave one analyze product in both the analyzer and the store.
-
-    The trace is published when the analyzer already walked it, adopted
-    from the store when some earlier run stored it, and computed and
-    stored otherwise.
-    """
-    traces = locality.traces
-    local = traces.peek_address_trace(task.payload["loop_fp"], locality.max_points)
-    if local is not None:
-        store.publish("analyze", task.key, local)
-        return
-    hit = store.lookup("analyze", task.key)
-    if hit is not None:
-        traces.install_address_trace(hit)
-        return
-    store.store("analyze", task.key, analyze_loop(kernel.loop, locality))
+    """Leave one loop's address trace in ``locality``'s trace store
+    (built there unless it is already), where the schedulers read it."""
+    analyze_loop(kernel.loop, locality)
 
 
 def run_schedule_task(

@@ -3,10 +3,6 @@
 The work inside an experiment cell is shared far more widely than the
 cell itself:
 
-* the **analyze** product (a loop's CME address trace) depends only on
-  the loop content and the analyzer configuration — every machine,
-  scheduler, threshold and scenario probing the same kernel re-walks the
-  same iteration space;
 * the **schedule** product depends on kernel × scheduler × threshold ×
   analyzer × the machine's *scheduling view*
   (:attr:`~repro.machine.config.MachineConfig.scheduling_view`: the
@@ -21,14 +17,16 @@ cell itself:
   that frequently collapse to byte-identical schedules, and every
   duplicate re-simulates a result some other cell already measured.
 
-:class:`StageStore` content-addresses all three products, one
+:class:`StageStore` content-addresses both products, one
 :class:`~repro.store.ContentStore` per stage (memory, and disk under
 ``<cache_dir>/stages/<stage>/``).  The
 :class:`~repro.engine.plan.ExecutionPlanner` is its only client: it
 consumes the key families *up front* — one task per unique
-analyze/schedule/simulate key across a whole grid call — so hits are
-planned away before anything runs, and it stores every executed task's
-product (pool workers only compute; the parent does all store I/O).
+schedule/simulate key across a whole grid call — so hits are planned
+away before anything runs, and it stores every executed task's product
+(pool workers only compute; the parent does all store I/O).  A loop's
+address trace is no stage-store product: it lives in the analyzer's
+:class:`~repro.cme.trace.TraceStore`, where the schedulers read it.
 
 A schedule entry is the schedule's
 :class:`~repro.scheduler.result.ScheduleBody`: the key pins the kernel
@@ -51,7 +49,6 @@ import os
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..cme.trace import AddressTrace
 from ..ir.builder import Kernel
 from ..machine.config import MachineConfig
 from ..scheduler.result import ScheduleBody
@@ -72,12 +69,11 @@ __all__ = [
 STAGE_STORE_VERSION = 5
 
 #: The stages with a content-addressed result store, in pipeline order.
-STAGE_STORE_STAGES = ("analyze", "schedule", "simulate")
+STAGE_STORE_STAGES = ("schedule", "simulate")
 
 #: What each stage's values must be; a disk entry holding anything else
 #: is rot.
 _VALUE_TYPES = {
-    "analyze": AddressTrace,
     "schedule": ScheduleBody,
     "simulate": SimulationResult,
 }
@@ -154,15 +150,6 @@ class StageStore:
     # Keys
     # ------------------------------------------------------------------
     @staticmethod
-    def analyze_key(loop_fp: str, locality_fp: str) -> str:
-        """Address of one loop's analyze product under one analyzer
-        configuration (the locality fingerprint encodes the sampling
-        window, so equal keys imply equal traces)."""
-        return "|".join(
-            [f"s{STAGE_STORE_VERSION}", "analyze", loop_fp, locality_fp]
-        )
-
-    @staticmethod
     def schedule_key(
         kernel_name: str,
         kernel_fp: str,
@@ -229,15 +216,6 @@ class StageStore:
     def store(self, stage: str, key: str, value: object) -> None:
         """Publish a freshly computed stage result."""
         self._stages[stage].store(key, value)
-
-    def publish(self, stage: str, key: str, value: object) -> bool:
-        """Store ``value`` only if the key is absent (idempotent put).
-
-        Used for results that were computed outside the store's view
-        (e.g. traces primed directly on the analyzer) — counted as a
-        store the first time, a no-op afterwards.
-        """
-        return self._stages[stage].publish(key, value)
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._stages.values())

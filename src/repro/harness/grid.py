@@ -25,9 +25,9 @@ Every simulation runs on :class:`~repro.simulator.VectorizedSimulator`
 under the steady mode its cell names, with the grid's
 :class:`~repro.simulator.WarmStateStore` attached.  The stores outlive
 the call — in memory always, on disk under ``cache_dir/stages`` (and
-``cache_dir/warm``) when ``cache_dir`` is set or ``REPRO_GRID_CACHE``
-is exported — so two sweeps sharing cells (``figure5`` and ``figure6``
-both normalize against the Unified reference) never recompute them.
+``cache_dir/warm``) exactly when ``cache_dir`` is given — so two sweeps
+sharing cells (``figure5`` and ``figure6`` both normalize against the
+Unified reference) never recompute them.
 Entries are invalidated implicitly: the store keys cover the kernel
 fingerprint, machine encoding (for schedules, that of the machine's
 scheduling view), scheduler, threshold, analyzer configuration and,
@@ -37,7 +37,6 @@ for simulations, the schedule content.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import threading
 import time
@@ -93,9 +92,6 @@ __all__ = [
     "machine_from_key",
     "resolve_grid",
 ]
-
-#: Environment variable providing a default on-disk cache directory.
-CACHE_ENV_VAR = "REPRO_GRID_CACHE"
 
 ProgressCallback = Callable[[int, int, "CellSpec", str], None]
 
@@ -334,16 +330,9 @@ class ExperimentGrid:
         Worker processes.  ``1`` (default) runs serially in-process;
         results are identical either way — tasks are deterministic and
         results are returned in submission order.
-    cache:
-        ``False`` turns the disk layers off: the stage and warm-state
-        stores then dedup only *within* this grid, in memory.
     cache_dir:
-        Directory for the disk layers (``stages/`` and ``warm/``).
-        Defaults to ``$REPRO_GRID_CACHE`` when exported, else in-memory
-        stores only.
-    kernels:
-        Optional name → :class:`Kernel` registry for kernels that are not
-        part of the SPECfp95 suite; suite kernels resolve automatically.
+        Directory for the disk layers (``stages/`` and ``warm/``);
+        ``None`` (default) keeps both stores in memory only.
     progress:
         ``callback(done, total, spec, source)`` invoked once per
         requested cell with ``source`` in ``{"computed", "dedup"}``.
@@ -359,9 +348,7 @@ class ExperimentGrid:
         self,
         locality: Optional[LocalityAnalyzer] = None,
         n_jobs: int = 1,
-        cache: bool = True,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
-        kernels: Optional[Mapping[str, Kernel]] = None,
         progress: Optional[ProgressCallback] = None,
     ):
         if n_jobs < 1:
@@ -370,30 +357,25 @@ class ExperimentGrid:
             locality if locality is not None else default_analyzer()
         )
         self.n_jobs = n_jobs
-        if cache_dir is None:
-            env_dir = os.environ.get(CACHE_ENV_VAR)
-            cache_dir = pathlib.Path(env_dir) if env_dir else None
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir else None
         self.progress = progress
         self.stats = GridStats()
-        # Guards the kernel registry and the stats counters: one grid
-        # may serve several threads (the experiment service submits jobs
-        # concurrently).  Stage work runs outside the lock.
+        # Guards the kernel registry and the stats counters, so one grid
+        # may be run from several threads at once (the experiment
+        # service runs its jobs one at a time, on the job manager's
+        # worker thread).  Stage work runs outside the lock.
         self._lock = threading.RLock()
-        self._kernels: Dict[str, Kernel] = dict(kernels or {})
-        disk = self.cache_dir if cache else None
-        self.warm_store = WarmStateStore(
-            cache_dir=disk / "warm" if disk else None
-        )
-        self.stage_store = StageStore(
-            cache_dir=disk / "stages" if disk else None
-        )
+        self._kernels: Dict[str, Kernel] = {}
+        disk = self.cache_dir
+        self.warm_store = WarmStateStore(disk / "warm" if disk else None)
+        self.stage_store = StageStore(disk / "stages" if disk else None)
 
     # ------------------------------------------------------------------
     # Kernel resolution
     # ------------------------------------------------------------------
     def register(self, kernels: Sequence[Kernel]) -> None:
-        """Make non-suite kernels resolvable by the specs naming them."""
+        """Make non-suite kernels resolvable by the specs naming them
+        (suite kernels resolve automatically)."""
         with self._lock:
             for kernel in kernels:
                 self._kernels[kernel.name] = kernel
@@ -519,7 +501,6 @@ class ExperimentGrid:
                     task,
                     kernels[str(task.payload["kernel"])],
                     self.locality,
-                    self.stage_store,
                 )
                 self._tally("analyze", seconds)
             run_wave(

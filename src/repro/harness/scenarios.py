@@ -779,7 +779,6 @@ def run_scenario(
     scenario: Union[ScenarioSpec, str],
     grid: Optional[ExperimentGrid] = None,
     n_jobs: int = 1,
-    cache: bool = True,
     cache_dir=None,
     progress: Optional[ProgressCallback] = None,
     steady: Optional[str] = None,
@@ -801,7 +800,6 @@ def run_scenario(
         scenario.locality.build(),
         grid,
         n_jobs=n_jobs,
-        cache=cache,
         cache_dir=cache_dir,
         progress=progress,
     )

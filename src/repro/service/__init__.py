@@ -5,16 +5,17 @@ service on the stdlib's threaded server: one warm process owns the
 :class:`~repro.harness.grid.ExperimentGrid` and its content-addressed
 stores (trace, warm-state, per-stage results) across every job it runs,
 so the second submission of a scenario — or the first submission of a
-*neighbouring* one — reuses analyze/schedule/simulate products instead
-of recomputing them the way a fresh CLI process would.
+*neighbouring* one — reuses address traces and schedule/simulate
+products instead of recomputing them the way a fresh CLI process would.
 
 Layering (each module usable on its own):
 
-* :mod:`repro.service.backend` — the pluggable :class:`ResultBackend`
-  protocol for job-record persistence (in-proc dict → disk directory);
 * :mod:`repro.service.jobs` — the :class:`JobManager` that owns the
-  persistent grid, runs jobs on its worker thread and publishes
-  per-cell progress events;
+  persistent grid and every job, runs jobs on its worker thread and
+  publishes per-cell progress events;
+* :mod:`repro.service.backend` — :class:`DiskBackend`, which writes
+  each job's record to a directory when the manager is given one, so
+  jobs survive a restart;
 * :mod:`repro.service.server` — the endpoint routing on the stdlib's
   ``http.server`` (:class:`ExperimentServer`, plus the test-friendly
   :class:`ServerThread`);
@@ -24,14 +25,7 @@ Layering (each module usable on its own):
   ``repro submit`` and the end-to-end tests.
 """
 
-from .backend import (
-    BACKEND_KINDS,
-    DiskBackend,
-    MemoryBackend,
-    ResultBackend,
-    json_with_result,
-    make_backend,
-)
+from .backend import DiskBackend, json_with_result
 from .client import ServiceClient, ServiceError
 from .export import (
     EXPORT_FORMATS,
@@ -48,14 +42,11 @@ from .jobs import Job, JobManager
 from .server import ExperimentServer, ServerThread, run_server
 
 __all__ = [
-    "BACKEND_KINDS",
     "DiskBackend",
     "EXPORT_FORMATS",
     "ExperimentServer",
     "Job",
     "JobManager",
-    "MemoryBackend",
-    "ResultBackend",
     "ServerThread",
     "ServiceClient",
     "ServiceError",
@@ -63,7 +54,6 @@ __all__ = [
     "export_records",
     "json_with_result",
     "load_npz",
-    "make_backend",
     "outcome_records",
     "payload_records",
     "records_to_npz",

@@ -1,21 +1,17 @@
-"""Pluggable job-record persistence.
+"""Job-record persistence.
 
-The service stores one record per job (spec, state, telemetry, result).
-:class:`ResultBackend` is the seam that keeps laptop runs
-zero-dependency while allowing a real deployment to swap in a shared
-store: the in-proc :class:`MemoryBackend` is the default,
-:class:`DiskBackend` persists records as JSON files so jobs survive a
-restart, and an external store only has to implement the same three
-methods.
+With a :class:`DiskBackend`, the service writes one record per job
+(spec, state, telemetry, result) as a JSON file, so jobs survive a
+restart; without one, a job lives only in its
+:class:`~repro.service.jobs.JobManager`.
 
 Records are plain dicts of JSON types, but for ``result``: the job's
 result payload already encoded as JSON bytes (``None`` until the job
 is done).  The :class:`~repro.service.jobs.JobManager` encodes it once,
-at the job's terminal save, and never again: the memory backend keeps
-the very bytes the job holds, and :func:`json_with_result` splices them
-into a disk record or a ``/result`` body as they are.  A record holds
-no export rows; exports are derived from the result
-(:func:`~repro.service.export.payload_records`).
+at the job's terminal save, and never again: :func:`json_with_result`
+splices those bytes into a disk record or a ``/result`` body as they
+are.  A record holds no export rows; exports are derived from the
+result (:func:`~repro.service.export.payload_records`).
 """
 
 from __future__ import annotations
@@ -27,14 +23,7 @@ from typing import Dict, List, Optional
 
 from ..store import atomic_write
 
-__all__ = [
-    "BACKEND_KINDS",
-    "json_with_result",
-    "ResultBackend",
-    "MemoryBackend",
-    "DiskBackend",
-    "make_backend",
-]
+__all__ = ["json_with_result", "DiskBackend"]
 
 
 def json_with_result(
@@ -47,48 +36,12 @@ def json_with_result(
     return (head[:-1] + b", " if fields else b"{") + member + b"}"
 
 
-class ResultBackend:
-    """What the service needs from a job store (the protocol).
-
-    Implementations must tolerate concurrent calls from the job worker
-    threads and the event loop; both built-ins rely on single dict/file
-    operations being atomic.
-    """
-
-    def save(self, record: Dict[str, object]) -> None:
-        """Insert or replace the record (keyed by ``record['id']``)."""
-        raise NotImplementedError
-
-    def load(self, job_id: str) -> Optional[Dict[str, object]]:
-        """The record for ``job_id``, or ``None``."""
-        raise NotImplementedError
-
-    def records(self) -> List[Dict[str, object]]:
-        """Every readable record, in creation order."""
-        raise NotImplementedError
-
-
-class MemoryBackend(ResultBackend):
-    """The default in-proc store: a dict, nothing survives the process."""
-
-    def __init__(self) -> None:
-        self._records: Dict[str, Dict[str, object]] = {}
-
-    def save(self, record: Dict[str, object]) -> None:
-        self._records[str(record["id"])] = record
-
-    def load(self, job_id: str) -> Optional[Dict[str, object]]:
-        return self._records.get(job_id)
-
-    def records(self) -> List[Dict[str, object]]:
-        return list(self._records.values())
-
-
-class DiskBackend(ResultBackend):
+class DiskBackend:
     """JSON-file-per-job persistence under one directory.
 
-    Writes go through :func:`~repro.store.atomic_write`, and a failed
-    write raises.  Corrupt or foreign files read as missing but are
+    Each save replaces one file through :func:`~repro.store.atomic_write`
+    (so the job worker's saves and request threads' loads need no lock),
+    and a failed write raises.  Corrupt or foreign files read as missing but are
     never unlinked: job records are results, not a cache, and disk rot
     must not take the service down.
     """
@@ -101,6 +54,7 @@ class DiskBackend(ResultBackend):
         return self.directory / f"{job_id}.json"
 
     def save(self, record: Dict[str, object]) -> None:
+        """Insert or replace the record (keyed by ``record['id']``)."""
         fields = {key: value for key, value in record.items() if key != "result"}
         atomic_write(
             self._path(str(record["id"])),
@@ -138,21 +92,3 @@ class DiskBackend(ResultBackend):
                 records.append(record)
         records.sort(key=lambda record: record.get("sequence", 0))
         return records
-
-
-BACKEND_KINDS = ("memory", "disk")
-
-
-def make_backend(
-    kind: str, directory: Optional[os.PathLike] = None
-) -> ResultBackend:
-    """Build a backend by name (the ``repro serve --backend`` choices)."""
-    if kind == "memory":
-        return MemoryBackend()
-    if kind == "disk":
-        if directory is None:
-            raise ValueError("the disk backend needs a directory")
-        return DiskBackend(directory)
-    raise ValueError(
-        f"unknown backend {kind!r}; choose from {BACKEND_KINDS}"
-    )

@@ -4,13 +4,13 @@
 ``repro serve``: **one warm process owns the experiment stack across
 jobs**.  Grids — one per locality-analyzer configuration, since every
 stage-store key embeds the analyzer fingerprint — live for the
-manager's lifetime, so the trace store, the warm-state store and the
-per-stage result store accumulate across every job.  The second
+manager's lifetime, so the analyzer's trace store, the warm-state store
+and the per-stage result store accumulate across every job.  The second
 submission of a scenario (or the first submission of a neighbouring
-one) adopts analyze/schedule/simulate products instead of recomputing
-them the way a fresh CLI process would, and each job's telemetry
-(``store_hits`` / ``sim_warm_hits`` deltas) reports exactly what the
-stores served it.
+one) adopts schedule/simulate products and address traces instead of
+recomputing them the way a fresh CLI process would, and each job's
+telemetry (``store_hits`` / ``sim_warm_hits`` deltas) reports exactly
+what the stores served it.
 
 Execution model: jobs run on a **single worker thread**
 (``ThreadPoolExecutor(max_workers=1)``).  A job is made in two halves:
@@ -47,12 +47,15 @@ from ..cme.locality import locality_fingerprint
 from ..harness.grid import CellSpec, ExperimentGrid
 from ..harness.scenarios import (
     ScenarioSpec,
+    _expect_object,
+    _reject_unknown_keys,
+    _typed,
     get_scenario,
     run_scenario,
     scenario_names,
 )
 from ..steady import validate_steady_mode
-from .backend import MemoryBackend, ResultBackend
+from .backend import DiskBackend
 from .export import result_payload
 
 __all__ = ["JOB_STATES", "Job", "JobManager"]
@@ -175,17 +178,8 @@ class Job:
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job is terminal; ``False`` on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self.condition:
-            while not self.is_terminal:
-                remaining = (
-                    None if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self.condition.wait(remaining)
-            return True
+            return self.condition.wait_for(lambda: self.is_terminal, timeout)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -214,7 +208,7 @@ class Job:
             }
 
     def record(self) -> Dict[str, object]:
-        """The full JSON record the :class:`ResultBackend` persists."""
+        """The full JSON record a :class:`DiskBackend` persists."""
         record = self.describe()
         record["spec"] = self.spec.to_dict()
         record["result"] = self.result_json
@@ -245,20 +239,23 @@ class JobManager:
     """Owns the persistent grids and runs submitted jobs against them.
 
     A job's terminal save encodes its result payload once (after
-    ``finished`` is stamped, before the terminal event); the job and
-    the backend keep those bytes and nothing decoded, so what a
-    finished job holds for the life of the process is its encoded
-    result, its events and its telemetry.
+    ``finished`` is stamped, before the terminal event); the job keeps
+    those bytes and nothing decoded, so what a finished job holds for
+    the life of the process is its encoded result, its events and its
+    telemetry.  With a ``backend``, every job's record is also written
+    to disk (when it is created and when it ends), and a new manager
+    over the same directory serves the jobs saved there; without one,
+    the manager keeps nothing beyond its jobs.
     """
 
     def __init__(
         self,
         cache_dir: Optional[os.PathLike] = None,
-        backend: Optional[ResultBackend] = None,
+        backend: Optional[DiskBackend] = None,
         n_jobs: int = 1,
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.backend = backend if backend is not None else MemoryBackend()
+        self.backend = backend
         self.n_jobs = n_jobs
         self.started = time.time()
         # Grids keyed by locality fingerprint: a grid's store keys embed
@@ -273,7 +270,7 @@ class JobManager:
         )
         # Serve the jobs an earlier process saved.  A record that no
         # longer parses is skipped (job records are never unlinked).
-        for record in self.backend.records():
+        for record in backend.records() if backend is not None else ():
             try:
                 job = Job.from_record(record)
             except (KeyError, TypeError, ValueError):
@@ -296,30 +293,17 @@ class JobManager:
         :meth:`ScenarioSpec.from_dict`), so the server can answer 400
         with a message that tells the client what to fix.
         """
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"job submission must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        unknown = sorted(str(key) for key in payload if key not in _SUBMIT_KEYS)
-        if unknown:
-            raise ValueError(
-                f"unknown key(s) {', '.join(map(repr, unknown))} in job "
-                f"submission; allowed: {sorted(_SUBMIT_KEYS)}"
-            )
-        name = payload.get("scenario")
+        context = "job submission"
+        payload = _expect_object(payload, context)
+        _reject_unknown_keys(payload, _SUBMIT_KEYS, context)
         inline = payload.get("spec")
-        if (name is None) == (inline is None):
+        if (payload.get("scenario") is None) == (inline is None):
             raise ValueError(
                 "job submission needs exactly one of 'scenario' "
                 "(a registry name) or 'spec' (an inline scenario spec)"
             )
+        name = _typed(payload, "scenario", str, "a string", context)
         if name is not None:
-            if not isinstance(name, str):
-                raise ValueError(
-                    f"key 'scenario' in job submission must be a string, "
-                    f"got {type(name).__name__}"
-                )
             try:
                 spec = get_scenario(name)
             except KeyError as exc:
@@ -327,13 +311,8 @@ class JobManager:
         else:
             spec = ScenarioSpec.from_dict(inline)
         overrides: Dict[str, object] = {}
-        steady = payload.get("steady")
+        steady = _typed(payload, "steady", str, "a string", context)
         if steady is not None:
-            if not isinstance(steady, str):
-                raise ValueError(
-                    f"key 'steady' in job submission must be a string, "
-                    f"got {type(steady).__name__}"
-                )
             try:
                 overrides["steady"] = validate_steady_mode(steady)
             except KeyError as exc:
@@ -365,7 +344,8 @@ class JobManager:
             )
         # Register only a job whose record was saved: a failed save
         # must not leave a queued job that never runs.
-        self.backend.save(job.record())
+        if self.backend is not None:
+            self.backend.save(job.record())
         with self._lock:
             self._jobs[job.id] = job
         return job
@@ -402,7 +382,6 @@ class JobManager:
                 grid = ExperimentGrid(
                     locality=locality,
                     n_jobs=self.n_jobs,
-                    cache=True,
                     cache_dir=self.cache_dir,
                 )
                 self._grids[fingerprint] = grid
@@ -510,7 +489,8 @@ class JobManager:
         try:
             if state == "done":
                 job.result_json = json.dumps(result_payload(outcome)).encode()
-            self.backend.save({**job.record(), "state": state})
+            if self.backend is not None:
+                self.backend.save({**job.record(), "state": state})
         except Exception as exc:
             with job.condition:
                 job.result_json = None

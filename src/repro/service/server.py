@@ -24,7 +24,9 @@ manager's worker thread — and no answer waits on a timer:
 Every answer, the stdlib's own parse errors included, is one
 ``Connection: close`` response on an HTTP/1.1 status line with a JSON
 body (NDJSON for an event stream), so one connection carries one
-request and a stream ends when the server closes it.
+request and a stream ends when the server closes it.  A socket read or
+write that waits :data:`REQUEST_TIMEOUT_S` drops its connection, so a
+client that stalls mid-request cannot hold a request thread for good.
 
 Endpoints::
 
@@ -48,7 +50,6 @@ embedding caller).
 
 from __future__ import annotations
 
-import functools
 import json
 import threading
 from http import HTTPStatus
@@ -61,7 +62,13 @@ from .backend import json_with_result
 from .export import EXPORT_FORMATS, render_result
 from .jobs import Job, JobManager
 
-__all__ = ["ExperimentServer", "HttpError", "ServerThread", "run_server"]
+__all__ = [
+    "REQUEST_TIMEOUT_S",
+    "ExperimentServer",
+    "HttpError",
+    "ServerThread",
+    "run_server",
+]
 
 #: Upper bound on request bodies (a scenario spec is a few KB; anything
 #: approaching this is not a job submission).
@@ -70,6 +77,11 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Upper bound on the header block, total.  The stdlib reads up to 100
 #: header lines of 64 KiB each before this bound is checked.
 MAX_HEADER_BYTES = 64 * 1024
+
+#: Seconds one socket read or write may wait before the request's
+#: connection is dropped.  An event stream waits on its job, not on the
+#: socket, so a stream outlives it.
+REQUEST_TIMEOUT_S = 60.0
 
 _EXPORT_CONTENT_TYPES = {"npz": "application/octet-stream", "csv": "text/csv"}
 
@@ -112,6 +124,13 @@ class _Handler(BaseHTTPRequestHandler):
     server: "ExperimentServer"
     #: Small writes (event lines) leave at once, not behind an ACK.
     disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:
+        """The socket timeout the stdlib sets on each connection (the
+        stdlib drops a connection whose request line or headers time
+        out)."""
+        return REQUEST_TIMEOUT_S
 
     def handle(self) -> None:
         try:
@@ -161,8 +180,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._dispatch(unquote(split.path))
         except HttpError as exc:
             self._send_json(exc.status, {"error": exc.message})
-        except ConnectionError:
-            raise
+        except (ConnectionError, TimeoutError):
+            raise  # the stdlib drops a timed-out connection unanswered
         except Exception as exc:  # a handler bug still gets an answer
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
@@ -372,13 +391,11 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8642,
     manager: Optional[JobManager] = None,
-    announce=functools.partial(print, flush=True),
 ) -> None:
     """Run the service until interrupted (the ``repro serve`` body)."""
     server = ExperimentServer(manager=manager, host=host, port=port)
     try:
-        if announce is not None:
-            announce(f"repro service listening on {server.url}")
+        print(f"repro service listening on {server.url}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -50,9 +50,10 @@ class ContentStore:
 
     Every value is a ``value_type``.  The entry map and the ``hits``,
     ``misses`` and ``stores`` counters change under one lock, since one
-    store may serve several threads (the experiment service runs jobs
-    off its event loop while clients read the counters).  Pickling
-    drops the lock, so a copy shipped to a pool worker gets its own.
+    store may serve several threads (the experiment service runs jobs on
+    its job worker thread while request threads read the counters).
+    Pickling drops the lock, so a copy shipped to a pool worker gets its
+    own.
     """
 
     def __init__(
@@ -110,15 +111,6 @@ class ContentStore:
             self._memory[key] = value
             self.stores += 1
         self._save(key, value)
-
-    def publish(self, key: str, value: object) -> bool:
-        """Store ``value`` only if ``key`` is not in memory yet: counted
-        as a store the first time, a no-op afterwards."""
-        with self._lock:
-            if key in self._memory:
-                return False
-            self.store(key, value)
-            return True
 
     def counts(self) -> Dict[str, int]:
         """The hit, miss and store counters (a copy)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, List, Mapping, Optional
 
 from ..ir.builder import Kernel, LoopBuilder
+from .suite import select_kernels
 
 __all__ = [
     "fir",
@@ -149,8 +150,4 @@ DSP_KERNELS: Mapping[str, Callable[[], Kernel]] = {
 
 def dsp_suite(names: Optional[List[str]] = None) -> List[Kernel]:
     """Instantiate the DSP suite (or a named subset, in the order given)."""
-    selected = list(DSP_KERNELS) if names is None else names
-    unknown = [n for n in selected if n not in DSP_KERNELS]
-    if unknown:
-        raise KeyError(f"unknown kernels {unknown}; known: {list(DSP_KERNELS)}")
-    return [DSP_KERNELS[name]() for name in selected]
+    return select_kernels(DSP_KERNELS, names)

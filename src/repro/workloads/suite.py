@@ -16,6 +16,7 @@ from . import kernels as _k
 __all__ = [
     "SPEC_KERNELS",
     "STREAMING_LONG_KERNELS",
+    "select_kernels",
     "spec_suite",
     "streaming_long_suite",
     "kernel_by_name",
@@ -46,24 +47,27 @@ STREAMING_LONG_KERNELS: Mapping[str, Callable[[], Kernel]] = {
 }
 
 
+def select_kernels(
+    registry: Mapping[str, Callable[[], Kernel]],
+    names: Optional[List[str]] = None,
+) -> List[Kernel]:
+    """Instantiate every kernel of ``registry`` (or the named subset, in
+    the order given); unknown names raise one ``KeyError`` naming them."""
+    selected = list(registry) if names is None else names
+    unknown = [n for n in selected if n not in registry]
+    if unknown:
+        raise KeyError(f"unknown kernels {unknown}; known: {list(registry)}")
+    return [registry[name]() for name in selected]
+
+
 def streaming_long_suite(names: Optional[List[str]] = None) -> List[Kernel]:
     """Instantiate the long-stream suite (or a named subset)."""
-    selected = list(STREAMING_LONG_KERNELS) if names is None else names
-    unknown = [n for n in selected if n not in STREAMING_LONG_KERNELS]
-    if unknown:
-        raise KeyError(
-            f"unknown kernels {unknown}; known: {list(STREAMING_LONG_KERNELS)}"
-        )
-    return [STREAMING_LONG_KERNELS[name]() for name in selected]
+    return select_kernels(STREAMING_LONG_KERNELS, names)
 
 
 def spec_suite(names: Optional[List[str]] = None) -> List[Kernel]:
     """Instantiate the suite (or the named subset, in the order given)."""
-    selected = list(SPEC_KERNELS) if names is None else names
-    unknown = [n for n in selected if n not in SPEC_KERNELS]
-    if unknown:
-        raise KeyError(f"unknown kernels {unknown}; known: {list(SPEC_KERNELS)}")
-    return [SPEC_KERNELS[name]() for name in selected]
+    return select_kernels(SPEC_KERNELS, names)
 
 
 def kernel_by_name(name: str) -> Kernel:

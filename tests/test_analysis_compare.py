@@ -10,9 +10,8 @@ from repro.scheduler import BaselineScheduler, RMCAScheduler
 
 def run_cell(kernel, machine, scheduler, threshold, locality, **overrides):
     """One cell through a fresh in-memory grid."""
-    grid = ExperimentGrid(
-        locality=locality, cache=False, kernels={kernel.name: kernel}
-    )
+    grid = ExperimentGrid(locality=locality)
+    grid.register([kernel])
     return grid.run_one(
         CellSpec.of(kernel, machine, scheduler, threshold, **overrides)
     )

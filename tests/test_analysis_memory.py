@@ -48,7 +48,7 @@ def _traced_kib(layer) -> float:
 
 
 def test_cold_grid_keeps_compact_analysis_layers():
-    grid = run_scenario("fig6-smoke", cache=False).grid
+    grid = run_scenario("fig6-smoke").grid
     analyzer = grid.locality
     assert analyzer.telemetry()["snapshots"] > 0
     assert grid.warm_store.stores > 0

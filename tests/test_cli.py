@@ -28,15 +28,24 @@ class TestParser:
         assert args.latencies == [1, 2, 4]
         assert args.thresholds == [1.0, 0.75, 0.25, 0.0]
         assert args.jobs == 1
-        assert not args.no_cache
         assert args.cache_dir is None
 
     def test_fig_aliases(self):
         args = build_parser().parse_args(["fig5", "--jobs", "4"])
         assert args.command == "fig5"
         assert args.jobs == 4
-        args = build_parser().parse_args(["fig6", "--no-cache"])
-        assert args.no_cache
+        args = build_parser().parse_args(["fig6", "--cache-dir", "d"])
+        assert args.command == "fig6"
+        assert args.cache_dir == "d"
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "fig6-smoke"], ["fig6"], ["export", "fig6-smoke"]]
+    )
+    def test_no_cache_flag_is_gone(self, argv):
+        """Leaving out ``--cache-dir`` is what keeps the stores in
+        memory; there is no second switch."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--no-cache"])
 
 
 class TestCommands:
@@ -125,7 +134,10 @@ class TestCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == first.out
 
-    def test_fig6_no_cache(self, capsys):
+    def test_fig6_without_cache_dir_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
         assert main(
             [
                 "fig6",
@@ -134,11 +146,11 @@ class TestCommands:
                 "--bus-counts", "1",
                 "--bus-latencies", "1",
                 "--max-points", "64",
-                "--no-cache",
                 "--no-progress",
             ]
         ) == 0
         assert "Figure 6" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

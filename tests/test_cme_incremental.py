@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cme import IncrementalCME, SamplingCME, loop_fingerprint
-from repro.cme.trace import TraceStore
 from repro.ir import LoopBuilder
 from repro.machine.config import CacheConfig
 from repro.workloads import random_kernel
@@ -206,18 +205,6 @@ def test_pickled_analyzer_ships_warm_traces_not_memos():
     got = clone.estimate(fresh.loop, fresh.loop.memory_operations, cache)
     assert got == want
     assert clone.traces.address_builds == builds_before  # trace reused
-
-
-def test_shared_trace_store_is_reused_across_analyzers():
-    store = TraceStore()
-    first = IncrementalCME(max_points=64, traces=store)
-    second = IncrementalCME(max_points=64, traces=store)
-    kernel = _streaming_kernel()
-    cache = CacheConfig(size=512, line_size=32)
-    first.estimate(kernel.loop, kernel.loop.memory_operations, cache)
-    builds = store.address_builds
-    second.estimate(kernel.loop, kernel.loop.memory_operations, cache)
-    assert store.address_builds == builds  # no rebuild
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,13 @@ def test_random_kernels(matrix, config, machine, examples):
 # ----------------------------------------------------------------------
 # Grid columns: runs over all of an analyzer's cells
 # ----------------------------------------------------------------------
+def _grid(matrix, locality, **options) -> ExperimentGrid:
+    """A grid running ``locality`` that resolves every matrix kernel."""
+    grid = ExperimentGrid(locality=locality, **options)
+    grid.register(list(matrix.kernels.values()))
+    return grid
+
+
 def _check_plan(matrix, column, cells, results) -> None:
     def check(cell, result):
         invariants.check_result(result.simulation)
@@ -423,8 +430,7 @@ def planned(matrix, tmp_path_factory):
     runs = {}
     for fp, cells in matrix.by_analyzer.items():
         cache_dir = tmp_path_factory.mktemp("plan")
-        grid = ExperimentGrid(locality=matrix.analyzers[fp],
-                              cache_dir=cache_dir, kernels=matrix.kernels)
+        grid = _grid(matrix, matrix.analyzers[fp], cache_dir=cache_dir)
         runs[fp] = grid, grid.run([cell.spec for cell in cells]), cache_dir
     return runs
 
@@ -445,8 +451,7 @@ def test_plan(matrix, planned, fp):
     done = stage_work(grid)
     _check_plan(matrix, "plan rerun", cells, grid.run(specs))
     assert stage_work(grid) == done, "plan rerun | stage work ran"
-    fresh = ExperimentGrid(locality=matrix.localities[fp].build(),
-                           cache_dir=cache_dir, kernels=matrix.kernels)
+    fresh = _grid(matrix, matrix.localities[fp].build(), cache_dir=cache_dir)
     _check_plan(matrix, "plan disk", cells, fresh.run(specs))
     assert stage_work(fresh) == (0, 0, 0), "plan disk | stage work ran"
     hits = fresh.stage_store.telemetry()["schedule"]["hits"]
@@ -464,8 +469,7 @@ def test_plan_cold(matrix, monkeypatch, n_jobs, steady, fp):
     monkeypatch.setattr(grid_module, "ProcessPoolExecutor",
                         lambda **kwargs: starts.append(1) or pool(**kwargs))
     cells, column = matrix.by_analyzer[fp], f"plan n_jobs={n_jobs}"
-    grid = ExperimentGrid(locality=matrix.analyzers[fp], n_jobs=n_jobs,
-                          cache=False, kernels=matrix.kernels)
+    grid = _grid(matrix, matrix.analyzers[fp], n_jobs=n_jobs)
     results = grid.run([replace(cell.spec, steady=steady or cell.spec.steady)
                         for cell in cells])
     assert len(starts) == (n_jobs > 1), f"{column} | {len(starts)} pools"
@@ -479,8 +483,7 @@ def test_figure(matrix, planned):
         return [matrix.result(matrix.cells[SAMPLED, spec]) for spec in specs]
 
     for name, panel in PANELS.items():
-        reference = ExperimentGrid(locality=matrix.analyzers[SAMPLED],
-                                   cache=False, kernels=matrix.kernels)
+        reference = _grid(matrix, matrix.analyzers[SAMPLED])
         reference.run = answer
         want, got = (run_scenario(panel, grid).figure
                      for grid in (reference, planned[SAMPLED][0]))

@@ -18,7 +18,7 @@ from reference_cells import reference_cell
 
 class TestStageFunctions:
     def test_analyze_returns_the_analyzer_trace(self, saxpy):
-        grid = ExperimentGrid(cache=False)  # default analyzer: traced
+        grid = ExperimentGrid()  # default analyzer: traced
         trace = analyze_loop(saxpy.loop, grid.locality)
         assert trace is not None
         assert trace is analyze_loop(saxpy.loop, grid.locality)
@@ -53,7 +53,8 @@ class TestStageFunctions:
 
 class TestGridCells:
     def test_stage_seconds_cover_every_stage(self, saxpy):
-        grid = ExperimentGrid(cache=False, kernels={"saxpy": saxpy})
+        grid = ExperimentGrid()
+        grid.register([saxpy])
         grid.run_one(CellSpec.of(saxpy, unified(), "baseline", 1.0))
         assert set(grid.stats.stage_seconds) == {
             "analyze", "schedule", "simulate"
@@ -61,7 +62,7 @@ class TestGridCells:
         assert all(s >= 0 for s in grid.stats.stage_seconds.values())
 
     def test_grid_cell_matches_reference(self, stencil, sampling_cme):
-        grid = ExperimentGrid(locality=sampling_cme, cache=False)
+        grid = ExperimentGrid(locality=sampling_cme)
         grid.register([stencil])
         result = grid.run_one(CellSpec.of(stencil, two_cluster(), "rmca", 0.25))
         assert isinstance(result, RunResult)
@@ -70,19 +71,18 @@ class TestGridCells:
         ).canonical()
 
     def test_kernel_resolved_by_suite_name(self, sampling_cme):
-        grid = ExperimentGrid(locality=sampling_cme, cache=False)
+        grid = ExperimentGrid(locality=sampling_cme)
         result = grid.run_one(CellSpec.of("applu", unified(), "baseline", 1.0))
         assert result.kernel == "applu"
 
     def test_unknown_kernel_name_rejected(self, saxpy, sampling_cme):
-        grid = ExperimentGrid(locality=sampling_cme, cache=False)
+        grid = ExperimentGrid(locality=sampling_cme)
         with pytest.raises(KeyError, match="cannot resolve kernel"):
             grid.run_one(CellSpec.of(saxpy, unified(), "baseline", 1.0))
 
     def test_iteration_overrides_flow_through(self, saxpy, sampling_cme):
-        grid = ExperimentGrid(
-            locality=sampling_cme, cache=False, kernels={"saxpy": saxpy}
-        )
+        grid = ExperimentGrid(locality=sampling_cme)
+        grid.register([saxpy])
         result = grid.run_one(
             CellSpec.of(saxpy, unified(), "baseline", 1.0, n_iterations=8,
                         n_times=2)

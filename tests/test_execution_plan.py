@@ -31,7 +31,7 @@ def _canonical(results):
 # ----------------------------------------------------------------------
 class TestColdRunTaskAccounting:
     def test_fig6_unique_keys_execute_exactly_once(self):
-        outcome = run_scenario("fig6-smoke", cache=False)
+        outcome = run_scenario("fig6-smoke")
         plan = outcome.grid.stats.plan
         telemetry = outcome.grid.stage_store.telemetry()
         # Cold store: every unique key misses once, becomes exactly one
@@ -48,7 +48,10 @@ class TestColdRunTaskAccounting:
             == telemetry["simulate"]["stores"]
             == telemetry["simulate"]["entries"]
         )
-        assert plan["analyze_tasks"] == telemetry["analyze"]["entries"]
+        # One analyze task per loop a schedule task reads, each building
+        # that loop's address trace once, into the grid's analyzer.
+        traces = outcome.grid.locality.traces
+        assert plan["analyze_tasks"] == traces.address_builds
         # Every cell probed the schedule family exactly once (owners at
         # plan time, duplicates at assembly).
         schedule = telemetry["schedule"]
@@ -60,19 +63,18 @@ class TestColdRunTaskAccounting:
 
     def test_analyze_tasks_planned_for_trace_backed_analyzer(self):
         grid = ExperimentGrid(
-            locality=IncrementalCME(max_points=MAX_POINTS), cache=False
+            locality=IncrementalCME(max_points=MAX_POINTS)
         )
         outcome = run_scenario("streaming", grid=grid)
         plan = grid.stats.plan
-        telemetry = grid.stage_store.telemetry()
         assert plan["analyze_tasks"] > 0
-        assert plan["analyze_tasks"] == telemetry["analyze"]["entries"]
+        assert plan["analyze_tasks"] == len(grid.locality.traces)
         # One analyze task per unique loop, not per cell.
         assert plan["analyze_tasks"] < len(outcome.results)
 
     def test_sampling_analyzer_plans_no_analyze_tasks(self):
         grid = ExperimentGrid(
-            locality=SamplingCME(max_points=MAX_POINTS), cache=False
+            locality=SamplingCME(max_points=MAX_POINTS)
         )
         run_scenario("streaming", grid=grid)
         assert grid.stats.plan["analyze_tasks"] == 0

@@ -172,16 +172,15 @@ class TestStoreReuse:
                         n_iterations=8, n_times=2)
             for threshold in (0.0, -0.0)
         )
-        grid = ExperimentGrid(cache=False)
+        grid = ExperimentGrid()
         results = grid.run([positive, negative])
         assert [repr(r.threshold) for r in results] == ["0.0", "-0.0"]
         assert grid.stats.deduplicated == 0
         for spec, result in zip((positive, negative), results):
-            solo = ExperimentGrid(cache=False).run_one(spec)
+            solo = ExperimentGrid().run_one(spec)
             assert result.canonical() == solo.canonical()
         sources = []
         grid = ExperimentGrid(
-            cache=False,
             progress=lambda _done, _total, _spec, source: sources.append(source),
         )
         results = grid.run([positive, negative, negative])
@@ -210,18 +209,16 @@ class TestStoreReuse:
         other.run_one(spec)
         assert stage_work(other)[0] == 1  # rescheduled under the new analyzer
 
-    def test_no_cache_keeps_stores_in_memory(self, small_suite, tmp_path):
-        spec = CellSpec.of(small_suite[0], unified(), "baseline", 1.0)
-        grid = ExperimentGrid(
-            locality=_locality(), cache=False, cache_dir=tmp_path
-        )
-        grid.run_one(spec)
-        assert not list(tmp_path.rglob("*.pkl"))
-        fresh = ExperimentGrid(
-            locality=_locality(), cache=False, cache_dir=tmp_path
-        )
-        fresh.run_one(spec)
-        assert stage_work(fresh)[:2] == (1, 1)
+    def test_environment_adds_no_disk_layer(self, monkeypatch, tmp_path):
+        """Without a ``cache_dir`` the stores live in memory only,
+        whatever the environment holds (the variable older trees read)."""
+        monkeypatch.setenv("REPRO_GRID_CACHE", str(tmp_path))
+        grid = ExperimentGrid()
+        assert grid.cache_dir is None
+        grid.run_one(CellSpec.of("tomcatv", unified(), "baseline", 1.0,
+                                 n_iterations=8, n_times=2))
+        run_scenario("fig6-smoke")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "rot", ["garbage", "truncated", "foreign"]
@@ -408,8 +405,8 @@ class TestPoolWorkUnits:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(grid_module, "ProcessPoolExecutor", RecordingPool)
-        pooled = run_scenario("fig6-smoke", cache=False, n_jobs=2)
-        serial = run_scenario("fig6-smoke", cache=False)
+        pooled = run_scenario("fig6-smoke", n_jobs=2)
+        serial = run_scenario("fig6-smoke")
         units = [args[0] for name, args in submitted if "schedule" in name]
         suite = sorted(kernel.name for kernel in spec_suite())
         assert len(suite) == len(units) == 8
@@ -441,7 +438,7 @@ class TestPoolWorkUnits:
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(grid_module, "ProcessPoolExecutor", RecordingPool)
-        run_scenario("fig6-smoke", cache=False, n_jobs=2)
+        run_scenario("fig6-smoke", n_jobs=2)
         calls = []
         run = grid_module.run_schedule_task
 
@@ -450,7 +447,7 @@ class TestPoolWorkUnits:
             return run(task, kernel, machine, locality)
 
         monkeypatch.setattr(grid_module, "run_schedule_task", recording_task)
-        run_scenario("fig6-smoke", cache=False)
+        run_scenario("fig6-smoke")
         kernels = [task.payload["kernel"] for task in calls]
         runs = [kernel for kernel, _ in itertools.groupby(kernels)]
         # One contiguous run per kernel, in first-seen order ...

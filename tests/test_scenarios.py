@@ -471,7 +471,7 @@ class TestSteadySelection:
             )
 
     def test_run_scenario_steady_override(self):
-        outcome = run_scenario(_tiny_scenario(), cache=False, steady="off")
+        outcome = run_scenario(_tiny_scenario(), steady="off")
         assert outcome.scenario.steady == "off"
         assert outcome.results is not None
 
@@ -485,7 +485,7 @@ class TestSteadySelection:
 
 class TestRunScenario:
     def test_grid_scenario_end_to_end(self):
-        outcome = run_scenario(_tiny_scenario(), cache=False)
+        outcome = run_scenario(_tiny_scenario())
         assert outcome.results is not None and len(outcome.results) == 1
         rows = list(outcome.iter_rows())
         assert rows[0][0] == "unified"
@@ -494,7 +494,7 @@ class TestRunScenario:
         assert outcome.grid.stats.computed == 1
 
     def test_result_for_lookup(self):
-        outcome = run_scenario(_tiny_scenario(), cache=False)
+        outcome = run_scenario(_tiny_scenario())
         result = outcome.result_for("unified", 1.0, "tomcatv")
         assert result.kernel == "tomcatv"
         with pytest.raises(KeyError, match="no cell"):
@@ -525,7 +525,6 @@ class TestRunScenario:
                     "n_times": 1,
                 }
             ),
-            cache=False,
         )
         assert [row[2] for row in outcome.iter_rows()] == ["dotprod"] * 2
         schedulers = [row[3].scheduler for row in outcome.iter_rows()]
@@ -543,7 +542,7 @@ class TestRunScenario:
             ),
             kernels=("applu", "su2cor"),
         )
-        outcome = run_scenario(scenario, cache=False)
+        outcome = run_scenario(scenario)
         assert outcome.figure is not None
         assert len(outcome.results) == scenario.n_cells() == 8
         groups = outcome.figure.groups
@@ -565,7 +564,7 @@ class TestBuiltOncePerProcess:
 
     def _grid(self):
         return ExperimentGrid(
-            locality=get_scenario(self.NAME).locality.build(), cache=False
+            locality=get_scenario(self.NAME).locality.build()
         )
 
     def test_signed_zero_thresholds_keep_their_sign(self):
@@ -573,8 +572,7 @@ class TestBuiltOncePerProcess:
         negative = _tiny_scenario(thresholds=(1.0, -0.0))
         # Equal specs with one hash, yet their cells differ.
         assert positive == negative and hash(positive) == hash(negative)
-        grid = ExperimentGrid(locality=SamplingCME(max_points=512),
-                              cache=False)
+        grid = ExperimentGrid(locality=SamplingCME(max_points=512))
         run_scenario(positive, grid=grid)
         outcome = run_scenario(negative, grid=grid)
         for labels in (outcome.results,
@@ -638,7 +636,7 @@ class TestScenarioCLI:
     def test_run_executes_grid_scenario(self, capsys):
         assert (
             main(
-                ["run", "dsp-4cluster", "--no-cache", "--no-progress"]
+                ["run", "dsp-4cluster", "--no-progress"]
             )
             == 0
         )

@@ -33,7 +33,7 @@ def _decisions(schedule):
 
 
 def _plan(name):
-    outcome = run_scenario(name, cache=False)
+    outcome = run_scenario(name)
     return outcome, outcome.grid.stats.plan
 
 

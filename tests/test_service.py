@@ -36,13 +36,11 @@ from repro.harness.scenarios import (
 from repro.service import (
     DiskBackend,
     JobManager,
-    MemoryBackend,
     ServerThread,
     ServiceClient,
     ServiceError,
     export_records,
     load_npz,
-    make_backend,
     outcome_records,
     render_records,
 )
@@ -525,14 +523,6 @@ class TestConcurrency:
 
 
 class TestBackends:
-    def test_memory_backend_round_trip(self):
-        backend = MemoryBackend()
-        backend.save({"id": "a", "sequence": 1, "state": "done"})
-        backend.save({"id": "b", "sequence": 2, "state": "queued"})
-        assert backend.load("a")["state"] == "done"
-        assert backend.load("missing") is None
-        assert [record["id"] for record in backend.records()] == ["a", "b"]
-
     def test_disk_backend_round_trip(self, tmp_path):
         backend = DiskBackend(tmp_path / "jobs")
         backend.save({"id": "b", "sequence": 2, "state": "done"})
@@ -549,19 +539,26 @@ class TestBackends:
         assert backend.load("foreign") is None
         assert backend.records() == []
 
-    def test_make_backend(self, tmp_path):
-        assert isinstance(make_backend("memory"), MemoryBackend)
-        assert isinstance(make_backend("disk", tmp_path), DiskBackend)
-        with pytest.raises(ValueError, match="needs a directory"):
-            make_backend("disk")
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("redis")
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "disk"], ["--backend-dir", "jobs"]],
+        ids=["disk-without-dir", "dir-without-disk"],
+    )
+    def test_serve_backend_flags_need_each_other(self, flags, capsys):
+        assert main(["serve", "--port", "0", *flags]) == 2
+        assert "need each other" in capsys.readouterr().err
 
-    def test_failed_first_save_registers_no_job(self):
+    def test_manager_without_backend_keeps_only_its_jobs(self):
+        manager = JobManager()
+        job = manager.submit(ScenarioSpec.from_dict(_tiny_spec_dict("kept")))
+        manager.shutdown(wait=True)
+        assert manager.backend is None
+        assert manager.jobs() == [job] and job.state == "done"
+
+    def test_failed_first_save_registers_no_job(self, tmp_path):
         """A job whose record cannot be saved is not registered: no
         ghost ``queued`` job, and the next submission still runs."""
 
-        class FailFirstSave(MemoryBackend):
+        class FailFirstSave(DiskBackend):
             failed = False
 
             def save(self, record):
@@ -570,7 +567,7 @@ class TestBackends:
                     raise OSError("disk full")
                 super().save(record)
 
-        manager = JobManager(backend=FailFirstSave())
+        manager = JobManager(backend=FailFirstSave(tmp_path))
         spec = ScenarioSpec.from_dict(_tiny_spec_dict("ghost"))
         with pytest.raises(OSError, match="disk full"):
             manager.submit(spec)
@@ -581,11 +578,11 @@ class TestBackends:
         assert manager.jobs() == [job]
         assert job.state == "done"
 
-    def test_failed_final_save_fails_the_job(self):
+    def test_failed_final_save_fails_the_job(self, tmp_path):
         """The terminal state is announced only once its record is
         saved; a failed save ends the job ``failed``, naming the write."""
 
-        class FailSecondSave(MemoryBackend):
+        class FailSecondSave(DiskBackend):
             saves = 0
 
             def save(self, record):
@@ -594,7 +591,7 @@ class TestBackends:
                     raise OSError("disk full")
                 super().save(record)
 
-        backend = FailSecondSave()
+        backend = FailSecondSave(tmp_path)
         manager = JobManager(backend=backend)
         job = manager.submit(ScenarioSpec.from_dict(_tiny_spec_dict("lost")))
         manager.shutdown(wait=True)
@@ -746,7 +743,7 @@ class TestExportParity:
         assert client.wait(job_id)["state"] == "done"
         for fmt in ("csv", "npz"):
             assert main(
-                ["export", scenario.name, "--format", fmt, "--no-cache",
+                ["export", scenario.name, "--format", fmt,
                  "--no-progress", "--out", str(tmp_path / f"local.{fmt}")]
             ) == 0
         capsys.readouterr()
@@ -796,13 +793,11 @@ class TestRetention:
             f"for a {encoded / 1024:.0f} KiB result"
         )
         for job in jobs:
-            record = manager.backend.load(job.id)
-            # One encoded copy, shared by the job and the backend.
+            # One encoded copy, no decoded payload and no export rows.
             assert type(job.result_json) is bytes
-            assert record["result"] is job.result_json
-            assert set(record) == set(job.record())
+            assert job.record()["result"] is job.result_json
             assert not {"result", "export_records"} & set(vars(job))
-            assert "export_records" not in record
+            assert "export_records" not in job.record()
 
 
 class TestParsePayload:
@@ -986,3 +981,42 @@ class TestPushedJobPath:
         npz_path = tmp_path / "remote.npz"
         npz_path.write_bytes(client.export(job_id, "npz"))
         assert load_npz(npz_path) == records
+
+
+# ----------------------------------------------------------------------
+# Request timeout: a stalled client cannot hold a request thread
+# ----------------------------------------------------------------------
+@pytest.fixture
+def short_timeout(monkeypatch):
+    monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.2)
+
+
+class TestRequestTimeout:
+    def test_idle_connection_is_closed(self, short_timeout):
+        with ServerThread() as srv:
+            with socket.create_connection(
+                (srv.server.host, srv.server.port), timeout=10
+            ) as sock:
+                start = time.monotonic()
+                assert sock.recv(65536) == b""  # closed, unanswered
+                assert time.monotonic() - start < 5
+
+    def test_body_cut_short_is_closed_without_an_answer(self, short_timeout):
+        with ServerThread() as srv:
+            request = b'POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{"a'
+            assert _raw_answer(srv, request) == ("", {}, b"")
+            assert srv.manager.jobs() == []
+
+    def test_stream_outlives_the_timeout(self, short_timeout, blocked_jobs):
+        """A stream waits on its job, not on the socket: a job slower
+        than the timeout still streams every event, in order."""
+        with ServerThread() as srv:
+            client = ServiceClient(srv.url)
+            job = client.submit(spec=_tiny_spec_dict("slow"))
+            stream = client.events(job["id"])
+            assert next(stream)["state"] == "queued"
+            time.sleep(0.6)
+            blocked_jobs.set()
+            rest = list(stream)
+        assert rest[-1]["type"] == "state" and rest[-1]["state"] == "done"
+        assert [e["seq"] for e in rest] == list(range(1, len(rest) + 1))

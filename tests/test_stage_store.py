@@ -12,7 +12,6 @@ from dataclasses import replace
 import pytest
 
 from repro.cme import IncrementalCME
-from repro.cme.trace import AddressTrace, loop_fingerprint
 from repro.engine import STAGE_STORE_VERSION, StageStore
 from repro.engine.stages import make_scheduler
 from repro.harness.grid import CellSpec, ExperimentGrid, machine_key
@@ -35,18 +34,7 @@ def _canonical(results):
     return [result.canonical() for result in results]
 
 
-def _trace():
-    kernel = spec_suite(["applu"])[0]
-    return AddressTrace.build(kernel.loop, 16)
-
-
 class TestStageStoreUnit:
-    def test_analyze_key_composition(self):
-        base = StageStore.analyze_key("fp", "sampling:512")
-        assert StageStore.analyze_key("fp2", "sampling:512") != base
-        assert StageStore.analyze_key("fp", "sampling:128") != base
-        assert StageStore.analyze_key("fp", "sampling:512") == base
-
     def test_schedule_key_composition(self):
         base = StageStore.schedule_key("k", "fp", "m", "rmca", 1.0, "s:512")
         for other in (
@@ -73,13 +61,6 @@ class TestStageStoreUnit:
         ):
             assert other != base
         assert StageStore.simulate_key("fp", "auto", None, None) == base
-
-    def test_publish_is_idempotent(self):
-        trace = _trace()
-        store = StageStore()
-        assert store.publish("analyze", "k", trace) is True
-        assert store.publish("analyze", "k", trace) is False
-        assert store.counts("analyze")["stores"] == 1
 
 
 class _BodyOnlyUnpickler(pickle.Unpickler):
@@ -146,7 +127,7 @@ class TestStageEquivalence:
     def test_threshold_sweep_dedups_simulate(self, tmp_path):
         """The fig6 threshold sweep must skip simulate for the cells
         whose schedules land byte-identical — the headline dedup win."""
-        outcome = run_scenario("fig6-smoke", cache=False)
+        outcome = run_scenario("fig6-smoke")
         telemetry = outcome.grid.stage_store.telemetry()
         assert telemetry["simulate"]["hits"] > 0
         probes = (
@@ -161,7 +142,7 @@ class TestStageEquivalence:
         """A second scenario sharing kernels/machines with a cold
         ``fig6-smoke`` run starts from a mostly-hot store."""
         grid = ExperimentGrid(
-            locality=IncrementalCME(max_points=MAX_POINTS), cache=False
+            locality=IncrementalCME(max_points=MAX_POINTS)
         )
         run_scenario("fig6-smoke", grid=grid)
         before = grid.stage_store.telemetry()
@@ -169,13 +150,13 @@ class TestStageEquivalence:
         after = grid.stage_store.telemetry()
         assert after["schedule"]["hits"] > before["schedule"]["hits"]
         assert after["simulate"]["hits"] > before["simulate"]["hits"]
-        alone = run_scenario("fig6-steady-ablation", cache=False)
+        alone = run_scenario("fig6-steady-ablation")
         assert _canonical(second.results) == _canonical(alone.results)
 
     def test_parallel_products_recorded_by_parent(self, tmp_path):
-        serial = run_scenario("streaming", cache=False)
+        serial = run_scenario("streaming")
         fanned = run_scenario(
-            "streaming", cache=True, cache_dir=tmp_path, n_jobs=2
+            "streaming", cache_dir=tmp_path, n_jobs=2
         )
         assert _canonical(fanned.results) == _canonical(serial.results)
         # Workers only compute; the parent stored every product, so a
@@ -241,7 +222,7 @@ class TestStageEquivalence:
                 continue
             found = True
             thr_a, thr_b = pairs[0]
-            grid = ExperimentGrid(locality=analyzer, cache=False)
+            grid = ExperimentGrid(locality=analyzer)
             grid.run_one(CellSpec.of(kernel, machine, "rmca", thr_a))
             result = grid.run_one(CellSpec.of(kernel, machine, "rmca", thr_b))
             assert stage_work(grid)[1] == 1  # the second cell's was served
@@ -253,7 +234,7 @@ class TestStageEquivalence:
         assert found, "no threshold pair with identical schedules found"
 
     def test_stage_telemetry_reported_per_stage(self, analyzer):
-        grid = ExperimentGrid(locality=analyzer, cache=False)
+        grid = ExperimentGrid(locality=analyzer)
         spec = CellSpec.of("applu", two_cluster(), "rmca", 1.0)
         grid.run_one(spec)
         first = grid.stage_store.telemetry()
@@ -272,32 +253,30 @@ class TestStageEquivalence:
             locality=IncrementalCME(max_points=MAX_POINTS), cache_dir=tmp_path
         )
         result = first.run_one(spec)
-        assert first.stage_store.counts("analyze")["stores"] == 1
+        assert first.stats.plan["analyze_tasks"] == 1
         fresh = ExperimentGrid(
             locality=IncrementalCME(max_points=MAX_POINTS), cache_dir=tmp_path
         )
-        return loop_fingerprint(kernel.loop), spec, result, fresh
+        return spec, result, fresh
 
-    def test_analyze_store_serves_fresh_analyzer(self, tmp_path):
-        loop_fp, spec, _, fresh = self._fresh_over(tmp_path)
-        # Another threshold on the same loop: a schedule to compute,
-        # which reads the stored trace instead of building it.
+    def test_fresh_analyzer_builds_the_trace_it_schedules_with(
+        self, tmp_path
+    ):
+        spec, _, fresh = self._fresh_over(tmp_path)
+        # Another threshold on the same loop: a schedule to compute, so
+        # the analyze wave builds the loop's trace into the analyzer,
+        # once, before the scheduler reads it.
         fresh.run_one(replace(spec, threshold=0.5))
         assert fresh.stats.plan["schedule_tasks"] == 1
-        assert fresh.stage_store.counts("analyze")["hits"] == 1
-        traces = fresh.locality.traces
-        assert traces.peek_address_trace(loop_fp, MAX_POINTS) is not None
-        assert traces.address_builds == 0
+        assert fresh.stats.plan["analyze_tasks"] == 1
+        assert fresh.locality.traces.address_builds == 1
 
     def test_store_served_fresh_grid_analyzes_nothing(self, tmp_path):
-        loop_fp, spec, result, fresh = self._fresh_over(tmp_path)
+        spec, result, fresh = self._fresh_over(tmp_path)
         served = fresh.run_one(spec)
-        # Every schedule is stored: no analyze lookup, no trace adopted.
+        # Every schedule is stored: no analyze task, no trace built.
         assert fresh.stats.plan["analyze_tasks"] == 0
         assert fresh.stats.plan["schedule_tasks"] == 0
-        counts = fresh.stage_store.counts("analyze")
-        assert counts["hits"] + counts["misses"] == 0
-        traces = fresh.locality.traces
-        assert traces.peek_address_trace(loop_fp, MAX_POINTS) is None
-        assert traces.address_builds == 0
+        assert len(fresh.locality.traces) == 0
+        assert fresh.locality.traces.address_builds == 0
         assert served.canonical() == result.canonical()

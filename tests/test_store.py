@@ -7,29 +7,32 @@ import pickle
 
 import pytest
 
-from repro.cme.trace import AddressTrace
 from repro.engine.stagestore import STAGE_STORE_VERSION, StageStore
 from repro.service import DiskBackend
 from repro.simulator import WARM_STATE_VERSION, WarmRecord, WarmStateStore
+from repro.simulator.stats import SimulationResult
 from repro.store import atomic_write
-from repro.workloads import spec_suite
 
 
 class StageLayer:
-    """The stage store, through its analyze layer."""
+    """The stage store, through its simulate layer."""
 
     make, entries = StageStore, "*/*/*.pkl"
-    key = StageStore.analyze_key("loop", "sampling:16")
+    key = StageStore.simulate_key("fp", "auto", None, None)
     stale = key.replace(f"s{STAGE_STORE_VERSION}|", "s0|")
-    lookup = lambda store, key: store.lookup("analyze", key)
-    put = lambda store, key, value: store.store("analyze", key, value)
-    counts = lambda store: store.counts("analyze")
+    lookup = lambda store, key: store.lookup("simulate", key)
+    put = lambda store, key, value: store.store("simulate", key, value)
+    counts = lambda store: store.counts("simulate")
 
     def value():
-        return AddressTrace.build(spec_suite(["applu"])[0].loop, 16)
+        return SimulationResult(
+            kernel="applu", machine="2-cluster", scheduler="rmca",
+            threshold=1.0, ii=4, stage_count=2, n_times=1, n_iterations=16,
+            compute_cycles=68, stall_cycles=5,
+        )
 
     def old_layout(key, value):
-        return {"version": STAGE_STORE_VERSION, "stage": "analyze",
+        return {"version": STAGE_STORE_VERSION, "stage": "simulate",
                 "key": key, "value": value}
 
 

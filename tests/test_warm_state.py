@@ -142,7 +142,7 @@ class TestWarmEquivalence:
         _key, record = pickle.loads(entry.read_bytes())
         assert isinstance(record.snapshot, bytes)
         assert (record.match_start is None) == (shape == "iteration")
-        grid = ExperimentGrid(cache=False, locality=analyzer)
+        grid = ExperimentGrid(locality=analyzer)
         grid.warm_store.cache_dir = tmp_path
         adopted = _run(schedule, store=grid.warm_store)
         _assert_same(stored, adopted)
@@ -215,7 +215,7 @@ class TestWarmGridEndToEnd:
         # Fresh grid, cell cache off: every cell recomputes, but the
         # warm-ups come off the shared disk layer.
         warm_grid = ExperimentGrid(
-            cache=False, locality=cold.scenario.locality.build()
+            locality=cold.scenario.locality.build()
         )
         warm_grid.warm_store.cache_dir = tmp_path / "warm"
         warm = run_scenario("streaming", grid=warm_grid)
@@ -224,9 +224,9 @@ class TestWarmGridEndToEnd:
         assert self._canonical(warm.results) == self._canonical(cold.results)
 
     def test_parallel_fanout_identical(self, tmp_path):
-        serial = run_scenario("streaming", cache=False)
+        serial = run_scenario("streaming")
         fanned = run_scenario(
-            "streaming", cache=True, cache_dir=tmp_path, n_jobs=2
+            "streaming", cache_dir=tmp_path, n_jobs=2
         )
         assert self._canonical(fanned.results) == self._canonical(
             serial.results

@@ -30,7 +30,7 @@ class TestThresholdZero:
         """threshold=0.0 must flow to the scheduler as 0.0, end to end."""
         spec = CellSpec.of(kernel, two_cluster(), "rmca", 0.0)
         assert spec.threshold == 0.0
-        result = ExperimentGrid(cache=False).run_one(spec)
+        result = ExperimentGrid().run_one(spec)
         assert result.threshold == 0.0
         assert result.schedule.threshold == 0.0
         assert result.simulation.threshold == 0.0
@@ -40,7 +40,7 @@ class TestThresholdZero:
         zero = CellSpec.of(kernel, two_cluster(), "rmca", 0.0)
         one = CellSpec.of(kernel, two_cluster(), "rmca", 1.0)
         assert zero != one
-        grid = ExperimentGrid(cache=False)
+        grid = ExperimentGrid()
         grid.run([zero, one])
         assert grid.stats.plan["schedule_unique"] == 2
 
